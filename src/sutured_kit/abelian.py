@@ -40,10 +40,6 @@ class IntMatrix:
     def identity(cls, n):
         return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n, n)
 
-    @classmethod
-    def zeros(cls, rows, cols):
-        return cls(tuple((0,) * cols for _ in range(rows)), rows, cols)
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
@@ -382,10 +378,6 @@ def ring_neg(x):
     return GroupRingElem({g: -c for g, c in x._terms.items()})
 
 
-def ring_sub(x, y):
-    return ring_add(x, ring_neg(y))
-
-
 def ring_scale(x, n):
     return GroupRingElem({g: n * c for g, c in x._terms.items()})
 
@@ -471,26 +463,23 @@ def doteq_normalize(x, g):
     Translate by the inverse of a support element so that the identity
     becomes the lex-minimal exponent, flip the global sign to make its
     coefficient positive, and among all support elements achieving this
-    take the lexicographically smallest result.  For torsion-free groups
-    exactly one support element (the lex-minimal one) qualifies, so this
-    is the plain "shift the smallest exponent to the identity" rule; with
-    torsion, several residue translates can qualify and the tie-break
-    keeps the form invariant under multiplication by units.
+    take the lexicographically smallest result.  Torsion residues are
+    never negative, so translating by -s makes the identity lex-minimal
+    exactly when s has the lex-minimal free part: one pass finds the
+    candidates.  For torsion-free groups there is exactly one; with
+    torsion, the residue translates tied on the free part are compared,
+    which keeps the form invariant under multiplication by units.
     """
     if x.is_zero():
         return x
     identity = g.identity()
-    best = None
-    for s in x.support():
-        y = ring_translate(x, g.neg(s), g)
-        if min(y._terms, key=GroupElement.lex_key) != identity:
-            continue
-        if y.coeff(identity) < 0:
-            y = ring_neg(y)
-        key = _ring_sort_key(y)
-        if best is None or key < best[0]:
-            best = (key, y)
-    return best[1]
+    low = min(s.free for s in x._terms)
+    forms = []
+    for s in x._terms:
+        if s.free == low:
+            y = ring_translate(x, g.neg(s), g)
+            forms.append(ring_neg(y) if y.coeff(identity) < 0 else y)
+    return forms[0] if len(forms) == 1 else min(forms, key=_ring_sort_key)
 
 
 def doteq_equal(x, y, g, allow_inversion=False):

@@ -18,19 +18,24 @@ domains between generators, and the signed, Spin^c-graded Euler
 polynomial.
 
 Homology cellulation: every region must have genus zero; a region with
-extra boundary cycles (additional arc cycles, or contained circles of the
-surface boundary) is cut to a disk with one connector edge per extra
-cycle.  Connectors are traversed once in each direction by the region, so
-they vanish from the boundary map; each contained boundary circle becomes
-one vertex plus one loop edge carried by the region with multiplicity one.
+extra boundary cycles (arc cycles or contained boundary circles) is cut
+to a disk by connector edges, traversed once each way so they vanish
+from its boundary; a boundary circle is one vertex plus one loop edge.
+A tree-cotree decomposition (Eppstein) of this cell structure, a spanning
+tree T of the 1-skeleton and one C* of the dual graph on the regions and
+an outside node reached by the loop edges, leaves L = 2g + b - 1 edges.
+They map to unit vectors of Z^L, T to 0, and C* leaves-first to whatever
+kills each region boundary: an isomorphism H_1(surface) -> Z^L.  H_1(M)
+is the cokernel of the L x (|alpha| + |beta|) matrix of curve images, and
+with the point potentials phi(p) = P_alpha(p) - P_beta(p), prefix sums of
+arc images along the curves, eps(x, y) = sum phi(y) - sum phi(x).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .abelian import (FinAbGroup, IntMatrix, cokernel, doteq_normalize,
-                      kernel_basis, smith_normal_form, solve_integer,
-                      GroupRingElem, ring_zero)
+                      kernel_basis, solve_integer, GroupRingElem, ring_zero)
 from .errors import InvalidDiagram, NotAGenerator, NotBalanced
 
 
@@ -96,6 +101,39 @@ class GeneratorMatching:
                 for i, (j, p) in enumerate(self.assignment)]
 
 
+class _UnionFind:
+    """Disjoint sets over 0..n-1 with path halving."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, x, y):
+        """Merge the sets of x and y; False when they already were one set."""
+        rx, ry = self.find(x), self.find(y)
+        self.parent[ry] = rx
+        return rx != ry
+
+
+def _region_components(n_regions, occurrence_lists):
+    """Region index lists of the classes joined by the given arc occurrences,
+    each sorted, ordered by their smallest member."""
+    uf = _UnionFind(n_regions)
+    for occs in occurrence_lists:
+        for ridx, _ in occs[1:]:
+            uf.union(occs[0][0], ridx)
+    comps = {}
+    for i in range(n_regions):
+        comps.setdefault(uf.find(i), []).append(i)
+    return list(comps.values())
+
+
 class ValidationReport:
     def __init__(self, violations):
         self.violations = list(violations)
@@ -133,6 +171,12 @@ class SuturedDiagram:
 
     @classmethod
     def from_json(cls, data):
+        if not isinstance(data, dict):
+            raise ValueError(f"diagram JSON must be an object, got {type(data).__name__}")
+        for field in ("genus", "boundary_circles"):
+            if type(data[field]) is not int:
+                raise ValueError(f"diagram field {field!r} must be an integer, "
+                                 f"got {data[field]!r}")
         return cls(data["genus"], data["boundary_circles"],
                    data.get("alpha", ()), data.get("beta", ()),
                    {p: int(s) for p, s in data.get("crossing_sign", {}).items()},
@@ -174,12 +218,6 @@ class SuturedDiagram:
             v = f"~{fam}{i + 1}"
             return v, v
         return pts[k], pts[(k + 1) % len(pts)]
-
-    def intersection_points(self):
-        seen = []
-        for c in self.alpha:
-            seen.extend(c)
-        return seen
 
     def _point_positions(self):
         got = self._cache.get("ppos")
@@ -303,20 +341,7 @@ class SuturedDiagram:
 
         # connectivity (the chi test above assumes a connected surface)
         if self.regions and not bad:
-            parent = list(range(len(self.regions)))
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for pair in occ.values():
-                r0 = find(pair[0][0])
-                for ridx, _ in pair[1:]:
-                    parent[find(ridx)] = r0
-            roots = {find(i) for i in range(len(self.regions))}
-            if len(roots) > 1:
+            if len(_region_components(len(self.regions), occ.values())) > 1:
                 bad.append("surface is not connected")
 
         got = ValidationReport(bad)
@@ -333,24 +358,10 @@ class SuturedDiagram:
     def _complement_components(self, removed_family):
         """Components of the surface minus one curve family, as region sets."""
         merge_family = "b" if removed_family == "a" else "a"
-        parent = list(range(len(self.regions)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        occ = self._arc_occurrences()
-        for arc, pair in occ.items():
-            if arc[0] == merge_family:
-                r0 = find(pair[0][0])
-                for ridx, _ in pair[1:]:
-                    parent[find(ridx)] = r0
-        comps = {}
-        for i in range(len(self.regions)):
-            comps.setdefault(find(i), []).append(i)
-        return list(comps.values())
+        return _region_components(
+            len(self.regions),
+            (pair for arc, pair in self._arc_occurrences().items()
+             if arc[0] == merge_family))
 
     def is_balanced(self):
         """Counts match and each complement component reaches the boundary."""
@@ -463,35 +474,40 @@ def _check_generator(d, x):
 # -- homology of the glued manifold ----------------------------------------------
 
 class _Skeleton:
-    """CW structure of the surface with the boundary circles filled in as cells."""
+    """CW structure of the surface with the boundary circles filled in as cells.
+
+    ``columns[r]`` is the boundary of region r as {edge: coefficient};
+    ``sides[e]`` holds the two dual nodes edge e separates, region indices
+    or ``outside`` (the region count) for a boundary loop edge.
+    """
 
     def __init__(self, d):
         self.vertex_index = {}
         self.edges = []          # (tail index, head index)
-        self.edge_kind = []      # ("arc", arc) | ("circle", rid, k) | ("conn", rid, k)
+        self.sides = []
         self.arc_edge = {}
+        self.outside = len(d.regions)
 
         def vertex(name):
             if name not in self.vertex_index:
                 self.vertex_index[name] = len(self.vertex_index)
             return self.vertex_index[name]
 
-        def add_edge(kind, tail, head):
+        def add_edge(tail, head):
             self.edges.append((tail, head))
-            self.edge_kind.append(kind)
+            self.sides.append([])
             return len(self.edges) - 1
 
         for arc in d.arcs():
             t, h = d.arc_endpoints(arc)
-            self.arc_edge[arc] = add_edge(("arc", arc), vertex(t), vertex(h))
+            self.arc_edge[arc] = add_edge(vertex(t), vertex(h))
 
         def walk_start(cyc):
             arc, sign = cyc[0]
             t, h = d.arc_endpoints(arc)
             return vertex(t if sign > 0 else h)
 
-        self.d2_columns = []
-        raw_columns = []
+        self.columns = []
         for rid, region in enumerate(d.regions):
             col = {}
             anchors = []
@@ -500,81 +516,114 @@ class _Skeleton:
                 for arc, sign in cyc:
                     e = self.arc_edge[arc]
                     col[e] = col.get(e, 0) + sign
+                    self.sides[e].append(rid)
             circle_vertices = []
             for k in range(region.boundary_circles):
                 v = vertex(f"~o{rid}.{k}")
                 circle_vertices.append(v)
-                e = add_edge(("circle", rid, k), v, v)
-                col[e] = col.get(e, 0) + 1
+                e = add_edge(v, v)
+                col[e] = 1
+                self.sides[e] += [rid, self.outside]
             # cut the region to a disk: connectors from the base cycle to every
             # other boundary cycle, each traversed once in each direction
             base = anchors[0] if anchors else (circle_vertices[0] if circle_vertices else None)
             extra = anchors[1:] + (circle_vertices if anchors else circle_vertices[1:])
-            for k, v in enumerate(extra):
-                add_edge(("conn", rid, k), base, v)
-            raw_columns.append(col)
-        n_edges_final = len(self.edges)
-        for col in raw_columns:
-            vec = [0] * n_edges_final
-            for e, c in col.items():
-                vec[e] = c
-            self.d2_columns.append(tuple(vec))
+            for v in extra:
+                e = add_edge(base, v)
+                self.sides[e] += [rid, rid]
+            self.columns.append(col)
 
-        nv, ne = len(self.vertex_index), len(self.edges)
-        d1 = [[0] * ne for _ in range(nv)]
-        for e, (t, h) in enumerate(self.edges):
-            d1[h][e] += 1
-            d1[t][e] -= 1
-        self.d1 = IntMatrix(d1, nv, ne)
-        self.n_edges = ne
 
-        self.curve_chain = {}
-        for fam, i in d.curves():
-            vec = [0] * ne
-            for k in range(d.curve_arc_count(fam, i)):
-                vec[self.arc_edge[(fam, i, k)]] = 1
-            self.curve_chain[(fam, i)] = tuple(vec)
+def _edge_images(sk):
+    """(L, tree-cotree images of the edges in Z^L).
+
+    C* is breadth-first from the outside node; the C* edge above a region
+    has coefficient +-1 in its boundary and is solved after the regions
+    below it.
+    """
+    uf = _UnionFind(len(sk.vertex_index))
+    in_tree = [uf.union(t, h) for t, h in sk.edges]
+    adjacent = [[] for _ in range(sk.outside + 1)]
+    for e, (r, s) in enumerate(sk.sides):
+        if not in_tree[e] and r != s:
+            adjacent[r].append((e, s))
+            adjacent[s].append((e, r))
+    parent_edge = {sk.outside: None}
+    order = [sk.outside]
+    for node in order:
+        for e, other in adjacent[node]:
+            if other not in parent_edge:
+                parent_edge[other] = e
+                order.append(other)
+    if len(order) != len(adjacent):
+        raise InvalidDiagram("regions are not connected across the cut graph")
+    cotree = set(parent_edge.values())
+    leftover = [e for e in range(len(sk.edges)) if not in_tree[e] and e not in cotree]
+    rank = len(leftover)
+    images = [(0,) * rank] * len(sk.edges)
+    for k, e in enumerate(leftover):
+        images[e] = tuple(int(j == k) for j in range(rank))
+    for r in reversed(order[1:]):
+        up = parent_edge[r]
+        total = [0] * rank
+        for e, c in sk.columns[r].items():
+            if e != up:
+                for j, x in enumerate(images[e]):
+                    total[j] += c * x
+        c = sk.columns[r][up]
+        images[up] = tuple(-c * x for x in total)
+    return rank, images
 
 
 class _H1Data:
-    """H_1(M) = ker d1 / (im d2 + curve classes), with a solver for 1-cycles."""
+    """H_1(M) = H_1(surface) / curve classes, and the potential of each point."""
 
     def __init__(self, d):
         self.skeleton = sk = _Skeleton(d)
-        kb = kernel_basis(sk.d1)            # columns spanning the 1-cycles
-        self.k = len(kb)
-        self.kmat = IntMatrix(tuple(tuple(col[e] for col in kb)
-                                    for e in range(sk.n_edges)),
-                              sk.n_edges, self.k)
-        self.u, self.dmat, self.v = smith_normal_form(self.kmat)
-        relations = list(sk.d2_columns) + [sk.curve_chain[c] for c in d.curves()]
-        cols = [self._coords(vec) for vec in relations]
-        rel = IntMatrix(tuple(tuple(col[i] for col in cols) for i in range(self.k)),
-                        self.k, len(cols))
+        self.rank, self.images = _edge_images(sk)
+        zero = (0,) * self.rank
+        curve_images = []
+        phi = {}                 # point -> P_alpha(p) - P_beta(p)
+        for fam, i in d.curves():
+            sign = 1 if fam == "a" else -1
+            pts = d.curve_points(fam, i)
+            acc = zero
+            for k in range(d.curve_arc_count(fam, i)):
+                if pts:
+                    phi[pts[k]] = tuple(a + sign * b for a, b in
+                                        zip(phi.get(pts[k], zero), acc))
+                acc = tuple(a + b for a, b in zip(acc, self.images[sk.arc_edge[(fam, i, k)]]))
+            curve_images.append(acc)
+        rel = IntMatrix(tuple(tuple(img[r] for img in curve_images)
+                              for r in range(self.rank)),
+                        self.rank, len(curve_images))
         self.group = cokernel(rel)
-
-    def _coords(self, vec):
-        # solve kmat * y = vec; every relation and every eps-cycle is a 1-cycle,
-        # and the kernel basis from the SNF is saturated, so this is exact
-        c = self.u @ tuple(vec)
-        y = [0] * self.k
-        rows, cols = self.kmat.rows, self.kmat.cols
-        for i in range(rows):
-            di = self.dmat[i, i] if i < min(rows, cols) else 0
-            if di != 0:
-                if c[i] % di != 0:
-                    raise InvalidDiagram("chain is not an integral 1-cycle")
-                y[i] = c[i] // di
-            elif c[i] != 0:
-                raise InvalidDiagram("chain is not a 1-cycle")
-        return self.v @ y
+        self.potential = {p: self.group.projection @ v for p, v in phi.items()}
 
     def class_of(self, chain):
-        """Class in H_1(M) of a 1-chain given as {edge index: coefficient}."""
-        vec = [0] * self.skeleton.n_edges
-        for e, c in chain.items():
-            vec[e] = c
-        return self.group.from_ambient(self._coords(vec))
+        """Class in H_1(M) of a 1-cycle {arc or edge index: coefficient}."""
+        boundary = {}
+        total = [0] * self.rank
+        for key, c in chain.items():
+            e = self.skeleton.arc_edge[key] if isinstance(key, tuple) else key
+            t, h = self.skeleton.edges[e]
+            boundary[h] = boundary.get(h, 0) + c
+            boundary[t] = boundary.get(t, 0) - c
+            for j, x in enumerate(self.images[e]):
+                total[j] += c * x
+        if any(boundary.values()):
+            raise InvalidDiagram("chain is not a 1-cycle")
+        return self.group.from_ambient(total)
+
+    def difference(self, x, y):
+        """eps(x, y): the potentials summed over y minus those over x."""
+        total = [0] * len(self.group.projection.entries)
+        for points, sign in ((y.points(), 1), (x.points(), -1)):
+            for p in points:
+                for j, v in enumerate(self.potential[p]):
+                    total[j] += sign * v
+        r = self.group.free_rank
+        return self.group.element(total[:r], total[r:])
 
 
 def _h1data(d):
@@ -591,82 +640,44 @@ def h1_of_M(d):
 
     Returns (group, class_of) where class_of takes a chain {arc: coeff}
     supported on the arc skeleton (or raw edge indices) and returns its
-    class.
+    class; a chain with nonzero boundary raises InvalidDiagram.
     """
     data = _h1data(d)
-
-    def class_of(chain):
-        sk = data.skeleton
-        by_edge = {}
-        for key, c in chain.items():
-            e = sk.arc_edge[key] if isinstance(key, tuple) and key and key[0] in ("a", "b") else key
-            by_edge[e] = by_edge.get(e, 0) + c
-        return data.class_of(by_edge)
-
-    return data.group, class_of
+    return data.group, data.class_of
 
 
 # -- eps and the Spin^c partition ---------------------------------------------------
 
 
-def _curve_walk(d, fam, i, p, q, backward=False):
-    """Arc chain along curve (fam, i) from point p to point q.
-
-    The forward walk follows the curve's cyclic orientation; the backward
-    walk returns the negative of the complementary walk, which differs
-    from the forward one by the full curve class.
-    """
-    pts = d.curve_points(fam, i)
-    pos = {name: k for k, name in enumerate(pts)}
-    n = len(pts)
+def _eps_chain(d, x, y):
+    """The 1-cycle {arc: 1} along each alpha curve from x to y and along each
+    beta curve from y to x, following the curves' cyclic orientation."""
+    walks = [("a", i, x.assignment[i][1], y.assignment[i][1]) for i in range(len(d.alpha))]
+    walks += [("b", j, q, p) for (j, p), (_, q) in
+              zip(sorted(x.assignment), sorted(y.assignment))]
     chain = {}
-    if backward:
-        k = pos[q]
-        while k != pos[p]:
-            arc = (fam, i, k)
-            chain[arc] = chain.get(arc, 0) - 1
-            k = (k + 1) % n
-    else:
-        k = pos[p]
-        while k != pos[q]:
-            arc = (fam, i, k)
-            chain[arc] = chain.get(arc, 0) + 1
-            k = (k + 1) % n
-    return chain
-
-
-def _eps_chain(d, x, y, backward=False):
-    chain = {}
-
-    def add(part):
-        for arc, c in part.items():
-            chain[arc] = chain.get(arc, 0) + c
-            if chain[arc] == 0:
-                del chain[arc]
-
-    beta_point_x = {j: p for j, p in x.assignment}
-    beta_point_y = {j: p for j, p in y.assignment}
-    for i in range(len(d.alpha)):
-        add(_curve_walk(d, "a", i, x.assignment[i][1], y.assignment[i][1], backward))
-    for j in beta_point_x:
-        add(_curve_walk(d, "b", j, beta_point_y[j], beta_point_x[j], backward))
+    for fam, i, p, q in walks:
+        pts = d.curve_points(fam, i)
+        k, stop = pts.index(p), pts.index(q)
+        while k != stop:
+            chain[(fam, i, k)] = 1
+            k = (k + 1) % len(pts)
     return chain
 
 
 def epsilon(d, x, y, backward=False):
     """Difference class in H_1(M) between two generators.
 
-    Built from arc paths along each alpha curve from x to y and along each
-    beta curve from y back to x; any path choice gives the same class
-    modulo the curve classes, which are killed in H_1(M).
+    The class of the arc paths along each alpha curve from x to y and along
+    each beta curve from y back to x.  Any path choice (``backward`` walks
+    the other way round every curve) gives the same class modulo the curve
+    classes, which are killed in H_1(M); the point potentials evaluate it
+    without building a path.
     """
     d.require_balanced()
     _check_generator(d, x)
     _check_generator(d, y)
-    data = _h1data(d)
-    sk = data.skeleton
-    chain = {sk.arc_edge[arc]: c for arc, c in _eps_chain(d, x, y, backward).items()}
-    return data.class_of(chain)
+    return _h1data(d).difference(x, y)
 
 
 @dataclass(frozen=True)
@@ -678,12 +689,6 @@ class SpincPartition:
     base_class: int
     group: FinAbGroup
 
-    def class_of_generator(self, gen_index):
-        for c, members in enumerate(self.classes):
-            if gen_index in members:
-                return c
-        raise KeyError(gen_index)
-
 
 def spinc_partition(d):
     """Partition the generators by vanishing of eps; differences form a torsor."""
@@ -692,21 +697,14 @@ def spinc_partition(d):
     group, _ = h1_of_M(d)
     if not gens:
         return SpincPartition((), {}, 0, group)
-    x0 = gens[0]
-    values = [epsilon(d, x0, x) for x in gens]
-    class_values = []
-    members = {}
-    for idx, val in enumerate(values):
-        if val not in members:
-            members[val] = []
-            class_values.append(val)
-        members[val].append(idx)
-    classes = tuple(tuple(members[val]) for val in class_values)
-    difference = {}
-    for a, va in enumerate(class_values):
-        for b, vb in enumerate(class_values):
-            difference[(a, b)] = group.sub(vb, va)
-    return SpincPartition(classes, difference, 0, group)
+    data = _h1data(d)
+    members = {}             # eps against the first generator -> indices
+    for idx, x in enumerate(gens):
+        members.setdefault(data.difference(gens[0], x), []).append(idx)
+    values = list(members)
+    difference = {(a, b): group.sub(vb, va)
+                  for a, va in enumerate(values) for b, vb in enumerate(values)}
+    return SpincPartition(tuple(map(tuple, members.values())), difference, 0, group)
 
 
 # -- domains -------------------------------------------------------------------------
@@ -898,9 +896,10 @@ def euler_polynomial(d):
     group, _ = h1_of_M(d)
     if not gens:
         return ring_zero(), group
+    data = _h1data(d)
     x0 = gens[0]
     terms = {}
     for x in gens:
-        cls = epsilon(d, x0, x)
+        cls = data.difference(x0, x)
         terms[cls] = terms.get(cls, 0) + generator_sign(d, x)
     return doteq_normalize(GroupRingElem(terms), group), group

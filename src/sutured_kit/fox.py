@@ -107,10 +107,6 @@ def combo_add(x, y):
     return out
 
 
-def combo_scale(x, n):
-    return {w: n * c for w, c in x.items()} if n else {}
-
-
 def combo_mul(x, y):
     """Product in the free group ring."""
     out = {}
@@ -177,6 +173,8 @@ class Presentation:
 
     @classmethod
     def from_json(cls, data):
+        if not isinstance(data, dict):
+            raise ValueError(f"presentation JSON must be an object, got {type(data).__name__}")
         names = tuple(data["generators"])
         relators = tuple(FreeWord.from_string(r, names) for r in data.get("relators", ()))
         return cls(names, relators, int(data["boundary_genus"]))

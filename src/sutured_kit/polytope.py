@@ -328,10 +328,7 @@ def depth_bound(rank):
     rank = int(rank)
     if rank < 1:
         raise NonPositiveRank(f"rank must be positive, got {rank}")
-    k = 0
-    while not rank < 2 ** (k + 1):
-        k += 1
-    return 2 * k
+    return 2 * (rank.bit_length() - 1)
 
 
 def seifert_surface_bound(rank_top):
@@ -340,10 +337,7 @@ def seifert_surface_bound(rank_top):
     rank_top = int(rank_top)
     if rank_top < 1:
         raise NonPositiveRank(f"rank must be positive, got {rank_top}")
-    n = 1
-    while not rank_top < 2 ** (n + 1):
-        n += 1
-    return n
+    return max(1, rank_top.bit_length() - 1)
 
 
 def support_from_euler_polynomial(elem, group):

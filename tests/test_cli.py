@@ -266,3 +266,19 @@ class TestContract:
                 cli.main([sub, "--help"])
             assert exc.value.code == 0
             assert capsys.readouterr().out
+
+
+class TestInputShape:
+    @pytest.mark.parametrize("argv,payload,field", [
+        (("check",), {"genus": None, "boundary_circles": 1}, "genus"),
+        (("check",), {"genus": 0, "boundary_circles": "1"}, "boundary_circles"),
+        (("euler",), [1, 2], "object"),
+        (("torsion",), [1, 2], "object"),
+    ])
+    def test_bad_shape_is_bad_input(self, capsys, tmp_path, argv, payload, field):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(payload))
+        code, data = run_json(capsys, *argv, str(path))
+        assert code == 1
+        assert data["error"] == "bad_input"
+        assert field in data["detail"]

@@ -233,3 +233,21 @@ class TestSupportFromEuler:
         s = support_from_euler_polynomial(x, g)
         assert s.points == ((0,), (2,))
         assert s.multiplicity == {(0,): 1, (2,): 2}
+
+
+def test_bounds_match_doubling_loops():
+    def loop_depth(rank):
+        k = 0
+        while not rank < 2 ** (k + 1):
+            k += 1
+        return 2 * k
+
+    def loop_seifert(rank):
+        n = 1
+        while not rank < 2 ** (n + 1):
+            n += 1
+        return n
+
+    for rank in range(1, 4097):
+        assert depth_bound(rank) == loop_depth(rank)
+        assert seifert_surface_bound(rank) == loop_seifert(rank)
