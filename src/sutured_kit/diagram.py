@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from .abelian import (FinAbGroup, IntMatrix, cokernel, doteq_normalize,
                       kernel_basis, solve_integer, GroupRingElem, ring_zero)
-from .errors import InvalidDiagram, NotAGenerator, NotBalanced
+from .errors import InvalidDiagram, NotAGenerator, NotBalanced, expect, expect_items
 
 
 def parse_arc_ref(text):
@@ -45,7 +45,7 @@ def parse_arc_ref(text):
     if text.startswith("-"):
         sign = -1
         text = text[1:]
-    fam = text[0]
+    fam = text[:1]
     if fam not in ("a", "b"):
         raise ValueError(f"bad arc family in {text!r}")
     curve_s, _, arc_s = text[1:].partition(".")
@@ -66,11 +66,15 @@ class Region:
     genus: int = 0
 
     @classmethod
-    def from_json(cls, data):
-        cycles = tuple(tuple(parse_arc_ref(ref) for ref in cyc)
-                       for cyc in data.get("cycles", ()))
-        return cls(cycles, int(data.get("boundary_circles", 0)),
-                   int(data.get("genus", 0)))
+    def from_json(cls, data, field="region"):
+        expect(data, dict, field)
+        cycles = tuple(
+            tuple(map(parse_arc_ref, expect_items(cyc, str, f"{field}.cycles[{i}]")))
+            for i, cyc in enumerate(expect(data.get("cycles", []), list,
+                                           f"{field}.cycles")))
+        return cls(cycles,
+                   expect(data.get("boundary_circles", 0), int, f"{field}.boundary_circles"),
+                   expect(data.get("genus", 0), int, f"{field}.genus"))
 
     def to_json(self):
         return {
@@ -171,16 +175,17 @@ class SuturedDiagram:
 
     @classmethod
     def from_json(cls, data):
-        if not isinstance(data, dict):
-            raise ValueError(f"diagram JSON must be an object, got {type(data).__name__}")
-        for field in ("genus", "boundary_circles"):
-            if type(data[field]) is not int:
-                raise ValueError(f"diagram field {field!r} must be an integer, "
-                                 f"got {data[field]!r}")
-        return cls(data["genus"], data["boundary_circles"],
-                   data.get("alpha", ()), data.get("beta", ()),
-                   {p: int(s) for p, s in data.get("crossing_sign", {}).items()},
-                   tuple(Region.from_json(r) for r in data.get("regions", ())))
+        expect(data, dict, "diagram JSON")
+        genus = expect(data["genus"], int, "genus")
+        boundary_circles = expect(data["boundary_circles"], int, "boundary_circles")
+        curves = {fam: [expect_items(c, str, f"{fam}[{i}]") for i, c in
+                        enumerate(expect(data.get(fam, []), list, fam))]
+                  for fam in ("alpha", "beta")}
+        signs = expect(data.get("crossing_sign", {}), dict, "crossing_sign")
+        return cls(genus, boundary_circles, curves["alpha"], curves["beta"],
+                   {p: expect(s, int, f"crossing_sign[{p!r}]") for p, s in signs.items()},
+                   tuple(Region.from_json(r, f"regions[{i}]") for i, r in
+                         enumerate(expect(data.get("regions", []), list, "regions"))))
 
     def to_json(self):
         return {
@@ -665,14 +670,13 @@ def _eps_chain(d, x, y):
     return chain
 
 
-def epsilon(d, x, y, backward=False):
+def epsilon(d, x, y):
     """Difference class in H_1(M) between two generators.
 
     The class of the arc paths along each alpha curve from x to y and along
-    each beta curve from y back to x.  Any path choice (``backward`` walks
-    the other way round every curve) gives the same class modulo the curve
-    classes, which are killed in H_1(M); the point potentials evaluate it
-    without building a path.
+    each beta curve from y back to x.  Any path choice gives the same class
+    modulo the curve classes, which are killed in H_1(M); the point
+    potentials evaluate it without building a path.
     """
     d.require_balanced()
     _check_generator(d, x)

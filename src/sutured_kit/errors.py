@@ -1,8 +1,32 @@
 """Exception hierarchy shared by all modules.
 
 Every domain error carries a short machine-readable ``code`` so the CLI can
-emit ``{"error": code, "detail": text}`` uniformly.
+emit ``{"error": code, "detail": text}`` uniformly.  Malformed input JSON
+raises ValueError naming the field (see ``expect``), which the CLI reports
+as ``bad_input``.
 """
+
+
+_JSON_KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+
+
+def expect(value, kind, field):
+    """Return ``value`` if its type is exactly the JSON type ``kind``.
+
+    Otherwise raise ValueError naming the input field, e.g. ``points[1][0]``.
+    A boolean is not an integer and a float is not truncated to one.
+    """
+    if type(value) is not kind:
+        raise ValueError(f"{field} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def expect_items(value, kind, field):
+    """Return ``value`` if it is a list whose items all have JSON type ``kind``."""
+    if not set(map(type, expect(value, list, field))) <= {kind}:
+        for i, x in enumerate(value):
+            expect(x, kind, f"{field}[{i}]")
+    return value
 
 
 class SuturedKitError(Exception):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .abelian import (IntMatrix, cokernel, det_group_ring, doteq_normalize,
                       GroupRingElem)
-from .errors import InvalidGenerator, NotGeometricallyBalanced
+from .errors import InvalidGenerator, NotGeometricallyBalanced, expect, expect_items
 
 
 class FreeWord:
@@ -173,11 +173,11 @@ class Presentation:
 
     @classmethod
     def from_json(cls, data):
-        if not isinstance(data, dict):
-            raise ValueError(f"presentation JSON must be an object, got {type(data).__name__}")
-        names = tuple(data["generators"])
-        relators = tuple(FreeWord.from_string(r, names) for r in data.get("relators", ()))
-        return cls(names, relators, int(data["boundary_genus"]))
+        expect(data, dict, "presentation JSON")
+        names = tuple(expect_items(data["generators"], str, "generators"))
+        relators = tuple(FreeWord.from_string(r, names)
+                         for r in expect_items(data.get("relators", []), str, "relators"))
+        return cls(names, relators, expect(data["boundary_genus"], int, "boundary_genus"))
 
     def to_json(self):
         return {
@@ -195,8 +195,9 @@ class InclusionData:
 
     @classmethod
     def from_json(cls, data, presentation):
+        images = expect_items(data.get("sigma_images", []), str, "sigma_images")
         return cls(tuple(FreeWord.from_string(w, presentation.generator_names)
-                         for w in data.get("sigma_images", ())))
+                         for w in images))
 
     def to_json(self, presentation):
         return {"sigma_images": [w.to_string(presentation.generator_names)

@@ -1,12 +1,17 @@
 """Support polytopes of Spin^c data, their faces and support function,
 plus the rank-based depth and disjoint-surface bound calculators.
 
-All hull arithmetic is exact over the rationals.  Support points are
-integer vectors in Z^r (classes of supported Spin^c structures pushed to
-the free part of H_1 and doubled, following the convention that first
-Chern classes double torsor distances).  The hull is computed by facet
-enumeration over point subsets, which is perfectly adequate for r <= 6
-and the small point sets produced by Euler polynomials.
+Support points are integer vectors in Z^r (classes of supported Spin^c
+structures pushed to the free part of H_1 and doubled, following the
+convention that first Chern classes double torsor distances).  The hull
+is exact and uses only integers: every predicate is the sign of an integer
+determinant.  It grows by beneath-beyond from a simplex that spans the
+points' affine hull: each point beyond some facets replaces them by the
+cone from the point over their horizon.  A facet's normal is the
+generalised cross product of its edges and the span equations, so it lies
+in the span and needs no change of coordinates.  A point on a facet's
+hyperplane counts as beneath, so coplanar simplices merge by primitive
+normal and the facet set depends only on the point set.
 
 The polytope of a diagram is computed from Euler-characteristic support.
 That is a lower bound for the full homology support: where rank
@@ -17,11 +22,11 @@ the two notions coincide.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
 
+from .abelian import IntMatrix
 from .errors import (BadDimension, DimensionTooLarge, EmptySupport,
-                     NonPositiveRank)
+                     NonPositiveRank, expect, expect_items)
 
 MAX_DIMENSION = 6
 
@@ -53,10 +58,16 @@ class SupportData:
 
     @classmethod
     def from_json(cls, data):
-        pts = [tuple(p) for p in data["points"]]
+        expect(data, dict, "support JSON")
+        pts = [tuple(expect_items(p, int, f"points[{i}]"))
+               for i, p in enumerate(expect(data["points"], list, "points"))]
         mults = data.get("multiplicities")
-        mult = {p: m for p, m in zip(pts, mults)} if mults else None
-        return cls(int(data["dimension"]), tuple(pts), mult)
+        if mults is not None:
+            if len(expect_items(mults, int, "multiplicities")) != len(pts):
+                raise ValueError(f"multiplicities has {len(mults)} entries "
+                                 f"for {len(pts)} points")
+            mults = dict(zip(pts, mults))
+        return cls(expect(data["dimension"], int, "dimension"), tuple(pts), mults)
 
     def to_json(self):
         return {
@@ -66,79 +77,50 @@ class SupportData:
         }
 
 
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
 def _primitive(vec):
-    """Scale a rational vector by a positive rational to primitive integers."""
-    denom = 1
-    for x in vec:
-        if isinstance(x, Fraction):
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g == 0:
-        return tuple(ints)
-    return tuple(x // g for x in ints)
+    """Divide an integer vector by the gcd of its entries."""
+    g = gcd(*vec)
+    return tuple(x // g for x in vec) if g else tuple(vec)
 
 
-def _rref(rows):
-    """Reduced row echelon form over Q; returns (rows, pivot columns)."""
-    rows = [list(map(Fraction, r)) for r in rows]
+def _cofactors(rows):
+    """Signed maximal minors of a k x (k+1) integer matrix.
+
+    The result is orthogonal to every row (expand the determinant of the
+    matrix with one row repeated) and is zero exactly when the rows are
+    dependent: the generalised cross product.
+    """
+    k = len(rows)
+    return tuple((-1) ** j * IntMatrix([r[:j] + r[j + 1:] for r in rows]).det()
+                 for j in range(k + 1))
+
+
+def _pivot_columns(rows):
+    """Pivot columns of the row echelon form of an integer matrix.
+
+    Columns are scanned left to right, so these are the pivots of the
+    reduced row echelon form too and their number is the rank.
+    """
+    rows = [list(r) for r in rows]
     pivots = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
+    for c in range(len(rows[0]) if rows else 0):
+        k = len(pivots)
+        piv = next((i for i in range(k, len(rows)) if rows[i][c]), None)
+        if piv is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
+        rows[k], rows[piv] = rows[piv], rows[k]
+        top = rows[k]
+        for i in range(k + 1, len(rows)):
+            if rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = list(_primitive([x * top[c] - f * y
+                                           for x, y in zip(rows[i], top)]))
         pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
-
-
-def _solve_exact(matrix_cols, target):
-    """Solve sum c_j * col_j = target over Q; the system must be consistent."""
-    n = len(target)
-    k = len(matrix_cols)
-    aug = [[Fraction(matrix_cols[j][i]) for j in range(k)] + [Fraction(target[i])]
-           for i in range(n)]
-    rows, pivots = _rref(aug)
-    sol = [Fraction(0)] * k
-    for row, p in zip(rows, pivots):
-        if p == k:
-            raise ValueError("inconsistent system")
-        sol[p] = row[k]
-    return sol
-
-
-def _nullspace(rows):
-    """Basis of the rational null space of the given row list."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    rr, pivots = _rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for row, p in zip(rr, pivots):
-            vec[p] = -row[f]
-        basis.append(tuple(vec))
-    return basis
+    return pivots
 
 
 @dataclass(frozen=True)
@@ -199,7 +181,12 @@ class SupportPolytope:
 
 
 def hull(s):
-    """Exact convex hull of the support points; handles lower dimensions."""
+    """Exact convex hull of the support points; handles lower dimensions.
+
+    Beneath-beyond over the integers: a first simplex spanning the points'
+    affine hull is grown one point at a time, each point beyond some
+    facets replacing them by its cone over their horizon.
+    """
     r = s.dimension
     if r > MAX_DIMENSION:
         raise DimensionTooLarge(f"support dimension {r} exceeds {MAX_DIMENSION}")
@@ -207,83 +194,82 @@ def hull(s):
     if not pts:
         raise EmptySupport("no support points")
 
+    # first simplex: each point whose difference from the first raises the rank
     origin = pts[0]
-    diffs = [tuple(a - b for a, b in zip(p, origin)) for p in pts]
-    basis = []
-    basis_rows = []
-    for v in diffs:
-        if any(v):
-            cand = basis_rows + [v]
-            rr, piv = _rref(cand)
-            if len(piv) > len(basis):
-                basis.append(v)
-                basis_rows = cand
+    simplex, basis = [0], []
+    for i, p in enumerate(pts):
+        if len(basis) == r:
+            break
+        v = tuple(a - b for a, b in zip(p, origin))
+        if len(_pivot_columns(basis + [v])) > len(basis):
+            simplex.append(i)
+            basis.append(v)
     d = len(basis)
 
-    # affine-span equations: functionals vanishing on every basis vector
-    if d == 0:
-        eq_basis = [tuple(Fraction(int(i == j)) for j in range(r)) for i in range(r)]
-    elif d < r:
-        eq_basis = _nullspace(basis)
-    else:
-        eq_basis = []
+    # the span equations: one per free column f of the basis's echelon form,
+    # supported on the pivot columns and f
+    cols = _pivot_columns(basis)
     equations = []
-    for u in eq_basis:
-        n = _primitive(u)
-        c = sum(a * b for a, b in zip(n, origin))
-        equations.append((n, c))
+    for f in range(r):
+        if f in cols:
+            continue
+        sub = sorted(cols + [f])
+        n = [0] * r
+        for j, x in zip(sub, _cofactors([[b[j] for j in sub] for b in basis])):
+            n[j] = x
+        n = _primitive([-x for x in n] if n[f] < 0 else n)
+        equations.append((n, _dot(n, origin)))
 
     if d == 0:
         return SupportPolytope(r, 0, (tuple(origin),), (), tuple(equations))
 
-    # coordinates of each point in the span: solve B c = p - origin, columns = basis
-    coords = [tuple(_solve_exact(basis, v)) for v in diffs]
+    # facets are d-tuples of point indices with n . x >= c on the hull, n the
+    # primitive vector of the span orthogonal to the facet: the cofactors of
+    # its edges and the span equations.  A point on a facet's hyperplane is
+    # beneath it, so coplanar simplices survive side by side and share n.
+    spans = [n for n, _ in equations]
+    inside = [sum(pts[i][t] for i in simplex) for t in range(r)]  # (d+1) x interior
+    facets, ridges = {}, {}
 
-    # facet enumeration in span coordinates
-    span_facets = set()
-    for subset in combinations(range(len(pts)), d):
-        base = coords[subset[0]]
-        rows = [tuple(coords[i][t] - base[t] for t in range(d)) for i in subset[1:]]
-        normals = _nullspace(rows) if rows else [(Fraction(1),)]
-        if len(normals) != 1:
-            continue  # affinely degenerate subset; a facet still shows up elsewhere
-        n = normals[0]
-        v0 = sum(a * b for a, b in zip(n, base))
-        vals = [sum(a * b for a, b in zip(n, c)) for c in coords]
-        if all(v >= v0 for v in vals):
-            span_facets.add((_primitive(n), True, subset[0]))
-        elif all(v <= v0 for v in vals):
-            span_facets.add((_primitive(tuple(-x for x in n)), True, subset[0]))
+    def ridges_of(verts):
+        return [verts[:k] + verts[k + 1:] for k in range(d)]
 
-    # normalize: recompute each facet's offset, dedupe by normal
-    facet_map = {}
-    for n, _, i0 in span_facets:
-        vals = [sum(a * b for a, b in zip(n, c)) for c in coords]
-        facet_map[n] = min(vals)
+    def add_facet(verts):
+        base = pts[verts[0]]
+        n = _primitive(_cofactors([[a - b for a, b in zip(pts[i], base)]
+                                   for i in verts[1:]] + spans))
+        c = _dot(n, base)
+        if _dot(n, inside) < (d + 1) * c:
+            n, c = tuple(-x for x in n), -c
+        facets[verts] = (n, c)
+        for ridge in ridges_of(verts):
+            ridges.setdefault(ridge, set()).add(verts)
 
-    # vertices: points whose tight facet normals span the whole d-space
+    for k in range(d + 1):
+        add_facet(tuple(sorted(simplex[:k] + simplex[k + 1:])))
+    for i, p in enumerate(pts):
+        visible = {f for f, (n, c) in facets.items() if _dot(n, p) < c}
+        if not visible:
+            continue
+        horizon = [ridge for f in visible for ridge in ridges_of(f)
+                   if not ridges[ridge] <= visible]
+        for f in visible:
+            del facets[f]
+            for ridge in ridges_of(f):
+                ridges[ridge].discard(f)
+        for ridge in horizon:
+            add_facet(tuple(sorted(ridge + (i,))))
+    hyperplanes = sorted(set(facets.values()))
+
+    # vertices: points whose tight facet normals have rank d
     vertices = []
-    for i, c in enumerate(coords):
-        tight = [n for n, off in facet_map.items()
-                 if sum(a * b for a, b in zip(n, c)) == off]
-        if tight:
-            _, piv = _rref(tight)
-            if len(piv) == d:
-                vertices.append(tuple(pts[i]))
+    for i in {i for f in facets for i in f}:
+        tight = [n for n, c in hyperplanes if _dot(n, pts[i]) == c]
+        if len(_pivot_columns(tight)) == d:
+            vertices.append(pts[i])
     vertices.sort()
 
-    # lift facet normals: solve B^T w = n via w = B (B^T B)^-1 n
-    gram = [[sum(a * b for a, b in zip(u, v)) for v in basis] for u in basis]
-    facets = []
-    for n, _off in facet_map.items():
-        w = _solve_exact(gram, n)  # gram is symmetric, columns = rows
-        amb = tuple(sum(w[t] * basis[t][j] for t in range(d)) for j in range(r))
-        amb = _primitive(amb)
-        vals = [sum(a * b for a, b in zip(amb, p)) for p in pts]
-        facets.append((amb, min(vals)))
-    facets.sort()
-
-    return SupportPolytope(r, d, tuple(vertices), tuple(facets), tuple(equations))
+    return SupportPolytope(r, d, tuple(vertices), tuple(hyperplanes), tuple(equations))
 
 
 def support_function(p, alpha):

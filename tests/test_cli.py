@@ -274,6 +274,20 @@ class TestInputShape:
         (("check",), {"genus": 0, "boundary_circles": "1"}, "boundary_circles"),
         (("euler",), [1, 2], "object"),
         (("torsion",), [1, 2], "object"),
+        (("check",), {"genus": 0, "boundary_circles": 1, "alpha": 5}, "alpha"),
+        (("check",), {"genus": 0, "boundary_circles": 1, "regions": [1]}, "regions[0]"),
+        (("torsion",), {"generators": ["a"], "relators": [], "boundary_genus": 1,
+                        "sigma_images": [5]}, "sigma_images[0]"),
+        (("polytope", "--support"), {"dimension": 2, "points": [[0, 0], [1.5, 0]]},
+         "points[1][0]"),
+        (("polytope", "--support"), {"dimension": 2, "points": [[0, 0], [True, 0]]},
+         "points[1][0]"),
+        (("polytope", "--support"), {"dimension": 1, "points": [[0], [2]],
+                                     "multiplicities": [1]}, "multiplicities"),
+        (("polytope", "--support"), {"dimension": 1, "points": [[0], [2]],
+                                     "multiplicities": [1, 1, 1]}, "multiplicities"),
+        (("polytope", "--support"), {"dimension": 1, "points": 5}, "points"),
+        (("polytope", "--support"), [1, 2], "object"),
     ])
     def test_bad_shape_is_bad_input(self, capsys, tmp_path, argv, payload, field):
         path = tmp_path / "in.json"
