@@ -13,10 +13,11 @@ group is written multiplicatively when it acts on group-ring elements, so
 """
 
 from dataclasses import dataclass
+from math import comb
 
 from .errors import DeterminantTooLarge
 
-TOO_LARGE_DET = 16
+TOO_LARGE_DET = comb(16, 8)    # most minors kept at one row: dense 16 x 16, row 8
 
 
 class IntMatrix:
@@ -412,18 +413,19 @@ def det_group_ring(m, g):
 
     Cofactor expansion with memoization on the set of unused columns; the
     ring has zero divisors whenever g has torsion, so fraction-free
-    elimination is not available.  Cost is O(2^n * n) ring products, which
-    is fine for the n <= 12 matrices this library produces; anything over
-    16 is refused.
+    elimination is not available.  Before any ring product a bitmask pass
+    counts the memo keys of each row, the column sets left by nonzero picks
+    in the rows above, and refuses more than TOO_LARGE_DET at one row.
     """
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix is not square")
-    if n > TOO_LARGE_DET:
-        raise DeterminantTooLarge(f"cofactor determinant limited to n <= {TOO_LARGE_DET}, got {n}")
-    if n == 0:
-        return ring_one(g)
-    full = (1 << n) - 1
+    level = {(1 << n) - 1}
+    for r, row in enumerate(m):
+        nonzero = [1 << j for j, e in enumerate(row) if not e.is_zero()]
+        level = {mask ^ bit for mask in level for bit in nonzero if mask & bit}
+        if len(level) > TOO_LARGE_DET:
+            raise DeterminantTooLarge(f"{len(level)} minors after row {r + 1} > {TOO_LARGE_DET}")
     memo = {}
 
     def minor(mask):
@@ -450,7 +452,7 @@ def det_group_ring(m, g):
         memo[mask] = total
         return total
 
-    return minor(full)
+    return minor((1 << n) - 1)
 
 
 def _ring_sort_key(x):

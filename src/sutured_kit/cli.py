@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import abelian, diagram, fixtures, fox, maslov, oracle, polytope
-from .errors import SuturedKitError
+from .errors import SuturedKitError, expect
 
 
 class UsageError(Exception):
@@ -158,9 +158,9 @@ def cmd_oracle(args):
 
 
 def cmd_maslov(args):
-    data = _load_json_file(args.input)
-    kind = args.kind or data.get("kind")
-    samples = maslov.samples_from_json(data["samples"])
+    data = expect(_load_json_file(args.input), dict, "maslov JSON")
+    kind = args.kind or expect(data.get("kind"), str, "kind")
+    samples = maslov.samples_from_json(data.get("samples"))
     if args.samples is not None and len(samples) - 1 != args.samples:
         raise UsageError(f"input provides {len(samples) - 1} steps, "
                          f"--samples asked for {args.samples}")
@@ -169,8 +169,7 @@ def cmd_maslov(args):
     elif kind == "symplectic_loop":
         _emit({"kind": kind, "index": maslov.symplectic_loop_index(maslov.UnitaryLoop(samples))})
     elif kind == "spectral_flow":
-        reals = [s.real for s in samples]
-        _emit({"kind": kind, "flow": maslov.spectral_flow(maslov.SymmetricPath(reals))})
+        _emit({"kind": kind, "flow": maslov.spectral_flow(maslov.SymmetricPath(samples.real))})
     else:
         raise UsageError(f"unknown maslov input kind {kind!r}")
     return 0

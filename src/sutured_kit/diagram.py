@@ -15,7 +15,7 @@ manifold as a quotient of H_1 of the surface by the curve classes, the
 difference class eps(x, y) between generators and the induced partition
 into Spin^c classes, periodic domains and admissibility, connecting
 domains between generators, and the signed, Spin^c-graded Euler
-polynomial.
+polynomial as the determinant of the alpha x beta potential matrix.
 
 Homology cellulation: every region must have genus zero; a region with
 extra boundary cycles (arc cycles or contained boundary circles) is cut
@@ -34,8 +34,8 @@ arc images along the curves, eps(x, y) = sum phi(y) - sum phi(x).
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .abelian import (FinAbGroup, IntMatrix, cokernel, doteq_normalize,
-                      kernel_basis, solve_integer, GroupRingElem, ring_zero)
+from .abelian import (FinAbGroup, IntMatrix, cokernel, det_group_ring,
+                      doteq_normalize, kernel_basis, solve_integer, GroupRingElem)
 from .errors import InvalidDiagram, NotAGenerator, NotBalanced, expect, expect_items
 
 
@@ -889,21 +889,21 @@ def generator_sign(d, x):
 
 
 def euler_polynomial(d):
-    """Signed count of generators, graded by eps against the first generator.
+    """Signed count of generators graded by Spin^c class: det M over Z[H_1(M)].
 
-    The lex-smallest generator fixes the affine identification of the
-    Spin^c classes with H_1(M); the global unit ambiguity is absorbed by
-    the +-h normalization.  Returns (polynomial, H_1(M)).
+    M_ij sums sign(p) h^phi(p) over the points p of alpha_i and beta_j, so
+    by Leibniz det M sums sign(x) h^(sum phi(x)) over the generators x: the
+    count graded by eps against x0 times the unit h^(sum phi(x0)), which
+    the +-h normalization absorbs.  Returns (polynomial, H_1(M)).
     """
     d.require_balanced()
-    gens = generators(d)
-    group, _ = h1_of_M(d)
-    if not gens:
-        return ring_zero(), group
     data = _h1data(d)
-    x0 = gens[0]
-    terms = {}
-    for x in gens:
-        cls = data.difference(x0, x)
-        terms[cls] = terms.get(cls, 0) + generator_sign(d, x)
-    return doteq_normalize(GroupRingElem(terms), group), group
+    group, r = data.group, data.group.free_rank
+    _, bpos = d._point_positions()
+    cells = [[[] for _ in d.beta] for _ in d.alpha]
+    for i, curve in enumerate(d.alpha):
+        for p in curve:
+            phi = data.potential[p]
+            cells[i][bpos[p][0][0]].append((group.element(phi[:r], phi[r:]), d.crossing_sign[p]))
+    m = [[GroupRingElem(cell) for cell in row] for row in cells]
+    return doteq_normalize(det_group_ring(m, group), group), group

@@ -10,8 +10,8 @@ provably correct for admitted inputs instead of best effort.
 Spectral flow of a path of real symmetric matrices with invertible
 endpoints is the net number of eigenvalues moving from negative to
 positive, which equals the Morse index of the start minus that of the
-end.  A second count with a small positive spectral shift must agree or
-the path is declared under-sampled.
+end.  The same drop after a small positive spectral shift must agree, or
+an endpoint eigenvalue lies too close to zero to count.
 """
 
 import cmath
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (CrossingCountMismatch, EndpointSingular, LoopNotClosed,
                      LoopNotClosedInGroup, NotSymmetric, NotUnitary,
-                     SamplingTooCoarse)
+                     SamplingTooCoarse, expect, expect_items)
 
 UNITARY_TOL = 1e-9
 SYMMETRY_TOL = 1e-12
@@ -127,16 +127,14 @@ def _negative_count(a, shift=0.0):
 def spectral_flow(path):
     """Morse-index drop along the path: n_-(start) - n_-(end).
 
-    Positive when eigenvalues move from negative to positive.  The same
-    count is re-derived from sign changes of the shifted samples along the
-    path; disagreement signals under-sampling or a near-zero endpoint
-    eigenvalue and raises instead of guessing.
+    Positive when eigenvalues move from negative to positive.  Recounted
+    with the spectrum shifted up by CROSSING_SHIFT, the drop changes only
+    if an endpoint eigenvalue lies in [-CROSSING_SHIFT, 0); that raises.
+    Interior samples cannot change either count, so none is read here.
     """
-    endpoint = _negative_count(path.samples[0]) - _negative_count(path.samples[-1])
-    crossing = 0
-    for a, b in zip(path.samples, path.samples[1:]):
-        crossing += (_negative_count(a, CROSSING_SHIFT)
-                     - _negative_count(b, CROSSING_SHIFT))
+    first, last = path.samples[0], path.samples[-1]
+    endpoint = _negative_count(first) - _negative_count(last)
+    crossing = _negative_count(first, CROSSING_SHIFT) - _negative_count(last, CROSSING_SHIFT)
     if crossing != endpoint:
         raise CrossingCountMismatch(
             f"endpoint count {endpoint} vs crossing count {crossing}")
@@ -152,19 +150,36 @@ def polar_unitary(a):
 
 # -- JSON ingestion -----------------------------------------------------------
 
-def matrix_from_json(rows):
-    """Rows of numbers or of {"re": x, "im": y} objects."""
+def matrix_from_json(rows, field="matrix"):
+    """Rows of equal length of numbers or of {"re": x, "im": y} objects."""
     out = []
-    for row in rows:
-        conv = []
-        for x in row:
-            if isinstance(x, dict):
-                conv.append(complex(x.get("re", 0.0), x.get("im", 0.0)))
-            else:
-                conv.append(complex(x))
-        out.append(conv)
-    return np.asarray(out)
+    try:
+        for row in rows:
+            if type(row) is not list:
+                raise TypeError
+            conv = []
+            for x in row:
+                if type(x) is dict:
+                    conv.append(complex(x.get("re", 0.0), x.get("im", 0.0)))
+                else:
+                    conv.append(complex(x))
+            out.append(conv)
+        return np.asarray(out)
+    except (TypeError, ValueError):
+        expect_items(rows, list, field)     # names a row that is not a list
+        raise ValueError(f"{field} must be rows of equal length of numbers or "
+                         '{"re": x, "im": y} objects') from None
 
 
 def samples_from_json(data):
-    return [matrix_from_json(m) for m in data]
+    """The sample matrices stacked in one complex array; every entry finite."""
+    mats = [matrix_from_json(m, f"samples[{k}]")
+            for k, m in enumerate(expect(data, list, "samples"))]
+    try:
+        stack = np.array(mats, dtype=complex)
+    except ValueError:
+        raise ValueError("samples must be matrices of equal size") from None
+    finite = np.isfinite(stack)
+    if not finite.all():
+        raise ValueError(f"samples[{np.argwhere(~finite)[0][0]}] has a non-finite entry")
+    return stack

@@ -14,6 +14,8 @@ from fractions import Fraction
 import numpy as np
 
 from sutured_kit.diagram import SuturedDiagram
+from sutured_kit.errors import CrossingCountMismatch
+from sutured_kit.maslov import CROSSING_SHIFT
 
 
 # -- exact linear programming (test-side oracle) --------------------------------
@@ -151,6 +153,20 @@ def random_symmetric(rng, n, eigs):
     return Q.T @ np.diag(np.asarray(eigs, dtype=float)) @ Q
 
 
+def stepwise_spectral_flow(path):
+    """Spectral flow with the shifted count summed step by step along the
+    path, as the library computed it before the sum was telescoped."""
+    def negatives(a, s=0.0):
+        return int(np.sum(np.linalg.eigvalsh(a) + s < 0.0))
+
+    endpoint = negatives(path.samples[0]) - negatives(path.samples[-1])
+    crossing = sum(negatives(a, CROSSING_SHIFT) - negatives(b, CROSSING_SHIFT)
+                   for a, b in zip(path.samples, path.samples[1:]))
+    if crossing != endpoint:
+        raise CrossingCountMismatch(f"endpoint count {endpoint} vs crossing count {crossing}")
+    return endpoint
+
+
 # -- handmade diagram variants -------------------------------------------------------
 
 def two_circles_disk():
@@ -238,21 +254,18 @@ def rename_points(data, mapping):
     return out
 
 
-def swap_alpha_curves(data):
-    """Swap the two alpha curves of a diagram JSON dict, fixing arc refs."""
+def swap_alpha_curves(data, i=0, j=1):
+    """Swap alpha curves i and j (0-based) of a diagram JSON dict, fixing arc refs."""
     out = json.loads(json.dumps(data))
-    assert len(out["alpha"]) == 2
-    out["alpha"] = [out["alpha"][1], out["alpha"][0]]
+    out["alpha"][i], out["alpha"][j] = out["alpha"][j], out["alpha"][i]
+    curve = {f"a{i + 1}": f"a{j + 1}", f"a{j + 1}": f"a{i + 1}"}
 
     def remap(ref):
         sign = ""
         if ref.startswith("-"):
             sign, ref = "-", ref[1:]
-        if ref.startswith("a1."):
-            ref = "a2." + ref[3:]
-        elif ref.startswith("a2."):
-            ref = "a1." + ref[3:]
-        return sign + ref
+        name, dot, arc = ref.partition(".")
+        return sign + curve.get(name, name) + dot + arc
 
     for region in out["regions"]:
         region["cycles"] = [[remap(r) for r in cyc] for cyc in region["cycles"]]

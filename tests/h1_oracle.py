@@ -5,14 +5,17 @@ decomposition, kept here as an independent check: a dense boundary
 matrix d1 of the cell structure, an SNF for the kernel basis of d1, an
 SNF of that basis, and one solve per relation and per 1-cycle.  Next to
 it, the quadratic ``doteq_normalize`` that translates by every support
-element, the explicit path chains of eps walked in either direction, and
-builders for the parametric families T(p,1;2) and T(1,0;2k+2).
+element, the explicit path chains of eps walked in either direction, the
+Euler polynomial as the signed sum over every generator (the Leibniz
+expansion that the library's alpha x beta determinant replaces), and
+builders for the parametric families T(p,1;2), T(1,0;2k+2) and L(p,1)
+minus a ball.
 """
 
-from sutured_kit.abelian import (GroupElement, IntMatrix, cokernel,
-                                 kernel_basis, ring_neg, ring_translate,
-                                 smith_normal_form)
-from sutured_kit.diagram import generators
+from sutured_kit.abelian import (GroupElement, GroupRingElem, IntMatrix,
+                                 cokernel, kernel_basis, ring_neg,
+                                 ring_translate, ring_zero, smith_normal_form)
+from sutured_kit.diagram import epsilon, generator_sign, generators, h1_of_M
 from sutured_kit.errors import InvalidDiagram
 
 
@@ -173,6 +176,19 @@ def quadratic_doteq_normalize(x, g):
     return best[1]
 
 
+def enumerated_euler_polynomial(d):
+    """Signed count of every generator, graded by eps against the first one."""
+    gens = generators(d)
+    group, _ = h1_of_M(d)
+    if not gens:
+        return ring_zero(), group
+    terms = {}
+    for x in gens:
+        cls = epsilon(d, gens[0], x)
+        terms[cls] = terms.get(cls, 0) + generator_sign(d, x)
+    return quadratic_doteq_normalize(GroupRingElem(terms), group), group
+
+
 # -- parametric families -------------------------------------------------------
 
 def torus_diagram(p):
@@ -183,6 +199,14 @@ def torus_diagram(p):
                 "boundary_circles": int(i < 2)} for i in range(p)]
     return {"genus": 1, "boundary_circles": 2, "alpha": [pts], "beta": [list(pts)],
             "crossing_sign": {q: 1 for q in pts}, "regions": regions}
+
+
+def lens_diagram(p):
+    """L(p,1) minus a ball: T(p,1;2) with one boundary circle, H_1 = Z/p."""
+    data = torus_diagram(p)
+    data["boundary_circles"] = 1
+    data["regions"][1]["boundary_circles"] = 0
+    return data
 
 
 def chain_diagram(k):

@@ -288,6 +288,27 @@ class TestInputShape:
                                      "multiplicities": [1, 1, 1]}, "multiplicities"),
         (("polytope", "--support"), {"dimension": 1, "points": 5}, "points"),
         (("polytope", "--support"), [1, 2], "object"),
+        (("maslov",), {"kind": "lagrangian_loop", "samples": 5}, "samples"),
+        (("maslov",), [1], "object"),
+        (("maslov",), {"kind": 5, "samples": [[[1.0]], [[1.0]]]}, "kind"),
+        (("maslov",), {"samples": [[[1.0]], [[1.0]]]}, "kind"),
+        (("maslov",), {"kind": "spectral_flow", "samples": [[[1.0]], 5]}, "samples[1]"),
+        (("maslov",), {"kind": "spectral_flow", "samples": [[[1.0]], [5]]}, "samples[1][0]"),
+        (("maslov",), {"kind": "spectral_flow", "samples": [[[1.0]], ["12"]]},
+         "samples[1][0]"),
+        (("maslov",), {"kind": "spectral_flow", "samples": [[[1.0]], [[[1.0]]]]},
+         "samples[1]"),
+        (("maslov",), {"kind": "spectral_flow", "samples": [[[1.0, 0.0], [0.0]]]},
+         "samples[0]"),
+        (("maslov",), {"kind": "lagrangian_loop", "samples": [[[{"re": "1"}]], [[1.0]]]},
+         "samples[0]"),
+        (("maslov",), {"kind": "spectral_flow",
+                       "samples": [[[1.0, 0.0], [0.0, 1.0]], [[1.0]]]}, "samples"),
+        (("maslov",), {"kind": "spectral_flow",
+                       "samples": [[[1.0]], [[float("nan")]], [[-1.0]]]}, "samples[1]"),
+        (("maslov",), {"kind": "lagrangian_loop",
+                       "samples": [[[{"re": 1.0, "im": float("inf")}]], [[1.0]]]},
+         "samples[0]"),
     ])
     def test_bad_shape_is_bad_input(self, capsys, tmp_path, argv, payload, field):
         path = tmp_path / "in.json"

@@ -1,0 +1,121 @@
+"""Property tests of the diagram invariants.
+
+The Euler polynomial, H_1(M) and the Spin^c partition must not depend on
+the names of the intersection points or on the order of the alpha
+curves, and the Euler polynomial of T(p,1;2) must match the torsion of
+<a | > with inclusion word a^p.  Generators are compared by their point
+sets, since renaming points or reordering curves reorders the generator
+list.  Reordering curves changes the tree-cotree basis of H_1(M) = Z of
+a chain, so there the polynomial is compared up to h -> h^-1 and the
+Spin^c differences up to one global sign.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import given, settings, strategies as st
+
+from conftest import rename_points, swap_alpha_curves
+from h1_oracle import chain_diagram, lens_diagram, torus_diagram
+from sutured_kit import cli, fixtures
+from sutured_kit.abelian import doteq_equal
+from sutured_kit.diagram import (SuturedDiagram, euler_polynomial, generators,
+                                 spinc_partition)
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def diagrams(draw):
+    kind = draw(st.sampled_from(("bundled", "torus", "chain", "lens")))
+    if kind == "bundled":
+        return fixtures.load_diagram(draw(st.sampled_from(fixtures.diagram_names()))).to_json()
+    if kind == "torus":
+        return torus_diagram(draw(st.integers(2, 12)))
+    if kind == "chain":
+        return chain_diagram(draw(st.integers(1, 5)))
+    return lens_diagram(draw(st.integers(2, 6)))
+
+
+def point_names(data):
+    return sorted({p for curve in data["alpha"] + data["beta"] for p in curve})
+
+
+def invariants(data, back=None):
+    """(polynomial, H_1, Spin^c classes, differences) with generators named
+    by their point sets, read back through the renaming ``back``."""
+    back = back or {}
+    d = SuturedDiagram.from_json(data)
+    poly, group = euler_polynomial(d)
+    part = spinc_partition(d)
+    gens = generators(d)
+    keys = [frozenset(frozenset(back.get(p, p) for p in gens[i].points()) for i in cls)
+            for cls in part.classes]
+    diffs = {(keys[a], keys[b]): e for (a, b), e in part.difference.items()}
+    return poly, group, part.group, set(keys), diffs
+
+
+@PROPERTY
+@given(diagrams(), st.data())
+def test_invariant_under_renaming_points(data, draw):
+    names = point_names(data)
+    image = draw.draw(st.permutations(names + [f"R{i}" for i in range(len(names))]))
+    mapping = dict(zip(names, image))
+    back = {v: k for k, v in mapping.items()}
+    assert invariants(rename_points(data, mapping), back) == invariants(data)
+
+
+@PROPERTY
+@given(st.integers(2, 5), st.data())
+def test_invariant_under_swapping_alpha_curves(k, draw):
+    data = chain_diagram(k)
+    i, j = draw.draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+    poly, group, h1, classes, diffs = invariants(data)
+    poly2, group2, h1_2, classes2, diffs2 = invariants(swap_alpha_curves(data, i, j))
+    assert group2 == group and h1_2 == h1
+    assert doteq_equal(poly2, poly, group, allow_inversion=True)
+    assert classes2 == classes
+    assert diffs2 == diffs or diffs2 == {key: group.neg(e) for key, e in diffs.items()}
+
+
+def test_swapped_t106_keeps_its_invariants():
+    data = fixtures.load_diagram("t106").to_json()
+    poly, group, h1, classes, _ = invariants(data)
+    poly2, group2, h1_2, classes2, _ = invariants(swap_alpha_curves(data))
+    assert (group2, h1_2, classes2) == (group, h1, classes)
+    assert doteq_equal(poly2, poly, group, allow_inversion=True)
+
+
+def crosscheck(diagram_data, p):
+    """`crosscheck` stdout against <a | > with inclusion word a^p, parsed."""
+    with tempfile.TemporaryDirectory() as tmp:
+        d, q = os.path.join(tmp, "d.json"), os.path.join(tmp, "q.json")
+        with open(d, "w", encoding="utf-8") as fh:
+            json.dump(diagram_data, fh)
+        with open(q, "w", encoding="utf-8") as fh:
+            json.dump({"generators": ["a"], "relators": [], "boundary_genus": 1,
+                       "sigma_images": [" ".join(["a"] * p)]}, fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["crosscheck", d, q]) == 0
+    return json.loads(out.getvalue())
+
+
+def test_torus_crosscheck_every_p():
+    for p in range(2, 41):
+        out = crosscheck(torus_diagram(p), p)
+        assert (out["match"], out["mode"]) == (True, "plain"), p
+        assert sorted(t["exp_free"][0] for t in out["euler"]) == list(range(p))
+
+
+@PROPERTY
+@given(st.integers(2, 40), st.data())
+def test_torus_crosscheck_renamed(p, draw):
+    data = torus_diagram(p)
+    names = point_names(data)
+    mapping = dict(zip(names, draw.draw(st.permutations(names))))
+    out = crosscheck(rename_points(data, mapping), p)
+    assert (out["match"], out["mode"]) == (True, "plain")

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import (lagrangian_loop, rand_orthogonal, rand_unitary,
-                      random_symmetric, unitary_group_loop)
+                      random_symmetric, stepwise_spectral_flow,
+                      unitary_group_loop)
 from sutured_kit.errors import (CrossingCountMismatch, EndpointSingular,
                                 LoopNotClosed, LoopNotClosedInGroup,
                                 NotSymmetric, NotUnitary, SamplingTooCoarse)
@@ -175,6 +176,37 @@ class TestSpectralFlow:
         samples = [np.diag([-1.0, eps]), np.diag([1.0, 1.0])]
         with pytest.raises(CrossingCountMismatch):
             spectral_flow(SymmetricPath(samples))
+
+
+class TestSpectralFlowOracle:
+    """The telescoped count against the step-by-step sum it replaced."""
+
+    @staticmethod
+    def outcome(fn, path):
+        try:
+            return fn(path)
+        except CrossingCountMismatch:
+            return "mismatch"
+
+    def test_random_paths(self):
+        rng = np.random.default_rng(31)
+        window = [-5e-9, -2e-9, 3e-9]       # in or next to [-CROSSING_SHIFT, 0)
+        outcomes = []
+        for _ in range(300):
+            n = int(rng.integers(1, 5))
+            ends = []
+            for _ in range(2):
+                eigs = rng.choice([-2.0, -1.0, 0.5, 1.5], size=n)
+                if rng.random() < 0.4:
+                    eigs[int(rng.integers(n))] = rng.choice(window)
+                ends.append(random_symmetric(rng, n, eigs))
+            inner = [(m + m.T) / 2 for m in rng.normal(size=(int(rng.integers(0, 30)), n, n))]
+            path = SymmetricPath([ends[0]] + inner + [ends[1]])
+            got = self.outcome(spectral_flow, path)
+            assert got == self.outcome(stepwise_spectral_flow, path)
+            outcomes.append(got)
+        assert outcomes.count("mismatch") >= 20
+        assert len(set(outcomes)) >= 5
 
 
 class TestHelpers:
