@@ -264,7 +264,7 @@ def main(argv=None):
     except FileNotFoundError as exc:
         _emit({"error": "file_not_found", "detail": str(exc)})
         return 1
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except ValueError as exc:     # json.JSONDecodeError included
         _emit({"error": "bad_input", "detail": str(exc)})
         return 1
 

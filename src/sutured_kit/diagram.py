@@ -29,14 +29,19 @@ kills each region boundary: an isomorphism H_1(surface) -> Z^L.  H_1(M)
 is the cokernel of the L x (|alpha| + |beta|) matrix of curve images, and
 with the point potentials phi(p) = P_alpha(p) - P_beta(p), prefix sums of
 arc images along the curves, eps(x, y) = sum phi(y) - sum phi(x).
+
+Admissibility: by Stiemke's lemma no nonzero periodic domain is >= 0
+exactly when the origin lies in the relative interior of the convex hull
+of the rows of the periodic basis (one row per internal region), which
+the integer hull of ``polytope`` decides under its dimension bound.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .abelian import (FinAbGroup, IntMatrix, cokernel, det_group_ring,
                       doteq_normalize, kernel_basis, solve_integer, GroupRingElem)
 from .errors import InvalidDiagram, NotAGenerator, NotBalanced, expect, expect_items
+from .polytope import SupportData, hull
 
 
 def parse_arc_ref(text):
@@ -176,8 +181,8 @@ class SuturedDiagram:
     @classmethod
     def from_json(cls, data):
         expect(data, dict, "diagram JSON")
-        genus = expect(data["genus"], int, "genus")
-        boundary_circles = expect(data["boundary_circles"], int, "boundary_circles")
+        genus = expect(data.get("genus"), int, "genus")
+        boundary_circles = expect(data.get("boundary_circles"), int, "boundary_circles")
         curves = {fam: [expect_items(c, str, f"{fam}[{i}]") for i, c in
                         enumerate(expect(data.get(fam, []), list, fam))]
                   for fam in ("alpha", "beta")}
@@ -356,7 +361,7 @@ class SuturedDiagram:
     def require_valid(self):
         report = self.validate()
         if not report.ok:
-            raise InvalidDiagram("; ".join(report.violations))
+            raise InvalidDiagram("; ".join(sorted(report.violations)))
 
     # -- balance ----------------------------------------------------------------
 
@@ -766,65 +771,23 @@ def periodic_lattice(d):
     return [DomainVector(tuple(col)) for col in kernel_basis(mat)]
 
 
-def _fm_feasible(rows, nvars):
-    """Fourier-Motzkin feasibility for rows sum(c_i x_i) + const >= 0."""
-    rows = [(tuple(Fraction(c) for c in co), Fraction(const)) for co, const in rows]
-    for j in range(nvars):
-        pos, neg, keep = [], [], []
-        for co, const in rows:
-            cj = co[j]
-            if cj > 0:
-                pos.append((co, const))
-            elif cj < 0:
-                neg.append((co, const))
-            else:
-                keep.append((co, const))
-        new_rows = keep
-        for cop, constp in pos:
-            for con, constn in neg:
-                # scale so the j coefficients cancel; both multipliers positive
-                sp, sn = -con[j], cop[j]
-                co = tuple(sp * a + sn * b for a, b in zip(cop, con))
-                new_rows.append((co, sp * constp + sn * constn))
-        seen = set()
-        rows = []
-        for co, const in new_rows:
-            denom = None
-            for x in co + (const,):
-                if x != 0:
-                    denom = abs(x)
-                    break
-            if denom is not None:
-                co = tuple(x / denom for x in co)
-                const = const / denom
-            key = (co, const)
-            if key not in seen:
-                seen.add(key)
-                rows.append((co, const))
-    return all(const >= 0 for _, const in rows)
-
-
 def admissible_lattice(basis):
     """True when no nonzero element of the rational span is coefficient-wise >= 0.
 
-    Decided exactly: feasibility of {B lam >= 0, sum(B lam) = 1} by
-    Fourier-Motzkin elimination.  A rational solution scales to an integer
-    lattice point, so span-level feasibility matches lattice-level
-    existence.
+    With B the matrix whose columns are the basis vectors, Stiemke's lemma
+    says no nonzero B lam >= 0 exists exactly when y^T B = 0 for some
+    y > 0, that is, when the origin lies in the relative interior of the
+    convex hull of B's rows.  The integer hull decides that: every span
+    equation passes through the origin and every facet has it strictly
+    inside.  A rank above ``polytope.MAX_DIMENSION`` raises
+    DimensionTooLarge.
     """
     vectors = [tuple(v.coefficients) if isinstance(v, DomainVector) else tuple(v)
                for v in basis]
     if not vectors:
         return True
-    dim = len(vectors[0])
-    k = len(vectors)
-    rows = []
-    for r in range(dim):
-        rows.append((tuple(v[r] for v in vectors), 0))
-    total = tuple(sum(v[r] for r in range(dim)) for v in vectors)
-    rows.append((total, -1))
-    rows.append((tuple(-c for c in total), 1))
-    return not _fm_feasible(rows, k)
+    h = hull(SupportData(len(vectors), sorted(set(zip(*vectors)))))
+    return all(c == 0 for _, c in h.equations) and all(c < 0 for _, c in h.facets)
 
 
 def is_admissible(d):

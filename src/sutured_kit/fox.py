@@ -174,10 +174,10 @@ class Presentation:
     @classmethod
     def from_json(cls, data):
         expect(data, dict, "presentation JSON")
-        names = tuple(expect_items(data["generators"], str, "generators"))
+        names = tuple(expect_items(data.get("generators"), str, "generators"))
         relators = tuple(FreeWord.from_string(r, names)
                          for r in expect_items(data.get("relators", []), str, "relators"))
-        return cls(names, relators, expect(data["boundary_genus"], int, "boundary_genus"))
+        return cls(names, relators, expect(data.get("boundary_genus"), int, "boundary_genus"))
 
     def to_json(self):
         return {

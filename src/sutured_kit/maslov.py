@@ -151,7 +151,11 @@ def polar_unitary(a):
 # -- JSON ingestion -----------------------------------------------------------
 
 def matrix_from_json(rows, field="matrix"):
-    """Rows of equal length of numbers or of {"re": x, "im": y} objects."""
+    """Rows of equal length of numbers or of {"re": x, "im": y} objects.
+
+    A JSON string or boolean is not a number: ``complex()`` with two
+    arguments refuses a string, and a boolean is refused by type.
+    """
     out = []
     try:
         for row in rows:
@@ -160,12 +164,17 @@ def matrix_from_json(rows, field="matrix"):
             conv = []
             for x in row:
                 if type(x) is dict:
-                    conv.append(complex(x.get("re", 0.0), x.get("im", 0.0)))
+                    re, im = x.get("re", 0.0), x.get("im", 0.0)
+                    if type(re) is bool or type(im) is bool:
+                        raise TypeError
+                    conv.append(complex(re, im))
+                elif type(x) is float or type(x) is int:
+                    conv.append(x)
                 else:
-                    conv.append(complex(x))
+                    raise TypeError
             out.append(conv)
-        return np.asarray(out)
-    except (TypeError, ValueError):
+        return np.asarray(out, dtype=complex)
+    except (TypeError, ValueError, OverflowError):
         expect_items(rows, list, field)     # names a row that is not a list
         raise ValueError(f"{field} must be rows of equal length of numbers or "
                          '{"re": x, "im": y} objects') from None

@@ -60,14 +60,14 @@ class SupportData:
     def from_json(cls, data):
         expect(data, dict, "support JSON")
         pts = [tuple(expect_items(p, int, f"points[{i}]"))
-               for i, p in enumerate(expect(data["points"], list, "points"))]
+               for i, p in enumerate(expect(data.get("points"), list, "points"))]
         mults = data.get("multiplicities")
         if mults is not None:
             if len(expect_items(mults, int, "multiplicities")) != len(pts):
                 raise ValueError(f"multiplicities has {len(mults)} entries "
                                  f"for {len(pts)} points")
             mults = dict(zip(pts, mults))
-        return cls(expect(data["dimension"], int, "dimension"), tuple(pts), mults)
+        return cls(expect(data.get("dimension"), int, "dimension"), tuple(pts), mults)
 
     def to_json(self):
         return {
@@ -140,16 +140,12 @@ class SupportPolytope:
     equations: tuple
 
     def support_value(self, alpha):
-        if len(alpha) != self.ambient_dimension:
-            raise BadDimension("direction has the wrong length")
-        return max(-Fraction(sum(v * a for v, a in zip(vert, alpha)))
-                   for vert in self.vertices)
+        return -self.min_value(alpha)
 
     def min_value(self, alpha):
         if len(alpha) != self.ambient_dimension:
             raise BadDimension("direction has the wrong length")
-        return min(Fraction(sum(v * a for v, a in zip(vert, alpha)))
-                   for vert in self.vertices)
+        return min(_dot(vert, alpha) for vert in self.vertices)
 
     def translate(self, shift):
         verts = tuple(tuple(x + s for x, s in zip(v, shift)) for v in self.vertices)
@@ -165,16 +161,12 @@ class SupportPolytope:
         return self.translate(tuple(-x for x in v0))
 
     def to_json(self):
-        def frac(x):
-            f = Fraction(x)
-            return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
-
         return {
             "dimension": self.dim,
-            "vertices": [[frac(x) for x in v] for v in sorted(self.vertices)],
-            "facets": [{"normal": list(n), "offset": frac(c)}
+            "vertices": [list(map(str, v)) for v in sorted(self.vertices)],
+            "facets": [{"normal": list(n), "offset": str(c)}
                        for n, c in sorted(self.facets)],
-            "equations": [{"normal": list(n), "offset": frac(c)}
+            "equations": [{"normal": list(n), "offset": str(c)}
                           for n, c in sorted(self.equations)],
             "symmetric": is_centrally_symmetric(self),
         }
@@ -295,13 +287,15 @@ def face(p, s, alpha):
 
 
 def is_centrally_symmetric(p):
-    """Vertex set invariant under reflection through the vertex centroid."""
-    verts = [tuple(Fraction(x) for x in v) for v in p.vertices]
-    n = len(verts)
-    centroid = tuple(sum(v[j] for v in verts) / n for j in range(len(verts[0]))) \
-        if verts else ()
-    vset = set(verts)
-    return all(tuple(2 * c - x for c, x in zip(centroid, v)) in vset for v in verts)
+    """Vertex set invariant under reflection through the vertex centroid.
+
+    With n vertices summing to s, the reflection of v is 2s/n - v, so the
+    test 2s - n v in {n w} stays in integers.
+    """
+    n = len(p.vertices)
+    total = [sum(col) for col in zip(*p.vertices)]
+    scaled = {tuple(n * x for x in w) for w in p.vertices}
+    return all(tuple(2 * t - n * x for t, x in zip(total, v)) in scaled for v in p.vertices)
 
 
 def surface_c(chi, index_i, rotation_r):

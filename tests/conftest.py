@@ -2,9 +2,9 @@
 
 Everything here is deliberately independent of the library's own code
 paths: convex-hull membership is decided by a small exact simplex,
-admissibility by brute-force enumeration of lattice combinations, and the
-Maslov loops are built with a known winding so the library's answer can
-be checked against ground truth.
+admissibility by the same simplex and by brute-force enumeration of
+lattice combinations, and the Maslov loops are built with a known
+winding so the library's answer can be checked against ground truth.
 """
 
 import itertools
@@ -109,6 +109,20 @@ def brute_force_admissible(vectors, bound=5):
     return True
 
 
+def lp_admissible(vectors):
+    """Admissibility by exact LP: the lattice spanned by the columns of B is
+    inadmissible iff {B lam+ - B lam- - s = 0, sum(s) = 1, lam+-, s >= 0}
+    is feasible, i.e. some B lam is >= 0 and nonzero."""
+    vectors = [tuple(v) for v in vectors]
+    if not vectors:
+        return True
+    n = len(vectors[0])
+    A = [[v[r] for v in vectors] + [-v[r] for v in vectors] + [-int(i == r) for i in range(n)]
+         for r in range(n)]
+    A.append([0] * (2 * len(vectors)) + [1] * n)
+    return not lp_feasible_eq(A, [0] * n + [1])
+
+
 # -- maslov loop builders with known winding ---------------------------------------
 
 def rand_orthogonal(rng, n):
@@ -169,22 +183,33 @@ def stepwise_spectral_flow(path):
 
 # -- handmade diagram variants -------------------------------------------------------
 
-def two_circles_disk():
-    """Two crossing circles inside a disk: valid but unbalanced (the alpha
-    curve bounds), with a rank-2 periodic lattice, hence inadmissible."""
+def circle_pairs_disk(k):
+    """k disjoint pairs of crossing circles inside a disk, each pair bounding
+    three internal regions: valid but unbalanced (each alpha curve bounds),
+    with a rank-2k periodic lattice, hence inadmissible."""
+    alpha, crossing_sign, regions, outer = [], {}, [], []
+    for m in range(k):
+        p, q, a, b = f"Q{2 * m}", f"Q{2 * m + 1}", f"a{m + 1}", f"b{m + 1}"
+        alpha.append([p, q])
+        crossing_sign.update({p: 1, q: -1})
+        regions += [{"cycles": [[f"{a}.1", f"{b}.0"]], "boundary_circles": 0},
+                    {"cycles": [[f"{a}.0", f"-{b}.0"]], "boundary_circles": 0},
+                    {"cycles": [[f"{b}.1", f"-{a}.1"]], "boundary_circles": 0}]
+        outer.append([f"-{a}.0", f"-{b}.1"])
     return SuturedDiagram.from_json({
         "genus": 0,
         "boundary_circles": 1,
-        "alpha": [["Q0", "Q1"]],
-        "beta": [["Q0", "Q1"]],
-        "crossing_sign": {"Q0": 1, "Q1": -1},
-        "regions": [
-            {"cycles": [["a1.1", "b1.0"]], "boundary_circles": 0},
-            {"cycles": [["a1.0", "-b1.0"]], "boundary_circles": 0},
-            {"cycles": [["b1.1", "-a1.1"]], "boundary_circles": 0},
-            {"cycles": [["-a1.0", "-b1.1"]], "boundary_circles": 1},
-        ],
+        "alpha": alpha,
+        "beta": [list(c) for c in alpha],
+        "crossing_sign": crossing_sign,
+        "regions": regions + [{"cycles": outer, "boundary_circles": 1}],
     })
+
+
+def two_circles_disk():
+    """Two crossing circles inside a disk: valid but unbalanced (the alpha
+    curve bounds), with a rank-2 periodic lattice, hence inadmissible."""
+    return circle_pairs_disk(1)
 
 
 def annulus_with_core_alpha():
@@ -254,19 +279,54 @@ def rename_points(data, mapping):
     return out
 
 
-def swap_alpha_curves(data, i=0, j=1):
-    """Swap alpha curves i and j (0-based) of a diagram JSON dict, fixing arc refs."""
+def _remap_arc_refs(data, remap):
+    """Copy of a diagram JSON dict with remap(name, arc) -> (name, arc)
+    applied to every arc reference of the region cycles."""
     out = json.loads(json.dumps(data))
-    out["alpha"][i], out["alpha"][j] = out["alpha"][j], out["alpha"][i]
-    curve = {f"a{i + 1}": f"a{j + 1}", f"a{j + 1}": f"a{i + 1}"}
 
-    def remap(ref):
+    def ref(text):
         sign = ""
-        if ref.startswith("-"):
-            sign, ref = "-", ref[1:]
-        name, dot, arc = ref.partition(".")
-        return sign + curve.get(name, name) + dot + arc
+        if text.startswith("-"):
+            sign, text = "-", text[1:]
+        name, _, arc = text.partition(".")
+        name, arc = remap(name, int(arc))
+        return f"{sign}{name}.{arc}"
 
     for region in out["regions"]:
-        region["cycles"] = [[remap(r) for r in cyc] for cyc in region["cycles"]]
+        region["cycles"] = [[ref(r) for r in cyc] for cyc in region["cycles"]]
+    return out
+
+
+def _swap_curves(data, family, i, j):
+    names = {f"{family[0]}{i + 1}": f"{family[0]}{j + 1}",
+             f"{family[0]}{j + 1}": f"{family[0]}{i + 1}"}
+    out = _remap_arc_refs(data, lambda name, arc: (names.get(name, name), arc))
+    out[family][i], out[family][j] = out[family][j], out[family][i]
+    return out
+
+
+def swap_alpha_curves(data, i=0, j=1):
+    """Swap alpha curves i and j (0-based) of a diagram JSON dict, fixing arc refs."""
+    return _swap_curves(data, "alpha", i, j)
+
+
+def swap_beta_curves(data, i=0, j=1):
+    """Swap beta curves i and j (0-based) of a diagram JSON dict, fixing arc refs."""
+    return _swap_curves(data, "beta", i, j)
+
+
+def rotate_curve(data, family, i, shift):
+    """Start curve i of ``family`` ("alpha" or "beta") at its point ``shift``.
+
+    Arc k of the rotated curve is arc k + shift of the old one, so region
+    cycles re-index that curve's arcs by -shift (mod the point count).  A
+    curve without points has a single loop arc and is left as it is.
+    """
+    pts = data[family][i]
+    if not pts:
+        return json.loads(json.dumps(data))
+    shift %= len(pts)
+    name = f"{family[0]}{i + 1}"
+    out = _remap_arc_refs(data, lambda n, arc: (n, (arc - shift) % len(pts) if n == name else arc))
+    out[family][i] = pts[shift:] + pts[:shift]
     return out

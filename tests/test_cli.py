@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -309,6 +313,18 @@ class TestInputShape:
         (("maslov",), {"kind": "lagrangian_loop",
                        "samples": [[[{"re": 1.0, "im": float("inf")}]], [[1.0]]]},
          "samples[0]"),
+        (("maslov",), {"kind": "spectral_flow", "samples": [[["-1"]], [[True]]]}, "samples[0]"),
+        (("maslov",), {"kind": "spectral_flow", "samples": [[[1.0]], [[True]]]}, "samples[1]"),
+        (("maslov",), {"kind": "lagrangian_loop", "samples": [[[True]], [[1.0]]]}, "samples[0]"),
+        (("maslov",), {"kind": "lagrangian_loop", "samples": [[["1"]], [[1.0]]]}, "samples[0]"),
+        (("maslov",), {"kind": "lagrangian_loop", "samples": [[[{"re": True}]], [[1.0]]]},
+         "samples[0]"),
+        (("maslov",), {"kind": "lagrangian_loop", "samples": [[[{"im": "0"}]], [[1.0]]]},
+         "samples[0]"),
+        (("maslov",), {"kind": "lagrangian_loop",
+                       "samples": [[[1.0]], [[{"re": 1.0, "im": False}]]]}, "samples[1]"),
+        (("maslov",), {"kind": "spectral_flow", "samples": [[[1.0]], [[10 ** 400]]]},
+         "samples[1]"),
     ])
     def test_bad_shape_is_bad_input(self, capsys, tmp_path, argv, payload, field):
         path = tmp_path / "in.json"
@@ -317,3 +333,33 @@ class TestInputShape:
         assert code == 1
         assert data["error"] == "bad_input"
         assert field in data["detail"]
+
+    COMMANDS = {"diagram": [("check",), ("generators",), ("spinc",), ("euler",),
+                            ("polytope", "--diagram")],
+                "presentation": [("torsion",)],
+                "support": [("polytope", "--support")]}
+
+    @pytest.mark.parametrize("name", [f.name for f in fixtures.fixture_list()])
+    def test_dropped_key_gives_json(self, capsys, tmp_path, name):
+        info = fixtures.fixture_info(name)
+        data = json.loads((fixtures.fixtures_dir() / info.file).read_text())
+        path = tmp_path / "in.json"
+        for key in data:
+            path.write_text(json.dumps({k: v for k, v in data.items() if k != key}))
+            for argv in self.COMMANDS[info.kind]:
+                code, out = run_json(capsys, *argv, str(path))
+                assert code in (0, 1), (key, argv)
+                assert code == 0 or out["error"] != "bad_input" or key in out["detail"]
+
+    def test_invalid_diagram_detail_is_deterministic(self, tmp_path):
+        data = json.loads((fixtures.fixtures_dir() / "t106.json").read_text())
+        del data["crossing_sign"]
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(data))
+        src = str(Path(cli.__file__).parents[1])
+        outs = {subprocess.run([sys.executable, "-m", "sutured_kit.cli", "euler", str(path)],
+                               capture_output=True, text=True, check=False,
+                               env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}).stdout
+                for seed in ("1", "2", "3")}
+        assert len(outs) == 1
+        assert json.loads(outs.pop())["error"] == "invalid_diagram"

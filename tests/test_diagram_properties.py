@@ -1,12 +1,13 @@
 """Property tests of the diagram invariants.
 
 The Euler polynomial, H_1(M) and the Spin^c partition must not depend on
-the names of the intersection points or on the order of the alpha
-curves, and the Euler polynomial of T(p,1;2) must match the torsion of
-<a | > with inclusion word a^p.  Generators are compared by their point
-sets, since renaming points or reordering curves reorders the generator
-list.  Reordering curves changes the tree-cotree basis of H_1(M) = Z of
-a chain, so there the polynomial is compared up to h -> h^-1 and the
+the names of the intersection points, on the order of the alpha or of
+the beta curves, or on the point each curve starts at, and the Euler
+polynomial of T(p,1;2) must match the torsion of <a | > with inclusion
+word a^p.  Generators are compared by their point sets, since renaming
+points or reordering curves reorders the generator list.  Reordering
+curves or re-indexing a curve's arcs changes the tree-cotree basis of
+H_1(M), so there the polynomial is compared up to h -> h^-1 and the
 Spin^c differences up to one global sign.
 """
 
@@ -18,7 +19,7 @@ import tempfile
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import rename_points, swap_alpha_curves
+from conftest import rename_points, rotate_curve, swap_alpha_curves, swap_beta_curves
 from h1_oracle import chain_diagram, lens_diagram, torus_diagram
 from sutured_kit import cli, fixtures
 from sutured_kit.abelian import doteq_equal
@@ -68,17 +69,44 @@ def test_invariant_under_renaming_points(data, draw):
     assert invariants(rename_points(data, mapping), back) == invariants(data)
 
 
+def assert_same_up_to_sign(data, other):
+    """Invariants equal, the polynomial up to h -> h^-1 and the Spin^c
+    differences up to one global sign."""
+    poly, group, h1, classes, diffs = invariants(data)
+    poly2, group2, h1_2, classes2, diffs2 = invariants(other)
+    assert group2 == group and h1_2 == h1
+    assert doteq_equal(poly2, poly, group, allow_inversion=True)
+    assert classes2 == classes
+    assert diffs2 == diffs or diffs2 == {key: group.neg(e) for key, e in diffs.items()}
+
+
 @PROPERTY
 @given(st.integers(2, 5), st.data())
 def test_invariant_under_swapping_alpha_curves(k, draw):
     data = chain_diagram(k)
     i, j = draw.draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
-    poly, group, h1, classes, diffs = invariants(data)
-    poly2, group2, h1_2, classes2, diffs2 = invariants(swap_alpha_curves(data, i, j))
-    assert group2 == group and h1_2 == h1
-    assert doteq_equal(poly2, poly, group, allow_inversion=True)
-    assert classes2 == classes
-    assert diffs2 == diffs or diffs2 == {key: group.neg(e) for key, e in diffs.items()}
+    assert_same_up_to_sign(data, swap_alpha_curves(data, i, j))
+
+
+@PROPERTY
+@given(st.integers(2, 5), st.data())
+def test_invariant_under_swapping_beta_curves(k, draw):
+    data = chain_diagram(k)
+    i, j = draw.draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+    assert_same_up_to_sign(data, swap_beta_curves(data, i, j))
+
+
+@PROPERTY
+@given(diagrams(), st.data())
+def test_invariant_under_rotating_a_curve(data, draw):
+    curves = [(fam, i) for fam in ("alpha", "beta") for i, c in enumerate(data[fam]) if c]
+    if not curves:
+        return
+    fam, i = draw.draw(st.sampled_from(curves))
+    shift = draw.draw(st.integers(1, len(data[fam][i])))
+    rotated = rotate_curve(data, fam, i, shift)
+    assert rotated[fam][i][0] == data[fam][i][shift % len(data[fam][i])]
+    assert_same_up_to_sign(data, rotated)
 
 
 def test_swapped_t106_keeps_its_invariants():
@@ -87,6 +115,11 @@ def test_swapped_t106_keeps_its_invariants():
     poly2, group2, h1_2, classes2, _ = invariants(swap_alpha_curves(data))
     assert (group2, h1_2, classes2) == (group, h1, classes)
     assert doteq_equal(poly2, poly, group, allow_inversion=True)
+
+
+def test_beta_swapped_t106_keeps_its_invariants():
+    data = fixtures.load_diagram("t106").to_json()
+    assert_same_up_to_sign(data, swap_beta_curves(data))
 
 
 def crosscheck(diagram_data, p):

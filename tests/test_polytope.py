@@ -115,6 +115,17 @@ class TestSupportFunction:
                     support_function(h, alpha) + support_function(h, beta)
                 done += 1
 
+    def test_values_and_offsets_are_integers(self):
+        rng = random.Random(89)
+        for _ in range(40):
+            dim = rng.randint(1, 3)
+            h = hull(rand_support(rng, dim, rng.randint(1, 6)))
+            alpha = tuple(rng.randint(-4, 4) for _ in range(dim))
+            assert type(support_function(h, alpha)) is int
+            assert type(h.min_value(alpha)) is int
+            assert all(type(c) is int for _, c in h.facets + h.equations)
+            assert all(type(x) is int for v in h.vertices for x in v)
+
     def test_face_value_is_negated_support(self):
         rng = random.Random(79)
         for _ in range(40):
@@ -173,6 +184,29 @@ class TestSymmetry:
         assert is_centrally_symmetric(hull(SupportData(1, ((0,), (4,)))))
         assert is_centrally_symmetric(
             hull(SupportData(2, ((0, 0), (2, 0), (0, 2), (2, 2)))))
+
+    def test_integer_test_matches_rational_centroid(self):
+        def rational(h):
+            verts = [tuple(Fraction(x) for x in v) for v in h.vertices]
+            centroid = [sum(col) / len(verts) for col in zip(*verts)]
+            return all(tuple(2 * c - x for c, x in zip(centroid, v)) in set(verts)
+                       for v in verts)
+
+        rng = random.Random(83)
+        seen = set()
+        for _ in range(300):
+            dim = rng.randint(1, 3)
+            s = rand_support(rng, dim, rng.randint(1, 6))
+            if rng.random() < 0.5:    # close under a reflection, odd centres included
+                c = tuple(rng.randint(-3, 3) for _ in range(dim))
+                s = SupportData(dim, tuple(sorted(set(s.points) | {
+                    tuple(a - x for a, x in zip(c, p)) for p in s.points})))
+            h = hull(s)
+            assert is_centrally_symmetric(h) == rational(h)
+            seen.add(rational(h))
+        assert seen == {True, False}
+        assert is_centrally_symmetric(hull(SupportData(1, ((0,), (3,)))))
+        assert not is_centrally_symmetric(hull(SupportData(2, ((0, 0), (3, 0), (0, 1)))))
 
 
 class TestCalculators:
