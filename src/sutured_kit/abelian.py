@@ -14,6 +14,7 @@ group is written multiplicatively when it acts on group-ring elements, so
 
 from dataclasses import dataclass
 from math import comb
+from operator import add, mod, mul
 
 from .errors import DeterminantTooLarge
 
@@ -326,8 +327,10 @@ class GroupRingElem:
         for g, c in items:
             c = int(c)
             if c:
-                clean[g] = clean.get(g, 0) + c
-                if clean[g] == 0:
+                c += clean.get(g, 0)
+                if c:
+                    clean[g] = c
+                else:
                     del clean[g]
         self._terms = clean
 
@@ -415,44 +418,79 @@ def det_group_ring(m, g):
     ring has zero divisors whenever g has torsion, so fraction-free
     elimination is not available.  Before any ring product a bitmask pass
     counts the memo keys of each row, the column sets left by nonzero picks
-    in the rows above, and refuses more than TOO_LARGE_DET at one row.
+    in the rows above, and refuses more than TOO_LARGE_DET at one row.  The
+    minors are then filled in for those keys, last row first.
+
+    Inside, a group element is one int in mixed radix.  A free coordinate
+    is shifted by its minimum lo over all entries and gets the digit base
+    n*(hi - lo) + 1; a torsion residue is left unreduced in base
+    n*(d - 1) + 1.  A minor sums at most n keys, so no digit carries and
+    the group-ring product is addition of keys on plain dicts.  One decode
+    at the end undoes the shift n*lo and reduces the residues mod d.
     """
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix is not square")
-    level = {(1 << n) - 1}
+    levels = [{(1 << n) - 1}]
     for r, row in enumerate(m):
         nonzero = [1 << j for j, e in enumerate(row) if not e.is_zero()]
-        level = {mask ^ bit for mask in level for bit in nonzero if mask & bit}
+        level = {mask ^ bit for mask in levels[-1] for bit in nonzero if mask & bit}
         if len(level) > TOO_LARGE_DET:
             raise DeterminantTooLarge(f"{len(level)} minors after row {r + 1} > {TOO_LARGE_DET}")
-    memo = {}
+        levels.append(level)
 
-    def minor(mask):
-        # mask: bitmask of still-available columns; row index = n - popcount
-        if mask == 0:
-            return ring_one(g)
-        got = memo.get(mask)
-        if got is not None:
-            return got
-        row = n - bin(mask).count("1")
-        total = ring_zero()
-        sign = 1
-        rest = mask
-        while rest:
-            j_bit = rest & (-rest)
-            rest ^= j_bit
-            j = j_bit.bit_length() - 1
-            entry = m[row][j]
-            if not entry.is_zero():
-                sub = minor(mask ^ j_bit)
-                term = ring_mul(entry, sub, g)
-                total = ring_add(total, term if sign > 0 else ring_neg(term))
-            sign = -sign
-        memo[mask] = total
-        return total
+    elements = [h for row in m for e in row for h in e._terms]
+    lows, bases = [], []
+    for c in range(g.free_rank):
+        lo = min((h.free[c] for h in elements), default=0)
+        lows.append(lo)
+        bases.append(n * (max((h.free[c] for h in elements), default=0) - lo) + 1)
+    bases += [n * (d - 1) + 1 for d in g.torsion]
+    weights = [1]
+    for b in bases[:-1]:
+        weights.append(weights[-1] * b)
+    offset = sum(lo * w for lo, w in zip(lows, weights))
 
-    return minor((1 << n) - 1)
+    def pack(h):
+        return sum(map(mul, h.free + h.torsion, weights)) - offset
+
+    # memo: column mask -> [(key, coeff)] of the minor on the rows below
+    memo = {0: [(0, 1)]}
+    for r in range(n - 1, -1, -1):
+        row = [[(pack(h), c) for h, c in e._terms.items()] for e in m[r]]
+        above = {}
+        for mask in levels[r]:
+            total = {}
+            get = total.get
+            sign = 1
+            rest = mask
+            while rest:
+                j_bit = rest & (-rest)
+                rest ^= j_bit
+                entry = row[j_bit.bit_length() - 1]
+                if entry:
+                    sub = memo[mask ^ j_bit]
+                    for ka, ca in entry:
+                        ca *= sign
+                        for kb, cb in sub:
+                            k = ka + kb
+                            total[k] = get(k, 0) + ca * cb
+                sign = -sign
+            above[mask] = [kc for kc in total.items() if kc[1]]
+        memo = above
+
+    shifts = [n * lo for lo in lows]
+
+    def unpack(key):
+        digits = []
+        for b in bases:
+            key, digit = divmod(key, b)
+            digits.append(digit)
+        return GroupElement(tuple(map(add, digits, shifts)),
+                            tuple(map(mod, digits[len(shifts):], g.torsion)))
+
+    # residues that agree mod d now land on one element; the constructor merges them
+    return GroupRingElem((unpack(key), c) for key, c in memo[(1 << n) - 1])
 
 
 def _ring_sort_key(x):

@@ -78,7 +78,7 @@ def cmd_spinc(args):
     _emit({
         "h1": abelian.group_to_json(part.group),
         "classes": [list(c) for c in part.classes],
-        "base_class": part.base_class,
+        "base_class": 0,
         "differences": diffs,
     })
     return 0

@@ -40,8 +40,9 @@ from dataclasses import dataclass
 
 from .abelian import (FinAbGroup, IntMatrix, cokernel, det_group_ring,
                       doteq_normalize, kernel_basis, solve_integer, GroupRingElem)
-from .errors import InvalidDiagram, NotAGenerator, NotBalanced, expect, expect_items
-from .polytope import SupportData, hull
+from .errors import (DimensionTooLarge, InvalidDiagram, NotAGenerator, NotBalanced, expect,
+                     expect_items)
+from .polytope import MAX_DIMENSION, SupportData, hull
 
 
 def parse_arc_ref(text):
@@ -695,7 +696,6 @@ class SpincPartition:
 
     classes: tuple           # tuple of tuples of generator indices
     difference: dict         # (class index, class index) -> GroupElement
-    base_class: int
     group: FinAbGroup
 
 
@@ -705,7 +705,7 @@ def spinc_partition(d):
     gens = generators(d)
     group, _ = h1_of_M(d)
     if not gens:
-        return SpincPartition((), {}, 0, group)
+        return SpincPartition((), {}, group)
     data = _h1data(d)
     members = {}             # eps against the first generator -> indices
     for idx, x in enumerate(gens):
@@ -713,7 +713,7 @@ def spinc_partition(d):
     values = list(members)
     difference = {(a, b): group.sub(vb, va)
                   for a, va in enumerate(values) for b, vb in enumerate(values)}
-    return SpincPartition(tuple(map(tuple, members.values())), difference, 0, group)
+    return SpincPartition(tuple(map(tuple, members.values())), difference, group)
 
 
 # -- domains -------------------------------------------------------------------------
@@ -780,12 +780,14 @@ def admissible_lattice(basis):
     convex hull of B's rows.  The integer hull decides that: every span
     equation passes through the origin and every facet has it strictly
     inside.  A rank above ``polytope.MAX_DIMENSION`` raises
-    DimensionTooLarge.
+    DimensionTooLarge, with the rank in its detail.
     """
     vectors = [tuple(v.coefficients) if isinstance(v, DomainVector) else tuple(v)
                for v in basis]
     if not vectors:
         return True
+    if len(vectors) > MAX_DIMENSION:
+        raise DimensionTooLarge(f"periodic lattice rank {len(vectors)} exceeds {MAX_DIMENSION}")
     h = hull(SupportData(len(vectors), sorted(set(zip(*vectors)))))
     return all(c == 0 for _, c in h.equations) and all(c < 0 for _, c in h.facets)
 

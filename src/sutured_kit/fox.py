@@ -13,12 +13,19 @@ m - n = l and there are exactly l inclusion words; the torsion matrix is
 then square of size m, its first l columns coming from the inclusion
 words and its last n from the relators, and the torsion is the class of
 its determinant in Z[H_1] up to +-h.
+
+``theta_matrix`` does not form the Fox derivatives in the free group
+ring: it builds each column in one walk over its word, carrying the
+image in H_1 of the prefix, so every letter adds one term to the row of
+its generator.  ``fox_derivative`` stays as the free-group-ring
+definition that the tests hold it to.
 """
 
 from dataclasses import dataclass
+from operator import add, sub
 
-from .abelian import (IntMatrix, cokernel, det_group_ring, doteq_normalize,
-                      GroupRingElem)
+from .abelian import (GroupElement, GroupRingElem, IntMatrix, cokernel, det_group_ring,
+                      doteq_normalize)
 from .errors import InvalidGenerator, NotGeometricallyBalanced, expect, expect_items
 
 
@@ -247,16 +254,36 @@ def theta_matrix(p, k):
 
     Rows are indexed by generators; the first l columns are the Fox
     derivatives of the inclusion words, the last n those of the relators,
-    all pushed through the abelianization.
+    all pushed through the abelianization.  Each column is built in one
+    walk over its word, carrying the image in H_1 of the prefix read so
+    far: a letter a_i adds +h^prefix to row i, a letter a_i^-1 adds
+    -h^(prefix - a_i).
     """
     if not is_geometrically_balanced(p, k):
         raise NotGeometricallyBalanced(
             f"m={p.num_generators}, n={p.num_relators}, genus={p.boundary_genus}, "
             f"l={len(k.sigma_images)}")
-    g, phi = abelianization(p)
-    m = p.num_generators
+    g, _ = abelianization(p)
+    m, r = p.num_generators, g.free_rank
+    images = [tuple(row[i] for row in g.projection.entries) for i in range(m)]
     columns = list(k.sigma_images) + list(p.relators)
-    entries = [[phi(fox_derivative(w, i, m)) for w in columns] for i in range(m)]
+    entries = [[None] * len(columns) for _ in range(m)]
+    for col, w in enumerate(columns):
+        rows = [{} for _ in range(m)]
+        prefix = (0,) * len(g.projection.entries)
+        for i, e in w.letters:
+            if not 0 <= i < m:
+                raise InvalidGenerator(f"letter index {i} out of range")
+            if e == 1:
+                key = prefix
+                prefix = tuple(map(add, prefix, images[i]))
+            else:
+                prefix = key = tuple(map(sub, prefix, images[i]))
+            rows[i][key] = rows[i].get(key, 0) + e
+        for i, terms in enumerate(rows):
+            entries[i][col] = GroupRingElem(
+                (GroupElement(key[:r], tuple(t % d for t, d in zip(key[r:], g.torsion))), c)
+                for key, c in terms.items())
     return entries, g
 
 

@@ -174,10 +174,24 @@ def matrix_from_json(rows, field="matrix"):
                     raise TypeError
             out.append(conv)
         return np.asarray(out, dtype=complex)
-    except (TypeError, ValueError, OverflowError):
+    except OverflowError:
+        i, j = _first_overflow(rows)
+        raise ValueError(f"{field}[{i}][{j}] does not fit a float") from None
+    except (TypeError, ValueError):
         expect_items(rows, list, field)     # names a row that is not a list
         raise ValueError(f"{field} must be rows of equal length of numbers or "
                          '{"re": x, "im": y} objects') from None
+
+
+def _first_overflow(rows):
+    """(i, j) of the first entry holding an integer too large for a float."""
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            parts = (x.get("re", 0.0), x.get("im", 0.0)) if type(x) is dict else (x,)
+            try:
+                complex(*parts)
+            except OverflowError:
+                return i, j
 
 
 def samples_from_json(data):

@@ -95,3 +95,4 @@ def test_check_refuses_a_rank_eight_lattice(capsys, tmp_path):
     code = cli.main(["check", str(path)])
     out = json.loads(capsys.readouterr().out)
     assert code == 1 and out["error"] == "dimension_too_large"
+    assert out["detail"] == f"periodic lattice rank 8 exceeds {MAX_DIMENSION}"

@@ -334,6 +334,16 @@ class TestInputShape:
         assert data["error"] == "bad_input"
         assert field in data["detail"]
 
+    @pytest.mark.parametrize("entry", [int("7" * 400), {"re": 0.5, "im": -int("7" * 400)}])
+    def test_integer_beyond_a_float_is_named(self, capsys, tmp_path, entry):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"kind": "spectral_flow",
+                                    "samples": [[[1.0, 0.0], [0.0, 1.0]],
+                                                [[1.0, 0.0], [0.0, entry]]]}))
+        code, data = run_json(capsys, "maslov", str(path))
+        assert code == 1
+        assert data == {"error": "bad_input", "detail": "samples[1][1][1] does not fit a float"}
+
     COMMANDS = {"diagram": [("check",), ("generators",), ("spinc",), ("euler",),
                             ("polytope", "--diagram")],
                 "presentation": [("torsion",)],
