@@ -195,29 +195,6 @@ def smith_normal_form(a):
     return IntMatrix(u, nrows, nrows), IntMatrix(d, nrows, ncols), IntMatrix(v, ncols, ncols)
 
 
-def kernel_basis(a):
-    """Basis of the integer kernel {x : a*x = 0}, as a list of column vectors."""
-    _, d, v = smith_normal_form(a)
-    rank = sum(1 for i in range(min(a.rows, a.cols)) if d[i, i] != 0)
-    return [v.column(j) for j in range(rank, a.cols)]
-
-
-def solve_integer(a, b):
-    """One integer solution x of a*x = b, or None when there is none."""
-    u, d, v = smith_normal_form(a)
-    c = u @ tuple(b)
-    y = [0] * a.cols
-    for i in range(a.rows):
-        di = d[i, i] if i < min(a.rows, a.cols) else 0
-        if di != 0:
-            if c[i] % di != 0:
-                return None
-            y[i] = c[i] // di
-        elif c[i] != 0:
-            return None
-    return v @ y
-
-
 def cokernel(a):
     """The quotient Z^rows / column-span(a) as a FinAbGroup in Smith form.
 
@@ -225,15 +202,20 @@ def cokernel(a):
     so classes of ambient vectors can be computed with ``from_ambient``.
     """
     u, d, _ = smith_normal_form(a)
-    n = a.rows
-    diag = [d[i, i] for i in range(min(a.rows, a.cols))]
+    return smith_cokernel(u, d)
+
+
+def smith_cokernel(u, d):
+    """``cokernel(a)`` from the u and d of a Smith normal form u*a*v = d."""
+    n = d.rows
+    diag = [d[i, i] for i in range(min(d.rows, d.cols))]
     rank = sum(1 for x in diag if x != 0)
     free_idx = list(range(rank, n))
     tors_idx = [i for i in range(rank) if diag[i] >= 2]
     torsion = tuple(diag[i] for i in tors_idx)
     proj_rows = [u.entries[i] for i in free_idx] + [u.entries[i] for i in tors_idx]
     projection = IntMatrix(proj_rows, len(proj_rows), n)
-    return FinAbGroup(len(free_idx), torsion, projection=projection, ambient_rank=n)
+    return FinAbGroup(len(free_idx), torsion, projection=projection)
 
 
 @dataclass(frozen=True)
@@ -253,7 +235,7 @@ class GroupElement:
 class FinAbGroup:
     """Finitely generated abelian group Z^r + Z/d_1 + ... + Z/d_k, d_i | d_{i+1}."""
 
-    def __init__(self, free_rank, torsion=(), projection=None, ambient_rank=None):
+    def __init__(self, free_rank, torsion=(), projection=None):
         torsion = tuple(int(t) for t in torsion)
         if any(t < 2 for t in torsion):
             raise ValueError("torsion coefficients must be >= 2")
@@ -263,7 +245,6 @@ class FinAbGroup:
         self.free_rank = int(free_rank)
         self.torsion = torsion
         self.projection = projection
-        self.ambient_rank = ambient_rank
 
     def __repr__(self):
         parts = ["Z"] * self.free_rank + [f"Z/{d}" for d in self.torsion]

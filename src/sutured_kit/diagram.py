@@ -26,9 +26,14 @@ tree T of the 1-skeleton and one C* of the dual graph on the regions and
 an outside node reached by the loop edges, leaves L = 2g + b - 1 edges.
 They map to unit vectors of Z^L, T to 0, and C* leaves-first to whatever
 kills each region boundary: an isomorphism H_1(surface) -> Z^L.  H_1(M)
-is the cokernel of the L x (|alpha| + |beta|) matrix of curve images, and
+is the cokernel of the L x (|alpha| + |beta|) matrix rel of curve images, and
 with the point potentials phi(p) = P_alpha(p) - P_beta(p), prefix sums of
-arc images along the curves, eps(x, y) = sum phi(y) - sum phi(x).
+arc images along the curves, eps(x, y) = sum phi(y) - sum phi(x).  The
+Smith normal form u rel v = s is the only one any query runs, ``check``
+included: a periodic domain bounds sum n_c (curve c) with n in the kernel
+of rel, a connecting domain bounds the eps chain plus the n solving
+rel n = -image, and H_2 of the surface being 0, each lifts root first
+along C* to one 2-chain, which is 0 on the regions touching the boundary.
 
 Admissibility: by Stiemke's lemma no nonzero periodic domain is >= 0
 exactly when the origin lies in the relative interior of the convex hull
@@ -38,8 +43,9 @@ the integer hull of ``polytope`` decides under its dimension bound.
 
 from dataclasses import dataclass
 
-from .abelian import (FinAbGroup, IntMatrix, cokernel, det_group_ring,
-                      doteq_normalize, kernel_basis, solve_integer, GroupRingElem)
+from . import abelian
+from .abelian import (FinAbGroup, IntMatrix, det_group_ring, doteq_normalize,
+                      smith_cokernel, GroupRingElem)
 from .errors import (DimensionTooLarge, InvalidDiagram, NotAGenerator, NotBalanced, expect,
                      expect_items)
 from .polytope import MAX_DIMENSION, SupportData, hull
@@ -546,7 +552,7 @@ class _Skeleton:
 
 
 def _edge_images(sk):
-    """(L, tree-cotree images of the edges in Z^L).
+    """(L, tree-cotree images of the edges in Z^L, C* order, C* parent edges).
 
     C* is breadth-first from the outside node; the C* edge above a region
     has coefficient +-1 in its boundary and is solved after the regions
@@ -583,32 +589,38 @@ def _edge_images(sk):
                     total[j] += c * x
         c = sk.columns[r][up]
         images[up] = tuple(-c * x for x in total)
-    return rank, images
+    return rank, images, order, parent_edge
 
 
 class _H1Data:
-    """H_1(M) = H_1(surface) / curve classes, and the potential of each point."""
+    """H_1(M) = H_1(surface) / curve classes, the potential of each point, and
+    the Smith form u*rel*v = s of the curve-image matrix rel."""
 
     def __init__(self, d):
         self.skeleton = sk = _Skeleton(d)
-        self.rank, self.images = _edge_images(sk)
+        self.rank, self.images, self.order, self.parent_edge = _edge_images(sk)
+        self.internal = internal_regions(d)
         zero = (0,) * self.rank
+        self.curve_edges = []
         curve_images = []
         phi = {}                 # point -> P_alpha(p) - P_beta(p)
         for fam, i in d.curves():
             sign = 1 if fam == "a" else -1
             pts = d.curve_points(fam, i)
+            edges = [sk.arc_edge[(fam, i, k)] for k in range(d.curve_arc_count(fam, i))]
             acc = zero
-            for k in range(d.curve_arc_count(fam, i)):
+            for k, e in enumerate(edges):
                 if pts:
                     phi[pts[k]] = tuple(a + sign * b for a, b in
                                         zip(phi.get(pts[k], zero), acc))
-                acc = tuple(a + b for a, b in zip(acc, self.images[sk.arc_edge[(fam, i, k)]]))
+                acc = tuple(a + b for a, b in zip(acc, self.images[e]))
+            self.curve_edges.append(edges)
             curve_images.append(acc)
         rel = IntMatrix(tuple(tuple(img[r] for img in curve_images)
                               for r in range(self.rank)),
                         self.rank, len(curve_images))
-        self.group = cokernel(rel)
+        self.snf = u, s, _ = abelian.smith_normal_form(rel)
+        self.group = smith_cokernel(u, s)
         self.potential = {p: self.group.projection @ v for p, v in phi.items()}
 
     def class_of(self, chain):
@@ -625,6 +637,29 @@ class _H1Data:
         if any(boundary.values()):
             raise InvalidDiagram("chain is not a 1-cycle")
         return self.group.from_ambient(total)
+
+    def lift(self, chain, curve_coeffs):
+        """The domain bounded by the edge chain plus sum n_c (curve c), a
+        cycle that must be 0 in H_1 of the surface.
+
+        H_2 of the skeleton is 0, so the 2-chain is unique.  Root first
+        along C*, with the outside node at 0, region r is solved from its C*
+        edge e: n_r = (z_e - n_parent col_parent[e]) / col_r[e], col_r[e] =
+        +-1.  A region touching the boundary gets 0 from its loop edge.
+        """
+        rest = dict(chain)
+        for m, edges in zip(curve_coeffs, self.curve_edges):
+            for e in edges:
+                rest[e] = rest.get(e, 0) + m
+        coeffs = [0] * self.skeleton.outside
+        for r in self.order[1:]:
+            col = self.skeleton.columns[r]
+            up = self.parent_edge[r]
+            coeffs[r] = n = rest.get(up, 0) * col[up]
+            if n:
+                for e, c in col.items():
+                    rest[e] = rest.get(e, 0) - n * c
+        return DomainVector(tuple(coeffs[r] for r in self.internal))
 
     def difference(self, x, y):
         """eps(x, y): the potentials summed over y minus those over x."""
@@ -733,42 +768,17 @@ def internal_regions(d):
     return [i for i, r in enumerate(d.regions) if r.boundary_circles == 0]
 
 
-def _boundary_rows(d, internal):
-    """Per-arc boundary multiplicity as a row over internal-region coefficients."""
-    occ = d._arc_occurrences()
-    index_of = {r: k for k, r in enumerate(internal)}
-    rows = {}
-    for arc in d.arcs():
-        row = [0] * len(internal)
-        for ridx, sign in occ.get(arc, ()):
-            if ridx in index_of:
-                row[index_of[ridx]] += sign
-        rows[arc] = row
-    return rows
-
-
 def periodic_lattice(d):
     """Integer basis of the periodic domains.
 
-    A domain is periodic when its boundary multiplicity is constant along
-    every curve, so the lattice is the kernel of the map sending region
-    coefficients to per-arc jumps relative to a reference arc on each
-    curve.
+    A domain is periodic when its boundary is a sum n_c (curve c) of whole
+    curves, 0 in H_1 of the surface: n runs over the kernel of the curve
+    image matrix rel, the columns of v past the rank of u rel v = s.
     """
-    d.require_valid()
-    internal = internal_regions(d)
-    rows = _boundary_rows(d, internal)
-    constraints = []
-    for fam, i in d.curves():
-        ref = rows[(fam, i, 0)]
-        for k in range(1, d.curve_arc_count(fam, i)):
-            cur = rows[(fam, i, k)]
-            constraints.append(tuple(a - b for a, b in zip(cur, ref)))
-    if not internal:
-        return []
-    mat = IntMatrix(tuple(constraints) if constraints else ((0,) * len(internal),),
-                    len(constraints) if constraints else 1, len(internal))
-    return [DomainVector(tuple(col)) for col in kernel_basis(mat)]
+    data = _h1data(d)
+    _, _, v = data.snf
+    rank = data.rank - data.group.free_rank
+    return [data.lift({}, v.column(j)) for j in range(rank, v.cols)]
 
 
 def admissible_lattice(basis):
@@ -800,35 +810,23 @@ def is_admissible(d):
 def connecting_domains(d, x, y):
     """A domain joining two generators, if any.
 
-    Solves the integer system saying the domain boundary runs along the
-    alpha curves from x to y and along the beta curves from y to x, up to
-    adding full curves.  Returns (particular DomainVector, periodic basis)
-    or None; None happens exactly when eps(x, y) != 0.
+    Its boundary runs along the alpha curves from x to y and along the beta
+    curves from y to x, up to adding full curves.  Returns (particular
+    DomainVector, periodic basis), or None exactly when eps(x, y) != 0.
     """
     d.require_balanced()
     _check_generator(d, x)
     _check_generator(d, y)
-    internal = internal_regions(d)
-    rows = _boundary_rows(d, internal)
-    curves = list(d.curves())
-    curve_col = {c: len(internal) + t for t, c in enumerate(curves)}
-    ncols = len(internal) + len(curves)
-    path = _eps_chain(d, x, y)
-    arc_list = list(d.arcs())
-    mat_rows = []
-    rhs = []
-    for arc in arc_list:
-        row = [0] * ncols
-        row[:len(internal)] = rows[arc]
-        row[curve_col[(arc[0], arc[1])]] = -1
-        mat_rows.append(tuple(row))
-        rhs.append(path.get(arc, 0))
-    if not mat_rows:
-        return (DomainVector(()), periodic_lattice(d))
-    sol = solve_integer(IntMatrix(tuple(mat_rows), len(mat_rows), ncols), rhs)
-    if sol is None:
+    data = _h1data(d)
+    if not data.difference(x, y).is_identity():
         return None
-    return DomainVector(tuple(sol[:len(internal)])), periodic_lattice(d)
+    # rel n = -image(chain); eps = 0 makes every division by s exact
+    u, s, v = data.snf
+    chain = {data.skeleton.arc_edge[arc]: c for arc, c in _eps_chain(d, x, y).items()}
+    image = [-sum(c * data.images[e][j] for e, c in chain.items()) for j in range(data.rank)]
+    rank = data.rank - data.group.free_rank
+    n = [t // s[i, i] for i, t in enumerate((u @ image)[:rank])] + [0] * (v.rows - rank)
+    return data.lift(chain, v @ n), periodic_lattice(d)
 
 
 # -- signs and the Euler polynomial -----------------------------------------------------

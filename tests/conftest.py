@@ -245,6 +245,24 @@ def nested_circles_annulus():
     })
 
 
+def s1xs2_minus_ball():
+    """S^1 x S^2 minus a ball on the genus-1 surface with one boundary circle:
+    alpha and beta meet twice with opposite signs, so alpha - beta bounds
+    and the periodic lattice has rank 1, with H_1(M) = Z; admissible."""
+    return SuturedDiagram.from_json({
+        "genus": 1,
+        "boundary_circles": 1,
+        "alpha": [["P0", "P1"]],
+        "beta": [["P0", "P1"]],
+        "crossing_sign": {"P0": 1, "P1": -1},
+        "regions": [
+            {"cycles": [["a1.0", "-b1.0"]], "boundary_circles": 0},
+            {"cycles": [["b1.1", "-a1.1"]], "boundary_circles": 0},
+            {"cycles": [["a1.1", "b1.0"], ["-a1.0", "-b1.1"]], "boundary_circles": 1},
+        ],
+    })
+
+
 def t312_json():
     return {
         "genus": 1,

@@ -1,9 +1,12 @@
-"""Test-side oracles for H_1(M), eps and the unit normal form.
+"""Test-side oracles for H_1(M), eps, domains and the unit normal form.
 
 The Smith-normal-form path that the library used before its tree-cotree
 decomposition, kept here as an independent check: a dense boundary
 matrix d1 of the cell structure, an SNF for the kernel basis of d1, an
-SNF of that basis, and one solve per relation and per 1-cycle.  Next to
+SNF of that basis, and one solve per relation and per 1-cycle.  The
+periodic and connecting domains as the library found them before it
+lifted them along the dual tree: an SNF kernel and an SNF solve on the
+(#arcs) x (#internal regions + #curves) boundary system.  Next to
 it, the quadratic ``doteq_normalize`` that translates by every support
 element, the explicit path chains of eps walked in either direction, the
 Euler polynomial as the signed sum over every generator (the Leibniz
@@ -13,10 +16,35 @@ minus a ball.
 """
 
 from sutured_kit.abelian import (GroupElement, GroupRingElem, IntMatrix,
-                                 cokernel, kernel_basis, ring_neg,
-                                 ring_translate, ring_zero, smith_normal_form)
-from sutured_kit.diagram import epsilon, generator_sign, generators, h1_of_M
+                                 cokernel, ring_neg, ring_translate,
+                                 ring_zero, smith_normal_form)
+from sutured_kit.diagram import (DomainVector, _check_generator, _eps_chain,
+                                 epsilon, generator_sign, generators, h1_of_M,
+                                 internal_regions)
 from sutured_kit.errors import InvalidDiagram
+
+
+def kernel_basis(a):
+    """Basis of the integer kernel {x : a*x = 0}, as a list of column vectors."""
+    _, d, v = smith_normal_form(a)
+    rank = sum(1 for i in range(min(a.rows, a.cols)) if d[i, i] != 0)
+    return [v.column(j) for j in range(rank, a.cols)]
+
+
+def solve_integer(a, b):
+    """One integer solution x of a*x = b, or None when there is none."""
+    u, d, v = smith_normal_form(a)
+    c = u @ tuple(b)
+    y = [0] * a.cols
+    for i in range(a.rows):
+        di = d[i, i] if i < min(a.rows, a.cols) else 0
+        if di != 0:
+            if c[i] % di != 0:
+                return None
+            y[i] = c[i] // di
+        elif c[i] != 0:
+            return None
+    return v @ y
 
 
 class SnfSkeleton:
@@ -118,6 +146,78 @@ class SnfH1:
         for arc, c in chain.items():
             vec[self.skeleton.arc_edge[arc]] += c
         return self.group.from_ambient(self._coords(vec))
+
+
+def _boundary_rows(d, internal):
+    """Per-arc boundary multiplicity as a row over internal-region coefficients."""
+    occ = d._arc_occurrences()
+    index_of = {r: k for k, r in enumerate(internal)}
+    rows = {}
+    for arc in d.arcs():
+        row = [0] * len(internal)
+        for ridx, sign in occ.get(arc, ()):
+            if ridx in index_of:
+                row[index_of[ridx]] += sign
+        rows[arc] = row
+    return rows
+
+
+def snf_periodic_lattice(d):
+    """Integer basis of the periodic domains.
+
+    A domain is periodic when its boundary multiplicity is constant along
+    every curve, so the lattice is the kernel of the map sending region
+    coefficients to per-arc jumps relative to a reference arc on each
+    curve.
+    """
+    d.require_valid()
+    internal = internal_regions(d)
+    rows = _boundary_rows(d, internal)
+    constraints = []
+    for fam, i in d.curves():
+        ref = rows[(fam, i, 0)]
+        for k in range(1, d.curve_arc_count(fam, i)):
+            cur = rows[(fam, i, k)]
+            constraints.append(tuple(a - b for a, b in zip(cur, ref)))
+    if not internal:
+        return []
+    mat = IntMatrix(tuple(constraints) if constraints else ((0,) * len(internal),),
+                    len(constraints) if constraints else 1, len(internal))
+    return [DomainVector(tuple(col)) for col in kernel_basis(mat)]
+
+
+def snf_connecting_domains(d, x, y):
+    """A domain joining two generators, if any.
+
+    Solves the integer system saying the domain boundary runs along the
+    alpha curves from x to y and along the beta curves from y to x, up to
+    adding full curves.  Returns (particular DomainVector, periodic basis)
+    or None; None happens exactly when eps(x, y) != 0.
+    """
+    d.require_balanced()
+    _check_generator(d, x)
+    _check_generator(d, y)
+    internal = internal_regions(d)
+    rows = _boundary_rows(d, internal)
+    curves = list(d.curves())
+    curve_col = {c: len(internal) + t for t, c in enumerate(curves)}
+    ncols = len(internal) + len(curves)
+    path = _eps_chain(d, x, y)
+    arc_list = list(d.arcs())
+    mat_rows = []
+    rhs = []
+    for arc in arc_list:
+        row = [0] * ncols
+        row[:len(internal)] = rows[arc]
+        row[curve_col[(arc[0], arc[1])]] = -1
+        mat_rows.append(tuple(row))
+        rhs.append(path.get(arc, 0))
+    if not mat_rows:
+        return (DomainVector(()), snf_periodic_lattice(d))
+    sol = solve_integer(IntMatrix(tuple(mat_rows), len(mat_rows), ncols), rhs)
+    if sol is None:
+        return None
+    return DomainVector(tuple(sol[:len(internal)])), snf_periodic_lattice(d)
 
 
 def curve_walk(d, fam, i, p, q, backward=False):

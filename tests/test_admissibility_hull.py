@@ -13,7 +13,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_force_admissible, circle_pairs_disk, lp_admissible
+from conftest import brute_force_admissible, circle_pairs_disk, lp_admissible, s1xs2_minus_ball
 from sutured_kit import cli
 from sutured_kit.diagram import DomainVector, admissible_lattice, is_admissible, periodic_lattice
 from sutured_kit.errors import DimensionTooLarge
@@ -87,6 +87,13 @@ def test_circle_pairs_are_inadmissible(k):
     basis = [v.coefficients for v in periodic_lattice(d)]
     assert len(basis) == 2 * k
     assert not is_admissible(d) and not lp_admissible(basis)
+
+
+def test_genus_one_lattice_reaches_the_hull():
+    d = s1xs2_minus_ball()
+    basis = [v.coefficients for v in periodic_lattice(d)]
+    assert basis == [(-1, 1)]
+    assert is_admissible(d) and lp_admissible(basis)
 
 
 def test_check_refuses_a_rank_eight_lattice(capsys, tmp_path):

@@ -1,14 +1,21 @@
 import json
 import random
+from functools import partial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (annulus_with_core_alpha, brute_force_admissible,
-                      nested_circles_annulus, rename_points,
-                      swap_alpha_curves, t312_sign_variant, two_circles_disk)
+                      circle_pairs_disk, lp_admissible, nested_circles_annulus,
+                      rename_points, rotate_curve, s1xs2_minus_ball,
+                      swap_alpha_curves, t312_json, t312_sign_variant,
+                      two_circles_disk)
+from h1_oracle import (_boundary_rows, chain_diagram, lens_diagram,
+                       snf_connecting_domains, snf_periodic_lattice,
+                       solve_integer, torus_diagram)
 from sutured_kit import fixtures
-from sutured_kit.abelian import GroupRingElem, doteq_equal
-from sutured_kit.diagram import (GeneratorMatching, SuturedDiagram,
+from sutured_kit.abelian import GroupRingElem, IntMatrix, doteq_equal
+from sutured_kit.diagram import (GeneratorMatching, SuturedDiagram, _eps_chain,
                                  admissible_lattice, connecting_domains,
                                  epsilon, euler_characteristics,
                                  euler_polynomial, generator_sign, generators,
@@ -18,10 +25,16 @@ from sutured_kit.diagram import (GeneratorMatching, SuturedDiagram,
 from sutured_kit.errors import InvalidDiagram, NotAGenerator, NotBalanced
 
 ALL_DIAGRAMS = fixtures.diagram_names()
+DOMAIN_DIAGRAMS = ALL_DIAGRAMS + ["s1xs2"]
 
 
 def load(name):
     return fixtures.load_diagram(name)
+
+
+def load_domain_case(name):
+    """A bundled fixture, or the genus-1 diagram with a periodic domain."""
+    return s1xs2_minus_ball() if name == "s1xs2" else load(name)
 
 
 class TestValidate:
@@ -304,10 +317,9 @@ class TestSpincPartition:
 
 
 class TestDomains:
-    @pytest.mark.parametrize("name", ALL_DIAGRAMS)
+    @pytest.mark.parametrize("name", DOMAIN_DIAGRAMS)
     def test_lattice_vectors_are_periodic(self, name):
-        from sutured_kit.diagram import _boundary_rows
-        d = load(name)
+        d = load_domain_case(name)
         basis = periodic_lattice(d)
         internal = internal_regions(d)
         rows = _boundary_rows(d, internal)
@@ -337,13 +349,12 @@ class TestDomains:
         assert not brute_force_admissible([(1, 1, 0)])
         assert brute_force_admissible([(1, -1, 0)])
 
-    @pytest.mark.parametrize("name", ALL_DIAGRAMS)
+    @pytest.mark.parametrize("name", DOMAIN_DIAGRAMS)
     def test_connecting_domains_iff_eps_zero(self, name):
-        d = load(name)
+        d = load_domain_case(name)
         gens = generators(d)
         grp, _ = h1_of_M(d)
         internal = internal_regions(d)
-        from sutured_kit.diagram import _boundary_rows, _eps_chain
         rows = _boundary_rows(d, internal)
         for x in gens:
             for y in gens:
@@ -372,6 +383,92 @@ class TestDomains:
         gens = generators(d)
         dom, _ = connecting_domains(d, gens[0], gens[0])
         assert all(c == 0 for c in dom.coefficients)
+
+
+def in_span(basis, vec):
+    """vec is an integer combination of the basis vectors."""
+    if not basis:
+        return not any(vec)
+    cols = [b.coefficients for b in basis]
+    a = IntMatrix(tuple(zip(*cols)), len(vec), len(cols))
+    return solve_integer(a, vec) is not None
+
+
+def same_span(basis, other):
+    """Each basis solves integrally in the other."""
+    return (len(basis) == len(other) and all(in_span(other, v.coefficients) for v in basis)
+            and all(in_span(basis, v.coefficients) for v in other))
+
+
+def sample_pairs(d, limit=3):
+    """Generator pairs over a few evenly spaced generators, plus two distinct
+    generators of one Spin^c class where a class has two."""
+    gens = generators(d)
+    picks = gens if len(gens) <= limit else gens[::len(gens) // limit][:limit]
+    pairs = [(x, y) for x in picks for y in picks]
+    for cls in spinc_partition(d).classes:
+        if len(cls) > 1:
+            return pairs + [(gens[cls[0]], gens[cls[-1]])]
+    return pairs
+
+
+def built(builder, *args):
+    return SuturedDiagram.from_json(builder(*args))
+
+
+ORACLE_DIAGRAMS = dict(
+    [(name, partial(load, name)) for name in ALL_DIAGRAMS]
+    + [(f"pairs-{k}", partial(circle_pairs_disk, k)) for k in range(1, 5)]
+    + [("nested", nested_circles_annulus), ("core_alpha", annulus_with_core_alpha),
+       ("t312_json", partial(built, t312_json)), ("s1xs2", s1xs2_minus_ball)]
+    + [(f"torus-{p}", partial(built, torus_diagram, p)) for p in (8, 60)]
+    + [(f"chain-{k}", partial(built, chain_diagram, k)) for k in (3, 10)])
+
+
+class TestDomainsAgainstSnfOracle:
+    """The lattice and the connecting domains lifted along the dual tree
+    against the SNF solves of h1_oracle on the full boundary system."""
+
+    @pytest.mark.parametrize("name", list(ORACLE_DIAGRAMS))
+    def test_lattice_has_the_oracle_span(self, name):
+        d = ORACLE_DIAGRAMS[name]()
+        assert same_span(periodic_lattice(d), snf_periodic_lattice(d))
+
+    @pytest.mark.parametrize("name", [name for name, build in ORACLE_DIAGRAMS.items()
+                                      if build().is_balanced()])
+    def test_connecting_domains_match_oracle(self, name):
+        d = ORACLE_DIAGRAMS[name]()
+        lattice = periodic_lattice(d)
+        for x, y in sample_pairs(d):
+            got, want = connecting_domains(d, x, y), snf_connecting_domains(d, x, y)
+            assert (got is None) == (want is None)
+            if got is not None:
+                diff = [a - b for a, b in zip(got[0].coefficients, want[0].coefficients)]
+                assert in_span(lattice, diff)
+
+
+@st.composite
+def rotated_diagrams(draw):
+    """A diagram with periodic domains or without, one curve started at a
+    random point."""
+    data = draw(st.sampled_from((
+        lambda: circle_pairs_disk(draw(st.integers(1, 3))).to_json(),
+        lambda: s1xs2_minus_ball().to_json(),
+        lambda: nested_circles_annulus().to_json(),
+        lambda: torus_diagram(draw(st.integers(2, 10))),
+        lambda: lens_diagram(draw(st.integers(2, 10))),
+        lambda: chain_diagram(draw(st.integers(1, 4))))))()
+    family = draw(st.sampled_from(("alpha", "beta")))
+    i = draw(st.integers(0, len(data[family]) - 1))
+    return SuturedDiagram.from_json(rotate_curve(data, family, i, draw(st.integers(0, 5))))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(rotated_diagrams())
+def test_lattice_span_and_admissibility_match_oracles(d):
+    lattice = periodic_lattice(d)
+    assert same_span(lattice, snf_periodic_lattice(d))
+    assert is_admissible(d) == lp_admissible([v.coefficients for v in lattice])
 
 
 class TestSignsAndEulerPolynomial:

@@ -6,14 +6,16 @@ import random
 
 import pytest
 
+from conftest import s1xs2_minus_ball
 from h1_oracle import (SnfH1, chain_diagram, eps_chain,
                        quadratic_doteq_normalize, snf_spinc_classes,
                        torus_diagram)
 from sutured_kit import abelian, cli, fixtures
 from sutured_kit.abelian import FinAbGroup, GroupRingElem
-from sutured_kit.diagram import (SuturedDiagram, _eps_chain, epsilon,
-                                 euler_polynomial, generator_sign, generators,
-                                 h1_of_M, spinc_partition)
+from sutured_kit.diagram import (SuturedDiagram, _eps_chain, connecting_domains,
+                                 epsilon, euler_polynomial, generator_sign,
+                                 generators, h1_of_M, is_admissible,
+                                 spinc_partition)
 from sutured_kit.errors import InvalidDiagram
 
 ALL_DIAGRAMS = fixtures.diagram_names()
@@ -107,21 +109,38 @@ class TestPotentials:
         assert class_of({("a", 0, k): 1 for k in range(3)}) == grp.identity()
 
 
+@pytest.fixture
+def snf_shapes(monkeypatch):
+    """(rows, cols) of every Smith normal form computed during the test."""
+    shapes = []
+    real = abelian.smith_normal_form
+
+    def recording(a):
+        shapes.append((a.rows, a.cols))
+        return real(a)
+
+    monkeypatch.setattr(abelian, "smith_normal_form", recording)
+    return shapes
+
+
 class TestStructure:
-    def test_euler_needs_no_large_snf(self, monkeypatch):
+    def test_euler_needs_no_large_snf(self, snf_shapes):
         d = family("torus", 60)
-        shapes = []
-        real = abelian.smith_normal_form
-
-        def recording(a):
-            shapes.append((a.rows, a.cols))
-            return real(a)
-
-        monkeypatch.setattr(abelian, "smith_normal_form", recording)
         poly, _ = euler_polynomial(d)
         assert len(poly.support()) == 60
         bound = 2 * d.genus + d.boundary_circles - 1
-        assert shapes and max(rows for rows, _ in shapes) <= bound
+        assert snf_shapes and max(rows for rows, _ in snf_shapes) <= bound
+
+    @pytest.mark.parametrize("build", [lambda: family("torus", 60), s1xs2_minus_ball],
+                             ids=["torus-60", "s1xs2"])
+    def test_domains_need_no_large_snf(self, snf_shapes, build):
+        d = build()
+        gens = generators(d)
+        assert is_admissible(d)
+        assert connecting_domains(d, gens[0], gens[0]) is not None
+        connecting_domains(d, gens[0], gens[-1])
+        bound = 2 * d.genus + d.boundary_circles - 1
+        assert snf_shapes and max(rows for rows, _ in snf_shapes) <= bound
 
 
 def random_element(rng, g, terms):
