@@ -15,4 +15,13 @@ Modules:
 
 __version__ = "0.1.0"
 
-from . import abelian, diagram, errors, fixtures, fox, maslov, oracle, polytope  # noqa: F401
+import importlib
+
+from . import abelian, diagram, errors, fixtures, fox, oracle, polytope  # noqa: F401
+
+
+def __getattr__(name):
+    # ``maslov`` loads numpy, so it is imported on first use (PEP 562)
+    if name == "maslov":
+        return importlib.import_module(".maslov", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

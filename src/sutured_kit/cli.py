@@ -7,10 +7,11 @@ error.
 """
 
 import argparse
+import functools
 import json
 import sys
 
-from . import abelian, diagram, fixtures, fox, maslov, oracle, polytope
+from . import abelian, diagram, fixtures, fox, oracle, polytope
 from .errors import SuturedKitError, expect
 
 
@@ -30,7 +31,10 @@ def _emit(payload):
 
 def _load_json_file(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to parse") from None
 
 
 def _load_diagram(path):
@@ -158,6 +162,7 @@ def cmd_oracle(args):
 
 
 def cmd_maslov(args):
+    from . import maslov     # the one subcommand that needs numpy
     data = expect(_load_json_file(args.input), dict, "maslov JSON")
     kind = args.kind or expect(data.get("kind"), str, "kind")
     samples = maslov.samples_from_json(data.get("samples"))
@@ -183,7 +188,9 @@ def cmd_fixtures(args):
 
 # -- wiring ---------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The one parser of the process; ``parse_args`` keeps no state in it."""
     parser = _Parser(prog="sutured-kit",
                      description="Combinatorial invariants of balanced sutured "
                                  "3-manifolds")
@@ -263,6 +270,9 @@ def main(argv=None):
         return 1
     except FileNotFoundError as exc:
         _emit({"error": "file_not_found", "detail": str(exc)})
+        return 1
+    except OSError as exc:        # a directory, no read permission, ...
+        _emit({"error": "file_unreadable", "detail": str(exc)})
         return 1
     except ValueError as exc:     # json.JSONDecodeError included
         _emit({"error": "bad_input", "detail": str(exc)})

@@ -123,3 +123,7 @@ class OddSutureCount(SuturedKitError):
 
 class NonCoprime(SuturedKitError):
     code = "non_coprime"
+
+
+class ResultTooLarge(SuturedKitError):
+    code = "result_too_large"

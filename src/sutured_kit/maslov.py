@@ -14,8 +14,6 @@ end.  The same drop after a small positive spectral shift must agree, or
 an endpoint eigenvalue lies too close to zero to count.
 """
 
-import cmath
-
 import numpy as np
 
 from .errors import (CrossingCountMismatch, EndpointSingular, LoopNotClosed,
@@ -29,15 +27,23 @@ CROSSING_SHIFT = 1e-8
 MAX_PHASE_STEP = np.pi / 2
 
 
-def _as_complex_square(samples):
-    mats = [np.asarray(a, dtype=complex) for a in samples]
-    if not mats:
+def _as_stack(samples, dtype):
+    """The samples as one (N, n, n) array of ``dtype``, N >= 1."""
+    if len(samples) == 0:
         raise ValueError("empty sample list")
-    n = mats[0].shape[0]
-    for a in mats:
-        if a.shape != (n, n):
-            raise ValueError("samples must be square matrices of equal size")
-    return mats, n
+    try:
+        stack = np.asarray(samples, dtype=dtype)
+    except ValueError:      # ragged: fails the shape test below
+        stack = np.empty(0)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ValueError("samples must be square matrices of equal size")
+    return stack
+
+
+def _first(flags):
+    """Index of the first True in a boolean array, or None."""
+    hits = np.flatnonzero(flags)
+    return int(hits[0]) if hits.size else None
 
 
 class UnitaryLoop:
@@ -48,18 +54,19 @@ class UnitaryLoop:
     """
 
     def __init__(self, samples):
-        mats, n = _as_complex_square(samples)
-        if len(mats) < 2:
+        stack = _as_stack(samples, complex)
+        if len(stack) < 2:
             raise ValueError("a loop needs at least two samples")
-        eye = np.eye(n)
-        for k, a in enumerate(mats):
-            if np.linalg.norm(a.conj().T @ a - eye) > UNITARY_TOL * max(1.0, n):
-                raise NotUnitary(f"sample {k} is not unitary within {UNITARY_TOL}")
-        closure = np.linalg.solve(mats[-1], mats[0])
+        n = stack.shape[1]
+        defect = stack.conj().transpose(0, 2, 1) @ stack - np.eye(n)
+        k = _first(np.linalg.norm(defect, axis=(1, 2)) > UNITARY_TOL * max(1.0, n))
+        if k is not None:
+            raise NotUnitary(f"sample {k} is not unitary within {UNITARY_TOL}")
+        closure = np.linalg.solve(stack[-1], stack[0])
         if np.linalg.norm(closure.imag) > UNITARY_TOL * max(1.0, n):
             raise LoopNotClosed("A(1)^-1 A(0) is not real orthogonal; the loop "
                                 "does not close as Lagrangian subspaces")
-        self.samples = mats
+        self.samples = stack
         self.n = n
 
     def closes_in_group(self):
@@ -71,35 +78,30 @@ class SymmetricPath:
     """Sampled path of real symmetric matrices with invertible endpoints."""
 
     def __init__(self, samples):
-        mats = [np.asarray(a, dtype=float) for a in samples]
-        if len(mats) < 2:
+        stack = _as_stack(samples, float)
+        if len(stack) < 2:
             raise ValueError("a path needs at least two samples")
-        n = mats[0].shape[0]
-        for k, a in enumerate(mats):
-            if a.shape != (n, n):
-                raise ValueError("samples must be square matrices of equal size")
-            if np.linalg.norm(a - a.T) > SYMMETRY_TOL * max(1.0, n):
-                raise NotSymmetric(f"sample {k} is not symmetric within {SYMMETRY_TOL}")
-        for which, a in (("start", mats[0]), ("end", mats[-1])):
+        n = stack.shape[1]
+        asym = np.linalg.norm(stack - stack.transpose(0, 2, 1), axis=(1, 2))
+        k = _first(asym > SYMMETRY_TOL * max(1.0, n))
+        if k is not None:
+            raise NotSymmetric(f"sample {k} is not symmetric within {SYMMETRY_TOL}")
+        for which, a in (("start", stack[0]), ("end", stack[-1])):
             if np.min(np.abs(np.linalg.eigvalsh(a))) <= ENDPOINT_TOL:
                 raise EndpointSingular(f"{which} matrix has an eigenvalue within "
                                        f"{ENDPOINT_TOL} of zero")
-        self.samples = mats
+        self.samples = stack
         self.n = n
 
 
 def _winding(dets, power):
-    total = 0.0
-    prev = dets[0] ** power
-    for z in dets[1:]:
-        cur = z ** power
-        step = cmath.phase(cur / prev)
-        if abs(step) >= MAX_PHASE_STEP:
-            raise SamplingTooCoarse(
-                f"phase increment {step:.3f} exceeds pi/2; refine the sampling")
-        total += step
-        prev = cur
-    turns = total / (2 * np.pi)
+    powered = dets ** power
+    steps = np.angle(powered[1:] / powered[:-1])
+    k = _first(np.abs(steps) >= MAX_PHASE_STEP)
+    if k is not None:
+        raise SamplingTooCoarse(
+            f"phase increment {steps[k]:.3f} exceeds pi/2; refine the sampling")
+    turns = float(steps.sum()) / (2 * np.pi)
     nearest = round(turns)
     if abs(turns - nearest) > 0.25:
         raise SamplingTooCoarse("accumulated phase is far from an integer turn count")
@@ -108,16 +110,14 @@ def _winding(dets, power):
 
 def maslov_loop_index(loop):
     """Degree of det^2 along a loop of Lagrangian frames."""
-    dets = [np.linalg.det(a) for a in loop.samples]
-    return _winding(dets, 2)
+    return _winding(np.linalg.det(loop.samples), 2)
 
 
 def symplectic_loop_index(loop):
     """Degree of det along a loop in the unitary group itself."""
     if not loop.closes_in_group():
         raise LoopNotClosedInGroup("loop does not close in U(n)")
-    dets = [np.linalg.det(a) for a in loop.samples]
-    return _winding(dets, 1)
+    return _winding(np.linalg.det(loop.samples), 1)
 
 
 def _negative_count(a, shift=0.0):

@@ -7,11 +7,20 @@ which the rank in grading i is binomial(k, floor(i/p)) for
 boundary annuli multiplies total ranks, removing two sutures; closed
 manifolds with n balls removed contribute a factor 2^(n-1); connected
 sums of sutured pieces contribute an extra factor of 2.
+
+Ranks grow exponentially in the inputs, so each calculator bounds its
+inputs before computing and raises ResultTooLarge past the bound.
 """
 
 from math import comb, gcd
 
-from .errors import NonCoprime, NonPositiveRank, OddSutureCount
+from .errors import NonCoprime, NonPositiveRank, OddSutureCount, ResultTooLarge
+
+# A rank below 2^MAX_RANK_BITS has at most 4215 decimal digits, so it prints
+# under CPython's default 4300-digit limit on int-to-str conversion.
+MAX_RANK_BITS = 14_000
+# A solid-torus table has p(k+1) gradings of at most k+1 bits each.
+MAX_TABLE_BITS = 2 ** 18
 
 
 class RankTable:
@@ -68,6 +77,9 @@ def solid_torus_sfh(p, q, n):
     """Rank table of the solid torus with n parallel (p, q) sutures."""
     _check_torus_params(p, q, n)
     k = (n - 2) // 2
+    if p * (k + 1) ** 2 > MAX_TABLE_BITS:
+        raise ResultTooLarge(f"p = {p} and n = {n} give {p * (k + 1)} ranks of up to "
+                             f"2^{k}; p * (n/2)^2 must be at most {MAX_TABLE_BITS}")
     return RankTable({i: comb(k, i // p) for i in range(p * (k + 1))})
 
 
@@ -85,6 +97,9 @@ def closed_manifold_rank(hf_rank, n):
         raise NonPositiveRank(f"rank must be positive, got {hf_rank}")
     if n < 1:
         raise NonPositiveRank(f"ball count must be positive, got {n}")
+    if hf_rank.bit_length() + n - 1 > MAX_RANK_BITS:
+        raise ResultTooLarge(f"ball count n = {n} and a rank of {hf_rank.bit_length()} bits "
+                             f"give a rank of more than {MAX_RANK_BITS} bits")
     return hf_rank * 2 ** (n - 1)
 
 
@@ -97,4 +112,7 @@ def connected_sum_rank(a, b, with_closed=False):
     a, b = int(a), int(b)
     if a < 1 or b < 1:
         raise NonPositiveRank("ranks must be positive")
+    if a.bit_length() + b.bit_length() + 1 > MAX_RANK_BITS:
+        raise ResultTooLarge(f"ranks a and b of {a.bit_length()} and {b.bit_length()} bits "
+                             f"give a rank of more than {MAX_RANK_BITS} bits")
     return a * b if with_closed else 2 * a * b

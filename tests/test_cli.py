@@ -373,3 +373,104 @@ class TestInputShape:
                 for seed in ("1", "2", "3")}
         assert len(outs) == 1
         assert json.loads(outs.pop())["error"] == "invalid_diagram"
+
+
+class TestUnreadableInput:
+    def test_directory(self, capsys, tmp_path):
+        code, data = run_json(capsys, "euler", str(tmp_path))
+        assert code == 1 and data["error"] == "file_unreadable"
+        assert str(tmp_path) in data["detail"]
+
+    @pytest.mark.skipif(os.name != "posix" or os.geteuid() == 0,
+                        reason="root reads a file without read permission")
+    def test_no_read_permission(self, capsys, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(fixtures._load_json("t212.json")))
+        path.chmod(0)
+        try:
+            code, data = run_json(capsys, "euler", str(path))
+        finally:
+            path.chmod(0o600)
+        assert code == 1 and data["error"] == "file_unreadable"
+
+    @pytest.mark.parametrize("argv", [("euler",), ("torsion",), ("polytope", "--support"),
+                                      ("maslov",)])
+    def test_deeply_nested_json(self, capsys, tmp_path, argv):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        code, data = run_json(capsys, *argv, str(path))
+        assert code == 1 and data["error"] == "bad_input"
+        assert "nested too deeply" in data["detail"]
+
+
+class TestOracleBounds:
+    @pytest.mark.parametrize("argv,named", [
+        (("--closed", "1", "20000"), "n = 20000"),
+        (("--solid-torus", "1", "0", "30000"), "n = 30000"),
+        (("--solid-torus", "1", "0", "100000000"), "n = 100000000"),
+    ])
+    def test_refused_before_computing(self, capsys, argv, named):
+        code, data = run_json(capsys, "oracle", *argv)
+        assert code == 1 and data["error"] == "result_too_large"
+        assert named in data["detail"]
+
+
+class TestOneParser:
+    """The parser is built once per process and holds no state between calls."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_no_flag_carries_over(self, capsys, tmp_path, monkeypatch):
+        support = tmp_path / "support.json"
+        support.write_text(json.dumps({"dimension": 2, "points": [[1, 1], [3, 1], [1, 3]]}))
+        loop = tmp_path / "loop.json"
+        steps = 64
+        loop.write_text(json.dumps({"samples": [
+            [[{"re": float(np.cos(2 * np.pi * k / steps)),
+               "im": float(np.sin(2 * np.pi * k / steps))}]] for k in range(steps + 1)]}))
+        d, p = fixture_path("t212"), fixture_path("t212_pres")
+        calls = [("polytope", "--support", str(support), "--canonical"),
+                 ("polytope", "--support", str(support)),
+                 ("crosscheck", "--allow-inversion", d, p),
+                 ("crosscheck", d, p),
+                 ("maslov", "--kind", "symplectic_loop", str(loop)),
+                 ("maslov", str(loop))]
+        usage_errors = [("polytope", "--support", str(support), "--diagram", d),
+                        ("crosscheck", "--allow-inversion", d),
+                        ("maslov", "--kind", "nope", str(loop))]
+        fresh_parser = cli.build_parser.__wrapped__
+        with monkeypatch.context() as m:
+            m.setattr(cli, "build_parser", fresh_parser)
+            fresh = [run(capsys, *argv) for argv in calls]
+        got = []
+        for i, argv in enumerate(calls):
+            assert (vars(cli.build_parser().parse_args(argv))
+                    == vars(fresh_parser().parse_args(argv)))
+            got.append(run(capsys, *argv))
+            code, data = run_json(capsys, *usage_errors[i % len(usage_errors)])
+            assert code == 2 and data["error"] == "usage"
+        assert got == fresh
+        # each flag shows in the output, so a flag left over would show too
+        assert fresh[0] != fresh[1]
+        assert fresh[4][0] == 0 and json.loads(fresh[4][1])["index"] == 1
+        assert fresh[5][0] == 1 and "kind" in json.loads(fresh[5][1])["detail"]
+
+
+def test_numpy_is_loaded_only_by_maslov(tmp_path):
+    loop = tmp_path / "loop.json"
+    loop.write_text(json.dumps({"kind": "symplectic_loop",
+                                "samples": [[[1.0]], [[1.0]]]}))
+    script = (
+        "import sys, sutured_kit.cli\n"
+        "assert 'numpy' not in sys.modules and 'sutured_kit.maslov' not in sys.modules\n"
+        "import sutured_kit\n"
+        "print(sutured_kit.maslov.UnitaryLoop.__name__)\n"
+        f"sys.exit(sutured_kit.cli.main(['maslov', {str(loop)!r}]))\n")
+    src = str(Path(cli.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          check=False, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    name, doc = proc.stdout.split("\n", 1)
+    assert name == "UnitaryLoop"
+    assert json.loads(doc) == {"kind": "symplectic_loop", "index": 0}

@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,14 @@ class TestLoopValidation:
     def test_not_unitary(self):
         with pytest.raises(NotUnitary):
             UnitaryLoop([np.array([[2.0]])] * 3)
+
+    def test_first_bad_sample_reported(self):
+        samples = phase_loop(64, 2)
+        samples[17] = 2 * samples[17]
+        samples[40] = 3 * samples[40]
+        with pytest.raises(NotUnitary) as exc:
+            UnitaryLoop(np.array(samples))
+        assert str(exc.value) == "sample 17 is not unitary within 1e-09"
 
     def test_lagrangian_closure_accepts_sign_flip(self):
         # A(1) = -A(0) closes as Lagrangian subspaces but not in U(1)
@@ -62,6 +72,20 @@ class TestLoopIndices:
         # det^2 advances by 3*pi/4 per step, beyond the pi/2 guard
         with pytest.raises(SamplingTooCoarse):
             maslov_loop_index(UnitaryLoop(phase_loop(8, 3)))
+
+    def test_first_coarse_step_reported(self):
+        # two steps past the guard; the stacked scan names the earlier one,
+        # with the increment a step-by-step scan would print
+        samples = phase_loop(64, 2)
+        samples[20] = samples[20] * np.exp(1.6j)
+        samples[40] = samples[40] * np.exp(-1.7j)
+        dets = [complex(np.linalg.det(a)) for a in samples]
+        steps = [cmath.phase(b / a) for a, b in zip(dets, dets[1:])]
+        first = next(s for s in steps if abs(s) >= np.pi / 2)
+        assert steps.index(first) == 19
+        with pytest.raises(SamplingTooCoarse) as exc:
+            symplectic_loop_index(UnitaryLoop(samples))
+        assert str(exc.value) == f"phase increment {first:.3f} exceeds pi/2; refine the sampling"
 
     def test_known_winding(self):
         rng = np.random.default_rng(5)
@@ -168,6 +192,13 @@ class TestSpectralFlow:
     def test_not_symmetric(self):
         with pytest.raises(NotSymmetric):
             SymmetricPath([np.array([[1.0, 1.0], [0.0, 1.0]])] * 3)
+
+    def test_first_asymmetric_sample_reported(self):
+        samples = [np.eye(2)] * 9
+        samples[3] = samples[6] = np.array([[1.0, 1.0], [0.0, 1.0]])
+        with pytest.raises(NotSymmetric) as exc:
+            SymmetricPath(samples)
+        assert str(exc.value) == "sample 3 is not symmetric within 1e-12"
 
     def test_crossing_mismatch_detected(self):
         # an endpoint eigenvalue inside the regularization window (negative but

@@ -2,8 +2,8 @@ from math import comb, gcd
 
 import pytest
 
-from sutured_kit.errors import NonCoprime, NonPositiveRank, OddSutureCount
-from sutured_kit.oracle import (RankTable, closed_manifold_rank,
+from sutured_kit.errors import NonCoprime, NonPositiveRank, OddSutureCount, ResultTooLarge
+from sutured_kit.oracle import (MAX_RANK_BITS, MAX_TABLE_BITS, RankTable, closed_manifold_rank,
                                 connected_sum_rank, solid_torus_sfh,
                                 tensor_rank_identity)
 
@@ -90,6 +90,34 @@ class TestRankCombinators:
             closed_manifold_rank(0, 1)
         with pytest.raises(NonPositiveRank):
             connected_sum_rank(1, 0)
+
+
+class TestBounds:
+    """Each calculator refuses, before computing, a result that would not print."""
+
+    def test_largest_ranks_print(self):
+        for rank in (closed_manifold_rank(1, MAX_RANK_BITS),
+                     connected_sum_rank(2 ** 6998, 2 ** 6998)):
+            assert rank.bit_length() <= MAX_RANK_BITS
+            assert len(str(rank)) <= 4300
+
+    def test_rank_bound(self):
+        with pytest.raises(ResultTooLarge, match="n = 14001"):
+            closed_manifold_rank(1, MAX_RANK_BITS + 1)
+        with pytest.raises(ResultTooLarge):
+            closed_manifold_rank(3, MAX_RANK_BITS)
+        with pytest.raises(ResultTooLarge):
+            connected_sum_rank(2 ** 7000, 2 ** 6999, with_closed=True)
+
+    def test_table_bound(self):
+        k = int(MAX_TABLE_BITS ** 0.5) - 1
+        table = solid_torus_sfh(1, 0, 2 * k + 2)
+        assert len(table.ranks) == k + 1
+        assert max(table.ranks.values()).bit_length() <= k + 1
+        with pytest.raises(ResultTooLarge, match=f"n = {2 * k + 4}"):
+            solid_torus_sfh(1, 0, 2 * k + 4)
+        with pytest.raises(ResultTooLarge, match=f"p = {MAX_TABLE_BITS + 1}"):
+            solid_torus_sfh(MAX_TABLE_BITS + 1, 1, 2)
 
 
 class TestRankTable:
