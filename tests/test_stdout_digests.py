@@ -1,0 +1,303 @@
+"""Stdout bytes and exit codes of the CLI, pinned by sha256.
+
+Every subcommand runs on every bundled fixture it accepts, plus a few
+oracle and error cases and twenty seeded random support sets of dimension
+1-6 (some of them lower-dimensional in their ambient space).  A change to
+the library that should not move any output must leave every digest in
+place.  To re-pin after an intended output change, run
+
+    PYTHONPATH=src python tests/test_stdout_digests.py
+
+and paste the printed table over ``DIGESTS``.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from sutured_kit import cli, fixtures
+
+
+def _fixture(name):
+    return str(fixtures.fixtures_dir() / fixtures.fixture_info(name).file)
+
+
+def _kinds(kind):
+    return [f.name for f in fixtures.fixture_list() if f.kind == kind]
+
+
+def _random_support(seed):
+    """Distinct lattice points of dimension 1 + seed % 6; every fifth set
+    lies on an affine subspace of lower dimension."""
+    rng = random.Random(seed)
+    r = 1 + seed % 6
+    k = max(0, r - 1 - rng.randrange(r)) if seed % 5 == 2 else r
+    base = [rng.randint(-3, 3) for _ in range(r)]
+    span = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(k)]
+    pts = set()
+    for _ in range(rng.randint(3, 14 if r < 6 else 10)):
+        coeffs = [rng.randint(-2, 2) for _ in range(k)]
+        pts.add(tuple(b + sum(c * v[t] for c, v in zip(coeffs, span))
+                      for t, b in enumerate(base)))
+    pts = sorted(pts)
+    rng.shuffle(pts)
+    return {"dimension": r, "points": [list(p) for p in pts]}
+
+
+def cases(workdir):
+    """(case id, argv) for every pinned run; writes its inputs to workdir."""
+    out = []
+    for name in _kinds("diagram"):
+        for cmd in ("check", "generators", "spinc", "euler"):
+            out.append((f"{cmd} {name}", [cmd, _fixture(name)]))
+        for extra in ([], ["--canonical"]):
+            out.append((" ".join(["polytope --diagram", name] + extra),
+                        ["polytope", "--diagram", _fixture(name)] + extra))
+    for name in _kinds("presentation"):
+        out.append((f"torsion {name}", ["torsion", _fixture(name)]))
+    for name in _kinds("support"):
+        for extra in ([], ["--canonical"]):
+            out.append((" ".join(["polytope --support", name] + extra),
+                        ["polytope", "--support", _fixture(name)] + extra))
+    for dname, pname in fixtures.paired_names():
+        for extra in ([], ["--allow-inversion"]):
+            out.append((" ".join(["crosscheck", dname, pname] + extra),
+                        ["crosscheck", _fixture(dname), _fixture(pname)] + extra))
+    out.append(("crosscheck t104 t212_pres",
+                ["crosscheck", _fixture("t104"), _fixture("t212_pres")]))
+    for argv in (["oracle", "--solid-torus", "2", "1", "2"],
+                 ["oracle", "--solid-torus", "1", "0", "8"],
+                 ["oracle", "--closed", "3", "2"],
+                 ["oracle", "--connected-sum", "2", "3"],
+                 ["oracle", "--connected-sum", "2", "3", "--with-closed"],
+                 ["oracle"],
+                 []):
+        out.append((" ".join(["argv:"] + argv), argv))
+    for cmd, name in (("euler", "t312_pres"), ("torsion", "t212"),
+                      ("check", "pretzel222")):
+        out.append((f"{cmd} {name}", [cmd, _fixture(name)]))
+    out.append(("polytope --support t212", ["polytope", "--support", _fixture("t212")]))
+    for tag, payload in (("dim7", {"dimension": 7, "points": [[0] * 7]}),
+                         ("empty", {"dimension": 2, "points": []})):
+        path = Path(workdir) / f"{tag}.json"
+        path.write_text(json.dumps(payload))
+        out.append((f"polytope --support {tag}", ["polytope", "--support", str(path)]))
+    for seed in range(20):
+        path = Path(workdir) / f"random{seed}.json"
+        path.write_text(json.dumps(_random_support(seed)))
+        extra = ["--canonical"] if seed % 2 else []
+        out.append((" ".join([f"polytope --support random{seed}"] + extra),
+                    ["polytope", "--support", str(path)] + extra))
+    return out
+
+
+def digest(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest(), code
+
+
+DIGESTS = {
+    'check disk':
+        ('9ffc9e37dc7d6192805d29a572fd42cf820be0cb174e834532aedb96ee02b72b', 0),
+    'generators disk':
+        ('ad0662036bba7712819161a3ec782ee9b75674a1d9202f95a1bfd27e9cfc0a7c', 0),
+    'spinc disk':
+        ('c16f7be610234c98db1cc776928f02f5dfbec39dcb067abd33900344997fe46e', 0),
+    'euler disk':
+        ('3ccb8a61a6ec9b693d5bc0714672192300aa94c8eb0be04c7bb988b87cfd7fec', 0),
+    'polytope --diagram disk':
+        ('421b457d9fcbf3426e217970f4639f3f8c28c5d3f0769be74022e3a1e3c7e26c', 0),
+    'polytope --diagram disk --canonical':
+        ('421b457d9fcbf3426e217970f4639f3f8c28c5d3f0769be74022e3a1e3c7e26c', 0),
+    'check annulus':
+        ('9ffc9e37dc7d6192805d29a572fd42cf820be0cb174e834532aedb96ee02b72b', 0),
+    'generators annulus':
+        ('ad0662036bba7712819161a3ec782ee9b75674a1d9202f95a1bfd27e9cfc0a7c', 0),
+    'spinc annulus':
+        ('ec172ba030fbda6bf74571fa4ee821b75a7683cd70d3edfff004dc28778f952b', 0),
+    'euler annulus':
+        ('66c7a25af889ee6222adc73f6dcab13df6fb64c6efe7bf36b6556d6900368cc0', 0),
+    'polytope --diagram annulus':
+        ('5c03805d000275cbf3a2d6e8a12d6d017c5ca346d0b008e8d884c99b424fa1c7', 0),
+    'polytope --diagram annulus --canonical':
+        ('5c03805d000275cbf3a2d6e8a12d6d017c5ca346d0b008e8d884c99b424fa1c7', 0),
+    'check t104':
+        ('9ffc9e37dc7d6192805d29a572fd42cf820be0cb174e834532aedb96ee02b72b', 0),
+    'generators t104':
+        ('eed32ab184fb0f3fc713398a355854b359887c5c68778ccd58ae7fee6a479064', 0),
+    'spinc t104':
+        ('d7cc98ab4caa0bbfbd631b8c786689c6c88be534c61c1c51f8a54ece6de354da', 0),
+    'euler t104':
+        ('0ac28eeaf22fa41d084d894f19498990e72c05f95c7df378e5bdfb08a95a8873', 0),
+    'polytope --diagram t104':
+        ('c6dfc259d7a50e5636dc0f83c2affdcfb7753e891f058654af61afc899245624', 0),
+    'polytope --diagram t104 --canonical':
+        ('c6dfc259d7a50e5636dc0f83c2affdcfb7753e891f058654af61afc899245624', 0),
+    'check t106':
+        ('9ffc9e37dc7d6192805d29a572fd42cf820be0cb174e834532aedb96ee02b72b', 0),
+    'generators t106':
+        ('3d39d2731f6370ad894997387f9c0e77b99d7978165f7a4b64dc8bd131236371', 0),
+    'spinc t106':
+        ('e891393a0f3aa783a0da264d323c6450059b6277f0b4abe2c3423ac4b2108658', 0),
+    'euler t106':
+        ('c6f0cfe72a65fa776015935064835dfaedc21d72e2a6c04ffbb830d15e3a4413', 0),
+    'polytope --diagram t106':
+        ('b7caea273b2b10182d616b52470fe892723a4a2ac023dcb1d34a1cde3c3bb8b8', 0),
+    'polytope --diagram t106 --canonical':
+        ('b7caea273b2b10182d616b52470fe892723a4a2ac023dcb1d34a1cde3c3bb8b8', 0),
+    'check t212':
+        ('9ffc9e37dc7d6192805d29a572fd42cf820be0cb174e834532aedb96ee02b72b', 0),
+    'generators t212':
+        ('7cd3e9c7d80f7dacea88cfb8d4f2a0eb480c6e5e84282a33330be294f655804b', 0),
+    'spinc t212':
+        ('d7cc98ab4caa0bbfbd631b8c786689c6c88be534c61c1c51f8a54ece6de354da', 0),
+    'euler t212':
+        ('1cfb4d653d12fdcd0e7d20a3c9c2f2ba9f4c01e71c641f2d3fdfc88bc4065e9f', 0),
+    'polytope --diagram t212':
+        ('c6dfc259d7a50e5636dc0f83c2affdcfb7753e891f058654af61afc899245624', 0),
+    'polytope --diagram t212 --canonical':
+        ('c6dfc259d7a50e5636dc0f83c2affdcfb7753e891f058654af61afc899245624', 0),
+    'check t312':
+        ('9ffc9e37dc7d6192805d29a572fd42cf820be0cb174e834532aedb96ee02b72b', 0),
+    'generators t312':
+        ('91f42a90012b69509345b23b808f14978d363f281a2ccc366b2f441cb2420a3e', 0),
+    'spinc t312':
+        ('30a7e07c04aea81b176ae08164c0bfc90cd123ee6cefcd1dd22164c616d8488c', 0),
+    'euler t312':
+        ('b136a0f6efe1a452f64a64a9e8fb172eba2196f8fe43f2dd1e3fae131b8e58ca', 0),
+    'polytope --diagram t312':
+        ('b7caea273b2b10182d616b52470fe892723a4a2ac023dcb1d34a1cde3c3bb8b8', 0),
+    'polytope --diagram t312 --canonical':
+        ('b7caea273b2b10182d616b52470fe892723a4a2ac023dcb1d34a1cde3c3bb8b8', 0),
+    'torsion disk_pres':
+        ('9a49ee6d59dd4dae34d0f10f44d0ff28394b46b3cbc2a4f39a3924bdbc891ac1', 0),
+    'torsion annulus_pres':
+        ('d8698e6407d2d435ff6018727d29b6b7241cda8fa0690eb7e89a28f53585dab3', 0),
+    'torsion t212_pres':
+        ('2e3bcb4e318293a05f9af8c24982bc1314692b0414b89d436bad9d7f3ce1988a', 0),
+    'torsion t312_pres':
+        ('dd2dbf4f70bd5156b130336febc4e5bc07a054ae34a55ce242e97beda1aa999d', 0),
+    'torsion trefoil_pres':
+        ('dd547dd06132d26104878fd4256890d22f83f4ea43a9ba17c5a12358d754056d', 0),
+    'polytope --support pretzel222':
+        ('3144ee1e8defcf2c2390816d1c1d1a45113ffc62687b26227779ede55b03c331', 0),
+    'polytope --support pretzel222 --canonical':
+        ('3144ee1e8defcf2c2390816d1c1d1a45113ffc62687b26227779ede55b03c331', 0),
+    'crosscheck disk disk_pres':
+        ('95b1ead316bd435332a87bf66c5529fb61c7b8251118ed42ae60f84a3ef86b77', 0),
+    'crosscheck disk disk_pres --allow-inversion':
+        ('95b1ead316bd435332a87bf66c5529fb61c7b8251118ed42ae60f84a3ef86b77', 0),
+    'crosscheck annulus annulus_pres':
+        ('572c092322757b52f43f1e47df687a537075bbebaeb9eb85d4d3bfad5a37ef8e', 0),
+    'crosscheck annulus annulus_pres --allow-inversion':
+        ('572c092322757b52f43f1e47df687a537075bbebaeb9eb85d4d3bfad5a37ef8e', 0),
+    'crosscheck t212 t212_pres':
+        ('3f6ed72db18aef0b0ed050cd9ca839a51ee8c6922e5ac028c6325af02251d63f', 0),
+    'crosscheck t212 t212_pres --allow-inversion':
+        ('3f6ed72db18aef0b0ed050cd9ca839a51ee8c6922e5ac028c6325af02251d63f', 0),
+    'crosscheck t312 t312_pres':
+        ('4166b51885053798e658628316db413d3ad95d192c51e956ce9fd2dbf36281ef', 0),
+    'crosscheck t312 t312_pres --allow-inversion':
+        ('4166b51885053798e658628316db413d3ad95d192c51e956ce9fd2dbf36281ef', 0),
+    'crosscheck t104 t212_pres':
+        ('920d49b1c1e32bce6e35a439d46f2abac6eb0f3b03e80b8f9f5d63496608ed06', 0),
+    'argv: oracle --solid-torus 2 1 2':
+        ('c8ba2a3ce6f352d7a6199ac2c5ce0af1bdcbd8e7ba160a0b88f1270d0fd05611', 0),
+    'argv: oracle --solid-torus 1 0 8':
+        ('1c22013f64e11aff8afc8b55f678ea9d3b388bdf97a6403bcf08dda4dab49805', 0),
+    'argv: oracle --closed 3 2':
+        ('02d541e2c7461fb40abdf7decb2a8f10030eaa79a3df1184c5e5a38bc1f3f43b', 0),
+    'argv: oracle --connected-sum 2 3':
+        ('057e0a427139d69a99f95a1620e177f403eff01317305dd60aeb1064b4dd86a3', 0),
+    'argv: oracle --connected-sum 2 3 --with-closed':
+        ('02d541e2c7461fb40abdf7decb2a8f10030eaa79a3df1184c5e5a38bc1f3f43b', 0),
+    'argv: oracle':
+        ('6c4b9bd003d96241eeffce3414d71b017e50601f6e6f59383953c2395385c7a2', 2),
+    'argv:':
+        ('4e7c9475035eafb9bf7e761f02facc26066ce9922e521aab455299e9864f284e', 2),
+    'euler t312_pres':
+        ('b599301375312b79368fddb8fc2f2b44b7106aba7502c36f8420e164d57b4ea7', 1),
+    'torsion t212':
+        ('785bad2a9cf3b35702e3bac2bcfeed5984277f5285974da350957118fa1dc276', 1),
+    'check pretzel222':
+        ('b599301375312b79368fddb8fc2f2b44b7106aba7502c36f8420e164d57b4ea7', 1),
+    'polytope --support t212':
+        ('10a37da41f079431aa39426bbd2d39b759578558498646b83e1692e7e7e7b820', 1),
+    'polytope --support dim7':
+        ('705b3a523bb3a4f8c15acc3a8e5ed025f33e7421a54e465c551adf5e47667148', 1),
+    'polytope --support empty':
+        ('2d9ce2af30a0f16f8553f9e7e46ab696509bdbcfdd73cbdfe08615260834eac8', 1),
+    'polytope --support random0':
+        ('d581bc6b7d25b5745abf24aa055bf73870bfaa2424978c80294085171d3df3eb', 0),
+    'polytope --support random1 --canonical':
+        ('ebd913b9f3edf1097a62030037fedf1184e84dc772f337c3e003e7da5bab3ef9', 0),
+    'polytope --support random2':
+        ('336d4c2c6db119ba6b9df3ca3a54f2a4640e7516833f2410439db8b75cae96b6', 0),
+    'polytope --support random3 --canonical':
+        ('8941bad789c4145f581534548b370c416eca85d32e645201d1bc727931388e4c', 0),
+    'polytope --support random4':
+        ('25430da09021d1bbbf7e5551a8bd8a1004dc5a9b808d6b6acbda0073fc98328d', 0),
+    'polytope --support random5 --canonical':
+        ('3131f3686bd8ae98ef2d5829c18860801158c14f72448f3702fa2aec53624c4e', 0),
+    'polytope --support random6':
+        ('0daa1389c47bd27685113322eeacce96cea2710740043c01296db5df66aa649d', 0),
+    'polytope --support random7 --canonical':
+        ('99d3ce76c18315c6af4a83581d63b44ca914946860faa2abac24d1a157b14d03', 0),
+    'polytope --support random8':
+        ('345bbaa227d2653ec3f14e9b1c2af519cd0ef78dbc7989ac3d609ac4cc4fa83b', 0),
+    'polytope --support random9 --canonical':
+        ('a1aa84b4632954d6ceb493803d9ea6a2a8b7155f6abb171b939c92ed456f52d0', 0),
+    'polytope --support random10':
+        ('9f9ea4b70ae55326016b65a1a70fd707f601c8f30b3a7b23d40e905c8701237e', 0),
+    'polytope --support random11 --canonical':
+        ('c5c49b40489c13213b8257888ad31c0f8783d6f610014dc6373a6e02b55c9fcd', 0),
+    'polytope --support random12':
+        ('543a33649e23bea0952764f1f3d71bb962edce99c637684b0ceb10da36ac9221', 0),
+    'polytope --support random13 --canonical':
+        ('598551558e112d850a8d2965d7555981a9a8d14498bd9c5e1ab470210a7d41d5', 0),
+    'polytope --support random14':
+        ('7ce9fea647015c933f1e77b2d8c4c564b49021751f0063ef99c00c5eee3b9dfb', 0),
+    'polytope --support random15 --canonical':
+        ('0a48848635d3e94bdddd36df59b600ec596a891c4d3e95bc64d0ed85b0031145', 0),
+    'polytope --support random16':
+        ('71c22e0e33e3391a2b39eff3b07e8529976203ac2386107a46455d53b1ef128c', 0),
+    'polytope --support random17 --canonical':
+        ('fc7bf257ebd809aa96834ab9a0287920f57aea34a7cc28b7ee287c572a75240f', 0),
+    'polytope --support random18':
+        ('1a27f50fe985dc48fdd32d6a5114dbe07426e8cbae86f0ec4bdce6d684af552c', 0),
+    'polytope --support random19 --canonical':
+        ('672d8c1d5529bde9cad45ceb5bcc01b1b4cf0edf0d88bd079c28ff762bc28562', 0),
+}
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    return cases(tmp_path_factory.mktemp("digests"))
+
+
+def test_every_case_is_pinned(runs):
+    assert sorted(case for case, _ in runs) == sorted(DIGESTS)
+
+
+@pytest.mark.parametrize("case", sorted(DIGESTS))
+def test_stdout_digest(runs, case):
+    argv = dict(runs)[case]
+    assert digest(argv) == DIGESTS[case]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.stdout.write("DIGESTS = {\n")
+        for case, argv in cases(tmp):
+            sha, code = digest(argv)
+            sys.stdout.write(f"    {case!r}:\n        ({sha!r}, {code}),\n")
+        sys.stdout.write("}\n")
