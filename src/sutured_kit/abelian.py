@@ -1,7 +1,9 @@
 """Exact integer linear algebra and integral group rings.
 
-Smith normal form over Z, finitely generated abelian groups in invariant
-factor form, and arithmetic in their integral group rings.  Everything is
+Smith normal form over Z, one fraction-free Gauss-Jordan elimination
+(``echelon``: ranks, pivot columns, null spaces and determinants),
+finitely generated abelian groups in invariant factor form, and
+arithmetic in their integral group rings.  Everything is
 exact: entries are Python ints, there is no floating point and no modular
 shortcut, because all downstream comparisons are exact equalities of
 torsion polynomials up to units.
@@ -79,30 +81,45 @@ class IntMatrix:
         return tuple(row[j] for row in self.entries)
 
     def det(self):
-        """Exact determinant by fraction-free Bareiss elimination."""
+        """Exact determinant: the row-swap sign times the last pivot of ``echelon``."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        pivots, m, sign = echelon(self.entries)
+        if len(pivots) < self.rows:
+            return 0
+        return sign * m[-1][-1] if m else 1
+
+
+def echelon(rows):
+    """Fraction-free Gauss-Jordan elimination of an integer matrix (Bareiss).
+
+    Returns ``(pivots, m, sign)``: the pivot columns, so their number is
+    the rank; the rows, row k below the rank being D times row k of the
+    reduced row echelon form over Q (D the last pivot, which is sign * det
+    for a square matrix of full rank) and every later row zero; and the
+    sign of the row swaps.  A step clears the pivot column with
+    ``(p*x - f*y) // prev``, exact by Sylvester's identity.
+    """
+    m = [list(r) for r in rows]
+    pivots = []
+    sign = prev = 1
+    for c in range(len(m[0]) if m else 0):
+        k = len(pivots)
+        piv = next((i for i in range(k, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        top = m[k]
+        p = top[c]
+        for i, row in enumerate(m):
+            if i != k:
+                f = row[c]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+        pivots.append(c)
+    return pivots, m, sign
 
 
 def smith_normal_form(a):

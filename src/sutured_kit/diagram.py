@@ -51,17 +51,31 @@ from .errors import (DimensionTooLarge, InvalidDiagram, NotAGenerator, NotBalanc
 from .polytope import MAX_DIMENSION, SupportData, hull
 
 
-def parse_arc_ref(text):
-    """Parse ``"a1.0"`` / ``"-b2.3"`` into ((family, curve, arc), sign)."""
-    sign = 1
-    if text.startswith("-"):
-        sign = -1
-        text = text[1:]
-    fam = text[:1]
-    if fam not in ("a", "b"):
-        raise ValueError(f"bad arc family in {text!r}")
-    curve_s, _, arc_s = text[1:].partition(".")
-    return (fam, int(curve_s) - 1, int(arc_s)), sign
+def parse_arc_ref(text, field="arc reference"):
+    """Parse ``"a1.0"`` / ``"-b2.3"`` into ((family, curve, arc), sign).
+
+    A malformed reference raises ValueError naming ``field``.
+    """
+    body = text.removeprefix("-")
+    curve_s, _, arc_s = body[1:].partition(".")
+    try:
+        if body[:1] in ("a", "b"):
+            return (body[:1], int(curve_s) - 1, int(arc_s)), -1 if body != text else 1
+    except ValueError:
+        pass
+    raise ValueError(f"{field} must be an arc reference like 'a1.0' or '-b2.3', "
+                     f"got {text!r}")
+
+
+def _arc_refs(refs, field):
+    """Parse a list of arc references; a malformed one is named by index."""
+    expect_items(refs, str, field)
+    try:
+        return tuple(map(parse_arc_ref, refs))
+    except ValueError:
+        for j, ref in enumerate(refs):
+            parse_arc_ref(ref, f"{field}[{j}]")
+        raise
 
 
 def format_arc_ref(arc, sign):
@@ -81,7 +95,7 @@ class Region:
     def from_json(cls, data, field="region"):
         expect(data, dict, field)
         cycles = tuple(
-            tuple(map(parse_arc_ref, expect_items(cyc, str, f"{field}.cycles[{i}]")))
+            _arc_refs(cyc, f"{field}.cycles[{i}]")
             for i, cyc in enumerate(expect(data.get("cycles", []), list,
                                            f"{field}.cycles")))
         return cls(cycles,
@@ -468,6 +482,7 @@ def generators(d):
                 used[j] = False
 
     backtrack(0)
+    del backtrack       # the closure refers to itself; drop the cycle now
     got = tuple(out)
     d._cache["generators"] = got
     return got

@@ -4,14 +4,16 @@ plus the rank-based depth and disjoint-surface bound calculators.
 Support points are integer vectors in Z^r (classes of supported Spin^c
 structures pushed to the free part of H_1 and doubled, following the
 convention that first Chern classes double torsor distances).  The hull
-is exact and uses only integers: every predicate is the sign of an integer
-determinant.  It grows by beneath-beyond from a simplex that spans the
-points' affine hull: each point beyond some facets replaces them by the
-cone from the point over their horizon.  A facet's normal is the
-generalised cross product of its edges and the span equations, so it lies
-in the span and needs no change of coordinates.  A point on a facet's
-hyperplane counts as beneath, so coplanar simplices merge by primitive
-normal and the facet set depends only on the point set.
+is exact and uses only integers: every rank and null vector comes from
+one fraction-free elimination, ``abelian.echelon``, and every predicate
+is the sign of an integer dot product.  It grows by beneath-beyond from a
+simplex that spans the points' affine hull: each point beyond some facets
+replaces them by the cone from the point over their horizon.  A facet's
+normal is the primitive null vector of its edges and the span equations,
+oriented inward, so it lies in the span and needs no change of
+coordinates.  A point on a facet's hyperplane counts as beneath, so
+coplanar simplices merge by primitive normal and the facet set depends
+only on the point set.
 
 The polytope of a diagram is computed from Euler-characteristic support.
 That is a lower bound for the full homology support: where rank
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .abelian import IntMatrix
+from .abelian import echelon
 from .errors import (BadDimension, DimensionTooLarge, EmptySupport,
                      NonPositiveRank, expect, expect_items)
 
@@ -87,40 +89,20 @@ def _primitive(vec):
     return tuple(x // g for x in vec) if g else tuple(vec)
 
 
-def _cofactors(rows):
-    """Signed maximal minors of a k x (k+1) integer matrix.
-
-    The result is orthogonal to every row (expand the determinant of the
-    matrix with one row repeated) and is zero exactly when the rows are
-    dependent: the generalised cross product.
-    """
-    k = len(rows)
-    return tuple((-1) ** j * IntMatrix([r[:j] + r[j + 1:] for r in rows]).det()
-                 for j in range(k + 1))
-
-
-def _pivot_columns(rows):
-    """Pivot columns of the row echelon form of an integer matrix.
-
-    Columns are scanned left to right, so these are the pivots of the
-    reduced row echelon form too and their number is the rank.
-    """
-    rows = [list(r) for r in rows]
-    pivots = []
-    for c in range(len(rows[0]) if rows else 0):
-        k = len(pivots)
-        piv = next((i for i in range(k, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[k], rows[piv] = rows[piv], rows[k]
-        top = rows[k]
-        for i in range(k + 1, len(rows)):
-            if rows[i][c]:
-                f = rows[i][c]
-                rows[i] = list(_primitive([x * top[c] - f * y
-                                           for x, y in zip(rows[i], top)]))
-        pivots.append(c)
-    return pivots
+def _kernel(rows, width):
+    """One primitive integer null vector of the rows per free column f of
+    their echelon form: supported on the pivot columns and f, positive at f."""
+    pivots, m, _ = echelon(rows)
+    scale = m[len(pivots) - 1][pivots[-1]] if pivots else 1
+    out = []
+    for f in range(width):
+        if f not in pivots:
+            n = [0] * width
+            n[f] = scale
+            for k, c in enumerate(pivots):
+                n[c] = -m[k][f]
+            out.append(_primitive([-x for x in n] if scale < 0 else n))
+    return out
 
 
 @dataclass(frozen=True)
@@ -186,31 +168,14 @@ def hull(s):
     if not pts:
         raise EmptySupport("no support points")
 
-    # first simplex: each point whose difference from the first raises the rank
+    # first simplex: the pivot columns of the differences, as columns, are
+    # the points that raise the rank, in input order; the span equations
+    # are the null vectors of the differences
     origin = pts[0]
-    simplex, basis = [0], []
-    for i, p in enumerate(pts):
-        if len(basis) == r:
-            break
-        v = tuple(a - b for a, b in zip(p, origin))
-        if len(_pivot_columns(basis + [v])) > len(basis):
-            simplex.append(i)
-            basis.append(v)
-    d = len(basis)
-
-    # the span equations: one per free column f of the basis's echelon form,
-    # supported on the pivot columns and f
-    cols = _pivot_columns(basis)
-    equations = []
-    for f in range(r):
-        if f in cols:
-            continue
-        sub = sorted(cols + [f])
-        n = [0] * r
-        for j, x in zip(sub, _cofactors([[b[j] for j in sub] for b in basis])):
-            n[j] = x
-        n = _primitive([-x for x in n] if n[f] < 0 else n)
-        equations.append((n, _dot(n, origin)))
+    diffs = [tuple(a - b for a, b in zip(p, origin)) for p in pts]
+    simplex = [0] + echelon(list(zip(*diffs)))[0]
+    d = len(simplex) - 1
+    equations = [(n, _dot(n, origin)) for n in _kernel(diffs, r)]
 
     if d == 0:
         return SupportPolytope(r, 0, (tuple(origin),), (), tuple(equations))
@@ -228,8 +193,8 @@ def hull(s):
 
     def add_facet(verts):
         base = pts[verts[0]]
-        n = _primitive(_cofactors([[a - b for a, b in zip(pts[i], base)]
-                                   for i in verts[1:]] + spans))
+        [n] = _kernel([[a - b for a, b in zip(pts[i], base)]
+                       for i in verts[1:]] + spans, r)
         c = _dot(n, base)
         if _dot(n, inside) < (d + 1) * c:
             n, c = tuple(-x for x in n), -c
@@ -257,7 +222,7 @@ def hull(s):
     vertices = []
     for i in {i for f in facets for i in f}:
         tight = [n for n, c in hyperplanes if _dot(n, pts[i]) == c]
-        if len(_pivot_columns(tight)) == d:
+        if len(echelon(tight)[0]) == d:
             vertices.append(pts[i])
     vertices.sort()
 

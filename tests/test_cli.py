@@ -325,6 +325,9 @@ class TestInputShape:
                        "samples": [[[1.0]], [[{"re": 1.0, "im": False}]]]}, "samples[1]"),
         (("maslov",), {"kind": "spectral_flow", "samples": [[[1.0]], [[10 ** 400]]]},
          "samples[1]"),
+        *[(("check",), {"genus": 0, "boundary_circles": 1,
+                        "regions": [{"cycles": [["a1.0", ref]]}]}, "regions[0].cycles[0][1]")
+          for ref in ("a.0", "a1.", "a1.0.5", "c1.0", "-")],
     ])
     def test_bad_shape_is_bad_input(self, capsys, tmp_path, argv, payload, field):
         path = tmp_path / "in.json"

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 from functools import partial
@@ -177,6 +178,21 @@ class TestGenerators:
         gens = generators(d)
         keys = [tuple((j, p) for j, p in g.assignment) for g in gens]
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("name", ["t104", "t106", "t212"])
+    @pytest.mark.parametrize("enumerate_", [generators, spinc_partition])
+    def test_enumeration_leaves_no_cyclic_garbage(self, name, enumerate_):
+        # the result is freed by reference counting alone, so a long run
+        # over many diagrams does not wait for the cycle collector
+        gc.collect()
+        gc.disable()
+        try:
+            d = load(name)
+            enumerate_(d)
+            del d
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_parallel_disjoint_curves_have_no_generators(self):
         # one alpha and one beta curve, parallel and disjoint, each splitting
