@@ -2,7 +2,11 @@
 
 Every subcommand runs on every bundled fixture it accepts, plus a few
 oracle and error cases and twenty seeded random support sets of dimension
-1-6 (some of them lower-dimensional in their ambient space).  A change to
+1-6 (some of them lower-dimensional in their ambient space).  No bundled
+input has torsion in H_1, so ``euler`` and ``spinc`` also run on the lens
+diagrams L(p,1) minus a ball (H_1 = Z/p) and ``torsion`` on twelve seeded
+random presentations, most of them with torsion in H_1: these pin the
+torsion tie-break of ``doteq_normalize``.  A change to
 the library that should not move any output must leave every digest in
 place.  To re-pin after an intended output change, run
 
@@ -22,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+from h1_oracle import lens_diagram
 from sutured_kit import cli, fixtures
 
 
@@ -49,6 +54,30 @@ def _random_support(seed):
     pts = sorted(pts)
     rng.shuffle(pts)
     return {"dimension": r, "points": [list(p) for p in pts]}
+
+
+def _random_presentation(seed):
+    """Deficiency one on 2-4 generators, one inclusion word a...; one
+    relator is b^k times a conjugate of b^(+-1), so H_1 usually has torsion."""
+    rng = random.Random(seed)
+    names = "abcd"[:2 + seed % 3]
+
+    def word(n, letters=names):
+        out = []
+        while len(out) < n:
+            x = rng.choice((str.lower, str.upper))(rng.choice(letters))
+            if not out or out[-1] != x.swapcase():
+                out.append(x)
+        return out
+
+    u = word(rng.randint(1, 2))
+    relators = [word(rng.randint(3, 6)) for _ in range(len(names) - 2)]
+    relators.append(["b"] * rng.randint(3, 4) + u + [rng.choice("bB")]
+                    + [x.swapcase() for x in reversed(u)])
+    rng.shuffle(relators)
+    return {"generators": list(names), "relators": [" ".join(w) for w in relators],
+            "boundary_genus": 1,
+            "sigma_images": [" ".join(["a"] + word(rng.randint(0, 2), names[1:]))]}
 
 
 def cases(workdir):
@@ -95,6 +124,15 @@ def cases(workdir):
         extra = ["--canonical"] if seed % 2 else []
         out.append((" ".join([f"polytope --support random{seed}"] + extra),
                     ["polytope", "--support", str(path)] + extra))
+    for p in range(2, 7):
+        path = Path(workdir) / f"lens{p}.json"
+        path.write_text(json.dumps(lens_diagram(p)))
+        for cmd in ("euler", "spinc"):
+            out.append((f"{cmd} lens{p}", [cmd, str(path)]))
+    for seed in range(12):
+        path = Path(workdir) / f"pres{seed}.json"
+        path.write_text(json.dumps(_random_presentation(seed)))
+        out.append((f"torsion pres{seed}", ["torsion", str(path)]))
     return out
 
 
@@ -276,6 +314,50 @@ DIGESTS = {
         ('1a27f50fe985dc48fdd32d6a5114dbe07426e8cbae86f0ec4bdce6d684af552c', 0),
     'polytope --support random19 --canonical':
         ('672d8c1d5529bde9cad45ceb5bcc01b1b4cf0edf0d88bd079c28ff762bc28562', 0),
+    'euler lens2':
+        ('de289e599b81c88d8a9b7f70a8f0864d1377c23895ce7d5ce9b23a07e659f9d4', 0),
+    'spinc lens2':
+        ('b3fb6cc83c2041e8479010baaf96a0f3a9d0486f5bdbd7a9a607d9df95f1a0a8', 0),
+    'euler lens3':
+        ('de8f50b63d4440e44e5cd9cdd1bbfc49826644afcabe164ffaa2aa6d7927e98e', 0),
+    'spinc lens3':
+        ('68a09fb7c705c2ccf0ea32aec7d794ada52fea6007a82ae79c97136591a7383b', 0),
+    'euler lens4':
+        ('c4d5b5568f270ada4c1a9c1ae0fa4e80dbe8278f799528efc84f734e15ee1efe', 0),
+    'spinc lens4':
+        ('9b87607f9a5f5c2d8340c0a7da818dd9535712c47e7b828aeaf0b1eb58410e3c', 0),
+    'euler lens5':
+        ('e07f4282f3682017cd7a3634abd621f080c6f0a5e2318dde6a692325554fbb98', 0),
+    'spinc lens5':
+        ('9ad01eabde47557b34791a43be75970571f348ee7ea03789189f2359738a05aa', 0),
+    'euler lens6':
+        ('6f0089ae5f8fe3aeed97302e8c2b7674db03f8e51e3959365ae5ea9c459a61c5', 0),
+    'spinc lens6':
+        ('36ceea238feb0e44db0918c1d5c83eca78063c5115427c5e1468c07b080fc15d', 0),
+    'torsion pres0':
+        ('07089297c3c1cdd0bf6bcd541fede841375a21ab5d6e71506ad55c4b67f34210', 0),
+    'torsion pres1':
+        ('78ef0223b79aebb26ad2277b6ec842725fac66fec198bd9b1e71045d039b95ce', 0),
+    'torsion pres2':
+        ('4fd43aa60e6a68cb09ecd5bbfba4f35b5bd72ef070cfefef719715a767802c5d', 0),
+    'torsion pres3':
+        ('033048f2ec953c07a4128a9c387364836c63693fd7abba482acd03562ab84418', 0),
+    'torsion pres4':
+        ('543a09bf8c8bd158c287ec1c1940d5121443465c7838399a58029354a0890470', 0),
+    'torsion pres5':
+        ('42d1ee044a322d118225c72f662f1b5c4d1e32cbca4297c4a746f04416a17858', 0),
+    'torsion pres6':
+        ('0db341e83c2b55cbee3540e38e9e6d909222232dc483fd3e89210ae10f4caa9a', 0),
+    'torsion pres7':
+        ('da45d205f4bfef1c6d6e29091bd94ac5ea8cc658bd9e2b361da4aa2d1ca291f3', 0),
+    'torsion pres8':
+        ('6bf6de21801f6752210be37710e5b9c38d30c9a2f59db205954241bfa2b44b57', 0),
+    'torsion pres9':
+        ('e7e2694d75bc7fb077a860ada8982a283e0e86ab3158f1d5ae6d7e3df3a2df00', 0),
+    'torsion pres10':
+        ('42d1ee044a322d118225c72f662f1b5c4d1e32cbca4297c4a746f04416a17858', 0),
+    'torsion pres11':
+        ('9ae66f68f482908a9ee5a233cb3c02404acf4b58ea3fd8f9977a240b0602dc79', 0),
 }
 
 
