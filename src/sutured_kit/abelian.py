@@ -9,14 +9,16 @@ shortcut, because all downstream comparisons are exact equalities of
 torsion polynomials up to units.
 
 A group element of ``FinAbGroup(free_rank=r, torsion=(d_1,..,d_k))`` is a
-pair of tuples ``(free, torsion)`` with residues reduced mod d_i.  The
-group is written multiplicatively when it acts on group-ring elements, so
-"multiply by h" means "add h to every exponent".
+``NamedTuple`` of tuples ``(free, torsion)``, residues reduced mod d_i,
+ordered by (free, torsion) as a tuple and built from a coordinate vector
+by ``FinAbGroup.from_coords``.  The group is written multiplicatively
+when it acts on group-ring elements, so "multiply by h" means "add h to
+every exponent".
 """
 
-from dataclasses import dataclass
 from math import comb
 from operator import add, mod, mul
+from typing import NamedTuple
 
 from .errors import DeterminantTooLarge
 
@@ -235,15 +237,11 @@ def smith_cokernel(u, d):
     return FinAbGroup(len(free_idx), torsion, projection=projection)
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(NamedTuple):
     """Element of a FinAbGroup: free exponents plus reduced torsion residues."""
 
     free: tuple
     torsion: tuple
-
-    def lex_key(self):
-        return (self.free, self.torsion)
 
     def is_identity(self):
         return not any(self.free) and not any(self.torsion)
@@ -279,26 +277,27 @@ class FinAbGroup:
         return self.free_rank == 0 and not self.torsion
 
     def element(self, free=(), torsion=()):
-        free = tuple(int(x) for x in free)
-        torsion = tuple(int(x) % d for x, d in zip(torsion, self.torsion))
+        free, torsion = tuple(map(int, free)), tuple(map(int, torsion))
         if len(free) != self.free_rank or len(torsion) != len(self.torsion):
             raise ValueError("component count mismatch")
-        return GroupElement(free, torsion)
+        return self.from_coords(free + torsion)
 
     def identity(self):
         return GroupElement((0,) * self.free_rank, (0,) * len(self.torsion))
 
     def generator(self, i=0):
         """The i-th standard generator (free ones first, then torsion)."""
-        free = tuple(int(j == i) for j in range(self.free_rank))
-        torsion = tuple(int(self.free_rank + j == i) for j in range(len(self.torsion)))
-        return GroupElement(free, torsion)
+        return self.from_coords([int(j == i) for j in range(self.free_rank + len(self.torsion))])
+
+    def from_coords(self, coords):
+        """The element with coordinates ``coords``: free exponents, then residues mod d_i."""
+        r = self.free_rank
+        return GroupElement(tuple(coords[:r]), tuple(map(mod, coords[r:], self.torsion)))
 
     def from_ambient(self, vec):
         if self.projection is None:
             raise ValueError("group carries no ambient projection")
-        coords = self.projection @ tuple(vec)
-        return self.element(coords[:self.free_rank], coords[self.free_rank:])
+        return self.from_coords(self.projection @ tuple(vec))
 
     def add(self, x, y):
         free = tuple(a + b for a, b in zip(x.free, y.free))
@@ -333,10 +332,10 @@ class GroupRingElem:
         self._terms = clean
 
     def items(self):
-        return sorted(self._terms.items(), key=lambda gc: gc[0].lex_key())
+        return sorted(self._terms.items())
 
     def support(self):
-        return sorted(self._terms, key=GroupElement.lex_key)
+        return sorted(self._terms)
 
     def coeff(self, g):
         return self._terms.get(g, 0)
@@ -477,22 +476,17 @@ def det_group_ring(m, g):
             above[mask] = [kc for kc in total.items() if kc[1]]
         memo = above
 
-    shifts = [n * lo for lo in lows]
+    shifts = [n * lo for lo in lows] + [0] * len(g.torsion)
 
     def unpack(key):
         digits = []
         for b in bases:
             key, digit = divmod(key, b)
             digits.append(digit)
-        return GroupElement(tuple(map(add, digits, shifts)),
-                            tuple(map(mod, digits[len(shifts):], g.torsion)))
+        return g.from_coords(tuple(map(add, digits, shifts)))
 
     # residues that agree mod d now land on one element; the constructor merges them
     return GroupRingElem((unpack(key), c) for key, c in memo[(1 << n) - 1])
-
-
-def _ring_sort_key(x):
-    return tuple((e.lex_key(), c) for e, c in x.items())
 
 
 def doteq_normalize(x, g):
@@ -504,20 +498,20 @@ def doteq_normalize(x, g):
     take the lexicographically smallest result.  Torsion residues are
     never negative, so translating by -s makes the identity lex-minimal
     exactly when s has the lex-minimal free part: one pass finds the
-    candidates.  For torsion-free groups there is exactly one; with
-    torsion, the residue translates tied on the free part are compared,
-    which keeps the form invariant under multiplication by units.
+    candidates, each signed by the coefficient of s.  For torsion-free
+    groups there is exactly one; with torsion, the residue translates tied
+    on the free part are compared, which keeps the form invariant under
+    multiplication by units.
     """
     if x.is_zero():
         return x
-    identity = g.identity()
-    low = min(s.free for s in x._terms)
+    low = min(x._terms).free
     forms = []
-    for s in x._terms:
+    for s, c in x._terms.items():
         if s.free == low:
-            y = ring_translate(x, g.neg(s), g)
-            forms.append(ring_neg(y) if y.coeff(identity) < 0 else y)
-    return forms[0] if len(forms) == 1 else min(forms, key=_ring_sort_key)
+            inv, sign = g.neg(s), (1 if c > 0 else -1)
+            forms.append(GroupRingElem({g.add(a, inv): sign * b for a, b in x._terms.items()}))
+    return forms[0] if len(forms) == 1 else min(forms, key=GroupRingElem.items)
 
 
 def doteq_equal(x, y, g, allow_inversion=False):

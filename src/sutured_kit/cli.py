@@ -147,6 +147,8 @@ def cmd_polytope(args):
 
 
 def cmd_oracle(args):
+    if args.with_closed and not args.connected_sum:
+        raise UsageError("--with-closed applies only to --connected-sum")
     if args.solid_torus:
         p, q, n = args.solid_torus
         _emit(oracle.solid_torus_sfh(p, q, n).to_json())
@@ -234,9 +236,10 @@ def build_parser():
     p.set_defaults(func=cmd_polytope)
 
     p = sub.add_parser("oracle", help="closed-form rank calculators")
-    p.add_argument("--solid-torus", nargs=3, type=int, metavar=("P", "Q", "N"))
-    p.add_argument("--closed", nargs=2, type=int, metavar=("HF_RANK", "N"))
-    p.add_argument("--connected-sum", nargs=2, type=int, metavar=("A", "B"))
+    calculator = p.add_mutually_exclusive_group()
+    calculator.add_argument("--solid-torus", nargs=3, type=int, metavar=("P", "Q", "N"))
+    calculator.add_argument("--closed", nargs=2, type=int, metavar=("HF_RANK", "N"))
+    calculator.add_argument("--connected-sum", nargs=2, type=int, metavar=("A", "B"))
     p.add_argument("--with-closed", action="store_true",
                    help="second summand is a closed manifold")
     p.set_defaults(func=cmd_oracle)

@@ -683,8 +683,7 @@ class _H1Data:
             for p in points:
                 for j, v in enumerate(self.potential[p]):
                     total[j] += sign * v
-        r = self.group.free_rank
-        return self.group.element(total[:r], total[r:])
+        return self.group.from_coords(total)
 
 
 def _h1data(d):
@@ -753,17 +752,16 @@ def spinc_partition(d):
     """Partition the generators by vanishing of eps; differences form a torsor."""
     d.require_balanced()
     gens = generators(d)
-    group, _ = h1_of_M(d)
-    if not gens:
-        return SpincPartition((), {}, group)
     data = _h1data(d)
+    if not gens:
+        return SpincPartition((), {}, data.group)
     members = {}             # eps against the first generator -> indices
     for idx, x in enumerate(gens):
         members.setdefault(data.difference(gens[0], x), []).append(idx)
     values = list(members)
-    difference = {(a, b): group.sub(vb, va)
+    difference = {(a, b): data.group.sub(vb, va)
                   for a, va in enumerate(values) for b, vb in enumerate(values)}
-    return SpincPartition(tuple(map(tuple, members.values())), difference, group)
+    return SpincPartition(tuple(map(tuple, members.values())), difference, data.group)
 
 
 # -- domains -------------------------------------------------------------------------
@@ -876,12 +874,12 @@ def euler_polynomial(d):
     """
     d.require_balanced()
     data = _h1data(d)
-    group, r = data.group, data.group.free_rank
+    group = data.group
     _, bpos = d._point_positions()
     cells = [[[] for _ in d.beta] for _ in d.alpha]
     for i, curve in enumerate(d.alpha):
         for p in curve:
-            phi = data.potential[p]
-            cells[i][bpos[p][0][0]].append((group.element(phi[:r], phi[r:]), d.crossing_sign[p]))
+            h = group.from_coords(data.potential[p])
+            cells[i][bpos[p][0][0]].append((h, d.crossing_sign[p]))
     m = [[GroupRingElem(cell) for cell in row] for row in cells]
     return doteq_normalize(det_group_ring(m, group), group), group

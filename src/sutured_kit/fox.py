@@ -24,8 +24,7 @@ definition that the tests hold it to.
 from dataclasses import dataclass
 from operator import add, sub
 
-from .abelian import (GroupElement, GroupRingElem, IntMatrix, cokernel, det_group_ring,
-                      doteq_normalize)
+from .abelian import GroupRingElem, IntMatrix, cokernel, det_group_ring, doteq_normalize
 from .errors import InvalidGenerator, NotGeometricallyBalanced, expect, expect_items
 
 
@@ -182,6 +181,12 @@ class Presentation:
     def from_json(cls, data):
         expect(data, dict, "presentation JSON")
         names = tuple(expect_items(data.get("generators"), str, "generators"))
+        lowered = [name.lower() for name in names]
+        for i, name in enumerate(names):
+            # uppercase marks an inverse, so names must differ in more than case
+            if name.split() != [name] or lowered.index(lowered[i]) != i:
+                raise ValueError(f"generators[{i}] must be nonempty, without whitespace and "
+                                 f"distinct ignoring case, got {name!r}")
         relators = tuple(FreeWord.from_string(r, names)
                          for r in expect_items(data.get("relators", []), str, "relators"))
         return cls(names, relators, expect(data.get("boundary_genus"), int, "boundary_genus"))
@@ -264,7 +269,7 @@ def theta_matrix(p, k):
             f"m={p.num_generators}, n={p.num_relators}, genus={p.boundary_genus}, "
             f"l={len(k.sigma_images)}")
     g, _ = abelianization(p)
-    m, r = p.num_generators, g.free_rank
+    m = p.num_generators
     images = [tuple(row[i] for row in g.projection.entries) for i in range(m)]
     columns = list(k.sigma_images) + list(p.relators)
     entries = [[None] * len(columns) for _ in range(m)]
@@ -281,9 +286,7 @@ def theta_matrix(p, k):
                 prefix = key = tuple(map(sub, prefix, images[i]))
             rows[i][key] = rows[i].get(key, 0) + e
         for i, terms in enumerate(rows):
-            entries[i][col] = GroupRingElem(
-                (GroupElement(key[:r], tuple(t % d for t, d in zip(key[r:], g.torsion))), c)
-                for key, c in terms.items())
+            entries[i][col] = GroupRingElem((g.from_coords(key), c) for key, c in terms.items())
     return entries, g
 
 

@@ -15,9 +15,8 @@ builders for the parametric families T(p,1;2), T(1,0;2k+2) and L(p,1)
 minus a ball.
 """
 
-from sutured_kit.abelian import (GroupElement, GroupRingElem, IntMatrix,
-                                 cokernel, ring_neg, ring_translate,
-                                 ring_zero, smith_normal_form)
+from sutured_kit.abelian import (GroupRingElem, IntMatrix, cokernel, ring_neg,
+                                 ring_translate, ring_zero, smith_normal_form)
 from sutured_kit.diagram import (DomainVector, _check_generator, _eps_chain,
                                  epsilon, generator_sign, generators, h1_of_M,
                                  internal_regions)
@@ -266,11 +265,11 @@ def quadratic_doteq_normalize(x, g):
     best = None
     for s in x.support():
         y = ring_translate(x, g.neg(s), g)
-        if min(y._terms, key=GroupElement.lex_key) != identity:
+        if min(y._terms) != identity:
             continue
         if y.coeff(identity) < 0:
             y = ring_neg(y)
-        key = tuple((e.lex_key(), c) for e, c in y.items())
+        key = y.items()
         if best is None or key < best[0]:
             best = (key, y)
     return best[1]

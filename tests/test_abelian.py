@@ -2,8 +2,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from h1_oracle import kernel_basis, solve_integer
+from h1_oracle import kernel_basis, quadratic_doteq_normalize, solve_integer
 from sutured_kit.abelian import (FinAbGroup, GroupRingElem, IntMatrix,
                                  cokernel, det_group_ring, doteq_equal,
                                  doteq_normalize, group_from_json,
@@ -272,6 +273,45 @@ class TestDoteq:
                 for z in elems:
                     if doteq_equal(x, y, g) and doteq_equal(y, z, g):
                         assert doteq_equal(x, z, g)
+
+
+@st.composite
+def ring_elems(draw):
+    """x over Z^r + T, r = 0..2, with terms on at most three free parts, so
+    several candidates tie on the lowest one; in a third of the cases x is a
+    multiple of the sum over the subgroup generated by one torsion element,
+    so whole forms tie too."""
+    g = FinAbGroup(draw(st.integers(0, 2)),
+                   draw(st.sampled_from(((), (2,), (3,), (2, 4), (2, 12)))))
+
+    def element(free_parts):
+        return g.element(draw(st.sampled_from(free_parts)),
+                         [draw(st.integers(0, d - 1)) for d in g.torsion])
+
+    free_parts = [[draw(st.integers(-2, 2)) for _ in range(g.free_rank)]
+                  for _ in range(draw(st.integers(1, 3)))]
+    x = GroupRingElem((element(free_parts), draw(st.integers(-3, 3)))
+                      for _ in range(draw(st.integers(0, 8))))
+    if g.torsion and draw(st.integers(0, 2)) == 0:
+        t = element([[0] * g.free_rank])
+        orbit, h = [g.identity()], t
+        while h != g.identity():
+            orbit.append(h)
+            h = g.add(h, t)
+        x = ring_mul(x, GroupRingElem((h, 1) for h in orbit), g)
+    unit = element([[draw(st.integers(-3, 3)) for _ in range(g.free_rank)]])
+    return x, g, unit, draw(st.sampled_from((1, -1)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(ring_elems())
+def test_doteq_normal_form_is_the_quadratic_oracle(case):
+    """The exact normal form, term for term, and its invariance under +-h."""
+    x, g, h, sign = case
+    n = doteq_normalize(x, g)
+    assert n.items() == quadratic_doteq_normalize(x, g).items()
+    y = GroupRingElem((g.add(e, h), sign * c) for e, c in x.items())
+    assert doteq_normalize(y, g).items() == n.items()
 
 
 class TestSerialization:

@@ -167,6 +167,18 @@ class TestOracleCommand:
         code, data = run_json(capsys, "oracle")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("--solid-torus", "1", "0", "4", "--closed", "2", "2"),
+        ("--closed", "2", "2", "--connected-sum", "3", "5"),
+        ("--connected-sum", "3", "5", "--solid-torus", "1", "0", "4"),
+        ("--closed", "2", "2", "--with-closed"),
+        ("--solid-torus", "1", "0", "4", "--with-closed"),
+        ("--with-closed",),
+    ])
+    def test_exactly_one_calculator(self, capsys, argv):
+        code, data = run_json(capsys, "oracle", *argv)
+        assert code == 2 and data["error"] == "usage"
+
 
 class TestMaslovCommand:
     def test_lagrangian_loop(self, capsys, tmp_path):
@@ -328,6 +340,10 @@ class TestInputShape:
         *[(("check",), {"genus": 0, "boundary_circles": 1,
                         "regions": [{"cycles": [["a1.0", ref]]}]}, "regions[0].cycles[0][1]")
           for ref in ("a.0", "a1.", "a1.0.5", "c1.0", "-")],
+        *[(("torsion",), {"generators": names, "relators": ["a"], "boundary_genus": 1,
+                          "sigma_images": ["a"]}, f"generators[{i}]")
+          for names, i in ((["a", "a"], 1), (["a", "A"], 1), (["", "a"], 0),
+                           (["a", "b c"], 1), (["a", "b\t"], 1), (["ab", "c", "AB"], 2))],
     ])
     def test_bad_shape_is_bad_input(self, capsys, tmp_path, argv, payload, field):
         path = tmp_path / "in.json"
