@@ -25,6 +25,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+class _Once(argparse.Action):
+    # argparse would keep the last of a repeated option; refuse the repeat instead
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise UsageError(f"{option_string} given more than once")
+        setattr(namespace, self.dest, values)
+
+
 def _emit(payload):
     sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
@@ -237,9 +245,10 @@ def build_parser():
 
     p = sub.add_parser("oracle", help="closed-form rank calculators")
     calculator = p.add_mutually_exclusive_group()
-    calculator.add_argument("--solid-torus", nargs=3, type=int, metavar=("P", "Q", "N"))
-    calculator.add_argument("--closed", nargs=2, type=int, metavar=("HF_RANK", "N"))
-    calculator.add_argument("--connected-sum", nargs=2, type=int, metavar=("A", "B"))
+    calculator.add_argument("--solid-torus", nargs=3, type=int, action=_Once,
+                            metavar=("P", "Q", "N"))
+    calculator.add_argument("--closed", nargs=2, type=int, action=_Once, metavar=("HF_RANK", "N"))
+    calculator.add_argument("--connected-sum", nargs=2, type=int, action=_Once, metavar=("A", "B"))
     p.add_argument("--with-closed", action="store_true",
                    help="second summand is a closed manifold")
     p.set_defaults(func=cmd_oracle)

@@ -8,14 +8,19 @@ the first alpha curve running from its 0th to its 1st point) with a ``-``
 prefix for reversed traversal; an empty curve is an embedded circle with
 no crossings and carries one artificial vertex and a single loop arc.
 
-On top of the raw cell structure the module computes: validity and the
-Euler characteristic check, balance, the generator set (one intersection
-point on each curve of either family), first homology of the glued-up
-manifold as a quotient of H_1 of the surface by the curve classes, the
-difference class eps(x, y) between generators and the induced partition
-into Spin^c classes, periodic domains and admissibility, connecting
-domains between generators, and the signed, Spin^c-graded Euler
-polynomial as the determinant of the alpha x beta potential matrix.
+On top of the raw cell structure the module computes: validity (the
+boundary cycles are closed walks that traverse each arc once in each
+direction, so the surface is oriented; the corners at each point, where
+one arc of a cycle arrives and the next leaves, form one cycle, so no
+point is pinched; the Euler characteristic; connectivity), balance, the
+generator set (one intersection point on each curve of either family),
+first homology of the glued-up manifold as a quotient of H_1 of the
+surface by the curve classes, the difference class eps(x, y) between
+generators and the induced partition into Spin^c classes, periodic
+domains and admissibility, connecting domains between generators, and
+the signed, Spin^c-graded Euler polynomial as the determinant of the
+alpha x beta potential matrix.  One pass over the region cycles builds
+the cell structure that all of these read.
 
 Homology cellulation: every region must have genus zero; a region with
 extra boundary cycles (arc cycles or contained boundary circles) is cut
@@ -151,13 +156,13 @@ class _UnionFind:
         return rx != ry
 
 
-def _region_components(n_regions, occurrence_lists):
-    """Region index lists of the classes joined by the given arc occurrences,
-    each sorted, ordered by their smallest member."""
+def _region_components(n_regions, side_lists):
+    """Region index lists of the classes joined by the given lists of region
+    indices, each sorted, ordered by their smallest member."""
     uf = _UnionFind(n_regions)
-    for occs in occurrence_lists:
-        for ridx, _ in occs[1:]:
-            uf.union(occs[0][0], ridx)
+    for sides in side_lists:
+        for ridx in sides[1:]:
+            uf.union(sides[0], ridx)
     comps = {}
     for i in range(n_regions):
         comps.setdefault(uf.find(i), []).append(i)
@@ -253,28 +258,19 @@ class SuturedDiagram:
     def _point_positions(self):
         got = self._cache.get("ppos")
         if got is None:
-            apos, bpos = {}, {}
-            for i, c in enumerate(self.alpha):
-                for k, p in enumerate(c):
-                    apos.setdefault(p, []).append((i, k))
-            for j, c in enumerate(self.beta):
-                for k, p in enumerate(c):
-                    bpos.setdefault(p, []).append((j, k))
-            got = (apos, bpos)
+            got = ({}, {})       # point -> [(curve, position)] on alpha, on beta
+            for pos, curves in zip(got, (self.alpha, self.beta)):
+                for i, c in enumerate(curves):
+                    for k, p in enumerate(c):
+                        pos.setdefault(p, []).append((i, k))
             self._cache["ppos"] = got
         return got
 
-    def _arc_occurrences(self):
-        """arc -> list of (region index, sign) over all region cycles."""
-        got = self._cache.get("occ")
+    def _skeleton(self):
+        """The one cell structure read from the region cycles, built once."""
+        got = self._cache.get("skeleton")
         if got is None:
-            occ = {}
-            for ridx, region in enumerate(self.regions):
-                for cyc in region.cycles:
-                    for arc, sign in cyc:
-                        occ.setdefault(arc, []).append((ridx, sign))
-            got = occ
-            self._cache["occ"] = got
+            got = self._cache["skeleton"] = _Skeleton(self)
         return got
 
     # -- validation ---------------------------------------------------------------
@@ -311,7 +307,6 @@ class SuturedDiagram:
             if p not in apos or p not in bpos:
                 bad.append(f"crossing sign given for unknown point {p}")
 
-        arc_set = set(self.arcs())
         for ridx, region in enumerate(self.regions):
             if region.genus != 0:
                 bad.append(f"region {ridx} has genus {region.genus}; only "
@@ -320,38 +315,16 @@ class SuturedDiagram:
                 bad.append(f"region {ridx} has negative boundary circle count")
             if not region.cycles and region.boundary_circles == 0:
                 bad.append(f"region {ridx} has no boundary at all")
-            for cyc in region.cycles:
-                broken = False
-                for arc, _ in cyc:
-                    if arc not in arc_set:
-                        bad.append(f"region {ridx} references unknown arc "
-                                   f"{format_arc_ref(arc, 1)}")
-                        broken = True
-                if broken or not cyc:
-                    continue
-                # each cycle must be a closed walk: head of each traversed arc
-                # meets the tail of the next
-                at = None
-                start = None
-                ok_walk = True
-                for arc, sign in cyc:
-                    t, h = self.arc_endpoints(arc)
-                    enter, leave = (t, h) if sign > 0 else (h, t)
-                    if start is None:
-                        start = enter
-                    elif at != enter:
-                        ok_walk = False
-                    at = leave
-                if not ok_walk or at != start:
-                    bad.append(f"region {ridx} has a boundary cycle that is not "
-                               "a closed walk")
 
-        occ = self._arc_occurrences()
-        for arc in arc_set:
-            count = len(occ.get(arc, ()))
-            if count != 2:
-                bad.append(f"arc {format_arc_ref(arc, 1)} appears {count} times "
+        sk = self._skeleton()
+        bad += sk.violations
+        for arc, signs in zip(sk.arc_edge, sk.signs):
+            if len(signs) != 2:
+                bad.append(f"arc {format_arc_ref(arc, 1)} appears {len(signs)} times "
                            "in region boundaries (expected 2)")
+            elif signs[0] == signs[1]:
+                bad.append(f"arc {format_arc_ref(arc, 1)} is traversed twice in the "
+                           "same direction")
 
         circles = sum(r.boundary_circles for r in self.regions)
         if circles != self.boundary_circles:
@@ -359,9 +332,8 @@ class SuturedDiagram:
                        f"declares {self.boundary_circles}")
 
         # Euler characteristic of the cell structure against 2 - 2g - b
-        n_points = len(set(apos)) + sum(1 for fam, i in self.curves()
-                                        if not self.curve_points(fam, i))
-        n_arcs = len(arc_set)
+        n_points = len(set(sk.ends))
+        n_arcs = len(sk.arc_edge)
         chi_regions = sum(2 - 2 * r.genus - len(r.cycles) - r.boundary_circles
                           for r in self.regions)
         chi = chi_regions + n_points - n_arcs
@@ -370,9 +342,10 @@ class SuturedDiagram:
             bad.append(f"Euler characteristic {chi} does not match "
                        f"2-2g-b = {expected}")
 
-        # connectivity (the chi test above assumes a connected surface)
+        # one corner cycle at each point; connectivity, which the chi test assumes
         if self.regions and not bad:
-            if len(_region_components(len(self.regions), occ.values())) > 1:
+            bad += sk.pinch_points()
+            if len(_region_components(len(self.regions), sk.sides[:n_arcs])) > 1:
                 bad.append("surface is not connected")
 
         got = ValidationReport(bad)
@@ -388,11 +361,9 @@ class SuturedDiagram:
 
     def _complement_components(self, removed_family):
         """Components of the surface minus one curve family, as region sets."""
-        merge_family = "b" if removed_family == "a" else "a"
-        return _region_components(
-            len(self.regions),
-            (pair for arc, pair in self._arc_occurrences().items()
-             if arc[0] == merge_family))
+        sk = self._skeleton()
+        return _region_components(len(self.regions), [
+            sk.sides[e] for arc, e in sk.arc_edge.items() if arc[0] != removed_family])
 
     def is_balanced(self):
         """Counts match and each complement component reaches the boundary."""
@@ -424,14 +395,6 @@ class SuturedDiagram:
         self.require_valid()
         return sorted(sum(self.regions[r].boundary_circles for r in comp)
                       for comp in self._complement_components(family))
-
-
-def validate(d):
-    return d.validate()
-
-
-def is_balanced(d):
-    return d.is_balanced()
 
 
 def euler_characteristics(d):
@@ -506,11 +469,17 @@ def _check_generator(d, x):
 # -- homology of the glued manifold ----------------------------------------------
 
 class _Skeleton:
-    """CW structure of the surface with the boundary circles filled in as cells.
+    """CW structure of the surface with the boundary circles filled in as cells,
+    read in one pass over the region cycles.
 
     ``columns[r]`` is the boundary of region r as {edge: coefficient};
-    ``sides[e]`` holds the two dual nodes edge e separates, region indices
-    or ``outside`` (the region count) for a boundary loop edge.
+    ``sides[e]`` holds the dual nodes edge e separates, region indices or
+    ``outside`` (the region count) for a boundary loop edge, and ``signs[e]``
+    the signs arc edge e is traversed with.  Dart 2e (2e + 1) is the tail
+    (head) of arc edge e, at point ``ends[2e]`` (``ends[2e + 1]``).  At a
+    corner an arc of a cycle arrives at a point by one dart and the next arc
+    leaves it by another: ``turn`` maps the first to the second.
+    ``violations`` names unknown arcs and unclosed cycles.
     """
 
     def __init__(self, d):
@@ -519,6 +488,7 @@ class _Skeleton:
         self.sides = []
         self.arc_edge = {}
         self.outside = len(d.regions)
+        self.violations = []
 
         def vertex(name):
             if name not in self.vertex_index:
@@ -533,22 +503,34 @@ class _Skeleton:
         for arc in d.arcs():
             t, h = d.arc_endpoints(arc)
             self.arc_edge[arc] = add_edge(vertex(t), vertex(h))
-
-        def walk_start(cyc):
-            arc, sign = cyc[0]
-            t, h = d.arc_endpoints(arc)
-            return vertex(t if sign > 0 else h)
+        self.ends = [v for edge in self.edges for v in edge]
+        self.signs = [[] for _ in self.edges]
+        self.turn = {}
 
         self.columns = []
         for rid, region in enumerate(d.regions):
             col = {}
             anchors = []
             for cyc in region.cycles:
-                anchors.append(walk_start(cyc))
+                darts = []       # (leaving dart, arriving dart) of each arc
                 for arc, sign in cyc:
-                    e = self.arc_edge[arc]
+                    e = self.arc_edge.get(arc)
+                    if e is None:
+                        self.violations.append(f"region {rid} references unknown arc "
+                                               f"{format_arc_ref(arc, 1)}")
+                        continue
                     col[e] = col.get(e, 0) + sign
                     self.sides[e].append(rid)
+                    self.signs[e].append(sign)
+                    darts.append((2 * e + (sign < 0), 2 * e + (sign > 0)))
+                if not cyc or len(darts) < len(cyc):
+                    continue
+                anchors.append(self.ends[darts[0][0]])
+                corners = [(a, b) for (_, a), (b, _) in zip(darts, darts[1:] + darts[:1])]
+                self.turn.update(corners)
+                if any(self.ends[a] != self.ends[b] for a, b in corners):
+                    self.violations.append(f"region {rid} has a boundary cycle that is "
+                                           "not a closed walk")
             circle_vertices = []
             for k in range(region.boundary_circles):
                 v = vertex(f"~o{rid}.{k}")
@@ -564,6 +546,20 @@ class _Skeleton:
                 e = add_edge(base, v)
                 self.sides[e] += [rid, rid]
             self.columns.append(col)
+
+    def pinch_points(self):
+        """Violations for the points whose corners form more than one cycle.  Sound
+        once every cycle closes and every arc runs once each way: ``turn`` is then
+        a permutation of the darts, and each of its cycles stays at one point."""
+        turn, cycles = dict(self.turn), [0] * len(self.vertex_index)
+        while turn:
+            start, dart = turn.popitem()
+            cycles[self.ends[start]] += 1
+            while dart != start:
+                dart = turn.pop(dart)
+        names = list(self.vertex_index)
+        return [f"point {names[v]} is not a crossing: its corners form {c} cycles"
+                for v, c in enumerate(cycles) if c > 1]
 
 
 def _edge_images(sk):
@@ -612,7 +608,7 @@ class _H1Data:
     the Smith form u*rel*v = s of the curve-image matrix rel."""
 
     def __init__(self, d):
-        self.skeleton = sk = _Skeleton(d)
+        self.skeleton = sk = d._skeleton()
         self.rank, self.images, self.order, self.parent_edge = _edge_images(sk)
         self.internal = internal_regions(d)
         zero = (0,) * self.rank

@@ -181,12 +181,12 @@ class Presentation:
     def from_json(cls, data):
         expect(data, dict, "presentation JSON")
         names = tuple(expect_items(data.get("generators"), str, "generators"))
-        lowered = [name.lower() for name in names]
         for i, name in enumerate(names):
-            # uppercase marks an inverse, so names must differ in more than case
-            if name.split() != [name] or lowered.index(lowered[i]) != i:
-                raise ValueError(f"generators[{i}] must be nonempty, without whitespace and "
-                                 f"distinct ignoring case, got {name!r}")
+            # the inverse letter name.upper() must differ from name and lower back to it
+            if (name.split() != [name] or name.upper() == name
+                    or name.upper().lower() != name or name in names[:i]):
+                raise ValueError(f"generators[{i}] must be lowercase, without whitespace and "
+                                 f"distinct, got {name!r}")
         relators = tuple(FreeWord.from_string(r, names)
                          for r in expect_items(data.get("relators", []), str, "relators"))
         return cls(names, relators, expect(data.get("boundary_genus"), int, "boundary_genus"))

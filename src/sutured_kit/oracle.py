@@ -35,9 +35,6 @@ class RankTable:
     def support(self):
         return sorted(self.ranks)
 
-    def rank(self, i):
-        return self.ranks.get(i, 0)
-
     def values_in_order(self):
         return [self.ranks[i] for i in self.support()]
 

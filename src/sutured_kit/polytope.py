@@ -121,9 +121,6 @@ class SupportPolytope:
     facets: tuple
     equations: tuple
 
-    def support_value(self, alpha):
-        return -self.min_value(alpha)
-
     def min_value(self, alpha):
         if len(alpha) != self.ambient_dimension:
             raise BadDimension("direction has the wrong length")
@@ -231,7 +228,7 @@ def hull(s):
 
 def support_function(p, alpha):
     """y_t(alpha): the maximum of <-c, alpha> over the polytope, exactly."""
-    return p.support_value(tuple(alpha))
+    return -p.min_value(tuple(alpha))
 
 
 def face(p, s, alpha):

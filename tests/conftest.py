@@ -333,6 +333,15 @@ def swap_beta_curves(data, i=0, j=1):
     return _swap_curves(data, "beta", i, j)
 
 
+def reverse_region(data, r):
+    """Reverse every boundary cycle of region r, as if seen from the other side."""
+    out = json.loads(json.dumps(data))
+    out["regions"][r]["cycles"] = [[ref[1:] if ref.startswith("-") else "-" + ref
+                                    for ref in reversed(cyc)]
+                                   for cyc in out["regions"][r]["cycles"]]
+    return out
+
+
 def rotate_curve(data, family, i, shift):
     """Start curve i of ``family`` ("alpha" or "beta") at its point ``shift``.
 

@@ -149,15 +149,11 @@ class SnfH1:
 
 def _boundary_rows(d, internal):
     """Per-arc boundary multiplicity as a row over internal-region coefficients."""
-    occ = d._arc_occurrences()
-    index_of = {r: k for k, r in enumerate(internal)}
-    rows = {}
-    for arc in d.arcs():
-        row = [0] * len(internal)
-        for ridx, sign in occ.get(arc, ()):
-            if ridx in index_of:
-                row[index_of[ridx]] += sign
-        rows[arc] = row
+    rows = {arc: [0] * len(internal) for arc in d.arcs()}
+    for k, ridx in enumerate(internal):
+        for cyc in d.regions[ridx].cycles:
+            for arc, sign in cyc:
+                rows[arc][k] += sign
     return rows
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import reverse_region, s1xs2_minus_ball
 from sutured_kit import cli, fixtures
 
 
@@ -41,6 +42,18 @@ class TestCheck:
         assert data["valid"] is False
         assert data["balanced"] is None
         assert any("Euler" in v for v in data["violations"])
+
+    @pytest.mark.parametrize("region,arcs", [(0, ("a1.0", "b1.0")), (1, ("a1.1", "b1.1"))])
+    def test_reversed_region_is_invalid(self, capsys, tmp_path, region, arcs):
+        # the glued surface is not oriented: both shared arcs run one way twice
+        path = tmp_path / "reversed.json"
+        path.write_text(json.dumps(reverse_region(s1xs2_minus_ball().to_json(), region)))
+        code, data = run_json(capsys, "check", str(path))
+        assert code == 0 and data["valid"] is False
+        assert data["violations"] == [f"arc {a} is traversed twice in the same direction"
+                                      for a in arcs]
+        code, data = run_json(capsys, "euler", str(path))
+        assert code == 1 and data["error"] == "invalid_diagram"
 
 
 class TestPipelines:
@@ -178,6 +191,17 @@ class TestOracleCommand:
     def test_exactly_one_calculator(self, capsys, argv):
         code, data = run_json(capsys, "oracle", *argv)
         assert code == 2 and data["error"] == "usage"
+
+    @pytest.mark.parametrize("argv", [
+        ("--closed", "2", "2", "--closed", "3", "3"),
+        ("--closed", "2", "2", "--closed", "2", "2"),
+        ("--solid-torus", "1", "0", "4", "--solid-torus", "1", "0", "2"),
+        ("--connected-sum", "3", "5", "--connected-sum", "2", "3"),
+    ])
+    def test_repeated_calculator(self, capsys, argv):
+        code, data = run_json(capsys, "oracle", *argv)
+        assert code == 2 and data == {"error": "usage",
+                                      "detail": f"{argv[0]} given more than once"}
 
 
 class TestMaslovCommand:
@@ -343,7 +367,8 @@ class TestInputShape:
         *[(("torsion",), {"generators": names, "relators": ["a"], "boundary_genus": 1,
                           "sigma_images": ["a"]}, f"generators[{i}]")
           for names, i in ((["a", "a"], 1), (["a", "A"], 1), (["", "a"], 0),
-                           (["a", "b c"], 1), (["a", "b\t"], 1), (["ab", "c", "AB"], 2))],
+                           (["a", "b c"], 1), (["a", "b\t"], 1), (["ab", "c", "AB"], 2),
+                           (["Ab"], 0), (["A"], 0), (["a", "1"], 1))],
     ])
     def test_bad_shape_is_bad_input(self, capsys, tmp_path, argv, payload, field):
         path = tmp_path / "in.json"

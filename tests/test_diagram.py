@@ -21,8 +21,7 @@ from sutured_kit.diagram import (GeneratorMatching, SuturedDiagram, _eps_chain,
                                  epsilon, euler_characteristics,
                                  euler_polynomial, generator_sign, generators,
                                  h1_of_M, internal_regions, is_admissible,
-                                 is_balanced, periodic_lattice,
-                                 spinc_partition, validate)
+                                 periodic_lattice, spinc_partition)
 from sutured_kit.errors import InvalidDiagram, NotAGenerator, NotBalanced
 
 ALL_DIAGRAMS = fixtures.diagram_names()
@@ -41,29 +40,29 @@ def load_domain_case(name):
 class TestValidate:
     @pytest.mark.parametrize("name", ALL_DIAGRAMS)
     def test_fixtures_valid(self, name):
-        assert validate(load(name)).ok
+        assert load(name).validate().ok
 
     def test_annulus_report(self):
-        assert validate(load("annulus")).ok
+        assert load("annulus").validate().ok
 
     def test_wrong_boundary_count(self):
         data = load("annulus").to_json()
         data["boundary_circles"] = 1  # region data still carries two circles
-        report = validate(SuturedDiagram.from_json(data))
+        report = SuturedDiagram.from_json(data).validate()
         assert not report.ok
         assert any("Euler characteristic" in v for v in report.violations)
 
     def test_arc_used_once(self):
         data = load("t104").to_json()
         data["regions"][0]["cycles"] = []  # drop one side of two arcs
-        report = validate(SuturedDiagram.from_json(data))
+        report = SuturedDiagram.from_json(data).validate()
         assert not report.ok
         assert any("appears" in v for v in report.violations)
 
     def test_positive_region_genus_rejected(self):
         data = load("annulus").to_json()
         data["regions"][0]["genus"] = 1
-        report = validate(SuturedDiagram.from_json(data))
+        report = SuturedDiagram.from_json(data).validate()
         assert not report.ok
         assert any("genus" in v for v in report.violations)
 
@@ -71,20 +70,35 @@ class TestValidate:
         data = load("t212").to_json()
         cyc = data["regions"][0]["cycles"][0]
         cyc[1], cyc[2] = cyc[2], cyc[1]  # same chain, order no longer a walk
-        report = validate(SuturedDiagram.from_json(data))
+        report = SuturedDiagram.from_json(data).validate()
         assert not report.ok
         assert any("closed walk" in v for v in report.violations)
+
+    def test_pinch_points_named(self):
+        # t212 as first shipped: the corners at each point form two cycles
+        data = load("t212").to_json()
+        data["regions"][0]["cycles"] = [["b1.0", "a1.1", "-b1.1", "-a1.0"]]
+        report = SuturedDiagram.from_json(data).validate()
+        assert sorted(report.violations) == [
+            f"point {p} is not a crossing: its corners form 2 cycles" for p in ("P0", "P1")]
+
+    def test_one_skeleton_per_diagram(self):
+        d = load("t312")
+        sk = d._skeleton()
+        assert d.validate().ok and d.is_balanced().balanced
+        h1_of_M(d)
+        assert d._skeleton() is sk and d._cache["h1"].skeleton is sk
 
     def test_unknown_point_sign(self):
         data = load("t212").to_json()
         data["crossing_sign"]["ZZ"] = 1
-        report = validate(SuturedDiagram.from_json(data))
+        report = SuturedDiagram.from_json(data).validate()
         assert not report.ok
 
     def test_point_on_one_family_only(self):
         data = load("t212").to_json()
         data["beta"] = [["P0", "P1", "P9"]]
-        report = validate(SuturedDiagram.from_json(data))
+        report = SuturedDiagram.from_json(data).validate()
         assert not report.ok
         assert any("P9" in v for v in report.violations)
 
@@ -92,21 +106,21 @@ class TestValidate:
 class TestBalance:
     @pytest.mark.parametrize("name", ALL_DIAGRAMS)
     def test_fixtures_balanced(self, name):
-        assert is_balanced(load(name)).balanced
+        assert load(name).is_balanced().balanced
 
     def test_count_mismatch(self):
-        rep = is_balanced(annulus_with_core_alpha())
+        rep = annulus_with_core_alpha().is_balanced()
         assert not rep.balanced
         assert any("|alpha| = 1 but |beta| = 0" in r for r in rep.reasons)
 
     def test_null_homotopic_alpha(self):
         # the alpha circle bounds a disk missing the boundary entirely
-        rep = is_balanced(two_circles_disk())
+        rep = two_circles_disk().is_balanced()
         assert not rep.balanced
         assert any("alpha" in r and "misses the boundary" in r for r in rep.reasons)
 
     def test_nested_circles_both_families_fail(self):
-        rep = is_balanced(nested_circles_annulus())
+        rep = nested_circles_annulus().is_balanced()
         assert not rep.balanced
         assert any("alpha" in r for r in rep.reasons)
         assert any("beta" in r for r in rep.reasons)
@@ -208,8 +222,8 @@ class TestGenerators:
             ],
         }
         d = SuturedDiagram.from_json(data)
-        assert validate(d).ok
-        assert is_balanced(d).balanced
+        assert d.validate().ok
+        assert d.is_balanced().balanced
         assert generators(d) == ()
         part = spinc_partition(d)
         assert part.classes == ()
@@ -228,9 +242,9 @@ class TestGenerators:
             ],
         }
         d = SuturedDiagram.from_json(data)
-        report = validate(d)
+        report = d.validate()
         assert report.ok
-        if is_balanced(d).balanced:
+        if d.is_balanced().balanced:
             assert generators(d) == ()
 
 
@@ -525,7 +539,7 @@ class TestSignsAndEulerPolynomial:
         mapping = {"P1": "A", "P2": "B", "P3": "C", "P4": "D", "P5": "E", "P6": "F"}
         data = swap_alpha_curves(rename_points(base.to_json(), mapping))
         other = SuturedDiagram.from_json(data)
-        assert validate(other).ok
+        assert other.validate().ok
         gens2 = generators(other)
         back = {v: k for k, v in mapping.items()}
         signs2 = {tuple(sorted(back[p] for p in g.points())): generator_sign(other, g)
@@ -547,7 +561,7 @@ class TestSignsAndEulerPolynomial:
             d = load(name)
             d2 = SuturedDiagram.from_json(json.loads(json.dumps(d.to_json())))
             assert d2.to_json() == d.to_json()
-            assert validate(d2).ok
+            assert d2.validate().ok
 
 
 class TestRandomLatticeAdmissibility:

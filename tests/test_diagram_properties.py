@@ -8,7 +8,8 @@ word a^p.  Generators are compared by their point sets, since renaming
 points or reordering curves reorders the generator list.  Reordering
 curves or re-indexing a curve's arcs changes the tree-cotree basis of
 H_1(M), so there the polynomial is compared up to h -> h^-1 and the
-Spin^c differences up to one global sign.
+Spin^c differences up to one global sign.  Reversing the cycles of a
+region that shares an arc with another region must never validate.
 """
 
 import contextlib
@@ -17,9 +18,10 @@ import json
 import os
 import tempfile
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import rename_points, rotate_curve, swap_alpha_curves, swap_beta_curves
+from conftest import (rename_points, reverse_region, rotate_curve, swap_alpha_curves,
+                      swap_beta_curves)
 from h1_oracle import chain_diagram, lens_diagram, torus_diagram
 from sutured_kit import cli, fixtures
 from sutured_kit.abelian import doteq_equal
@@ -67,6 +69,19 @@ def test_invariant_under_renaming_points(data, draw):
     mapping = dict(zip(names, image))
     back = {v: k for k, v in mapping.items()}
     assert invariants(rename_points(data, mapping), back) == invariants(data)
+
+
+@PROPERTY
+@given(diagrams(), st.data())
+def test_reversed_region_never_validates(data, draw):
+    # an arc shared with another region then runs the same way on both sides,
+    # so the glued surface is not oriented
+    arcs = [{ref.lstrip("-") for cyc in r["cycles"] for ref in cyc} for r in data["regions"]]
+    shared = [r for r, own in enumerate(arcs)
+              if any(own & other for s, other in enumerate(arcs) if s != r)]
+    assume(shared)
+    r = draw.draw(st.sampled_from(shared))
+    assert not SuturedDiagram.from_json(reverse_region(data, r)).validate().ok
 
 
 def assert_same_up_to_sign(data, other):

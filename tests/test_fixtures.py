@@ -1,6 +1,6 @@
 import pytest
 
-from sutured_kit import diagram, fixtures
+from sutured_kit import fixtures
 
 
 class TestRegistry:
@@ -34,7 +34,7 @@ class TestRegistry:
 
     def test_loaders(self):
         d = fixtures.load_diagram("annulus")
-        assert diagram.validate(d).ok
+        assert d.validate().ok
         p, k = fixtures.load_presentation("annulus_pres")
         assert p.boundary_genus == 1 and len(k.sigma_images) == 1
         s = fixtures.load_support("pretzel222")
@@ -43,7 +43,7 @@ class TestRegistry:
     def test_all_files_load(self):
         for f in fixtures.fixture_list():
             if f.kind == "diagram":
-                assert diagram.validate(fixtures.load_diagram(f.name)).ok
+                assert fixtures.load_diagram(f.name).validate().ok
             elif f.kind == "presentation":
                 fixtures.load_presentation(f.name)
             else:

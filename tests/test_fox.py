@@ -37,6 +37,20 @@ class TestFreeWord:
     def test_exponents(self):
         assert w("a b a B A B").exponents(2) == (1, -1)
 
+    @pytest.mark.parametrize("names", [("x1", "ǆ"), ("a2b",)])
+    def test_inverse_letter_round_trips(self, names):
+        data = {"generators": list(names), "boundary_genus": 1,
+                "relators": [" ".join(n + " " + n.upper() + " " + n.upper() for n in names)]}
+        p = Presentation.from_json(data)
+        assert Presentation.from_json(p.to_json()) == p
+        assert p.relators[0].exponents(len(names)) == (-1,) * len(names)
+
+    @pytest.mark.parametrize("name", ["Ab", "A", "1", "ß", "ʰ", "ı"])
+    def test_name_without_an_inverse_letter_refused(self, name):
+        # name.upper() would not parse back as the inverse of name
+        with pytest.raises(ValueError, match=r"generators\[1\]"):
+            Presentation.from_json({"generators": ["a", name], "boundary_genus": 1})
+
     def test_inverse_cancels(self):
         rng = random.Random(0)
         for _ in range(100):
