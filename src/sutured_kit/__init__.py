@@ -3,7 +3,7 @@
 
 Modules:
 
-- ``abelian``: Smith normal form, finitely generated abelian groups, group rings
+- ``abelian``: Smith normal form, abelian groups, group-ring determinants up to units
 - ``fox``: free words, Fox derivatives, torsion of balanced presentations
 - ``diagram``: sutured Heegaard diagrams, generators, Spin^c partition, domains
 - ``polytope``: exact support polytopes, faces, support function, rank bounds

@@ -1,12 +1,14 @@
-"""Exact integer linear algebra and integral group rings.
+"""Exact integer linear algebra and determinants over integral group rings.
 
 Smith normal form over Z, one fraction-free Gauss-Jordan elimination
 (``echelon``: ranks, pivot columns, null spaces and determinants),
-finitely generated abelian groups in invariant factor form, and
-arithmetic in their integral group rings.  Everything is
-exact: entries are Python ints, there is no floating point and no modular
-shortcut, because all downstream comparisons are exact equalities of
-torsion polynomials up to units.
+finitely generated abelian groups in invariant factor form, and of their
+integral group rings only what the invariants need: ``det_group_ring``,
+the normal form up to units ``doteq_normalize``, the inversion h -> h^{-1}
+and JSON output; sums and products are left to the tests' oracles.
+Everything is exact: entries are Python ints, there is no floating point
+and no modular shortcut, because all downstream comparisons are exact
+equalities of torsion polynomials up to units.
 
 A group element of ``FinAbGroup(free_rank=r, torsion=(d_1,..,d_k))`` is a
 ``NamedTuple`` of tuples ``(free, torsion)``, residues reduced mod d_i,
@@ -273,9 +275,6 @@ class FinAbGroup:
     def __hash__(self):
         return hash((self.free_rank, self.torsion))
 
-    def is_trivial(self):
-        return self.free_rank == 0 and not self.torsion
-
     def element(self, free=(), torsion=()):
         free, torsion = tuple(map(int, free)), tuple(map(int, torsion))
         if len(free) != self.free_rank or len(torsion) != len(self.torsion):
@@ -284,10 +283,6 @@ class FinAbGroup:
 
     def identity(self):
         return GroupElement((0,) * self.free_rank, (0,) * len(self.torsion))
-
-    def generator(self, i=0):
-        """The i-th standard generator (free ones first, then torsion)."""
-        return self.from_coords([int(j == i) for j in range(self.free_rank + len(self.torsion))])
 
     def from_coords(self, coords):
         """The element with coordinates ``coords``: free exponents, then residues mod d_i."""
@@ -354,48 +349,6 @@ class GroupRingElem:
             return "GroupRingElem(0)"
         bits = [f"{c}*{g.free}{g.torsion}" for g, c in self.items()]
         return "GroupRingElem(" + " + ".join(bits) + ")"
-
-
-def ring_zero():
-    return GroupRingElem()
-
-
-def ring_one(g):
-    return GroupRingElem({g.identity(): 1})
-
-
-def ring_from_element(elem, coeff=1):
-    return GroupRingElem({elem: coeff})
-
-
-def ring_add(x, y):
-    terms = dict(x._terms)
-    for g, c in y._terms.items():
-        terms[g] = terms.get(g, 0) + c
-    return GroupRingElem(terms)
-
-
-def ring_neg(x):
-    return GroupRingElem({g: -c for g, c in x._terms.items()})
-
-
-def ring_scale(x, n):
-    return GroupRingElem({g: n * c for g, c in x._terms.items()})
-
-
-def ring_mul(x, y, g):
-    """Convolution product in Z[g]; exponents add, torsion residues mod d_i."""
-    terms = {}
-    for a, ca in x._terms.items():
-        for b, cb in y._terms.items():
-            s = g.add(a, b)
-            terms[s] = terms.get(s, 0) + ca * cb
-    return GroupRingElem(terms)
-
-
-def ring_translate(x, h, g):
-    """Multiply by the single group element h."""
-    return GroupRingElem({g.add(a, h): c for a, c in x._terms.items()})
 
 
 def ring_invert_exponents(x, g):
@@ -514,31 +467,12 @@ def doteq_normalize(x, g):
     return forms[0] if len(forms) == 1 else min(forms, key=GroupRingElem.items)
 
 
-def doteq_equal(x, y, g, allow_inversion=False):
-    """Equality up to +-h, optionally also up to the inversion h -> h^{-1}."""
-    nx = doteq_normalize(x, g)
-    if nx == doteq_normalize(y, g):
-        return True
-    if allow_inversion:
-        return nx == doteq_normalize(ring_invert_exponents(y, g), g)
-    return False
-
-
 # -- serialization ------------------------------------------------------------
 
 def group_to_json(g):
     return {"free_rank": g.free_rank, "torsion": list(g.torsion)}
 
 
-def group_from_json(data):
-    return FinAbGroup(data["free_rank"], tuple(data.get("torsion", ())))
-
-
 def ring_to_json(x):
     return [{"exp_free": list(g.free), "exp_torsion": list(g.torsion), "coeff": c}
             for g, c in x.items()]
-
-
-def ring_from_json(data, g):
-    return GroupRingElem({g.element(t["exp_free"], t["exp_torsion"]): t["coeff"]
-                          for t in data})

@@ -129,10 +129,11 @@ def cmd_crosscheck(args):
         out["detail"] = "homology groups differ"
         _emit(out)
         return 0
-    if abelian.doteq_equal(poly, tau, dgroup):
+    # both are already normal forms up to +-h, so equality up to units is ==
+    if poly == tau:
         out["match"], out["mode"] = True, "plain"
-    elif args.allow_inversion and abelian.doteq_equal(poly, tau, dgroup,
-                                                      allow_inversion=True):
+    elif args.allow_inversion and poly == abelian.doteq_normalize(
+            abelian.ring_invert_exponents(tau, dgroup), dgroup):
         out["match"], out["mode"] = True, "inverted"
     else:
         out["match"], out["mode"] = False, None

@@ -388,21 +388,6 @@ class SuturedDiagram:
         if not report:
             raise NotBalanced("; ".join(report.reasons))
 
-    def complement_hole_split(self, family):
-        """Multiset of boundary-circle counts of the components of the surface
-        minus one curve family ('a' or 'b'); pins down how the curves
-        partition the boundary."""
-        self.require_valid()
-        return sorted(sum(self.regions[r].boundary_circles for r in comp)
-                      for comp in self._complement_components(family))
-
-
-def euler_characteristics(d):
-    """(chi(R_+), chi(R_-)) = (chi(Sigma) + 2|alpha|, chi(Sigma) + 2|beta|)."""
-    d.require_valid()
-    chi_sigma = 2 - 2 * d.genus - d.boundary_circles
-    return chi_sigma + 2 * len(d.alpha), chi_sigma + 2 * len(d.beta)
-
 
 # -- generators -----------------------------------------------------------------
 

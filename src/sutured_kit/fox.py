@@ -17,8 +17,9 @@ its determinant in Z[H_1] up to +-h.
 ``theta_matrix`` does not form the Fox derivatives in the free group
 ring: it builds each column in one walk over its word, carrying the
 image in H_1 of the prefix, so every letter adds one term to the row of
-its generator.  ``fox_derivative`` stays as the free-group-ring
-definition that the tests hold it to.
+its generator.  ``fox_derivative``, with ``combo_add`` and ``combo_mul``
+on formal combinations of words, stays public as the paper's Fox
+calculus, the definition that the tests hold ``theta_matrix`` to.
 """
 
 from dataclasses import dataclass
@@ -48,16 +49,15 @@ class FreeWord:
 
     @classmethod
     def from_string(cls, text, generator_names):
-        """Parse whitespace-separated letters; uppercase means inverse."""
-        lower = {name: i for i, name in enumerate(generator_names)}
+        """Parse whitespace-separated letters; a name in uppercase is its inverse."""
+        table = {}
+        for i, name in enumerate(generator_names):
+            table[name], table[name.upper()] = (i, 1), (i, -1)
         letters = []
         for tok in text.split():
-            if tok in lower:
-                letters.append((lower[tok], 1))
-            elif tok.lower() in lower and tok != tok.lower():
-                letters.append((lower[tok.lower()], -1))
-            else:
+            if tok not in table:
                 raise InvalidGenerator(f"unknown letter {tok!r}")
+            letters.append(table[tok])
         return cls(letters)
 
     def to_string(self, generator_names):
@@ -96,10 +96,6 @@ class FreeWord:
 
     def __repr__(self):
         return f"FreeWord({self.letters!r})"
-
-
-def word(*letters):
-    return FreeWord(letters)
 
 
 # A formal Z-linear combination of free words is a dict FreeWord -> int.

@@ -141,13 +141,6 @@ def spectral_flow(path):
     return endpoint
 
 
-def polar_unitary(a):
-    """Unitary factor of the polar decomposition; retracts GL(n, C) to U(n)."""
-    a = np.asarray(a, dtype=complex)
-    u, _, vh = np.linalg.svd(a)
-    return u @ vh
-
-
 # -- JSON ingestion -----------------------------------------------------------
 
 def matrix_from_json(rows, field="matrix"):

@@ -38,19 +38,6 @@ class RankTable:
     def values_in_order(self):
         return [self.ranks[i] for i in self.support()]
 
-    def equivalent_up_to_affine(self, other):
-        """Equality up to index translation and reflection (the identification
-        of Spin^c with Z is only fixed up to an affine map)."""
-        a, b = self.values_in_order(), other.values_in_order()
-        if self.support() and other.support():
-            sa = [j - self.support()[0] for j in self.support()]
-            sb = [j - other.support()[0] for j in other.support()]
-            if sa == sb and a == b:
-                return True
-            sa_ref = [sa[-1] - j for j in reversed(sa)]
-            return sa_ref == sb and list(reversed(a)) == b
-        return a == b
-
     def __eq__(self, other):
         return isinstance(other, RankTable) and self.ranks == other.ranks
 
@@ -78,13 +65,6 @@ def solid_torus_sfh(p, q, n):
         raise ResultTooLarge(f"p = {p} and n = {n} give {p * (k + 1)} ranks of up to "
                              f"2^{k}; p * (n/2)^2 must be at most {MAX_TABLE_BITS}")
     return RankTable({i: comb(k, i // p) for i in range(p * (k + 1))})
-
-
-def tensor_rank_identity(p, q, n, m):
-    """total(T(p,q; n+m-2)) == total(T(1,0; n)) * total(T(p,q; m))."""
-    lhs = solid_torus_sfh(p, q, n + m - 2).total_rank()
-    rhs = solid_torus_sfh(1, 0, n).total_rank() * solid_torus_sfh(p, q, m).total_rank()
-    return lhs == rhs
 
 
 def closed_manifold_rank(hf_rank, n):

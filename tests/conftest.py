@@ -16,6 +16,7 @@ import numpy as np
 from sutured_kit.diagram import SuturedDiagram
 from sutured_kit.errors import CrossingCountMismatch
 from sutured_kit.maslov import CROSSING_SHIFT
+from sutured_kit.oracle import solid_torus_sfh
 
 
 # -- exact linear programming (test-side oracle) --------------------------------
@@ -121,6 +122,25 @@ def lp_admissible(vectors):
          for r in range(n)]
     A.append([0] * (2 * len(vectors)) + [1] * n)
     return not lp_feasible_eq(A, [0] * n + [1])
+
+
+# -- rank tables ------------------------------------------------------------------
+
+def tensor_rank_identity(p, q, n, m):
+    """total(T(p,q; n+m-2)) == total(T(1,0; n)) * total(T(p,q; m))."""
+    lhs = solid_torus_sfh(p, q, n + m - 2).total_rank()
+    rhs = solid_torus_sfh(1, 0, n).total_rank() * solid_torus_sfh(p, q, m).total_rank()
+    return lhs == rhs
+
+
+def equivalent_up_to_affine(a, b):
+    """Rank tables equal up to index translation and reflection (the
+    identification of Spin^c with Z is only fixed up to an affine map)."""
+    def shape(ranks):
+        lo = min(ranks, default=0)
+        return sorted((i - lo, r) for i, r in ranks.items())
+
+    return shape(b.ranks) in (shape(a.ranks), shape({-i: r for i, r in a.ranks.items()}))
 
 
 # -- maslov loop builders with known winding ---------------------------------------

@@ -5,14 +5,15 @@ as an independent check: the same bitmask pass and memo over column
 sets, but every product goes through ``ring_mul`` on ``GroupElement``
 keys, with torsion residues reduced at each step.  ``oracle_det()``
 swaps it in for ``det_group_ring`` in every library module that binds
-that name, so whole CLI commands can be run on it.
+that name, so whole CLI commands can be run on it.  ``Unreadable`` is
+the entry that shows a size bound is checked before any product.
 """
 
 from contextlib import contextmanager
 
+from ring_oracle import ring_add, ring_mul, ring_neg, ring_one
 from sutured_kit import abelian, diagram, fox
-from sutured_kit.abelian import (TOO_LARGE_DET, ring_add, ring_mul, ring_neg,
-                                 ring_one, ring_zero)
+from sutured_kit.abelian import TOO_LARGE_DET, GroupRingElem
 from sutured_kit.errors import DeterminantTooLarge
 
 
@@ -44,7 +45,7 @@ def det_group_ring(m, g):
         if got is not None:
             return got
         row = n - bin(mask).count("1")
-        total = ring_zero()
+        total = GroupRingElem()
         sign = 1
         rest = mask
         while rest:
@@ -61,6 +62,13 @@ def det_group_ring(m, g):
         return total
 
     return minor((1 << n) - 1)
+
+
+class Unreadable:
+    """Nonzero to the bitmask pass, with no terms for anything after it to read."""
+
+    def is_zero(self):
+        return False
 
 
 @contextmanager

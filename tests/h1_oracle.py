@@ -15,8 +15,8 @@ builders for the parametric families T(p,1;2), T(1,0;2k+2) and L(p,1)
 minus a ball.
 """
 
-from sutured_kit.abelian import (GroupRingElem, IntMatrix, cokernel, ring_neg,
-                                 ring_translate, ring_zero, smith_normal_form)
+from ring_oracle import ring_neg, ring_translate
+from sutured_kit.abelian import GroupRingElem, IntMatrix, cokernel, smith_normal_form
 from sutured_kit.diagram import (DomainVector, _check_generator, _eps_chain,
                                  epsilon, generator_sign, generators, h1_of_M,
                                  internal_regions)
@@ -276,7 +276,7 @@ def enumerated_euler_polynomial(d):
     gens = generators(d)
     group, _ = h1_of_M(d)
     if not gens:
-        return ring_zero(), group
+        return GroupRingElem(), group
     terms = {}
     for x in gens:
         cls = epsilon(d, gens[0], x)

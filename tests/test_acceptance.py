@@ -4,25 +4,23 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  Tolerances are exact except where a wall-clock budget is stated.
 """
 
-import itertools
 import random
 import time
-from math import comb, gcd, prod
+from math import comb, gcd
 
 import numpy as np
 
-from conftest import (brute_force_admissible, lagrangian_loop,
-                      random_symmetric, two_circles_disk, unitary_group_loop)
+from conftest import (brute_force_admissible, lagrangian_loop, random_symmetric,
+                      tensor_rank_identity, two_circles_disk, unitary_group_loop)
+from ring_oracle import doteq_equal, leibniz_det, ring_one
 from sutured_kit import diagram, fixtures, fox
-from sutured_kit.abelian import (FinAbGroup, GroupRingElem, IntMatrix,
-                                 det_group_ring, doteq_equal, ring_add,
-                                 ring_mul, ring_neg, ring_one, ring_zero,
+from sutured_kit.abelian import (FinAbGroup, GroupRingElem, IntMatrix, det_group_ring,
                                  smith_normal_form)
 from sutured_kit.diagram import admissible_lattice
 from sutured_kit.fox import FreeWord, combo_add, combo_mul, fox_derivative
 from sutured_kit.maslov import (SymmetricPath, UnitaryLoop, maslov_loop_index,
                                 spectral_flow, symplectic_loop_index)
-from sutured_kit.oracle import solid_torus_sfh, tensor_rank_identity
+from sutured_kit.oracle import solid_torus_sfh
 from sutured_kit.polytope import (depth_bound, hull, is_centrally_symmetric,
                                   seifert_surface_bound, support_function)
 
@@ -136,21 +134,6 @@ def test_criterion_5_snf_suite():
 
 def test_criterion_6_determinant_oracle():
     """Cofactor determinant equals the Leibniz sum over Z[Z] and Z[Z + Z/2]."""
-    def leibniz(m, g):
-        n = len(m)
-        total = ring_zero()
-        for perm in itertools.permutations(range(n)):
-            sign = 1
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if perm[i] > perm[j]:
-                        sign = -sign
-            term = ring_one(g)
-            for i in range(n):
-                term = ring_mul(term, m[i][perm[i]], g)
-            total = ring_add(total, term if sign > 0 else ring_neg(term))
-        return total
-
     rng = random.Random(20240815)
     for g in (FinAbGroup(1), FinAbGroup(1, (2,))):
         for _ in range(60):
@@ -160,7 +143,7 @@ def test_criterion_6_determinant_oracle():
                           tuple(rng.randrange(d) for d in g.torsion)):
                 rng.randint(-2, 2)})
                 for _ in range(n)] for _ in range(n)]
-            assert det_group_ring(m, g) == leibniz(m, g)
+            assert det_group_ring(m, g) == leibniz_det(m, g)
     report(6, "determinant matches the Leibniz expansion (120 random matrices)")
 
 
@@ -209,7 +192,7 @@ def test_criterion_8_eps_spinc_suite():
     grp = part.group
     assert grp.free_rank == 1 and not grp.torsion
     diff = part.difference[(0, 1)]
-    assert diff in (grp.generator(0), grp.neg(grp.generator(0)))
+    assert diff in (grp.element((1,)), grp.element((-1,)))
     report(8, "eps additivity, domains iff eps=0, T(1,0;4) splits 2 classes")
 
 

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import reverse_region, s1xs2_minus_ball
-from sutured_kit import cli, fixtures
+from h1_oracle import torus_diagram
+from sutured_kit import cli, diagram, fixtures, fox
 
 
 def run(capsys, *argv):
@@ -132,6 +133,21 @@ class TestCrosscheck:
         assert code == 0
         # 1 + h^-1 is plainly unit-equivalent to 1 + h, so plain still matches
         assert data["match"] is True and data["mode"] == "plain"
+
+    def test_inverted_mode(self, capsys, tmp_path, monkeypatch):
+        # T(4,1;2) with the sign of P0 flipped has Euler polynomial 1 - h + h^2 + h^3,
+        # with P3 flipped 1 + h - h^2 + h^3: the inversion of the first, not a unit multiple
+        p0, p3 = torus_diagram(4), torus_diagram(4)
+        p0["crossing_sign"]["P0"] = p3["crossing_sign"]["P3"] = -1
+        dpath = tmp_path / "d.json"
+        dpath.write_text(json.dumps(p0))
+        tau = diagram.euler_polynomial(diagram.SuturedDiagram.from_json(p3))
+        monkeypatch.setattr(fox, "torsion", lambda p, k: tau)
+        argv = ("crosscheck", str(dpath), fixture_path("t212_pres"))
+        code, data = run_json(capsys, *argv)
+        assert code == 0 and data["match"] is False and data["mode"] is None
+        code, data = run_json(capsys, *argv, "--allow-inversion")
+        assert code == 0 and data["match"] is True and data["mode"] == "inverted"
 
 
 class TestPolytopeCommand:

@@ -66,24 +66,8 @@ def test_matrix_of_one_term_entries_spans_every_digit():
     assert not got.is_zero() and got == det_oracle.det_group_ring(m, g)
 
 
-class _Unreadable(GroupRingElem):
-    """Nonzero to the bitmask pass, an error to anything that reads its terms."""
-
-    __slots__ = ()
-
-    def __init__(self):
-        pass
-
-    def is_zero(self):
-        return False
-
-    @property
-    def _terms(self):
-        raise AssertionError("terms read before the bound was checked")
-
-
 def test_dense_seventeen_refused_before_any_product():
-    dense = [[_Unreadable()] * 17 for _ in range(17)]
+    dense = [[det_oracle.Unreadable()] * 17 for _ in range(17)]
     with pytest.raises(DeterminantTooLarge):
         det_group_ring(dense, FinAbGroup(1))
 

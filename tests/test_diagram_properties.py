@@ -23,8 +23,8 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import (rename_points, reverse_region, rotate_curve, swap_alpha_curves,
                       swap_beta_curves)
 from h1_oracle import chain_diagram, lens_diagram, torus_diagram
+from ring_oracle import doteq_equal
 from sutured_kit import cli, fixtures
-from sutured_kit.abelian import doteq_equal
 from sutured_kit.diagram import (SuturedDiagram, euler_polynomial, generators,
                                  spinc_partition)
 

