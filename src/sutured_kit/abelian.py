@@ -361,15 +361,63 @@ def ring_aug(x):
     return sum(x._terms.values())
 
 
+def _perm_sign(perm):
+    sign = 1
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                sign = -sign
+    return sign
+
+
+def _footprint_order(masks):
+    """Greedy row order by column footprint, and its bound on the memo keys.
+
+    The next row is the one whose nonzero columns add the fewest new columns
+    to the union of the rows already taken; ties go to fewer nonzeros, then
+    to the lower index.  After r rows every memo key lacks r columns of that
+    union, so sum_r C(|union|, r) bounds the keys of the whole expansion.
+    """
+    left = list(range(len(masks)))
+    order, union, cost = [], 0, 0
+    while left:
+        i = min(left, key=lambda i: ((masks[i] & ~union).bit_count(), masks[i].bit_count(), i))
+        left.remove(i)
+        order.append(i)
+        union |= masks[i]
+        cost += comb(union.bit_count(), len(order))
+    return cost, order
+
+
+def _memo_levels(masks):
+    """The memo keys of each row, the column sets left by nonzero picks in
+    the rows above; refuses more than TOO_LARGE_DET at one row."""
+    n = len(masks)
+    levels = [{(1 << n) - 1}]
+    for r, row in enumerate(masks):
+        nonzero = [1 << j for j in range(n) if row >> j & 1]
+        level = {mask ^ bit for mask in levels[-1] for bit in nonzero if mask & bit}
+        if len(level) > TOO_LARGE_DET:
+            raise DeterminantTooLarge(f"{len(level)} minors after row {r + 1} > {TOO_LARGE_DET}")
+        levels.append(level)
+    return levels
+
+
 def det_group_ring(m, g):
     """Determinant of a square matrix over Z[g].
 
     Cofactor expansion with memoization on the set of unused columns; the
     ring has zero divisors whenever g has torsion, so fraction-free
-    elimination is not available.  Before any ring product a bitmask pass
-    counts the memo keys of each row, the column sets left by nonzero picks
-    in the rows above, and refuses more than TOO_LARGE_DET at one row.  The
-    minors are then filled in for those keys, last row first.
+    elimination is not available.  The expansion order is read from the
+    zero pattern alone: rows in ``_footprint_order``, of m or of its
+    transpose (g is abelian, so both have the same determinant), whichever
+    bounds fewer memo keys, and the result times the sign of that row
+    permutation.  Below 3 x 3 the caller's order is kept.  Before any ring
+    product a bitmask pass counts the memo keys of each row of the order
+    expanded and refuses more than TOO_LARGE_DET at one row; if the chosen
+    order is refused, the caller's order is counted instead, and only its
+    refusal is raised.  The minors are then filled in for those keys, last
+    row first.
 
     Inside, a group element is one int in mixed radix.  A free coordinate
     is shifted by its minimum lo over all entries and gets the digit base
@@ -381,13 +429,25 @@ def det_group_ring(m, g):
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix is not square")
-    levels = [{(1 << n) - 1}]
-    for r, row in enumerate(m):
-        nonzero = [1 << j for j, e in enumerate(row) if not e.is_zero()]
-        level = {mask ^ bit for mask in levels[-1] for bit in nonzero if mask & bit}
-        if len(level) > TOO_LARGE_DET:
-            raise DeterminantTooLarge(f"{len(level)} minors after row {r + 1} > {TOO_LARGE_DET}")
-        levels.append(level)
+    masks = [sum(1 << j for j, e in enumerate(row) if not e.is_zero()) for row in m]
+    flip, order = False, list(range(n))
+    if n >= 3:
+        cols = [sum((mask >> j & 1) << i for i, mask in enumerate(masks)) for j in range(n)]
+        row_cost, row_order = _footprint_order(masks)
+        col_cost, col_order = _footprint_order(cols)
+        flip = col_cost < row_cost
+        order = col_order if flip else row_order
+    expanded = [(cols if flip else masks)[i] for i in order]
+    try:
+        levels = _memo_levels(expanded)
+    except DeterminantTooLarge:
+        if expanded == masks:
+            raise
+        flip, order, levels = False, list(range(n)), _memo_levels(masks)
+    if flip:
+        m = list(zip(*m))
+    m = [m[i] for i in order]
+    parity = _perm_sign(order)
 
     elements = [h for row in m for e in row for h in e._terms]
     lows, bases = [], []
@@ -439,7 +499,7 @@ def det_group_ring(m, g):
         return g.from_coords(tuple(map(add, digits, shifts)))
 
     # residues that agree mod d now land on one element; the constructor merges them
-    return GroupRingElem((unpack(key), c) for key, c in memo[(1 << n) - 1])
+    return GroupRingElem((unpack(key), parity * c) for key, c in memo[(1 << n) - 1])
 
 
 def doteq_normalize(x, g):

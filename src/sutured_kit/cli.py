@@ -33,8 +33,40 @@ class _Once(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
+_scalar = json.JSONEncoder(sort_keys=True).encode
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _encode(x, indent):
+    """``json.dumps(x, sort_keys=True, indent=2)`` nested at ``indent``.
+
+    The standard library runs its pure-Python encoder whenever ``indent``
+    is set; this walk builds the same bytes from the C string quoting.
+    """
+    kind = type(x)
+    if kind is int:
+        return int.__repr__(x)
+    if kind is str:
+        return _quote(x)
+    if kind is list or kind is tuple:
+        if not x:
+            return "[]"
+        inner = indent + "  "
+        items = [_encode(v, inner) for v in x]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if kind is dict and all(type(k) is str for k in x):
+        if not x:
+            return "{}"
+        inner = indent + "  "
+        items = [_quote(k) + ": " + _encode(x[k], inner) for k in sorted(x)]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if kind is float or kind is bool or x is None:
+        return _scalar(x)
+    return json.dumps(x, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+
+
 def _emit(payload):
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(_encode(payload, "") + "\n")
 
 
 def _load_json_file(path):

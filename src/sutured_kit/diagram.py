@@ -49,7 +49,7 @@ the integer hull of ``polytope`` decides under its dimension bound.
 from dataclasses import dataclass
 
 from . import abelian
-from .abelian import (FinAbGroup, IntMatrix, det_group_ring, doteq_normalize,
+from .abelian import (FinAbGroup, IntMatrix, _perm_sign, det_group_ring, doteq_normalize,
                       smith_cokernel, GroupRingElem)
 from .errors import (DimensionTooLarge, InvalidDiagram, NotAGenerator, NotBalanced, expect,
                      expect_items)
@@ -824,15 +824,6 @@ def connecting_domains(d, x, y):
 
 
 # -- signs and the Euler polynomial -----------------------------------------------------
-
-
-def _perm_sign(perm):
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
 
 
 def generator_sign(d, x):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import reverse_region, s1xs2_minus_ball
 from h1_oracle import torus_diagram
@@ -322,6 +325,23 @@ class TestContract:
                 cli.main([sub, "--help"])
             assert exc.value.code == 0
             assert capsys.readouterr().out
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=4)
+                   | st.dictionaries(st.integers(), inner, max_size=3)),
+    max_leaves=12)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(JSON_VALUES)
+def test_emit_writes_the_bytes_of_indented_json_dumps(value):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(value)
+    assert out.getvalue() == json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
 class TestInputShape:

@@ -1,18 +1,22 @@
 """The packed-key determinant and the one-pass Fox matrix against their
 oracles: `det_oracle.det_group_ring` (the cofactor expansion on
-`GroupElement` keys) term for term before normalizing, `phi` of each
-`fox_derivative` entry by entry, and the CLI bytes with the oracle
-swapped in."""
+`GroupElement` keys, in the caller's row order) term for term before
+normalizing, whatever order the library expands, with its refusals under
+a lowered memo-key bound; `phi` of each `fox_derivative` entry by entry,
+and the CLI bytes with the oracle swapped in."""
+
+import random
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import det_oracle
-from sutured_kit import cli, fixtures
-from sutured_kit.abelian import FinAbGroup, GroupRingElem, det_group_ring
+from sutured_kit import abelian, cli, fixtures
+from sutured_kit.abelian import FinAbGroup, GroupRingElem, IntMatrix, det_group_ring, ring_aug
 from sutured_kit.errors import DeterminantTooLarge
 from sutured_kit.fox import (FreeWord, InclusionData, Presentation, abelianization,
-                             fox_derivative, theta_matrix)
+                             fox_derivative, theta_matrix, torsion)
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 TORSIONS = ((), (2,), (3,), (2, 4), (2, 12))
@@ -66,10 +70,101 @@ def test_matrix_of_one_term_entries_spans_every_digit():
     assert not got.is_zero() and got == det_oracle.det_group_ring(m, g)
 
 
-def test_dense_seventeen_refused_before_any_product():
-    dense = [[det_oracle.Unreadable()] * 17 for _ in range(17)]
-    with pytest.raises(DeterminantTooLarge):
-        det_group_ring(dense, FinAbGroup(1))
+PATTERNS = ("sparse", "bidiagonal", "permutation", "dense row", "dense column")
+
+
+@st.composite
+def patterned_matrices(draw):
+    """n x n over Z^r + T, n = 0..7, with a sparse, bidiagonal or permutation
+    zero pattern, or a sparse one with one dense row or column; rows and
+    columns are then shuffled, so the caller's order is rarely the one
+    the routine expands."""
+    g = FinAbGroup(draw(st.integers(0, 2)), draw(st.sampled_from(((), (2,), (2, 4)))))
+    n = draw(st.integers(0, 7))
+    pattern = draw(st.sampled_from(PATTERNS))
+    if pattern == "bidiagonal":
+        cells = {(i, j) for i in range(n) for j in (i, i + 1) if j < n}
+    elif pattern == "permutation":
+        cells = set(enumerate(draw(st.permutations(range(n)))))
+    else:
+        cells = {(i, j) for i in range(n) for j in range(n) if draw(st.integers(0, 9)) < 3}
+        k = draw(st.integers(0, max(n - 1, 0)))
+        if pattern == "dense row":
+            cells |= {(k, j) for j in range(n)}
+        elif pattern == "dense column":
+            cells |= {(i, k) for i in range(n)}
+    rows, cols = draw(st.permutations(range(n))), draw(st.permutations(range(n)))
+
+    def entry():
+        return GroupRingElem(
+            (g.element([draw(st.integers(-2, 2)) for _ in range(g.free_rank)],
+                       [draw(st.integers(0, 7)) for _ in g.torsion]),
+             draw(st.sampled_from((-2, -1, 1, 3))))
+            for _ in range(draw(st.integers(1, 2))))
+
+    return [[entry() if (rows[i], cols[j]) in cells else GroupRingElem() for j in range(n)]
+            for i in range(n)], g
+
+
+@contextmanager
+def memo_bound(limit):
+    """Lower TOO_LARGE_DET in the library and in the oracle inside the block."""
+    saved = abelian.TOO_LARGE_DET
+    abelian.TOO_LARGE_DET = det_oracle.TOO_LARGE_DET = limit
+    try:
+        yield
+    finally:
+        abelian.TOO_LARGE_DET = det_oracle.TOO_LARGE_DET = saved
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(patterned_matrices(), st.sampled_from((1, 2, 3, 5, 8)))
+def test_expansion_order_keeps_every_term_and_every_refusal(case, limit):
+    """The raw determinant, before the +-h normal form could hide a sign,
+    equals the oracle's; under a bound lowered to ``limit`` memo keys the
+    routine refuses only what the oracle's pass in the caller's order
+    refuses, with the same detail."""
+    m, g = case
+    want = det_oracle.det_group_ring(m, g)
+    assert det_group_ring(m, g) == want
+    with memo_bound(limit):
+        try:
+            det_oracle.det_group_ring(m, g)
+            refusal = None
+        except DeterminantTooLarge as exc:
+            refusal = exc.detail
+        try:
+            assert det_group_ring(m, g) == want
+        except DeterminantTooLarge as exc:
+            assert exc.detail == refusal
+
+
+def relator(rng, m, length):
+    """Freely and cyclically reduced word of ``length`` letters in m generators."""
+    while True:
+        letters = []
+        while len(letters) < length:
+            i, e = rng.randrange(m), rng.choice((1, -1))
+            if not letters or letters[-1] != (i, -e):
+                letters.append((i, e))
+        if letters[0] != (letters[-1][0], -letters[-1][1]):
+            return FreeWord(letters)
+
+
+def test_eighteen_generators_refused_in_the_callers_order_are_computed():
+    rng = random.Random(9)
+    m = 18
+    p = Presentation(tuple(f"g{i}" for i in range(m)),
+                     tuple(relator(rng, m, 5) for _ in range(m - 1)), 1)
+    k = InclusionData((relator(rng, m, 1),))
+    theta, g = theta_matrix(p, k)
+    with pytest.raises(DeterminantTooLarge, match="minors after row 9"):
+        det_oracle.det_group_ring(theta, g)
+    tau, _ = torsion(p, k)
+    words = list(k.sigma_images) + list(p.relators)
+    sums = IntMatrix([[sum(e for j, e in w.letters if j == i) for w in words]
+                      for i in range(m)])
+    assert abs(ring_aug(tau)) == abs(sums.det()) == 120
 
 
 @st.composite

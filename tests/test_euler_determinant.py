@@ -107,5 +107,6 @@ class TestMemoKeyBound:
 
     def test_refused_before_any_ring_product(self):
         dense = [[Unreadable()] * 17 for _ in range(17)]
-        with pytest.raises(DeterminantTooLarge):
+        with pytest.raises(DeterminantTooLarge) as refused:
             det_group_ring(dense, FinAbGroup(1))
+        assert refused.value.detail == "19448 minors after row 7 > 12870"
