@@ -217,7 +217,7 @@ def cmd_maslov(args):
     elif kind == "symplectic_loop":
         _emit({"kind": kind, "index": maslov.symplectic_loop_index(maslov.UnitaryLoop(samples))})
     elif kind == "spectral_flow":
-        _emit({"kind": kind, "flow": maslov.spectral_flow(maslov.SymmetricPath(samples.real))})
+        _emit({"kind": kind, "flow": maslov.spectral_flow(maslov.SymmetricPath(samples))})
     else:
         raise UsageError(f"unknown maslov input kind {kind!r}")
     return 0

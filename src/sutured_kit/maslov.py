@@ -11,8 +11,11 @@ Spectral flow of a path of real symmetric matrices with invertible
 endpoints is the net number of eigenvalues moving from negative to
 positive, which equals the Morse index of the start minus that of the
 end.  The same drop after a small positive spectral shift must agree, or
-an endpoint eigenvalue lies too close to zero to count.
+an endpoint eigenvalue lies too close to zero to count.  A sample with a
+nonzero imaginary part is refused, not cast to its real part.
 """
+
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -78,9 +81,14 @@ class SymmetricPath:
     """Sampled path of real symmetric matrices with invertible endpoints."""
 
     def __init__(self, samples):
-        stack = _as_stack(samples, float)
+        stack = _as_stack(samples, complex)
         if len(stack) < 2:
             raise ValueError("a path needs at least two samples")
+        k = _first(np.any(stack.imag != 0, axis=(1, 2)))
+        if k is not None:
+            raise NotSymmetric(f"sample {k} has a nonzero imaginary part; "
+                               "spectral flow needs real symmetric matrices")
+        stack = stack.real
         n = stack.shape[1]
         asym = np.linalg.norm(stack - stack.transpose(0, 2, 1), axis=(1, 2))
         k = _first(asym > SYMMETRY_TOL * max(1.0, n))
@@ -188,14 +196,65 @@ def _first_overflow(rows):
 
 
 def samples_from_json(data):
-    """The sample matrices stacked in one complex array; every entry finite."""
-    mats = [matrix_from_json(m, f"samples[{k}]")
-            for k, m in enumerate(expect(data, list, "samples"))]
+    """The sample matrices stacked in one complex array; every entry finite.
+
+    One bulk pass reads the usual input, N matrices of one shape whose
+    entries are all {"re": x, "im": y} objects or all numbers: type and
+    size checks over whole lists, then one array fill.  Any other input,
+    a faulty one included, is read again matrix by matrix
+    (``matrix_from_json``), and that walk names the field at fault.  Both
+    give the same array, entry for entry.
+    """
+    samples = expect(data, list, "samples")
+    if not samples:
+        raise ValueError("empty sample list")
     try:
-        stack = np.array(mats, dtype=complex)
-    except ValueError:
-        raise ValueError("samples must be matrices of equal size") from None
+        stack = _bulk_samples(samples)
+    except OverflowError:       # an integer beyond a float: the walk names it
+        stack = None
+    if stack is None:
+        mats = [matrix_from_json(m, f"samples[{k}]") for k, m in enumerate(samples)]
+        try:
+            stack = np.array(mats, dtype=complex)
+        except ValueError:
+            raise ValueError("samples must be matrices of equal size") from None
     finite = np.isfinite(stack)
     if not finite.all():
         raise ValueError(f"samples[{np.argwhere(~finite)[0][0]}] has a non-finite entry")
     return stack
+
+
+def _one(sizes):
+    """The one value of ``sizes``, or None if it has none or several."""
+    sizes = set(sizes)
+    return sizes.pop() if len(sizes) == 1 else None
+
+
+def _bulk_samples(samples):
+    """The (N, r, c) stack, read with a few passes over whole lists, or None
+    where the samples are not N lists of r >= 1 lists of c entries that are
+    all {"re": x, "im": y} objects with number parts or all numbers."""
+    if not set(map(type, samples)) <= {list}:
+        return None
+    r = _one(map(len, samples))
+    rows = list(chain.from_iterable(samples))
+    if r is None or not set(map(type, rows)) <= {list}:
+        return None
+    c = _one(map(len, rows))
+    if c is None:
+        return None
+    entries = list(chain.from_iterable(rows))
+    kinds = set(map(type, entries))
+    if kinds <= {float, int}:
+        flat = np.array(entries, dtype=float).astype(complex)
+    elif kinds == {dict}:
+        re = list(map(dict.get, entries, repeat("re"), repeat(0.0)))
+        im = list(map(dict.get, entries, repeat("im"), repeat(0.0)))
+        if not set(map(type, re)) | set(map(type, im)) <= {float, int}:
+            return None
+        flat = np.empty(len(entries), dtype=complex)
+        flat.real = re
+        flat.imag = im
+    else:
+        return None
+    return flat.reshape(len(samples), r, c)

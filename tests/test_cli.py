@@ -252,6 +252,18 @@ class TestMaslovCommand:
                               "--kind", "symplectic_loop")
         assert code == 0 and data["index"] == 1
 
+    def test_spectral_flow_refuses_imaginary_parts(self, capsys, tmp_path):
+        # eigenvalues 6 and -4 at the start, 1 and 1 at the end: the Hermitian
+        # flow is 1, and the real parts alone would give 0
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps({"kind": "spectral_flow", "samples": [
+            [[1.0, {"im": 5.0}], [{"im": -5.0}, 1.0]], [[1.0, 0.0], [0.0, 1.0]]]}))
+        code, data = run_json(capsys, "maslov", str(path))
+        assert code == 1
+        assert data == {"error": "not_symmetric",
+                        "detail": "sample 0 has a nonzero imaginary part; "
+                                  "spectral flow needs real symmetric matrices"}
+
     def test_domain_error(self, capsys, tmp_path):
         path = tmp_path / "loop.json"
         path.write_text(json.dumps({"kind": "lagrangian_loop",
@@ -405,6 +417,9 @@ class TestInputShape:
           for names, i in ((["a", "a"], 1), (["a", "A"], 1), (["", "a"], 0),
                            (["a", "b c"], 1), (["a", "b\t"], 1), (["ab", "c", "AB"], 2),
                            (["Ab"], 0), (["A"], 0), (["a", "1"], 1))],
+        (("maslov",), {"kind": "lagrangian_loop", "samples": []}, "empty sample list"),
+        (("maslov", "--samples", "3"), {"kind": "lagrangian_loop", "samples": []},
+         "empty sample list"),
     ])
     def test_bad_shape_is_bad_input(self, capsys, tmp_path, argv, payload, field):
         path = tmp_path / "in.json"

@@ -2,7 +2,9 @@ import cmath
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import maslov_oracle
 from conftest import (lagrangian_loop, rand_orthogonal, rand_unitary,
                       random_symmetric, stepwise_spectral_flow,
                       unitary_group_loop)
@@ -199,6 +201,15 @@ class TestSpectralFlow:
             SymmetricPath(samples)
         assert str(exc.value) == "sample 3 is not symmetric within 1e-12"
 
+    def test_first_complex_sample_reported(self):
+        # Hermitian, not real symmetric: casting to the real part would hide it
+        samples = [np.eye(2, dtype=complex)] * 9
+        samples[4] = samples[7] = np.array([[1.0, 5j], [-5j, 1.0]])
+        with pytest.raises(NotSymmetric) as exc:
+            SymmetricPath(samples)
+        assert str(exc.value) == ("sample 4 has a nonzero imaginary part; "
+                                  "spectral flow needs real symmetric matrices")
+
     def test_crossing_mismatch_detected(self):
         # an endpoint eigenvalue inside the regularization window (negative but
         # flipped positive by the +delta shift) makes the two counts disagree
@@ -260,3 +271,59 @@ class TestHelpers:
         assert m[0, 0] == 1 + 2j and m[0, 1] == 3 and m[1, 1] == -1j
         samples = samples_from_json([[[1, 0], [0, 1]]] * 2)
         assert len(samples) == 2 and samples[0].shape == (2, 2)
+
+
+# -- JSON ingestion against the per-entry loop -------------------------------------
+
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-9, 9),
+                   st.just(-0.0), st.integers(2 ** 53, 2 ** 70) | st.integers(-2 ** 70, -2 ** 53),
+                   st.sampled_from([2 ** 64 + 1, 2 ** 1023 + 1, 2 ** 1024 - 2 ** 971]))
+OBJECT = st.fixed_dictionaries({}, optional={"re": FINITE, "im": FINITE})
+HUGE = st.sampled_from([10 ** 400, -10 ** 400, 2 ** 1024 - 2 ** 970])
+PART = st.sampled_from([True, False, "1", None, [0.5], float("nan"), -float("inf")])
+BAD = PART | HUGE | st.sampled_from(["", {"re": 1.0}, (1.0,), float("inf")])
+NOT_A_LIST = st.sampled_from([5, 1.5, "x", None, True, {"0": [1.0]}, (1.0,)])
+
+
+@st.composite
+def sample_lists(draw):
+    """Sample lists of every entry form, most of them with one fault."""
+    n, r, c = draw(st.integers(1, 4)), draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    entry = draw(st.sampled_from([FINITE, OBJECT, FINITE | OBJECT]))
+    samples = [[[draw(entry) for _ in range(c)] for _ in range(r)] for _ in range(n)]
+    k, i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    fault = draw(st.sampled_from([None, "entry", "part", "part", "huge", "ragged", "size",
+                                  "level", "top"]))
+    if fault in ("entry", "part", "huge") and r and c:
+        old = samples[k][i % r][j % c]
+        value = draw({"entry": BAD, "part": PART, "huge": HUGE}[fault])
+        if type(old) is dict and fault != "entry":
+            value = {**old, draw(st.sampled_from(["re", "im"])): value}
+        samples[k][i % r][j % c] = value
+    elif fault == "ragged" and r:
+        row = samples[k][i % r]
+        samples[k][i % r] = row[:-1] if j % 2 else row + [draw(entry)]
+    elif fault == "size":
+        samples[k] = samples[k][:-1] if j % 2 else samples[k] + [[draw(entry)] * c]
+    elif fault == "level":
+        if r:
+            samples[k][i % r] = draw(NOT_A_LIST)
+        else:
+            samples[k] = draw(NOT_A_LIST)
+    elif fault == "top":
+        return draw(NOT_A_LIST)
+    return samples
+
+
+def outcome(read, data):
+    try:
+        stack = read(data)
+    except ValueError as exc:
+        return "refused", str(exc)
+    return stack.shape, stack.dtype, stack.tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(sample_lists())
+def test_samples_from_json_matches_the_per_entry_loop(data):
+    assert outcome(samples_from_json, data) == outcome(maslov_oracle.samples_from_json, data)

@@ -6,7 +6,9 @@ oracle and error cases and twenty seeded random support sets of dimension
 input has torsion in H_1, so ``euler`` and ``spinc`` also run on the lens
 diagrams L(p,1) minus a ball (H_1 = Z/p) and ``torsion`` on twelve seeded
 random presentations, most of them with torsion in H_1: these pin the
-torsion tie-break of ``doteq_normalize``.  A change to
+torsion tie-break of ``doteq_normalize``.  ``maslov`` runs on seeded
+loops and paths with object, number and mixed entries, with ``--kind``
+and ``--samples``, and on malformed samples.  A change to
 the library that should not move any output must leave every digest in
 place.  To re-pin after an intended output change, run
 
@@ -24,8 +26,10 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from conftest import lagrangian_loop, random_symmetric, unitary_group_loop
 from h1_oracle import lens_diagram
 from sutured_kit import cli, fixtures
 
@@ -133,6 +137,95 @@ def cases(workdir):
         path = Path(workdir) / f"pres{seed}.json"
         path.write_text(json.dumps(_random_presentation(seed)))
         out.append((f"torsion pres{seed}", ["torsion", str(path)]))
+    for tag, payload in _maslov_inputs():
+        path = Path(workdir) / f"maslov-{tag}.json"
+        path.write_text(json.dumps(payload))
+        out.append((f"maslov {tag}", ["maslov", str(path)]))
+    loop = str(Path(workdir) / "maslov-lagrangian0.json")
+    for extra in (["--samples", "48"], ["--samples", "7"], ["--kind", "symplectic_loop"],
+                  ["--kind", "lagrangian_loop", "--samples", "48"]):
+        out.append((" ".join(["maslov lagrangian0"] + extra), ["maslov", loop] + extra))
+    flow = str(Path(workdir) / "maslov-flow1 object.json")
+    for extra in (["--kind", "lagrangian_loop"], ["--samples", "40"], ["--samples", "41"]):
+        out.append((" ".join(["maslov flow1 object"] + extra), ["maslov", flow] + extra))
+    path = Path(workdir) / "maslov-nokind.json"
+    path.write_text(json.dumps({"samples": _entries(_loop_samples(0, "lagrangian"), "object")}))
+    for kind in ("lagrangian_loop", "symplectic_loop"):
+        out.append((f"maslov nokind --kind {kind}", ["maslov", str(path), "--kind", kind]))
+    return out
+
+
+def _entries(mats, form):
+    """Matrices as JSON rows: entries as {"re": x, "im": y} objects, as plain
+    numbers (the real part), or as both, alternating along each row."""
+    def entry(z, j):
+        if form == "number" or (form == "mixed" and j % 2):
+            return z.real
+        return {"re": z.real, "im": z.imag}
+    return [[[entry(z, j) for j, z in enumerate(row)] for row in m.tolist()] for m in mats]
+
+
+def _loop_samples(seed, kind):
+    rng = np.random.default_rng(seed)
+    n = 1 + seed % 3
+    ints = [int(x) for x in rng.integers(-2, 3, size=n)]
+    build = lagrangian_loop if kind == "lagrangian" else unitary_group_loop
+    return build(rng, n, 48, ints)[0]
+
+
+def _flow_samples(seed):
+    rng = np.random.default_rng(100 + seed)
+    n = 2 + seed % 3
+    signs = np.where(np.arange(n) <= seed, -1.0, 1.0)
+    a = random_symmetric(rng, n, signs * rng.uniform(0.5, 2, n))
+    b = random_symmetric(rng, n, rng.uniform(0.5, 2, n))
+    return [(1 - t) * a + t * b for t in np.linspace(0.0, 1.0, 41)]
+
+
+def _maslov_inputs():
+    """(tag, JSON payload) of the pinned ``maslov`` runs: seeded loops and
+    paths with object, number and mixed entries, then malformed inputs."""
+    out = []
+    for seed in range(3):
+        for kind in ("lagrangian", "symplectic"):
+            out.append((f"{kind}{seed}", {"kind": f"{kind}_loop",
+                                          "samples": _entries(_loop_samples(seed, kind), "object")}))
+        for form in ("number", "object", "mixed"):
+            out.append((f"flow{seed} {form}", {"kind": "spectral_flow",
+                                                "samples": _entries(_flow_samples(seed), form)}))
+    diagonal = [np.diag([np.exp(1j * np.pi * t), np.exp(-2j * np.pi * t)]) for t in np.linspace(0, 1, 33)]
+    out.append(("diagonal mixed", {"kind": "lagrangian_loop", "samples": [
+        [[{"re": z.real, "im": z.imag} if z else 0 for z in row] for row in m.tolist()]
+        for m in diagonal]}))
+    flow = _entries(_flow_samples(0), "number")
+    loop = _entries(_loop_samples(1, "lagrangian"), "object")
+
+    def edit(samples, k, i, j, value):
+        samples = json.loads(json.dumps(samples))
+        if j is None:
+            samples[k][i] = value
+        else:
+            samples[k][i][j] = value
+        return samples
+
+    for tag, kind, samples in (
+            ("ragged rows", "spectral_flow", edit(flow, 3, 1, None, [1.0])),
+            ("ragged objects", "lagrangian_loop", edit(loop, 5, 0, None, [])),
+            ("unequal sizes", "spectral_flow", flow[:4] + [[[1.0]]] + flow[5:]),
+            ("nan number", "spectral_flow", edit(flow, 7, 0, 1, float("nan"))),
+            ("nan object", "lagrangian_loop", edit(loop, 2, 1, 1, {"re": 0.5, "im": float("nan")})),
+            ("inf object", "lagrangian_loop", edit(loop, 9, 1, 0, {"re": float("-inf")})),
+            ("true number", "spectral_flow", edit(flow, 2, 0, 0, True)),
+            ("true object", "lagrangian_loop", edit(loop, 4, 1, 1, {"re": True, "im": 0.0})),
+            ("string number", "spectral_flow", edit(flow, 6, 1, 0, "1")),
+            ("string object", "lagrangian_loop", edit(loop, 1, 0, 0, {"re": "1", "im": 0.0})),
+            ("huge number", "spectral_flow", edit(flow, 5, 1, 1, 10 ** 400)),
+            ("huge object", "lagrangian_loop", edit(loop, 8, 0, 1, {"re": 0.0, "im": -10 ** 400})),
+            ("row not a list", "spectral_flow", edit(flow, 1, 0, None, 5)),
+            ("sample not a list", "spectral_flow", flow[:1] + [5]),
+            ("samples not a list", "spectral_flow", {"0": 1}),
+            ("empty", "lagrangian_loop", [])):
+        out.append((tag, {"kind": kind, "samples": samples}))
     return out
 
 
@@ -358,6 +451,88 @@ DIGESTS = {
         ('42d1ee044a322d118225c72f662f1b5c4d1e32cbca4297c4a746f04416a17858', 0),
     'torsion pres11':
         ('9ae66f68f482908a9ee5a233cb3c02404acf4b58ea3fd8f9977a240b0602dc79', 0),
+    'maslov lagrangian0':
+        ('0db9ae8d088f4c5541c6c0a581a361b7cf481019b26f023c035e64e2324afbf9', 0),
+    'maslov symplectic0':
+        ('332abeb11e4d78b95e7c368ec7a091f09b7ba99af27336b8ccff13a907b9dea3', 0),
+    'maslov flow0 number':
+        ('bfaffe280fd4f32cbaafe2aef49504ff106cab3c745b7dffcb440213996fb390', 0),
+    'maslov flow0 object':
+        ('bfaffe280fd4f32cbaafe2aef49504ff106cab3c745b7dffcb440213996fb390', 0),
+    'maslov flow0 mixed':
+        ('bfaffe280fd4f32cbaafe2aef49504ff106cab3c745b7dffcb440213996fb390', 0),
+    'maslov lagrangian1':
+        ('97d30d7c0246bcab542f75bdb3ea28eaf844e53e4097734e93729b3984b9597f', 0),
+    'maslov symplectic1':
+        ('4752aec68455d457c8fb7d73e1eed064efc881eb01e9d799731a4adb4dbd9a3d', 0),
+    'maslov flow1 number':
+        ('a2e248aa7d954ea58a0667d8cc59bcad63e4ee1037123c1a28b0a1404479cf8a', 0),
+    'maslov flow1 object':
+        ('a2e248aa7d954ea58a0667d8cc59bcad63e4ee1037123c1a28b0a1404479cf8a', 0),
+    'maslov flow1 mixed':
+        ('a2e248aa7d954ea58a0667d8cc59bcad63e4ee1037123c1a28b0a1404479cf8a', 0),
+    'maslov lagrangian2':
+        ('467c0953841e3ad86d4008049109a86653d8a56f8b9e775bc67a94ca0a1e50c7', 0),
+    'maslov symplectic2':
+        ('483b12033933d5bf8c265c4fffa51cc6887e4fdbf8f06cbf88bf022dc2ab995c', 0),
+    'maslov flow2 number':
+        ('2d895f49bc775573478d204a04856dd44ef550f744135a1e9a72c8da957d1e61', 0),
+    'maslov flow2 object':
+        ('2d895f49bc775573478d204a04856dd44ef550f744135a1e9a72c8da957d1e61', 0),
+    'maslov flow2 mixed':
+        ('2d895f49bc775573478d204a04856dd44ef550f744135a1e9a72c8da957d1e61', 0),
+    'maslov diagonal mixed':
+        ('467c0953841e3ad86d4008049109a86653d8a56f8b9e775bc67a94ca0a1e50c7', 0),
+    'maslov ragged rows':
+        ('8208d736328fe4570bfa874e9202e872027a1401e08c28903c7ce721d1f447ad', 1),
+    'maslov ragged objects':
+        ('8c86a9e8c7955e20cb56e9cbb1db2d6a9c6cc71a97fe1b9dc89f60e004f8a9d5', 1),
+    'maslov unequal sizes':
+        ('67bf0122b9838679c94da66c0aaf7049e17230464979ffa62db156870f5c238d', 1),
+    'maslov nan number':
+        ('a93ea5c99645d902ac699c5a15363bf03b59bab2c1a856bb4cb62b79b453fb24', 1),
+    'maslov nan object':
+        ('7babdd4f378ee8d681e1b9e982ca456cdb24146570904fb1b960bf1a37c6f1c5', 1),
+    'maslov inf object':
+        ('6ece6f5d355266a24052631fcf2a2f91dd61d158a60ca64ea211170288b5fb24', 1),
+    'maslov true number':
+        ('2a2b47dfdc0892bd9a670c3b5389d10a9def5fe8c84084d1ec1075ba100f0bcf', 1),
+    'maslov true object':
+        ('5afd90c7c8d97f33d9414e085b26b55f0de5b42de95f97eb616dde6561dcc316', 1),
+    'maslov string number':
+        ('05f3e3c2884d55d4330a0ac58fce63836c3fc7f837580463f0f4f09bae8c71ad', 1),
+    'maslov string object':
+        ('8b4b0fa56a61db451ce39264d938f8b2abace368c43aad23c71dbd306708ce2e', 1),
+    'maslov huge number':
+        ('f2620381c28f7b6b4b0811355df17cc50abfd743b95247074c6a410ae65b724f', 1),
+    'maslov huge object':
+        ('e44b5a724c4165f1380a8686855ea953c52d8428ac1a93103974c1ef0e5c87f6', 1),
+    'maslov row not a list':
+        ('ea209b161aacffd5c0928b1296e01defb3196cbd016f17390fea02a88f66b420', 1),
+    'maslov sample not a list':
+        ('5fb8ad18977118a8ec89e881495e882e0f082198121446302d6aef0634fe829d', 1),
+    'maslov samples not a list':
+        ('0cc229f256999fdbccf33d6cbb7a85268b168b91ecba1306b4a9de960534cfaa', 1),
+    'maslov empty':
+        ('6e0a467902a118422896165a064092eb7e23c16cb13fbb381e8942ce6b74b75b', 1),
+    'maslov lagrangian0 --samples 48':
+        ('0db9ae8d088f4c5541c6c0a581a361b7cf481019b26f023c035e64e2324afbf9', 0),
+    'maslov lagrangian0 --samples 7':
+        ('8f584a336b060704c41975076aa7320ecebc0f61af2369ec77542e6fa952a2ab', 2),
+    'maslov lagrangian0 --kind symplectic_loop':
+        ('ca797cee2ac95e735020f8d384bf29ca31403431aa79fdd3637cd072b0328a14', 0),
+    'maslov lagrangian0 --kind lagrangian_loop --samples 48':
+        ('0db9ae8d088f4c5541c6c0a581a361b7cf481019b26f023c035e64e2324afbf9', 0),
+    'maslov flow1 object --kind lagrangian_loop':
+        ('2d717ea24eeecc9bf5522cc1acf3ad12d1b8d2bc0a128f731128e033e3452450', 1),
+    'maslov flow1 object --samples 40':
+        ('a2e248aa7d954ea58a0667d8cc59bcad63e4ee1037123c1a28b0a1404479cf8a', 0),
+    'maslov flow1 object --samples 41':
+        ('11152751c0cb9daade084abc34163c12a56cfb90f6425c13b1f3ec1f33fa0f83', 2),
+    'maslov nokind --kind lagrangian_loop':
+        ('0db9ae8d088f4c5541c6c0a581a361b7cf481019b26f023c035e64e2324afbf9', 0),
+    'maslov nokind --kind symplectic_loop':
+        ('ca797cee2ac95e735020f8d384bf29ca31403431aa79fdd3637cd072b0328a14', 0),
 }
 
 
