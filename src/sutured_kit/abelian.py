@@ -4,8 +4,9 @@ Smith normal form over Z, one fraction-free Gauss-Jordan elimination
 (``echelon``: ranks, pivot columns, null spaces and determinants),
 finitely generated abelian groups in invariant factor form, and of their
 integral group rings only what the invariants need: ``det_group_ring``,
-the normal form up to units ``doteq_normalize``, the inversion h -> h^{-1}
-and JSON output; sums and products are left to the tests' oracles.
+the normal form up to units ``doteq_normalize`` and the inversion
+h -> h^{-1}; sums and products are left to the tests' oracles, and the CLI
+writes ring elements as JSON itself.
 Everything is exact: entries are Python ints, there is no floating point
 and no modular shortcut, because all downstream comparisons are exact
 equalities of torsion polynomials up to units.
@@ -13,13 +14,17 @@ equalities of torsion polynomials up to units.
 A group element of ``FinAbGroup(free_rank=r, torsion=(d_1,..,d_k))`` is a
 ``NamedTuple`` of tuples ``(free, torsion)``, residues reduced mod d_i,
 ordered by (free, torsion) as a tuple and built from a coordinate vector
-by ``FinAbGroup.from_coords``.  The group is written multiplicatively
+by ``FinAbGroup.from_coords``.  The routines that make one element per
+term (that constructor, the determinant's decode, the normal form and the
+inversion) build it with ``tuple.__new__``, which skips the Python-level
+``NamedTuple.__new__``.  The group is written multiplicatively
 when it acts on group-ring elements, so "multiply by h" means "add h to
 every exponent".
 """
 
+from itertools import repeat
 from math import comb
-from operator import add, mod, mul
+from operator import mod, mul, neg, sub
 from typing import NamedTuple
 
 from .errors import DeterminantTooLarge
@@ -43,10 +48,6 @@ class IntMatrix:
         self.rows = rows
         self.cols = cols
         self.entries = entries
-
-    @classmethod
-    def identity(cls, n):
-        return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n, n)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -281,13 +282,11 @@ class FinAbGroup:
             raise ValueError("component count mismatch")
         return self.from_coords(free + torsion)
 
-    def identity(self):
-        return GroupElement((0,) * self.free_rank, (0,) * len(self.torsion))
-
     def from_coords(self, coords):
         """The element with coordinates ``coords``: free exponents, then residues mod d_i."""
         r = self.free_rank
-        return GroupElement(tuple(coords[:r]), tuple(map(mod, coords[r:], self.torsion)))
+        return tuple.__new__(GroupElement,
+                             (tuple(coords[:r]), tuple(map(mod, coords[r:], self.torsion))))
 
     def from_ambient(self, vec):
         if self.projection is None:
@@ -326,14 +325,18 @@ class GroupRingElem:
                     del clean[g]
         self._terms = clean
 
+    @classmethod
+    def _of(cls, terms):
+        """The element on ``terms``, a dict already merged and free of zero coefficients."""
+        x = object.__new__(cls)
+        x._terms = terms
+        return x
+
     def items(self):
         return sorted(self._terms.items())
 
     def support(self):
         return sorted(self._terms)
-
-    def coeff(self, g):
-        return self._terms.get(g, 0)
 
     def is_zero(self):
         return not self._terms
@@ -353,7 +356,11 @@ class GroupRingElem:
 
 def ring_invert_exponents(x, g):
     """Apply the automorphism h -> h^{-1} to every exponent."""
-    return GroupRingElem({g.neg(a): c for a, c in x._terms.items()})
+    tors = g.torsion
+    return GroupRingElem._of({
+        tuple.__new__(GroupElement, (tuple(map(neg, free)),
+                                     tuple(map(mod, map(neg, res), tors)))): c
+        for (free, res), c in x._terms.items()})
 
 
 def ring_aug(x):
@@ -479,27 +486,41 @@ def det_group_ring(m, g):
                 rest ^= j_bit
                 entry = row[j_bit.bit_length() - 1]
                 if entry:
-                    sub = memo[mask ^ j_bit]
+                    minor = memo[mask ^ j_bit]
                     for ka, ca in entry:
                         ca *= sign
-                        for kb, cb in sub:
+                        for kb, cb in minor:
                             k = ka + kb
                             total[k] = get(k, 0) + ca * cb
                 sign = -sign
             above[mask] = [kc for kc in total.items() if kc[1]]
         memo = above
 
-    shifts = [n * lo for lo in lows] + [0] * len(g.torsion)
-
-    def unpack(key):
-        digits = []
-        for b in bases:
-            key, digit = divmod(key, b)
-            digits.append(digit)
-        return g.from_coords(tuple(map(add, digits, shifts)))
-
-    # residues that agree mod d now land on one element; the constructor merges them
-    return GroupRingElem((unpack(key), parity * c) for key, c in memo[(1 << n) - 1])
+    # one decode, digit by digit over all keys: the lowest digit is key mod
+    # bases[0], and the last is what the other bases leave
+    items = memo[(1 << n) - 1]
+    keys, coeffs = zip(*items) if items else ((), ())
+    digits = []
+    for b in bases[:-1]:
+        pairs = list(map(divmod, keys, repeat(b)))
+        keys = [q for q, _ in pairs]
+        digits.append([d for _, d in pairs])
+    digits.append(keys)
+    r = g.free_rank
+    free = [[d + s for d in col] for col, s in zip(digits, [n * lo for lo in lows])]
+    res = [[d % t for d in col] for col, t in zip(digits[r:], g.torsion)]
+    count = len(coeffs)
+    coords = zip(zip(*free) if free else repeat((), count), zip(*res) if res else repeat((), count))
+    if parity < 0:
+        coeffs = [-c for c in coeffs]
+    if res:
+        # residues that agree mod d now land on one element: merge them first
+        merged = {}
+        for fr, c in zip(coords, coeffs):
+            merged[fr] = merged.get(fr, 0) + c
+        coords, coeffs = merged.keys(), merged.values()
+    return GroupRingElem._of({tuple.__new__(GroupElement, fr): c
+                              for fr, c in zip(coords, coeffs) if c})
 
 
 def doteq_normalize(x, g):
@@ -518,12 +539,17 @@ def doteq_normalize(x, g):
     """
     if x.is_zero():
         return x
-    low = min(x._terms).free
+    terms = x._terms
+    low = min(terms).free
+    tors = g.torsion
     forms = []
-    for s, c in x._terms.items():
-        if s.free == low:
-            inv, sign = g.neg(s), (1 if c > 0 else -1)
-            forms.append(GroupRingElem({g.add(a, inv): sign * b for a, b in x._terms.items()}))
+    for (sf, st), c in terms.items():
+        if sf == low:
+            sign = 1 if c > 0 else -1
+            forms.append(GroupRingElem._of({
+                tuple.__new__(GroupElement, (tuple(map(sub, free, sf)),
+                                             tuple(map(mod, map(sub, res, st), tors)))): sign * b
+                for (free, res), b in terms.items()}))
     return forms[0] if len(forms) == 1 else min(forms, key=GroupRingElem.items)
 
 
@@ -531,8 +557,3 @@ def doteq_normalize(x, g):
 
 def group_to_json(g):
     return {"free_rank": g.free_rank, "torsion": list(g.torsion)}
-
-
-def ring_to_json(x):
-    return [{"exp_free": list(g.free), "exp_torsion": list(g.torsion), "coeff": c}
-            for g, c in x.items()]

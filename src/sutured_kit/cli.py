@@ -12,6 +12,7 @@ import json
 import sys
 
 from . import abelian, diagram, fixtures, fox, oracle, polytope
+from .abelian import GroupRingElem
 from .errors import SuturedKitError, expect
 
 
@@ -41,7 +42,8 @@ def _encode(x, indent):
     """``json.dumps(x, sort_keys=True, indent=2)`` nested at ``indent``.
 
     The standard library runs its pure-Python encoder whenever ``indent``
-    is set; this walk builds the same bytes from the C string quoting.
+    is set; this walk builds the same bytes from the C string quoting.  A
+    ``GroupRingElem`` is written as its list of terms, see ``_encode_ring``.
     """
     kind = type(x)
     if kind is int:
@@ -54,15 +56,46 @@ def _encode(x, indent):
         inner = indent + "  "
         items = [_encode(v, inner) for v in x]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
-    if kind is dict and all(type(k) is str for k in x):
+    if kind is dict:
         if not x:
             return "{}"
         inner = indent + "  "
-        items = [_quote(k) + ": " + _encode(x[k], inner) for k in sorted(x)]
+        if all(type(k) is str for k in x):
+            items = [_quote(k) + ": " + _encode(x[k], inner) for k in sorted(x)]
+        else:   # sorted as they are, then written as strings
+            items = [_quote(_key(k)) + ": " + _encode(v, inner) for k, v in sorted(x.items())]
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if kind is GroupRingElem:
+        return _encode_ring(x, indent)
     if kind is float or kind is bool or x is None:
         return _scalar(x)
     return json.dumps(x, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+
+
+def _key(k):
+    """A dict key as ``json.dumps`` writes it."""
+    if isinstance(k, str):
+        return k
+    if isinstance(k, (int, float)) or k is None:
+        return _scalar(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _encode_ring(x, indent):
+    """The terms of x in order, each as ``{"coeff": c, "exp_free": [...],
+    "exp_torsion": [...]}``, written with one f-string per term."""
+    if x.is_zero():
+        return "[]"
+    inner = indent + "  "
+    field = inner + "  "
+    sep, head, tail = ",\n" + field + "  ", "[\n" + field + "  ", "\n" + field + "]"
+
+    def ints(t):
+        return head + sep.join(map(str, t)) + tail if t else "[]"
+
+    terms = [f'{{\n{field}"coeff": {c},\n{field}"exp_free": {ints(free)},\n'
+             f'{field}"exp_torsion": {ints(res)}\n{inner}}}' for (free, res), c in x.items()]
+    return "[\n" + inner + (",\n" + inner).join(terms) + "\n" + indent + "]"
 
 
 def _emit(payload):
@@ -132,7 +165,7 @@ def cmd_euler(args):
     d = _load_diagram(args.diagram)
     poly, group = diagram.euler_polynomial(d)
     _emit({"h1": abelian.group_to_json(group),
-           "polynomial": abelian.ring_to_json(poly)})
+           "polynomial": poly})
     return 0
 
 
@@ -140,7 +173,7 @@ def cmd_torsion(args):
     p, k = _load_presentation(args.presentation)
     tau, group = fox.torsion(p, k)
     _emit({"h1": abelian.group_to_json(group),
-           "torsion": abelian.ring_to_json(tau)})
+           "torsion": tau})
     return 0
 
 
@@ -150,8 +183,8 @@ def cmd_crosscheck(args):
     poly, dgroup = diagram.euler_polynomial(d)
     tau, pgroup = fox.torsion(p, k)
     out = {
-        "euler": abelian.ring_to_json(poly),
-        "torsion": abelian.ring_to_json(tau),
+        "euler": poly,
+        "torsion": tau,
         "h1_diagram": abelian.group_to_json(dgroup),
         "h1_presentation": abelian.group_to_json(pgroup),
     }

@@ -70,9 +70,6 @@ class FreeWord:
     def __mul__(self, other):
         return FreeWord(self.letters + other.letters)
 
-    def inverse(self):
-        return FreeWord(tuple((g, -e) for g, e in reversed(self.letters)))
-
     def exponents(self, num_generators):
         """Total exponent of each generator (the abelianized image)."""
         vec = [0] * num_generators
@@ -268,9 +265,10 @@ def theta_matrix(p, k):
     m = p.num_generators
     images = [tuple(row[i] for row in g.projection.entries) for i in range(m)]
     columns = list(k.sigma_images) + list(p.relators)
-    entries = [[None] * len(columns) for _ in range(m)]
+    zero = GroupRingElem()
+    entries = [[zero] * len(columns) for _ in range(m)]
     for col, w in enumerate(columns):
-        rows = [{} for _ in range(m)]
+        rows = {}
         prefix = (0,) * len(g.projection.entries)
         for i, e in w.letters:
             if not 0 <= i < m:
@@ -280,8 +278,11 @@ def theta_matrix(p, k):
                 prefix = tuple(map(add, prefix, images[i]))
             else:
                 prefix = key = tuple(map(sub, prefix, images[i]))
-            rows[i][key] = rows[i].get(key, 0) + e
-        for i, terms in enumerate(rows):
+            terms = rows.setdefault(i, {})
+            terms[key] = terms.get(key, 0) + e
+        for i, terms in rows.items():
+            # prefixes that differ but agree mod d reduce to one element: the constructor
+            # merges them and drops a zero sum
             entries[i][col] = GroupRingElem((g.from_coords(key), c) for key, c in terms.items())
     return entries, g
 

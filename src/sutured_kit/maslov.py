@@ -31,7 +31,10 @@ MAX_PHASE_STEP = np.pi / 2
 
 
 def _as_stack(samples, dtype):
-    """The samples as one (N, n, n) array of ``dtype``, N >= 1."""
+    """The samples as one (N, n, n) array of ``dtype``, N >= 1, every entry finite.
+
+    A NaN would pass every tolerance test below, since it compares false.
+    """
     if len(samples) == 0:
         raise ValueError("empty sample list")
     try:
@@ -40,7 +43,14 @@ def _as_stack(samples, dtype):
         stack = np.empty(0)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ValueError("samples must be square matrices of equal size")
+    _refuse_non_finite(stack)
     return stack
+
+
+def _refuse_non_finite(stack):
+    finite = np.isfinite(stack)
+    if not finite.all():
+        raise ValueError(f"samples[{np.argwhere(~finite)[0][0]}] has a non-finite entry")
 
 
 def _first(flags):
@@ -218,9 +228,7 @@ def samples_from_json(data):
             stack = np.array(mats, dtype=complex)
         except ValueError:
             raise ValueError("samples must be matrices of equal size") from None
-    finite = np.isfinite(stack)
-    if not finite.all():
-        raise ValueError(f"samples[{np.argwhere(~finite)[0][0]}] has a non-finite entry")
+    _refuse_non_finite(stack)
     return stack
 
 

@@ -29,9 +29,6 @@ class RankTable:
     def __init__(self, ranks):
         self.ranks = {int(i): int(r) for i, r in ranks.items() if int(r) != 0}
 
-    def total_rank(self):
-        return sum(self.ranks.values())
-
     def support(self):
         return sorted(self.ranks)
 

@@ -126,10 +126,15 @@ def lp_admissible(vectors):
 
 # -- rank tables ------------------------------------------------------------------
 
+def total_rank(table):
+    """The sum of the ranks of a ``RankTable``."""
+    return sum(table.ranks.values())
+
+
 def tensor_rank_identity(p, q, n, m):
     """total(T(p,q; n+m-2)) == total(T(1,0; n)) * total(T(p,q; m))."""
-    lhs = solid_torus_sfh(p, q, n + m - 2).total_rank()
-    rhs = solid_torus_sfh(1, 0, n).total_rank() * solid_torus_sfh(p, q, m).total_rank()
+    lhs = total_rank(solid_torus_sfh(p, q, n + m - 2))
+    rhs = total_rank(solid_torus_sfh(1, 0, n)) * total_rank(solid_torus_sfh(p, q, m))
     return lhs == rhs
 
 

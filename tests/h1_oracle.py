@@ -15,7 +15,7 @@ builders for the parametric families T(p,1;2), T(1,0;2k+2) and L(p,1)
 minus a ball.
 """
 
-from ring_oracle import ring_neg, ring_translate
+from ring_oracle import identity, ring_neg, ring_translate
 from sutured_kit.abelian import GroupRingElem, IntMatrix, cokernel, smith_normal_form
 from sutured_kit.diagram import (DomainVector, _check_generator, _eps_chain,
                                  epsilon, generator_sign, generators, h1_of_M,
@@ -257,13 +257,13 @@ def quadratic_doteq_normalize(x, g):
     """Translate by every support element, keep the smallest qualifying form."""
     if x.is_zero():
         return x
-    identity = g.identity()
+    one = identity(g)
     best = None
     for s in x.support():
         y = ring_translate(x, g.neg(s), g)
-        if min(y._terms) != identity:
+        if min(y._terms) != one:
             continue
-        if y.coeff(identity) < 0:
+        if y._terms.get(one, 0) < 0:
             y = ring_neg(y)
         key = y.items()
         if best is None or key < best[0]:

@@ -1,14 +1,21 @@
 """Test-side arithmetic in Z[G]: the library forms only determinants and
 +-h normal forms, the oracles also sums, products, translates, equality up
-to units and the Leibniz expansion of a determinant."""
+to units and the Leibniz expansion of a determinant.  Also kept here as
+references: the normal form and the inversion written with one
+``g.add``/``g.neg`` per term, and the JSON term list of a ring element,
+whose indented dump the CLI's writer must reproduce byte for byte."""
 
 from itertools import permutations
 
-from sutured_kit.abelian import GroupRingElem, doteq_normalize, ring_invert_exponents
+from sutured_kit.abelian import GroupElement, GroupRingElem, doteq_normalize, ring_invert_exponents
+
+
+def identity(g):
+    return GroupElement((0,) * g.free_rank, (0,) * len(g.torsion))
 
 
 def ring_one(g):
-    return GroupRingElem({g.identity(): 1})
+    return GroupRingElem({identity(g): 1})
 
 
 def ring_add(x, y):
@@ -55,3 +62,27 @@ def doteq_equal(x, y, g, allow_inversion=False):
     nx = doteq_normalize(x, g)
     return nx == doteq_normalize(y, g) or (
         allow_inversion and nx == doteq_normalize(ring_invert_exponents(y, g), g))
+
+
+def per_term_doteq_normalize(x, g):
+    """``doteq_normalize`` with one ``g.add`` per term and the merging constructor."""
+    if x.is_zero():
+        return x
+    low = min(x._terms).free
+    forms = []
+    for s, c in x._terms.items():
+        if s.free == low:
+            inv, sign = g.neg(s), (1 if c > 0 else -1)
+            forms.append(GroupRingElem({g.add(a, inv): sign * b for a, b in x._terms.items()}))
+    return forms[0] if len(forms) == 1 else min(forms, key=GroupRingElem.items)
+
+
+def per_term_invert_exponents(x, g):
+    """``ring_invert_exponents`` with one ``g.neg`` per term."""
+    return GroupRingElem({g.neg(a): c for a, c in x._terms.items()})
+
+
+def ring_to_json(x):
+    """The JSON term list of x, the value whose indented dump ``cli`` writes."""
+    return [{"exp_free": list(g.free), "exp_torsion": list(g.torsion), "coeff": c}
+            for g, c in x.items()]

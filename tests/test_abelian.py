@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from h1_oracle import kernel_basis, quadratic_doteq_normalize, solve_integer
-from ring_oracle import doteq_equal, leibniz_det, ring_add, ring_mul, ring_neg, ring_one
-from sutured_kit.abelian import (FinAbGroup, GroupRingElem, IntMatrix, cokernel,
+from ring_oracle import (doteq_equal, identity, leibniz_det, per_term_doteq_normalize,
+                         per_term_invert_exponents, ring_add, ring_mul, ring_neg, ring_one,
+                         ring_to_json)
+from sutured_kit.abelian import (FinAbGroup, GroupElement, GroupRingElem, IntMatrix, cokernel,
                                  det_group_ring, doteq_normalize, group_to_json,
-                                 ring_aug, ring_to_json, smith_normal_form)
+                                 ring_aug, ring_invert_exponents, smith_normal_form)
 from sutured_kit.errors import DeterminantTooLarge
 
 
@@ -21,7 +23,7 @@ def rand_matrix(rng, rows, cols, lo=-9, hi=9):
 
 class TestSmithNormalForm:
     def test_identity_fixed_point(self):
-        a = IntMatrix.identity(2)
+        a = IntMatrix([[1, 0], [0, 1]])
         _, d, _ = smith_normal_form(a)
         assert d == a
 
@@ -87,13 +89,13 @@ class TestCokernel:
             a = rand_matrix(rng, rng.randint(1, 4), rng.randint(0, 4), -5, 5)
             g = cokernel(a)
             for j in range(a.cols):
-                assert g.from_ambient(a.column(j)) == g.identity()
+                assert g.from_ambient(a.column(j)) == identity(g)
 
 
 class TestGroupRing:
     def setup_method(self):
         self.z = FinAbGroup(1)
-        self.one = self.z.identity()
+        self.one = identity(self.z)
         self.h = self.z.element((1,))
 
     def test_laurent_product(self):
@@ -105,8 +107,8 @@ class TestGroupRing:
     def test_torsion_collapse(self):
         g = FinAbGroup(0, (2,))
         h = g.element((), (1,))
-        x = GroupRingElem({g.identity(): 1, h: 1})
-        y = GroupRingElem({g.identity(): 1, h: -1})
+        x = GroupRingElem({identity(g): 1, h: 1})
+        y = GroupRingElem({identity(g): 1, h: -1})
         assert ring_mul(x, y, g).is_zero()
 
     def test_identity_neutral(self):
@@ -178,6 +180,20 @@ class TestDeterminant:
             swapped = [m[1], m[0], m[2]]
             assert det_group_ring(swapped, g) == ring_neg(det_group_ring(m, g))
 
+    def test_residues_that_agree_mod_d_merge(self):
+        # the decode reduces the unreduced residue sums 0..3 mod 2 onto two elements
+        g = FinAbGroup(1, (2,))
+        x, xt, t = g.element((1,), (0,)), g.element((1,), (1,)), g.element((0,), (1,))
+        zero = GroupRingElem()
+        x_plus_xt = GroupRingElem({x: 1, xt: 1})
+        diagonal = [[x_plus_xt if i == j else zero for j in range(3)] for i in range(3)]
+        cube = det_group_ring(diagonal, g)          # x^3 (1 + t)^3 = 4 x^3 + 4 x^3 t
+        assert cube == GroupRingElem({g.element((3,), (0,)): 4, g.element((3,), (1,)): 4})
+        assert all(type(e) is GroupElement for e in cube._terms)
+        one = ring_one(g)
+        cancel = [[one, GroupRingElem({t: 1})], [GroupRingElem({t: 1}), one]]
+        assert det_group_ring(cancel, g).is_zero()  # 1 - t^2 = 0
+
     def test_size_guard(self):
         g = FinAbGroup(1)
         big = [[ring_one(g)] * 17 for _ in range(17)]
@@ -188,7 +204,7 @@ class TestDeterminant:
 class TestDoteq:
     def setup_method(self):
         self.z = FinAbGroup(1)
-        self.one = self.z.identity()
+        self.one = identity(self.z)
         self.h = self.z.element((1,))
 
     def test_zero(self):
@@ -264,8 +280,8 @@ def ring_elems(draw):
                       for _ in range(draw(st.integers(0, 8))))
     if g.torsion and draw(st.integers(0, 2)) == 0:
         t = element([[0] * g.free_rank])
-        orbit, h = [g.identity()], t
-        while h != g.identity():
+        orbit, h = [identity(g)], t
+        while h != identity(g):
             orbit.append(h)
             h = g.add(h, t)
         x = ring_mul(x, GroupRingElem((h, 1) for h in orbit), g)
@@ -282,6 +298,23 @@ def test_doteq_normal_form_is_the_quadratic_oracle(case):
     assert n.items() == quadratic_doteq_normalize(x, g).items()
     y = GroupRingElem((g.add(e, h), sign * c) for e, c in x.items())
     assert doteq_normalize(y, g).items() == n.items()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(ring_elems())
+def test_tuple_arithmetic_is_the_per_term_oracle(case):
+    """The normal form and the inversion, written with tuple arithmetic on
+    the terms, equal the per-term ``g.add``/``g.neg`` versions: the same
+    ``GroupElement`` keys and coefficients, none of them zero, also where
+    torsion translates tie as candidates."""
+    x, g, h, sign = case
+    y = GroupRingElem((g.add(e, h), sign * c) for e, c in x.items())
+    for z in (x, y):
+        for got, want in ((doteq_normalize(z, g), per_term_doteq_normalize(z, g)),
+                          (ring_invert_exponents(z, g), per_term_invert_exponents(z, g))):
+            assert got._terms == want._terms
+            assert all(type(e) is GroupElement for e in got._terms)
+            assert all(got._terms.values())
 
 
 class TestSerialization:
@@ -303,6 +336,6 @@ class TestSerialization:
 
     def test_aug(self):
         g = FinAbGroup(1)
-        x = GroupRingElem({g.identity(): 2, g.element((1,)): -5})
+        x = GroupRingElem({identity(g): 2, g.element((1,)): -5})
         assert ring_aug(x) == -3
         assert ring_aug(GroupRingElem({g.element((3,)): 4})) == 4

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -12,7 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import reverse_region, s1xs2_minus_ball
 from h1_oracle import torus_diagram
+from ring_oracle import ring_to_json
 from sutured_kit import cli, diagram, fixtures, fox
+from sutured_kit.abelian import FinAbGroup, GroupRingElem
 
 
 def run(capsys, *argv):
@@ -339,12 +342,36 @@ class TestContract:
             assert capsys.readouterr().out
 
 
+@st.composite
+def ring_elements(draw):
+    """Zero, or terms over Z^r + T with r = 0..3, coefficients of either
+    sign and beyond 2^64."""
+    g = FinAbGroup(draw(st.integers(0, 3)), draw(st.sampled_from(((), (2,), (3, 6)))))
+    big = st.integers(2 ** 64, 2 ** 70)
+    coeff = st.integers(-3, 3) | big | big.map(operator.neg)
+    return GroupRingElem(
+        (g.element([draw(st.integers(-20, 20)) for _ in range(g.free_rank)],
+                   [draw(st.integers(0, d - 1)) for d in g.torsion]), draw(coeff))
+        for _ in range(draw(st.integers(0, 4))))
+
+
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text() | ring_elements(),
     lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
                    | st.dictionaries(st.text(max_size=3), inner, max_size=4)
                    | st.dictionaries(st.integers(), inner, max_size=3)),
     max_leaves=12)
+
+
+def plain(value):
+    """value with each ``GroupRingElem`` replaced by its JSON term list."""
+    if isinstance(value, GroupRingElem):
+        return ring_to_json(value)
+    if isinstance(value, (list, tuple)):
+        return [plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: plain(v) for k, v in value.items()}
+    return value
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -353,7 +380,7 @@ def test_emit_writes_the_bytes_of_indented_json_dumps(value):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         cli._emit(value)
-    assert out.getvalue() == json.dumps(value, sort_keys=True, indent=2) + "\n"
+    assert out.getvalue() == json.dumps(plain(value), sort_keys=True, indent=2) + "\n"
 
 
 class TestInputShape:

@@ -50,6 +50,35 @@ class TestLoopValidation:
             symplectic_loop_index(UnitaryLoop(phase_loop(64, 1)))
 
 
+class TestNonFiniteSamples:
+    """Called from Python, the classes refuse what the JSON reader refuses,
+    with its detail: a NaN compares false against every tolerance, so it
+    would pass the checks unseen."""
+
+    NON_FINITE = [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(1.0, -np.inf)]
+
+    def refused(self, cls, samples, k):
+        with pytest.raises(ValueError) as exc:
+            cls(samples)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == f"samples[{k}] has a non-finite entry"
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_loop_refuses(self, bad):
+        self.refused(UnitaryLoop, [np.array([[1.0]]), np.array([[bad]]), np.array([[1.0]])], 1)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_path_refuses(self, bad):
+        self.refused(SymmetricPath, [np.eye(2), np.full((2, 2), bad), np.eye(2)], 1)
+
+    def test_first_non_finite_sample_named(self):
+        samples = [np.eye(2)] * 9
+        samples[5] = np.array([[1.0, 0.0], [np.nan, 1.0]])
+        samples[2] = np.array([[1.0, 0.0], [0.0, np.inf]])
+        self.refused(SymmetricPath, samples, 2)
+        self.refused(UnitaryLoop, samples, 2)
+
+
 class TestLoopIndices:
     def test_constant_loop(self):
         rng = np.random.default_rng(0)

@@ -1,7 +1,9 @@
-"""Each module's public top-level names are pinned, so a helper that only
-the tests call cannot come back into the package unnoticed (the tests keep
-theirs in ``ring_oracle``, ``h1_oracle``, ``det_oracle`` and ``conftest``);
-and the docstring examples run, which ``testpaths`` would not reach."""
+"""Each module's public top-level names and the public methods of its
+public classes are pinned, so a helper that only the tests call cannot
+come back into the package unnoticed (the tests keep theirs in
+``ring_oracle``, ``h1_oracle``, ``det_oracle``, ``conftest`` and the test
+modules); and the docstring examples run, which ``testpaths`` would not
+reach."""
 
 import ast
 import doctest
@@ -17,7 +19,7 @@ from sutured_kit import fox
 PUBLIC = {
     "abelian": "FinAbGroup GroupElement GroupRingElem IntMatrix TOO_LARGE_DET cokernel "
                "det_group_ring doteq_normalize echelon group_to_json ring_aug "
-               "ring_invert_exponents ring_to_json smith_cokernel smith_normal_form",
+               "ring_invert_exponents smith_cokernel smith_normal_form",
     "cli": "UsageError build_parser cmd_check cmd_crosscheck cmd_euler cmd_fixtures "
            "cmd_generators cmd_maslov cmd_oracle cmd_polytope cmd_spinc cmd_torsion main",
     "diagram": "BalanceReport DomainVector GeneratorMatching Region SpincPartition "
@@ -43,6 +45,28 @@ PUBLIC = {
                 "support_function surface_c",
 }
 
+# the public methods (functions, properties, class methods) of each public
+# class; a public class that is not listed has none
+METHODS = {
+    "abelian.FinAbGroup": "add element from_ambient from_coords neg sub",
+    "abelian.GroupElement": "is_identity",
+    "abelian.GroupRingElem": "is_zero items support",
+    "abelian.IntMatrix": "column det transpose",
+    "diagram.GeneratorMatching": "points sigma to_json",
+    "diagram.Region": "from_json to_json",
+    "diagram.SuturedDiagram": "arc_endpoints arcs curve_arc_count curve_points curves from_json "
+                              "is_balanced require_balanced require_valid to_json validate",
+    "diagram.ValidationReport": "ok",
+    "fixtures.FixtureInfo": "to_json",
+    "fox.FreeWord": "exponents from_string is_identity to_string",
+    "fox.InclusionData": "from_json to_json",
+    "fox.Presentation": "from_json num_generators num_relators to_json",
+    "maslov.UnitaryLoop": "closes_in_group",
+    "oracle.RankTable": "support to_json values_in_order",
+    "polytope.SupportData": "from_json to_json",
+    "polytope.SupportPolytope": "canonical_translate min_value to_json translate",
+}
+
 
 def public_names(module):
     """Names defined or assigned at the top level, without a leading underscore."""
@@ -60,6 +84,24 @@ def public_names(module):
 def test_public_top_level_names(name):
     module = importlib.import_module(f"sutured_kit.{name}")
     assert sorted(public_names(module)) == sorted(PUBLIC[name].split())
+
+
+def public_methods(module):
+    """For each public class defined at the top level, its public methods."""
+    return {node.name: {n.name for n in node.body if isinstance(n, ast.FunctionDef)
+                        and not n.name.startswith("_")}
+            for node in ast.parse(inspect.getsource(module)).body
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_")}
+
+
+@pytest.mark.parametrize("name", sorted(m.name for m in
+                                        pkgutil.iter_modules(sutured_kit.__path__)))
+def test_public_methods(name):
+    module = importlib.import_module(f"sutured_kit.{name}")
+    for cls, methods in public_methods(module).items():
+        assert sorted(methods) == sorted(METHODS.get(f"{name}.{cls}", "").split()), cls
+    assert {key for key in METHODS if key.startswith(f"{name}.")} <= {
+        f"{name}.{cls}" for cls in public_methods(module)}
 
 
 def test_fox_docstring_examples_run():
