@@ -1,6 +1,7 @@
 """Exact integer linear algebra and determinants over integral group rings.
 
-Smith normal form over Z, one fraction-free Gauss-Jordan elimination
+Smith normal form over Z on ``IntMatrix`` (its diagonal comes back as a
+tuple), one fraction-free Gauss-Jordan elimination
 (``echelon``: ranks, pivot columns, null spaces and determinants),
 finitely generated abelian groups in invariant factor form, and of their
 integral group rings only what the invariants need: ``det_group_ring``,
@@ -33,7 +34,7 @@ TOO_LARGE_DET = comb(16, 8)    # most minors kept at one row: dense 16 x 16, row
 
 
 class IntMatrix:
-    """Immutable integer matrix, row major, arbitrary precision."""
+    """Integer matrix, row major: the Smith form's argument and its transforms."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -49,50 +50,23 @@ class IntMatrix:
         self.cols = cols
         self.entries = entries
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def __eq__(self, other):
-        return (isinstance(other, IntMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+    @classmethod
+    def _of(cls, entries, rows, cols):
+        """The matrix on ``entries``, a rows x cols tuple of int tuples."""
+        a = object.__new__(cls)
+        a.rows, a.cols, a.entries = rows, cols, entries
+        return a
 
     def __repr__(self):
         return f"IntMatrix({list(map(list, self.entries))!r})"
 
-    def __matmul__(self, other):
-        if isinstance(other, IntMatrix):
-            if self.cols != other.rows:
-                raise ValueError("dimension mismatch")
-            ot = other.transpose().entries
-            return IntMatrix(
-                tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
-                      for row in self.entries),
-                self.rows, other.cols)
-        # matrix @ vector
-        vec = tuple(int(x) for x in other)
+    def __matmul__(self, vec):
         if self.cols != len(vec):
             raise ValueError("dimension mismatch")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.entries)
-
-    def transpose(self):
-        return IntMatrix(tuple(zip(*self.entries)) if self.entries else (),
-                         self.cols, self.rows)
+        return tuple(sum(map(mul, row, vec)) for row in self.entries)
 
     def column(self, j):
         return tuple(row[j] for row in self.entries)
-
-    def det(self):
-        """Exact determinant: the row-swap sign times the last pivot of ``echelon``."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        pivots, m, sign = echelon(self.entries)
-        if len(pivots) < self.rows:
-            return 0
-        return sign * m[-1][-1] if m else 1
 
 
 def echelon(rows):
@@ -128,11 +102,12 @@ def echelon(rows):
 
 
 def smith_normal_form(a):
-    """Return (u, d, v) with u*a*v = d in Smith normal form.
+    """Return (u, d, v) with u*a*v = diag(d) in Smith normal form.
 
-    u and v are unimodular; d is diagonal with nonnegative entries and
-    d_11 | d_22 | ... .  Pivoting always picks the smallest nonzero entry
-    in absolute value (the matrices showing up here stay small).
+    u and v are unimodular; d is the tuple of the min(rows, cols) diagonal
+    entries, nonnegative with d_1 | d_2 | ... .  Pivoting always picks the
+    smallest nonzero entry in absolute value (the matrices showing up here
+    stay small).
     """
     nrows, ncols = a.rows, a.cols
     m = [list(row) for row in a.entries]
@@ -211,10 +186,9 @@ def smith_normal_form(a):
             continue
         t += 1
 
-    d = [[0] * ncols for _ in range(nrows)]
-    for i in range(min(nrows, ncols)):
-        d[i][i] = m[i][i]
-    return IntMatrix(u, nrows, nrows), IntMatrix(d, nrows, ncols), IntMatrix(v, ncols, ncols)
+    return (IntMatrix._of(tuple(map(tuple, u)), nrows, nrows),
+            tuple(m[i][i] for i in range(min(nrows, ncols))),
+            IntMatrix._of(tuple(map(tuple, v)), ncols, ncols))
 
 
 def cokernel(a):
@@ -228,16 +202,14 @@ def cokernel(a):
 
 
 def smith_cokernel(u, d):
-    """``cokernel(a)`` from the u and d of a Smith normal form u*a*v = d."""
-    n = d.rows
-    diag = [d[i, i] for i in range(min(d.rows, d.cols))]
-    rank = sum(1 for x in diag if x != 0)
-    free_idx = list(range(rank, n))
-    tors_idx = [i for i in range(rank) if diag[i] >= 2]
-    torsion = tuple(diag[i] for i in tors_idx)
-    proj_rows = [u.entries[i] for i in free_idx] + [u.entries[i] for i in tors_idx]
-    projection = IntMatrix(proj_rows, len(proj_rows), n)
-    return FinAbGroup(len(free_idx), torsion, projection=projection)
+    """``cokernel(a)`` from the u and the diagonal tuple d of ``smith_normal_form(a)``."""
+    n = u.rows
+    rank = sum(1 for x in d if x != 0)
+    tors_idx = [i for i in range(rank) if d[i] >= 2]
+    # free coordinates: the rows of u past the rank; torsion ones: those with d_i >= 2
+    proj_rows = u.entries[rank:] + tuple(u.entries[i] for i in tors_idx)
+    projection = IntMatrix._of(proj_rows, len(proj_rows), n)
+    return FinAbGroup(n - rank, tuple(d[i] for i in tors_idx), projection=projection)
 
 
 class GroupElement(NamedTuple):
@@ -275,12 +247,6 @@ class FinAbGroup:
 
     def __hash__(self):
         return hash((self.free_rank, self.torsion))
-
-    def element(self, free=(), torsion=()):
-        free, torsion = tuple(map(int, free)), tuple(map(int, torsion))
-        if len(free) != self.free_rank or len(torsion) != len(self.torsion):
-            raise ValueError("component count mismatch")
-        return self.from_coords(free + torsion)
 
     def from_coords(self, coords):
         """The element with coordinates ``coords``: free exponents, then residues mod d_i."""

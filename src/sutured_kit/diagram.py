@@ -34,7 +34,7 @@ kills each region boundary: an isomorphism H_1(surface) -> Z^L.  H_1(M)
 is the cokernel of the L x (|alpha| + |beta|) matrix rel of curve images, and
 with the point potentials phi(p) = P_alpha(p) - P_beta(p), prefix sums of
 arc images along the curves, eps(x, y) = sum phi(y) - sum phi(x).  The
-Smith normal form u rel v = s is the only one any query runs, ``check``
+Smith normal form u rel v = diag(s) is the only one any query runs, ``check``
 included: a periodic domain bounds sum n_c (curve c) with n in the kernel
 of rel, a connecting domain bounds the eps chain plus the n solving
 rel n = -image, and H_2 of the surface being 0, each lifts root first
@@ -590,7 +590,7 @@ def _edge_images(sk):
 
 class _H1Data:
     """H_1(M) = H_1(surface) / curve classes, the potential of each point, and
-    the Smith form u*rel*v = s of the curve-image matrix rel."""
+    the Smith form u*rel*v = diag(s) of the curve-image matrix rel."""
 
     def __init__(self, d):
         self.skeleton = sk = d._skeleton()
@@ -659,7 +659,7 @@ class _H1Data:
 
     def difference(self, x, y):
         """eps(x, y): the potentials summed over y minus those over x."""
-        total = [0] * len(self.group.projection.entries)
+        total = [0] * self.group.projection.rows
         for points, sign in ((y.points(), 1), (x.points(), -1)):
             for p in points:
                 for j, v in enumerate(self.potential[p]):
@@ -767,7 +767,7 @@ def periodic_lattice(d):
 
     A domain is periodic when its boundary is a sum n_c (curve c) of whole
     curves, 0 in H_1 of the surface: n runs over the kernel of the curve
-    image matrix rel, the columns of v past the rank of u rel v = s.
+    image matrix rel, the columns of v past the rank of u rel v = diag(s).
     """
     data = _h1data(d)
     _, _, v = data.snf
@@ -819,7 +819,7 @@ def connecting_domains(d, x, y):
     chain = {data.skeleton.arc_edge[arc]: c for arc, c in _eps_chain(d, x, y).items()}
     image = [-sum(c * data.images[e][j] for e, c in chain.items()) for j in range(data.rank)]
     rank = data.rank - data.group.free_rank
-    n = [t // s[i, i] for i, t in enumerate((u @ image)[:rank])] + [0] * (v.rows - rank)
+    n = [t // s[i] for i, t in enumerate((u @ image)[:rank])] + [0] * (v.rows - rank)
     return data.lift(chain, v @ n), periodic_lattice(d)
 
 

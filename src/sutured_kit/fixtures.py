@@ -23,7 +23,6 @@ from pathlib import Path
 
 from . import diagram as diagram_mod
 from . import fox as fox_mod
-from . import polytope as polytope_mod
 
 ENV_VAR = "SUTURED_KIT_FIXTURES"
 
@@ -114,23 +113,3 @@ def load_presentation(name):
     if info.kind != "presentation":
         raise KeyError(f"{name} is a {info.kind} fixture, not a presentation")
     return fox_mod.load_presentation_json(_load_json(info.file))
-
-
-def load_support(name):
-    info = fixture_info(name)
-    if info.kind != "support":
-        raise KeyError(f"{name} is a {info.kind} fixture, not support data")
-    return polytope_mod.SupportData.from_json(_load_json(info.file))
-
-
-def diagram_names():
-    return [f.name for f in FIXTURES if f.kind == "diagram"]
-
-
-def paired_names():
-    """(diagram name, presentation name) for every registered pair."""
-    out = []
-    for f in FIXTURES:
-        if f.kind == "diagram" and f.pair:
-            out.append((f.name, f.pair))
-    return out

@@ -263,13 +263,13 @@ def theta_matrix(p, k):
             f"l={len(k.sigma_images)}")
     g, _ = abelianization(p)
     m = p.num_generators
-    images = [tuple(row[i] for row in g.projection.entries) for i in range(m)]
+    images = [g.projection.column(i) for i in range(m)]
     columns = list(k.sigma_images) + list(p.relators)
     zero = GroupRingElem()
     entries = [[zero] * len(columns) for _ in range(m)]
     for col, w in enumerate(columns):
         rows = {}
-        prefix = (0,) * len(g.projection.entries)
+        prefix = (0,) * g.projection.rows
         for i, e in w.letters:
             if not 0 <= i < m:
                 raise InvalidGenerator(f"letter index {i} out of range")

@@ -1,4 +1,5 @@
-"""Shared test helpers: independent oracles and handmade diagram variants.
+"""Shared test helpers: independent oracles, handmade diagram variants and
+the bundled fixtures listed by kind.
 
 Everything here is deliberately independent of the library's own code
 paths: convex-hull membership is decided by a small exact simplex,
@@ -13,10 +14,31 @@ from fractions import Fraction
 
 import numpy as np
 
+from sutured_kit import fixtures
 from sutured_kit.diagram import SuturedDiagram
 from sutured_kit.errors import CrossingCountMismatch
 from sutured_kit.maslov import CROSSING_SHIFT
 from sutured_kit.oracle import solid_torus_sfh
+from sutured_kit.polytope import SupportData
+
+
+# -- bundled fixtures by kind ----------------------------------------------------
+
+def diagram_names():
+    return [f.name for f in fixtures.FIXTURES if f.kind == "diagram"]
+
+
+def paired_names():
+    """(diagram name, presentation name) for every registered pair."""
+    return [(f.name, f.pair) for f in fixtures.FIXTURES if f.kind == "diagram" and f.pair]
+
+
+def load_support(name):
+    info = fixtures.fixture_info(name)
+    if info.kind != "support":
+        raise KeyError(f"{name} is a {info.kind} fixture, not support data")
+    with open(fixtures.fixtures_dir() / info.file, encoding="utf-8") as fh:
+        return SupportData.from_json(json.load(fh))
 
 
 # -- exact linear programming (test-side oracle) --------------------------------

@@ -12,21 +12,48 @@ element, the explicit path chains of eps walked in either direction, the
 Euler polynomial as the signed sum over every generator (the Leibniz
 expansion that the library's alpha x beta determinant replaces), and
 builders for the parametric families T(p,1;2), T(1,0;2k+2) and L(p,1)
-minus a ball.
+minus a ball.  Also the integer matrix product and determinant that the
+Smith-form tests check against, which the library does not need.
 """
 
+from operator import mul
+
 from ring_oracle import identity, ring_neg, ring_translate
-from sutured_kit.abelian import GroupRingElem, IntMatrix, cokernel, smith_normal_form
+from sutured_kit.abelian import GroupRingElem, IntMatrix, cokernel, echelon, smith_normal_form
 from sutured_kit.diagram import (DomainVector, _check_generator, _eps_chain,
                                  epsilon, generator_sign, generators, h1_of_M,
                                  internal_regions)
 from sutured_kit.errors import InvalidDiagram
 
 
+def matmul(a, b):
+    """The product of two IntMatrix."""
+    if a.cols != b.rows:
+        raise ValueError("dimension mismatch")
+    cols = [b.column(j) for j in range(b.cols)]
+    return IntMatrix([[sum(map(mul, row, col)) for col in cols] for row in a.entries],
+                     a.rows, b.cols)
+
+
+def det(a):
+    """Exact determinant: the row-swap sign times the last pivot of ``echelon``."""
+    if a.rows != a.cols:
+        raise ValueError("determinant of a non-square matrix")
+    pivots, m, sign = echelon(a.entries)
+    if len(pivots) < a.rows:
+        return 0
+    return sign * m[-1][-1] if m else 1
+
+
+def diagonal(d, rows, cols):
+    """The rows x cols entries with d on the diagonal and 0 elsewhere."""
+    return tuple(tuple(d[i] if i == j else 0 for j in range(cols)) for i in range(rows))
+
+
 def kernel_basis(a):
     """Basis of the integer kernel {x : a*x = 0}, as a list of column vectors."""
     _, d, v = smith_normal_form(a)
-    rank = sum(1 for i in range(min(a.rows, a.cols)) if d[i, i] != 0)
+    rank = sum(1 for x in d if x != 0)
     return [v.column(j) for j in range(rank, a.cols)]
 
 
@@ -36,7 +63,7 @@ def solve_integer(a, b):
     c = u @ tuple(b)
     y = [0] * a.cols
     for i in range(a.rows):
-        di = d[i, i] if i < min(a.rows, a.cols) else 0
+        di = d[i] if i < len(d) else 0
         if di != 0:
             if c[i] % di != 0:
                 return None
@@ -118,7 +145,7 @@ class SnfH1:
         self.k = len(kb)
         self.kmat = IntMatrix(tuple(tuple(col[e] for col in kb) for e in range(sk.n_edges)),
                               sk.n_edges, self.k)
-        self.u, self.dmat, self.v = smith_normal_form(self.kmat)
+        self.u, self.diag, self.v = smith_normal_form(self.kmat)
         relations = list(sk.d2_columns) + [sk.curve_chain[c] for c in d.curves()]
         cols = [self._coords(vec) for vec in relations]
         rel = IntMatrix(tuple(tuple(col[i] for col in cols) for i in range(self.k)),
@@ -128,9 +155,8 @@ class SnfH1:
     def _coords(self, vec):
         c = self.u @ tuple(vec)
         y = [0] * self.k
-        rows, cols = self.kmat.rows, self.kmat.cols
-        for i in range(rows):
-            di = self.dmat[i, i] if i < min(rows, cols) else 0
+        for i in range(self.kmat.rows):
+            di = self.diag[i] if i < len(self.diag) else 0
             if di != 0:
                 if c[i] % di != 0:
                     raise InvalidDiagram("chain is not an integral 1-cycle")

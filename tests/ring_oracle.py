@@ -10,6 +10,14 @@ from itertools import permutations
 from sutured_kit.abelian import GroupElement, GroupRingElem, doteq_normalize, ring_invert_exponents
 
 
+def element(g, free=(), torsion=()):
+    """The element of g with these free exponents and torsion residues."""
+    free, torsion = tuple(map(int, free)), tuple(map(int, torsion))
+    if len(free) != g.free_rank or len(torsion) != len(g.torsion):
+        raise ValueError("component count mismatch")
+    return g.from_coords(free + torsion)
+
+
 def identity(g):
     return GroupElement((0,) * g.free_rank, (0,) * len(g.torsion))
 

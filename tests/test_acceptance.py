@@ -10,10 +10,11 @@ from math import comb, gcd
 
 import numpy as np
 
-from conftest import (brute_force_admissible, lagrangian_loop, random_symmetric,
-                      tensor_rank_identity, total_rank, two_circles_disk,
-                      unitary_group_loop)
-from ring_oracle import doteq_equal, identity, leibniz_det, ring_one
+from conftest import (brute_force_admissible, diagram_names, lagrangian_loop, load_support,
+                      paired_names, random_symmetric, tensor_rank_identity, total_rank,
+                      two_circles_disk, unitary_group_loop)
+from h1_oracle import det, diagonal, matmul
+from ring_oracle import doteq_equal, element, identity, leibniz_det, ring_one
 from sutured_kit import diagram, fixtures, fox
 from sutured_kit.abelian import (FinAbGroup, GroupRingElem, IntMatrix, det_group_ring,
                                  smith_normal_form)
@@ -73,7 +74,7 @@ def test_criterion_2_product_detection():
 def test_criterion_3_cross_module_oracle():
     """Euler polynomial of each paired diagram equals the presentation torsion."""
     start = time.monotonic()
-    pairs = fixtures.paired_names()
+    pairs = paired_names()
     assert pairs
     modes = {}
     for dname, pname in pairs:
@@ -122,13 +123,12 @@ def test_criterion_5_snf_suite():
     for _ in range(220):
         rows, cols = rng.randint(0, 6), rng.randint(0, 6)
         a = IntMatrix([[rng.randint(-9, 9) for _ in range(cols)]
-                       for _ in range(rows)])
+                       for _ in range(rows)], rows, cols)
         u, d, v = smith_normal_form(a)
-        assert (u @ a) @ v == d
-        assert abs(u.det()) == 1 and abs(v.det()) == 1
-        diag = [d[i, i] for i in range(min(rows, cols))]
-        assert all(x >= 0 for x in diag)
-        for x, y in zip(diag, diag[1:]):
+        assert matmul(matmul(u, a), v).entries == diagonal(d, rows, cols)
+        assert abs(det(u)) == 1 and abs(det(v)) == 1
+        assert all(x >= 0 for x in d)
+        for x, y in zip(d, d[1:]):
             assert (y % x == 0) if x else y == 0
     report(5, "Smith normal form contract on 220 random matrices")
 
@@ -140,8 +140,8 @@ def test_criterion_6_determinant_oracle():
         for _ in range(60):
             n = rng.randint(0, 4)
             m = [[GroupRingElem({
-                g.element((rng.randint(-2, 2),),
-                          tuple(rng.randrange(d) for d in g.torsion)):
+                element(g, (rng.randint(-2, 2),),
+                        tuple(rng.randrange(d) for d in g.torsion)):
                 rng.randint(-2, 2)})
                 for _ in range(n)] for _ in range(n)]
             assert det_group_ring(m, g) == leibniz_det(m, g)
@@ -150,7 +150,7 @@ def test_criterion_6_determinant_oracle():
 
 def test_criterion_7_admissibility_oracle():
     """Exact feasibility agrees with brute force on fixtures and random lattices."""
-    for name in fixtures.diagram_names():
+    for name in diagram_names():
         d = fixtures.load_diagram(name)
         basis = [v.coefficients for v in diagram.periodic_lattice(d)]
         assert diagram.is_admissible(d) == brute_force_admissible(basis)
@@ -173,7 +173,7 @@ def test_criterion_7_admissibility_oracle():
 
 def test_criterion_8_eps_spinc_suite():
     """eps additivity, domain existence iff eps = 0, and the T(1,0;4) split."""
-    for name in fixtures.diagram_names():
+    for name in diagram_names():
         d = fixtures.load_diagram(name)
         gens = diagram.generators(d)
         assert len(gens) <= 50
@@ -193,13 +193,13 @@ def test_criterion_8_eps_spinc_suite():
     grp = part.group
     assert grp.free_rank == 1 and not grp.torsion
     diff = part.difference[(0, 1)]
-    assert diff in (grp.element((1,)), grp.element((-1,)))
+    assert diff in (element(grp, (1,)), element(grp, (-1,)))
     report(8, "eps additivity, domains iff eps=0, T(1,0;4) splits 2 classes")
 
 
 def test_criterion_9_polytope():
     """Pretzel triangle asymmetry plus exact support-function properties."""
-    s = fixtures.load_support("pretzel222")
+    s = load_support("pretzel222")
     h = hull(s)
     assert h.dim == 2
     assert len(h.vertices) == 3

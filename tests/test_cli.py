@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import reverse_region, s1xs2_minus_ball
+from conftest import paired_names, reverse_region, s1xs2_minus_ball
 from h1_oracle import torus_diagram
-from ring_oracle import ring_to_json
+from ring_oracle import element, ring_to_json
 from sutured_kit import cli, diagram, fixtures, fox
 from sutured_kit.abelian import FinAbGroup, GroupRingElem
 
@@ -100,7 +100,7 @@ class TestPipelines:
 
 
 class TestCrosscheck:
-    @pytest.mark.parametrize("dname,pname", fixtures.paired_names())
+    @pytest.mark.parametrize("dname,pname", paired_names())
     def test_bundled_pairs_match_plainly(self, capsys, dname, pname):
         code, data = run_json(capsys, "crosscheck",
                               fixture_path(dname), fixture_path(pname))
@@ -350,8 +350,8 @@ def ring_elements(draw):
     big = st.integers(2 ** 64, 2 ** 70)
     coeff = st.integers(-3, 3) | big | big.map(operator.neg)
     return GroupRingElem(
-        (g.element([draw(st.integers(-20, 20)) for _ in range(g.free_rank)],
-                   [draw(st.integers(0, d - 1)) for d in g.torsion]), draw(coeff))
+        (element(g, [draw(st.integers(-20, 20)) for _ in range(g.free_rank)],
+                 [draw(st.integers(0, d - 1)) for d in g.torsion]), draw(coeff))
         for _ in range(draw(st.integers(0, 4))))
 
 

@@ -12,6 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import det_oracle
+from conftest import diagram_names, paired_names
+from h1_oracle import det
+from ring_oracle import element
 from sutured_kit import abelian, cli, fixtures
 from sutured_kit.abelian import FinAbGroup, GroupRingElem, IntMatrix, det_group_ring, ring_aug
 from sutured_kit.errors import DeterminantTooLarge
@@ -30,15 +33,15 @@ def group_matrices(draw):
     g = FinAbGroup(draw(st.integers(0, 2)), draw(st.sampled_from(TORSIONS)))
     n = draw(st.sampled_from(range(7)))
 
-    def element():
-        return g.element([draw(st.integers(-3, 3)) for _ in range(g.free_rank)],
-                         [draw(st.integers(-30, 30)) for _ in g.torsion])
+    def draw_element():
+        return element(g, [draw(st.integers(-3, 3)) for _ in range(g.free_rank)],
+                       [draw(st.integers(-30, 30)) for _ in g.torsion])
 
     def entry():
         kind = draw(st.sampled_from(("terms", "terms", "terms", "zero", "cancel")))
         if kind == "zero":
             return GroupRingElem()
-        terms = [(element(), draw(st.integers(-3, 3))) for _ in range(draw(st.integers(1, 3)))]
+        terms = [(draw_element(), draw(st.integers(-3, 3))) for _ in range(draw(st.integers(1, 3)))]
         if kind == "cancel":
             terms += [(h, -c) for h, c in terms[:1]]
         return GroupRingElem(terms)
@@ -49,7 +52,7 @@ def group_matrices(draw):
         m[draw(st.integers(0, n - 1))] = [GroupRingElem()] * n
     elif special == "unit":
         src, dst = draw(st.permutations(range(n)))[:2]
-        u, sign = element(), draw(st.sampled_from((-1, 1)))
+        u, sign = draw_element(), draw(st.sampled_from((-1, 1)))
         m[dst] = [GroupRingElem((g.add(h, u), sign * c) for h, c in e.items()) for e in m[src]]
     return m, g
 
@@ -63,7 +66,7 @@ def test_packed_equals_cofactor_oracle(case):
 
 def test_matrix_of_one_term_entries_spans_every_digit():
     g = FinAbGroup(2, (2, 12))
-    m = [[GroupRingElem({g.element((i * j * j - 9, (i - j) ** 2 - 5), (i * j, 5 * i + j * j)):
+    m = [[GroupRingElem({element(g, (i * j * j - 9, (i - j) ** 2 - 5), (i * j, 5 * i + j * j)):
                          1 + i * j})
           for j in range(5)] for i in range(5)]
     got = det_group_ring(m, g)
@@ -97,8 +100,8 @@ def patterned_matrices(draw):
 
     def entry():
         return GroupRingElem(
-            (g.element([draw(st.integers(-2, 2)) for _ in range(g.free_rank)],
-                       [draw(st.integers(0, 7)) for _ in g.torsion]),
+            (element(g, [draw(st.integers(-2, 2)) for _ in range(g.free_rank)],
+                     [draw(st.integers(0, 7)) for _ in g.torsion]),
              draw(st.sampled_from((-2, -1, 1, 3))))
             for _ in range(draw(st.integers(1, 2))))
 
@@ -164,7 +167,7 @@ def test_eighteen_generators_refused_in_the_callers_order_are_computed():
     words = list(k.sigma_images) + list(p.relators)
     sums = IntMatrix([[sum(e for j, e in w.letters if j == i) for w in words]
                       for i in range(m)])
-    assert abs(ring_aug(tau)) == abs(sums.det()) == 120
+    assert abs(ring_aug(tau)) == abs(det(sums)) == 120
 
 
 @st.composite
@@ -198,8 +201,8 @@ def test_theta_is_phi_of_each_fox_derivative(case):
 
 
 BUNDLED_RUNS = ([("torsion", f.name) for f in fixtures.fixture_list() if f.kind == "presentation"]
-                + [("euler", name) for name in fixtures.diagram_names()]
-                + [("crosscheck", d, p) for d, p in fixtures.paired_names()])
+                + [("euler", name) for name in diagram_names()]
+                + [("crosscheck", d, p) for d, p in paired_names()])
 
 
 @pytest.mark.parametrize("run", BUNDLED_RUNS, ids=" ".join)

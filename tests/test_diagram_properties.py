@@ -20,8 +20,8 @@ import tempfile
 
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import (rename_points, reverse_region, rotate_curve, swap_alpha_curves,
-                      swap_beta_curves)
+from conftest import (diagram_names, rename_points, reverse_region, rotate_curve,
+                      swap_alpha_curves, swap_beta_curves)
 from h1_oracle import chain_diagram, lens_diagram, torus_diagram
 from ring_oracle import doteq_equal
 from sutured_kit import cli, fixtures
@@ -35,7 +35,7 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=N
 def diagrams(draw):
     kind = draw(st.sampled_from(("bundled", "torus", "chain", "lens")))
     if kind == "bundled":
-        return fixtures.load_diagram(draw(st.sampled_from(fixtures.diagram_names()))).to_json()
+        return fixtures.load_diagram(draw(st.sampled_from(diagram_names()))).to_json()
     if kind == "torus":
         return torus_diagram(draw(st.integers(2, 12)))
     if kind == "chain":

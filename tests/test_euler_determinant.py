@@ -7,17 +7,18 @@ import random
 
 import pytest
 
+from conftest import diagram_names
 from det_oracle import Unreadable
 from h1_oracle import (chain_diagram, enumerated_euler_polynomial,
                        lens_diagram, torus_diagram)
-from ring_oracle import ring_mul, ring_one
+from ring_oracle import element, ring_mul, ring_one
 from sutured_kit import cli, diagram, fixtures
 from sutured_kit.abelian import FinAbGroup, GroupRingElem, det_group_ring
 from sutured_kit.diagram import SuturedDiagram, euler_polynomial
 from sutured_kit.errors import DeterminantTooLarge
 from sutured_kit.oracle import solid_torus_sfh
 
-ALL_DIAGRAMS = fixtures.diagram_names()
+ALL_DIAGRAMS = diagram_names()
 BUILDERS = {"torus": torus_diagram, "chain": chain_diagram, "lens": lens_diagram}
 FAMILY_CASES = ([("torus", p) for p in range(2, 31)] + [("chain", k) for k in range(1, 9)]
                 + [("lens", p) for p in range(2, 8)])
@@ -42,7 +43,7 @@ class TestAgainstEnumeration:
     def test_lens_space_is_the_norm_element(self, p):
         poly, group = euler_polynomial(family("lens", p))
         assert group == FinAbGroup(0, (p,))
-        assert poly == GroupRingElem({group.element((), (i,)): 1 for i in range(p)})
+        assert poly == GroupRingElem({element(group, (), (i,)): 1 for i in range(p)})
 
 
 class TestNoEnumeration:
@@ -71,7 +72,7 @@ class TestNoEnumeration:
 
 def poly(g, coeffs):
     """sum c_i h^i in Z[g], g of free rank 1."""
-    return GroupRingElem({g.element((i,)): c for i, c in enumerate(coeffs)})
+    return GroupRingElem({element(g, (i,)): c for i, c in enumerate(coeffs)})
 
 
 class TestMemoKeyBound:
@@ -93,7 +94,7 @@ class TestMemoKeyBound:
         zero = GroupRingElem()
 
         def entry():
-            return GroupRingElem({g.element((rng.randint(-1, 1),), (rng.randint(0, 1),)):
+            return GroupRingElem({element(g, (rng.randint(-1, 1),), (rng.randint(0, 1),)):
                                   rng.choice((-1, 1)) for _ in range(2)})
 
         blocks = [(0, 8), (8, 17)]

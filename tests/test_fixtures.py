@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import load_support, paired_names
 from sutured_kit import fixtures
 
 
@@ -20,7 +21,7 @@ class TestRegistry:
 
     def test_pairs_join_diagram_to_presentation(self):
         by_name = {f.name: f for f in fixtures.fixture_list()}
-        pairs = fixtures.paired_names()
+        pairs = paired_names()
         assert pairs, "at least one diagram/presentation pair must ship"
         for dname, pname in pairs:
             assert by_name[dname].kind == "diagram"
@@ -37,7 +38,7 @@ class TestRegistry:
         assert d.validate().ok
         p, k = fixtures.load_presentation("annulus_pres")
         assert p.boundary_genus == 1 and len(k.sigma_images) == 1
-        s = fixtures.load_support("pretzel222")
+        s = load_support("pretzel222")
         assert len(s.points) == 3
 
     def test_all_files_load(self):
@@ -47,9 +48,9 @@ class TestRegistry:
             elif f.kind == "presentation":
                 fixtures.load_presentation(f.name)
             else:
-                fixtures.load_support(f.name)
+                load_support(f.name)
 
     def test_pretzel_has_three_points(self):
-        s = fixtures.load_support("pretzel222")
+        s = load_support("pretzel222")
         assert len(s.points) == 3
         assert s.dimension == 2

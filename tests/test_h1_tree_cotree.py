@@ -6,11 +6,11 @@ import random
 
 import pytest
 
-from conftest import s1xs2_minus_ball
+from conftest import diagram_names, s1xs2_minus_ball
 from h1_oracle import (SnfH1, chain_diagram, eps_chain,
                        quadratic_doteq_normalize, snf_spinc_classes,
                        torus_diagram)
-from ring_oracle import identity, ring_to_json
+from ring_oracle import element, identity, ring_to_json
 from sutured_kit import abelian, cli, fixtures
 from sutured_kit.abelian import FinAbGroup, GroupRingElem
 from sutured_kit.diagram import (SuturedDiagram, _eps_chain, connecting_domains,
@@ -19,7 +19,7 @@ from sutured_kit.diagram import (SuturedDiagram, _eps_chain, connecting_domains,
                                  spinc_partition)
 from sutured_kit.errors import InvalidDiagram
 
-ALL_DIAGRAMS = fixtures.diagram_names()
+ALL_DIAGRAMS = diagram_names()
 TORUS_P = list(range(2, 31)) + [60]
 CHAIN_K = list(range(1, 6))
 
@@ -149,7 +149,7 @@ def random_element(rng, g, terms):
     for _ in range(terms):
         free = tuple(rng.randint(-4, 4) for _ in range(g.free_rank))
         tors = tuple(rng.randrange(t) for t in g.torsion)
-        out[g.element(free, tors)] = rng.choice([-3, -2, -1, 1, 2, 3])
+        out[element(g, free, tors)] = rng.choice([-3, -2, -1, 1, 2, 3])
     return GroupRingElem(out)
 
 

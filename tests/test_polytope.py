@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_force_hull_vertices
+from conftest import brute_force_hull_vertices, load_support
+from ring_oracle import element
 from sutured_kit import fixtures
 from sutured_kit.diagram import euler_polynomial
 from sutured_kit.errors import (BadDimension, DimensionTooLarge, EmptySupport,
@@ -175,7 +176,7 @@ class TestFace:
 
 class TestSymmetry:
     def test_pretzel_triangle_not_symmetric(self):
-        s = fixtures.load_support("pretzel222")
+        s = load_support("pretzel222")
         h = hull(s)
         assert h.dim == 2 and len(h.vertices) == 3
         assert not is_centrally_symmetric(h)
@@ -244,7 +245,7 @@ class TestSupportFromEuler:
         s = support_from_euler_polynomial(poly, grp)
         assert s.points == ((0,), (2,), (4,))  # doubled exponents
         # a different representative of the class gives a translate
-        shifted = ring_translate(poly, grp.element((3,)), grp)
+        shifted = ring_translate(poly, element(grp, (3,)), grp)
         s2 = support_from_euler_polynomial(shifted, grp)
         delta = {tuple(a - b for a, b in zip(p, q))
                  for p, q in zip(s2.points, s.points)}
@@ -262,8 +263,8 @@ class TestSupportFromEuler:
     def test_torsion_part_discarded(self):
         from sutured_kit.abelian import FinAbGroup, GroupRingElem
         g = FinAbGroup(1, (2,))
-        x = GroupRingElem({g.element((1,), (0,)): 1, g.element((1,), (1,)): 1,
-                           g.element((0,), (0,)): -1})
+        x = GroupRingElem({element(g, (1,), (0,)): 1, element(g, (1,), (1,)): 1,
+                           element(g, (0,), (0,)): -1})
         s = support_from_euler_polynomial(x, g)
         assert s.points == ((0,), (2,))
         assert s.multiplicity == {(0,): 1, (2,): 2}

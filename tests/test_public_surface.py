@@ -31,8 +31,8 @@ PUBLIC = {
               "LoopNotClosedInGroup NonCoprime NonPositiveRank NotAGenerator NotBalanced "
               "NotGeometricallyBalanced NotSymmetric NotUnitary OddSutureCount ResultTooLarge "
               "SamplingTooCoarse SuturedKitError expect expect_items",
-    "fixtures": "ENV_VAR FIXTURES FixtureInfo diagram_names fixture_info fixture_list "
-                "fixtures_dir load_diagram load_presentation load_support paired_names",
+    "fixtures": "ENV_VAR FIXTURES FixtureInfo fixture_info fixture_list fixtures_dir "
+                "load_diagram load_presentation",
     "fox": "FreeWord InclusionData Presentation abelianization combo_add combo_mul "
            "fox_derivative is_geometrically_balanced load_presentation_json theta_matrix torsion",
     "maslov": "CROSSING_SHIFT ENDPOINT_TOL MAX_PHASE_STEP SYMMETRY_TOL SymmetricPath "
@@ -48,10 +48,10 @@ PUBLIC = {
 # the public methods (functions, properties, class methods) of each public
 # class; a public class that is not listed has none
 METHODS = {
-    "abelian.FinAbGroup": "add element from_ambient from_coords neg sub",
+    "abelian.FinAbGroup": "add from_ambient from_coords neg sub",
     "abelian.GroupElement": "is_identity",
     "abelian.GroupRingElem": "is_zero items support",
-    "abelian.IntMatrix": "column det transpose",
+    "abelian.IntMatrix": "column",
     "diagram.GeneratorMatching": "points sigma to_json",
     "diagram.Region": "from_json to_json",
     "diagram.SuturedDiagram": "arc_endpoints arcs curve_arc_count curve_points curves from_json "

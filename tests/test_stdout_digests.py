@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import lagrangian_loop, random_symmetric, unitary_group_loop
+from conftest import lagrangian_loop, paired_names, random_symmetric, unitary_group_loop
 from h1_oracle import lens_diagram
 from sutured_kit import cli, fixtures
 
@@ -99,7 +99,7 @@ def cases(workdir):
         for extra in ([], ["--canonical"]):
             out.append((" ".join(["polytope --support", name] + extra),
                         ["polytope", "--support", _fixture(name)] + extra))
-    for dname, pname in fixtures.paired_names():
+    for dname, pname in paired_names():
         for extra in ([], ["--allow-inversion"]):
             out.append((" ".join(["crosscheck", dname, pname] + extra),
                         ["crosscheck", _fixture(dname), _fixture(pname)] + extra))
