@@ -20,7 +20,10 @@ generators and the induced partition into Spin^c classes, periodic
 domains and admissibility, connecting domains between generators, and
 the signed, Spin^c-graded Euler polynomial as the determinant of the
 alpha x beta potential matrix.  One pass over the region cycles builds
-the cell structure that all of these read.
+the cell structure that all of these read.  Each derived structure (the
+point -> curve tables, the cell structure, the validation and balance
+reports, the generators and the H_1 data) is a cached property, built once
+per diagram on first use.
 
 Homology cellulation: every region must have genus zero; a region with
 extra boundary cycles (arc cycles or contained boundary circles) is cut
@@ -46,7 +49,9 @@ of the rows of the periodic basis (one row per internal region), which
 the integer hull of ``polytope`` decides under its dimension bound.
 """
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import abelian
 from .abelian import (FinAbGroup, IntMatrix, _perm_sign, det_group_ring, doteq_normalize,
@@ -200,7 +205,6 @@ class SuturedDiagram:
         self.beta = tuple(tuple(c) for c in beta)
         self.crossing_sign = dict(crossing_sign)
         self.regions = tuple(regions)
-        self._cache = {}
 
     # -- input/output ---------------------------------------------------------
 
@@ -255,54 +259,44 @@ class SuturedDiagram:
             return v, v
         return pts[k], pts[(k + 1) % len(pts)]
 
-    def _point_positions(self):
-        got = self._cache.get("ppos")
-        if got is None:
-            got = ({}, {})       # point -> [(curve, position)] on alpha, on beta
-            for pos, curves in zip(got, (self.alpha, self.beta)):
-                for i, c in enumerate(curves):
-                    for k, p in enumerate(c):
-                        pos.setdefault(p, []).append((i, k))
-            self._cache["ppos"] = got
-        return got
+    @cached_property
+    def _curve_of(self):
+        """(alpha curve index by point, beta curve index by point)."""
+        return tuple({p: i for i, c in enumerate(curves) for p in c}
+                     for curves in (self.alpha, self.beta))
 
+    @cached_property
     def _skeleton(self):
-        """The one cell structure read from the region cycles, built once."""
-        got = self._cache.get("skeleton")
-        if got is None:
-            got = self._cache["skeleton"] = _Skeleton(self)
-        return got
+        """The one cell structure read from the region cycles."""
+        return _Skeleton(self)
 
     # -- validation ---------------------------------------------------------------
 
     def validate(self):
-        got = self._cache.get("validate")
-        if got is not None:
-            return got
+        return self._validation
+
+    @cached_property
+    def _validation(self):
         bad = []
         if self.genus < 0:
             bad.append("negative genus")
         if self.boundary_circles < 1:
             bad.append("a sutured diagram needs at least one boundary circle")
 
-        apos, bpos = self._point_positions()
-        for p, locs in apos.items():
-            if len(locs) > 1:
-                bad.append(f"point {p} appears more than once on the alpha curves")
-        for p, locs in bpos.items():
-            if len(locs) > 1:
-                bad.append(f"point {p} appears more than once on the beta curves")
+        for curves, label in ((self.alpha, "alpha"), (self.beta, "beta")):
+            bad += [f"point {p} appears more than once on the {label} curves"
+                    for p, n in Counter(p for c in curves for p in c).items() if n > 1]
+        apos, bpos = self._curve_of
         for p in apos:
             if p not in bpos:
                 bad.append(f"point {p} lies on an alpha curve but no beta curve")
-        for p in bpos:
-            if p not in apos:
-                bad.append(f"point {p} lies on a beta curve but no alpha curve")
-        for p in set(apos) & set(bpos):
-            if p not in self.crossing_sign:
+            elif p not in self.crossing_sign:
                 bad.append(f"point {p} has no crossing sign")
             elif self.crossing_sign[p] not in (1, -1):
                 bad.append(f"point {p} has crossing sign {self.crossing_sign[p]}, not +-1")
+        for p in bpos:
+            if p not in apos:
+                bad.append(f"point {p} lies on a beta curve but no alpha curve")
         for p in self.crossing_sign:
             if p not in apos or p not in bpos:
                 bad.append(f"crossing sign given for unknown point {p}")
@@ -316,7 +310,7 @@ class SuturedDiagram:
             if not region.cycles and region.boundary_circles == 0:
                 bad.append(f"region {ridx} has no boundary at all")
 
-        sk = self._skeleton()
+        sk = self._skeleton
         bad += sk.violations
         for arc, signs in zip(sk.arc_edge, sk.signs):
             if len(signs) != 2:
@@ -347,10 +341,7 @@ class SuturedDiagram:
             bad += sk.pinch_points()
             if len(_region_components(len(self.regions), sk.sides[:n_arcs])) > 1:
                 bad.append("surface is not connected")
-
-        got = ValidationReport(bad)
-        self._cache["validate"] = got
-        return got
+        return ValidationReport(bad)
 
     def require_valid(self):
         report = self.validate()
@@ -361,16 +352,17 @@ class SuturedDiagram:
 
     def _complement_components(self, removed_family):
         """Components of the surface minus one curve family, as region sets."""
-        sk = self._skeleton()
+        sk = self._skeleton
         return _region_components(len(self.regions), [
             sk.sides[e] for arc, e in sk.arc_edge.items() if arc[0] != removed_family])
 
     def is_balanced(self):
         """Counts match and each complement component reaches the boundary."""
         self.require_valid()
-        got = self._cache.get("balanced")
-        if got is not None:
-            return got
+        return self._balance
+
+    @cached_property
+    def _balance(self):
         reasons = []
         if len(self.alpha) != len(self.beta):
             reasons.append(f"|alpha| = {len(self.alpha)} but |beta| = {len(self.beta)}")
@@ -379,14 +371,41 @@ class SuturedDiagram:
                 if not any(self.regions[r].boundary_circles for r in comp):
                     reasons.append(f"a component of the complement of the {label} "
                                    "curves misses the boundary")
-        got = BalanceReport(not reasons, reasons)
-        self._cache["balanced"] = got
-        return got
+        return BalanceReport(not reasons, reasons)
 
     def require_balanced(self):
         report = self.is_balanced()
         if not report:
             raise NotBalanced("; ".join(report.reasons))
+
+    @cached_property
+    def _generators(self):
+        _, bpos = self._curve_of
+        candidates = [sorted((bpos[p], p) for p in curve) for curve in self.alpha]
+        n = len(candidates)
+        out = []
+        used = [False] * len(self.beta)
+        pick = []
+
+        def backtrack(i):
+            if i == n:
+                out.append(GeneratorMatching(tuple(pick)))
+                return
+            for j, p in candidates[i]:
+                if not used[j]:
+                    used[j] = True
+                    pick.append((j, p))
+                    backtrack(i + 1)
+                    pick.pop()
+                    used[j] = False
+
+        backtrack(0)
+        del backtrack       # the closure refers to itself; drop the cycle now
+        return tuple(out)
+
+    @cached_property
+    def _h1(self):
+        return _H1Data(self)
 
 
 # -- generators -----------------------------------------------------------------
@@ -398,56 +417,21 @@ def generators(d):
     lexicographically by the sequence (sigma(i), point name).
     """
     d.require_balanced()
-    got = d._cache.get("generators")
-    if got is not None:
-        return got
-    n = len(d.alpha)
-    _, bpos = d._point_positions()
-    candidates = []
-    for i in range(n):
-        cands = []
-        for p in d.alpha[i]:
-            if p in bpos:
-                j = bpos[p][0][0]
-                cands.append((j, p))
-        cands.sort()
-        candidates.append(cands)
-
-    out = []
-    used = [False] * len(d.beta)
-    pick = []
-
-    def backtrack(i):
-        if i == n:
-            out.append(GeneratorMatching(tuple(pick)))
-            return
-        for j, p in candidates[i]:
-            if not used[j]:
-                used[j] = True
-                pick.append((j, p))
-                backtrack(i + 1)
-                pick.pop()
-                used[j] = False
-
-    backtrack(0)
-    del backtrack       # the closure refers to itself; drop the cycle now
-    got = tuple(out)
-    d._cache["generators"] = got
-    return got
+    return d._generators
 
 
 def _check_generator(d, x):
     if not isinstance(x, GeneratorMatching) or len(x.assignment) != len(d.alpha):
         raise NotAGenerator("wrong number of assignments")
-    apos, bpos = d._point_positions()
+    apos, bpos = d._curve_of
     seen = set()
     for i, (j, p) in enumerate(x.assignment):
         if j in seen:
             raise NotAGenerator("beta assignment is not a bijection")
         seen.add(j)
-        if p not in apos or apos[p][0][0] != i:
+        if apos.get(p) != i:
             raise NotAGenerator(f"point {p} is not on alpha curve {i}")
-        if p not in bpos or bpos[p][0][0] != j:
+        if bpos.get(p) != j:
             raise NotAGenerator(f"point {p} is not on beta curve {j}")
 
 
@@ -593,7 +577,7 @@ class _H1Data:
     the Smith form u*rel*v = diag(s) of the curve-image matrix rel."""
 
     def __init__(self, d):
-        self.skeleton = sk = d._skeleton()
+        self.skeleton = sk = d._skeleton
         self.rank, self.images, self.order, self.parent_edge = _edge_images(sk)
         self.internal = internal_regions(d)
         zero = (0,) * self.rank
@@ -620,11 +604,11 @@ class _H1Data:
         self.potential = {p: self.group.projection @ v for p, v in phi.items()}
 
     def class_of(self, chain):
-        """Class in H_1(M) of a 1-cycle {arc or edge index: coefficient}."""
+        """Class in H_1(M) of a 1-cycle {arc: coefficient}."""
         boundary = {}
         total = [0] * self.rank
-        for key, c in chain.items():
-            e = self.skeleton.arc_edge[key] if isinstance(key, tuple) else key
+        for arc, c in chain.items():
+            e = self.skeleton.arc_edge[arc]
             t, h = self.skeleton.edges[e]
             boundary[h] = boundary.get(h, 0) + c
             boundary[t] = boundary.get(t, 0) - c
@@ -668,20 +652,16 @@ class _H1Data:
 
 
 def _h1data(d):
-    got = d._cache.get("h1")
-    if got is None:
-        d.require_valid()
-        got = _H1Data(d)
-        d._cache["h1"] = got
-    return got
+    d.require_valid()
+    return d._h1
 
 
 def h1_of_M(d):
     """First homology of the glued manifold and the evaluation map for 1-cycles.
 
     Returns (group, class_of) where class_of takes a chain {arc: coeff}
-    supported on the arc skeleton (or raw edge indices) and returns its
-    class; a chain with nonzero boundary raises InvalidDiagram.
+    supported on the arc skeleton and returns its class; a chain with
+    nonzero boundary raises InvalidDiagram.
     """
     data = _h1data(d)
     return data.group, data.class_of
@@ -847,11 +827,11 @@ def euler_polynomial(d):
     d.require_balanced()
     data = _h1data(d)
     group = data.group
-    _, bpos = d._point_positions()
+    _, bpos = d._curve_of
     cells = [[[] for _ in d.beta] for _ in d.alpha]
     for i, curve in enumerate(d.alpha):
         for p in curve:
             h = group.from_coords(data.potential[p])
-            cells[i][bpos[p][0][0]].append((h, d.crossing_sign[p]))
+            cells[i][bpos[p]].append((h, d.crossing_sign[p]))
     m = [[GroupRingElem(cell) for cell in row] for row in cells]
     return doteq_normalize(det_group_ring(m, group), group), group

@@ -71,13 +71,6 @@ class SupportData:
             mults = dict(zip(pts, mults))
         return cls(expect(data.get("dimension"), int, "dimension"), tuple(pts), mults)
 
-    def to_json(self):
-        return {
-            "dimension": self.dimension,
-            "points": [list(p) for p in self.points],
-            "multiplicities": [self.multiplicity[p] for p in self.points],
-        }
-
 
 def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))

@@ -114,6 +114,15 @@ class TestCrosscheck:
         assert code == 0
         assert data["match"] is False and data["mode"] is None
 
+    def test_homology_mismatch_reported(self, capsys):
+        code, data = run_json(capsys, "crosscheck", fixture_path("disk"),
+                              fixture_path("t212_pres"))
+        assert code == 0
+        assert data["h1_diagram"] == {"free_rank": 0, "torsion": []}
+        assert data["h1_presentation"] == {"free_rank": 1, "torsion": []}
+        assert data["match"] is False and data["mode"] is None
+        assert data["detail"] == "homology groups differ"
+
     def test_three_point_alternating_pair(self, capsys, tmp_path):
         # the in-test alternating-sign diagram matches the trefoil presentation
         from conftest import t312_sign_variant

@@ -98,10 +98,96 @@ class TestValidate:
 
     def test_one_skeleton_per_diagram(self):
         d = load("t312")
-        sk = d._skeleton()
+        sk = d._skeleton
         assert d.validate().ok and d.is_balanced().balanced
         h1_of_M(d)
-        assert d._skeleton() is sk and d._cache["h1"].skeleton is sk
+        assert d._skeleton is sk and d._h1.skeleton is sk
+
+    def test_each_structure_built_once(self):
+        d = load("t312")
+        for query in (d.validate, d.is_balanced, partial(generators, d),
+                      lambda: h1_of_M(d)[0], lambda: d._skeleton):
+            assert query() is query()
+
+    def test_invalid_diagram_caches_nothing_as_valid(self):
+        data = load("t212").to_json()
+        data["crossing_sign"]["P0"] = 2
+        d = SuturedDiagram.from_json(data)
+        for _ in range(2):
+            with pytest.raises(InvalidDiagram, match="crossing sign 2"):
+                d.require_valid()
+            with pytest.raises(InvalidDiagram):
+                h1_of_M(d)
+            with pytest.raises(InvalidDiagram):
+                generators(d)
+        assert d.validate() is d.validate() and not d.validate().ok
+        assert not {"_balance", "_generators", "_h1"} & set(vars(d))
+
+    @pytest.mark.parametrize("edit,violations", [
+        (lambda d: d.update(genus=-1),
+         ["negative genus", "Euler characteristic 1 does not match 2-2g-b = 3"]),
+        (lambda d: d.update(boundary_circles=0),
+         ["a sutured diagram needs at least one boundary circle",
+          "regions contain 1 boundary circles, diagram declares 0",
+          "Euler characteristic 1 does not match 2-2g-b = 2"]),
+        (lambda d: d["regions"][0].update(boundary_circles=-1),
+         ["region 0 has negative boundary circle count",
+          "regions contain -1 boundary circles, diagram declares 1",
+          "Euler characteristic 3 does not match 2-2g-b = 1"]),
+        (lambda d: d["regions"].append({"cycles": [], "boundary_circles": 0}),
+         ["region 1 has no boundary at all",
+          "Euler characteristic 3 does not match 2-2g-b = 1"]),
+    ])
+    def test_disk_header_and_region_messages(self, edit, violations):
+        data = load("disk").to_json()
+        edit(data)
+        assert SuturedDiagram.from_json(data).validate().violations == violations
+
+    @pytest.mark.parametrize("name,family,curves,violations", [
+        ("t212", "alpha", [["P0", "P1", "P0"]],
+         ["point P0 appears more than once on the alpha curves",
+          "arc a1.2 appears 0 times in region boundaries (expected 2)",
+          "Euler characteristic -3 does not match 2-2g-b = -2"]),
+        ("t212", "beta", [["P0", "P1", "P1"]],
+         ["point P1 appears more than once on the beta curves",
+          "region 0 has a boundary cycle that is not a closed walk",
+          "region 1 has a boundary cycle that is not a closed walk",
+          "arc b1.2 appears 0 times in region boundaries (expected 2)",
+          "Euler characteristic -3 does not match 2-2g-b = -2"]),
+        ("t106", "alpha", [["P1", "P2"], ["P5", "P3", "P4", "P6", "P1"]],
+         ["point P1 appears more than once on the alpha curves",
+          "region 5 has a boundary cycle that is not a closed walk",
+          "region 6 has a boundary cycle that is not a closed walk",
+          "arc a2.4 appears 0 times in region boundaries (expected 2)",
+          "Euler characteristic -5 does not match 2-2g-b = -4"]),
+    ])
+    def test_repeated_point(self, name, family, curves, violations):
+        data = load(name).to_json()
+        data[family] = curves
+        assert SuturedDiagram.from_json(data).validate().violations == violations
+
+    def test_crossing_sign_not_unit(self):
+        data = load("t212").to_json()
+        data["crossing_sign"]["P0"] = 2
+        assert SuturedDiagram.from_json(data).validate().violations == [
+            "point P0 has crossing sign 2, not +-1"]
+
+    def test_point_messages_follow_the_alpha_curves(self):
+        # in the order the points appear on the alpha curves, whatever the hash seed
+        data = load("t106").to_json()
+        data["crossing_sign"] = {p: 2 for p in data["crossing_sign"]}
+        assert SuturedDiagram.from_json(data).validate().violations == [
+            f"point {p} has crossing sign 2, not +-1"
+            for p in ("P1", "P2", "P5", "P3", "P4", "P6")]
+
+    def test_disconnected_surface(self):
+        # disk + t212 declared as genus 0 with 3 boundary circles: chi = 1 - 2 = -1
+        # matches 2 - 0 - 3, so disconnection is the only violation
+        data = load("t212").to_json()
+        data.update(genus=0, boundary_circles=3,
+                    regions=load("disk").to_json()["regions"] + data["regions"])
+        assert SuturedDiagram.from_json(data).validate().violations == [
+            "surface is not connected"]
 
     def test_unknown_point_sign(self):
         data = load("t212").to_json()
@@ -322,6 +408,21 @@ class TestEpsilon:
         with pytest.raises(NotAGenerator):
             epsilon(d, GeneratorMatching(((0, "P0"),)),
                     GeneratorMatching(((0, "NX"),)))
+
+    @pytest.mark.parametrize("assignment,message", [
+        (((0, "P1"),), "wrong number of assignments"),
+        (((0, "P1"), (0, "P3")), "beta assignment is not a bijection"),
+        (((1, "P1"), (0, "P5")), "point P1 is not on beta curve 1"),
+        (((0, "P5"), (1, "P1")), "point P5 is not on alpha curve 0"),
+    ])
+    def test_non_generator_messages(self, assignment, message):
+        # t106: alpha (P1 P2) (P5 P3 P4 P6), beta (P3 P1 P2 P4) (P5 P6)
+        d = load("t106")
+        x = generators(d)[0]
+        for pair in ((GeneratorMatching(assignment), x), (x, GeneratorMatching(assignment))):
+            with pytest.raises(NotAGenerator) as err:
+                epsilon(d, *pair)
+            assert str(err.value) == message
 
 
 class TestSpincPartition:

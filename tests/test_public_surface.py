@@ -63,7 +63,7 @@ METHODS = {
     "fox.Presentation": "from_json num_generators num_relators to_json",
     "maslov.UnitaryLoop": "closes_in_group",
     "oracle.RankTable": "support to_json values_in_order",
-    "polytope.SupportData": "from_json to_json",
+    "polytope.SupportData": "from_json",
     "polytope.SupportPolytope": "canonical_translate min_value to_json translate",
 }
 
