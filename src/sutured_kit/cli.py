@@ -1,9 +1,12 @@
 """Command-line front end.
 
-Every subcommand prints one JSON document on stdout (sorted keys, so the
-bytes are reproducible across runs).  Exit codes: 0 on success, 1 on a
-domain error (reported as {"error": code, "detail": text}), 2 on a usage
-error.
+Every subcommand is a function from the parsed arguments to its JSON
+payload; ``main`` is the one writer of stdout and prints exactly one JSON
+document (sorted keys, so the bytes are reproducible across runs).  Exit
+codes: 0 on success, 1 on a domain error (reported as {"error": code,
+"detail": text}), 2 on a usage error.  A result that cannot be encoded,
+such as an integer past the interpreter's int-to-str digit limit, is a
+``bad_input`` error document.
 """
 
 import argparse
@@ -128,22 +131,19 @@ def cmd_check(args):
         out["violations"] = sorted(report.violations)
         out["balanced"] = None
         out["admissible"] = None
-        _emit(out)
-        return 0
+        return out
     balance = d.is_balanced()
     out["balanced"] = balance.balanced
     if not balance.balanced:
         out["reasons"] = sorted(balance.reasons)
     out["admissible"] = diagram.is_admissible(d)
-    _emit(out)
-    return 0
+    return out
 
 
 def cmd_generators(args):
     d = _load_diagram(args.diagram)
     gens = diagram.generators(d)
-    _emit({"count": len(gens), "generators": [g.to_json() for g in gens]})
-    return 0
+    return {"count": len(gens), "generators": [g.to_json() for g in gens]}
 
 
 def cmd_spinc(args):
@@ -152,29 +152,24 @@ def cmd_spinc(args):
     diffs = [{"from": a, "to": b,
               "element": {"free": list(e.free), "torsion": list(e.torsion)}}
              for (a, b), e in sorted(part.difference.items())]
-    _emit({
+    return {
         "h1": abelian.group_to_json(part.group),
         "classes": [list(c) for c in part.classes],
         "base_class": 0,
         "differences": diffs,
-    })
-    return 0
+    }
 
 
 def cmd_euler(args):
     d = _load_diagram(args.diagram)
     poly, group = diagram.euler_polynomial(d)
-    _emit({"h1": abelian.group_to_json(group),
-           "polynomial": poly})
-    return 0
+    return {"h1": abelian.group_to_json(group), "polynomial": poly}
 
 
 def cmd_torsion(args):
     p, k = _load_presentation(args.presentation)
     tau, group = fox.torsion(p, k)
-    _emit({"h1": abelian.group_to_json(group),
-           "torsion": tau})
-    return 0
+    return {"h1": abelian.group_to_json(group), "torsion": tau}
 
 
 def cmd_crosscheck(args):
@@ -192,8 +187,7 @@ def cmd_crosscheck(args):
         out["match"] = False
         out["mode"] = None
         out["detail"] = "homology groups differ"
-        _emit(out)
-        return 0
+        return out
     # both are already normal forms up to +-h, so equality up to units is ==
     if poly == tau:
         out["match"], out["mode"] = True, "plain"
@@ -202,8 +196,7 @@ def cmd_crosscheck(args):
         out["match"], out["mode"] = True, "inverted"
     else:
         out["match"], out["mode"] = False, None
-    _emit(out)
-    return 0
+    return out
 
 
 def cmd_polytope(args):
@@ -216,25 +209,20 @@ def cmd_polytope(args):
     hull = polytope.hull(data)
     if args.canonical:
         hull = hull.canonical_translate()
-    _emit(hull.to_json())
-    return 0
+    return hull.to_json()
 
 
 def cmd_oracle(args):
     if args.with_closed and not args.connected_sum:
         raise UsageError("--with-closed applies only to --connected-sum")
     if args.solid_torus:
-        p, q, n = args.solid_torus
-        _emit(oracle.solid_torus_sfh(p, q, n).to_json())
-    elif args.closed:
-        hf, n = args.closed
-        _emit({"rank": oracle.closed_manifold_rank(hf, n)})
-    elif args.connected_sum:
-        a, b = args.connected_sum
-        _emit({"rank": oracle.connected_sum_rank(a, b, with_closed=args.with_closed)})
-    else:
-        raise UsageError("choose one of --solid-torus / --closed / --connected-sum")
-    return 0
+        return oracle.solid_torus_sfh(*args.solid_torus).to_json()
+    if args.closed:
+        return {"rank": oracle.closed_manifold_rank(*args.closed)}
+    if args.connected_sum:
+        return {"rank": oracle.connected_sum_rank(*args.connected_sum,
+                                                  with_closed=args.with_closed)}
+    raise UsageError("choose one of --solid-torus / --closed / --connected-sum")
 
 
 def cmd_maslov(args):
@@ -246,23 +234,30 @@ def cmd_maslov(args):
         raise UsageError(f"input provides {len(samples) - 1} steps, "
                          f"--samples asked for {args.samples}")
     if kind == "lagrangian_loop":
-        _emit({"kind": kind, "index": maslov.maslov_loop_index(maslov.UnitaryLoop(samples))})
-    elif kind == "symplectic_loop":
-        _emit({"kind": kind, "index": maslov.symplectic_loop_index(maslov.UnitaryLoop(samples))})
-    elif kind == "spectral_flow":
-        _emit({"kind": kind, "flow": maslov.spectral_flow(maslov.SymmetricPath(samples))})
-    else:
-        raise UsageError(f"unknown maslov input kind {kind!r}")
-    return 0
+        return {"kind": kind, "index": maslov.maslov_loop_index(maslov.UnitaryLoop(samples))}
+    if kind == "symplectic_loop":
+        return {"kind": kind, "index": maslov.symplectic_loop_index(maslov.UnitaryLoop(samples))}
+    if kind == "spectral_flow":
+        return {"kind": kind, "flow": maslov.spectral_flow(maslov.SymmetricPath(samples))}
+    raise UsageError(f"unknown maslov input kind {kind!r}")
 
 
 def cmd_fixtures(args):
-    _emit({"fixtures": [f.to_json() for f in fixtures.fixture_list()],
-           "directory": str(fixtures.fixtures_dir())})
-    return 0
+    return {"fixtures": [f.to_json() for f in fixtures.fixture_list()],
+            "directory": str(fixtures.fixtures_dir())}
 
 
 # -- wiring ---------------------------------------------------------------------
+
+# the subcommands that read one input file: (name, function, argument, help)
+_ONE_FILE = (
+    ("check", cmd_check, "diagram", "validate a diagram; report balance and admissibility"),
+    ("generators", cmd_generators, "diagram", "enumerate the generators of a diagram"),
+    ("spinc", cmd_spinc, "diagram", "partition generators into Spin^c classes"),
+    ("euler", cmd_euler, "diagram", "signed Euler polynomial of a diagram"),
+    ("torsion", cmd_torsion, "presentation", "torsion determinant of a presentation"),
+)
+
 
 @functools.cache
 def build_parser():
@@ -272,26 +267,10 @@ def build_parser():
                                  "3-manifolds")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    p = sub.add_parser("check", help="validate a diagram; report balance "
-                       "and admissibility")
-    p.add_argument("diagram")
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("generators", help="enumerate the generators of a diagram")
-    p.add_argument("diagram")
-    p.set_defaults(func=cmd_generators)
-
-    p = sub.add_parser("spinc", help="partition generators into Spin^c classes")
-    p.add_argument("diagram")
-    p.set_defaults(func=cmd_spinc)
-
-    p = sub.add_parser("euler", help="signed Euler polynomial of a diagram")
-    p.add_argument("diagram")
-    p.set_defaults(func=cmd_euler)
-
-    p = sub.add_parser("torsion", help="torsion determinant of a presentation")
-    p.add_argument("presentation")
-    p.set_defaults(func=cmd_torsion)
+    for name, func, arg, text in _ONE_FILE:
+        p = sub.add_parser(name, help=text)
+        p.add_argument(arg)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("crosscheck", help="compare a diagram's Euler polynomial "
                        "with a presentation's torsion up to units")
@@ -339,7 +318,8 @@ def main(argv=None):
         args = parser.parse_args(argv)
         if not getattr(args, "func", None):
             raise UsageError("missing subcommand")
-        return args.func(args)
+        _emit(args.func(args))
+        return 0
     except UsageError as exc:
         _emit({"error": "usage", "detail": str(exc)})
         return 2
@@ -352,7 +332,7 @@ def main(argv=None):
     except OSError as exc:        # a directory, no read permission, ...
         _emit({"error": "file_unreadable", "detail": str(exc)})
         return 1
-    except ValueError as exc:     # json.JSONDecodeError included
+    except ValueError as exc:     # json.JSONDecodeError, an int past the digit limit, ...
         _emit({"error": "bad_input", "detail": str(exc)})
         return 1
 

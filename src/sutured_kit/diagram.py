@@ -49,6 +49,7 @@ of the rows of the periodic basis (one row per internal region), which
 the integer hull of ``polytope`` decides under its dimension bound.
 """
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -61,18 +62,22 @@ from .errors import (DimensionTooLarge, InvalidDiagram, NotAGenerator, NotBalanc
 from .polytope import MAX_DIMENSION, SupportData, hull
 
 
+# both numbers in ASCII decimal without leading zeros, so a reference has one spelling
+_ARC_REF = re.compile(r"(-?)([ab])(0|[1-9][0-9]*)\.(0|[1-9][0-9]*)")
+
+
 def parse_arc_ref(text, field="arc reference"):
     """Parse ``"a1.0"`` / ``"-b2.3"`` into ((family, curve, arc), sign).
 
     A malformed reference raises ValueError naming ``field``.
     """
-    body = text.removeprefix("-")
-    curve_s, _, arc_s = body[1:].partition(".")
-    try:
-        if body[:1] in ("a", "b"):
-            return (body[:1], int(curve_s) - 1, int(arc_s)), -1 if body != text else 1
-    except ValueError:
-        pass
+    m = _ARC_REF.fullmatch(text)
+    if m:
+        sign, fam, curve, arc = m.groups()
+        try:
+            return (fam, int(curve) - 1, int(arc)), -1 if sign else 1
+        except ValueError:      # a number past the int-to-str digit limit
+            pass
     raise ValueError(f"{field} must be an arc reference like 'a1.0' or '-b2.3', "
                      f"got {text!r}")
 

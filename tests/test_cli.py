@@ -342,6 +342,38 @@ class TestContract:
             _, out = run(capsys, *argv)
             json.loads(out)  # must parse
 
+    @pytest.mark.parametrize("argv", [
+        ("check", "t212"), ("generators", "t312"), ("spinc", "t106"), ("euler", "t212"),
+        ("torsion", "t212_pres"), ("crosscheck", "t212", "t212_pres"),
+        ("polytope", "--support", "pretzel222"), ("oracle", "--closed", "2", "2"),
+        ("maslov", "loop.json"), ("fixtures",)])
+    def test_subcommand_returns_its_payload(self, capsys, tmp_path, argv):
+        # the function only computes; main writes what it returns
+        loop = tmp_path / "loop.json"
+        loop.write_text(json.dumps({"kind": "symplectic_loop", "samples": [[[1.0]], [[1.0]]]}))
+        names = {f.name for f in fixtures.fixture_list()}
+        argv = [fixture_path(a) if a in names else str(loop) if a == loop.name else a
+                for a in argv]
+        args = cli.build_parser().parse_args(argv)
+        payload = args.func(args)
+        assert capsys.readouterr().out == ""
+        code, out = run(capsys, *argv)
+        assert code == 0 and out == cli._encode(payload, "") + "\n"
+
+    def test_unencodable_result_is_bad_input(self, capsys):
+        set_limit = getattr(sys, "set_int_max_str_digits", None)
+        if set_limit is None:
+            pytest.skip("this interpreter has no int-to-str digit limit")
+        old = sys.get_int_max_str_digits()
+        set_limit(640)
+        try:    # 2^3000 has 904 digits
+            code, out = run(capsys, "oracle", "--closed", "1", "3000")
+        finally:
+            set_limit(old)
+        assert code == 1
+        data = json.loads(out)      # one document, nothing written before it
+        assert data["error"] == "bad_input" and "limit" in data["detail"]
+
     def test_help_available(self, capsys):
         for sub in ["check", "generators", "spinc", "euler", "torsion",
                     "crosscheck", "polytope", "oracle", "maslov", "fixtures"]:
@@ -456,6 +488,11 @@ class TestInputShape:
         (("maslov",), {"kind": "lagrangian_loop", "samples": []}, "empty sample list"),
         (("maslov", "--samples", "3"), {"kind": "lagrangian_loop", "samples": []},
          "empty sample list"),
+        # spellings int() reads as a1.0 or a10.0: one spelling per arc, in ASCII decimal
+        *[(("check",), {"genus": 0, "boundary_circles": 1,
+                        "regions": [{"cycles": [["a1.0", ref]]}]}, "regions[0].cycles[0][1]")
+          for ref in ("-a 1.0", "-a+1.0", "-a1.0 ", "-a1.0\n", "-a\u06611.0", "-a1.\u0660",
+                      "-a1_0.0", "-a1.0_0", "-a01.0", "-a1.00", "-a1" + "0" * 5000 + ".0")],
     ])
     def test_bad_shape_is_bad_input(self, capsys, tmp_path, argv, payload, field):
         path = tmp_path / "in.json"
