@@ -4,7 +4,7 @@
 Modules:
 
 - ``abelian``: Smith normal form, abelian groups, group-ring determinants up to units
-- ``fox``: free words, Fox derivatives, torsion of balanced presentations
+- ``fox``: free words, torsion of balanced presentations via Fox derivatives in Z[H_1]
 - ``diagram``: sutured Heegaard diagrams, generators, Spin^c partition, domains
 - ``polytope``: exact support polytopes, faces, support function, rank bounds
 - ``maslov``: Maslov loop indices and spectral flow of symmetric paths

@@ -6,7 +6,8 @@ document (sorted keys, so the bytes are reproducible across runs).  Exit
 codes: 0 on success, 1 on a domain error (reported as {"error": code,
 "detail": text}), 2 on a usage error.  A result that cannot be encoded,
 such as an integer past the interpreter's int-to-str digit limit, is a
-``bad_input`` error document.
+``bad_input`` error document.  ``--help`` is the one exception: argparse
+prints its usage text, not JSON, and ``main`` returns 0.
 """
 
 import argparse
@@ -23,10 +24,20 @@ class UsageError(Exception):
     pass
 
 
+class _Exit(Exception):
+    def __init__(self, status):
+        super().__init__(status)
+        self.status = status
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse would print to stderr and exit(2); route it through JSON instead
     def error(self, message):
         raise UsageError(message)
+
+    # --help has printed its usage text and would exit(0); main returns the status instead
+    def exit(self, status=0, message=None):
+        raise _Exit(status)
 
 
 class _Once(argparse.Action):
@@ -320,6 +331,8 @@ def main(argv=None):
             raise UsageError("missing subcommand")
         _emit(args.func(args))
         return 0
+    except _Exit as exc:
+        return exc.status
     except UsageError as exc:
         _emit({"error": "usage", "detail": str(exc)})
         return 2

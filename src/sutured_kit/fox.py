@@ -1,25 +1,25 @@
-"""Free-group words, Fox free differential calculus, and the torsion
-determinant of a geometrically balanced presentation with inclusion data.
+"""Free-group words and the torsion determinant of a geometrically
+balanced presentation with inclusion data.
 
 Words are stored freely reduced as tuples of (generator index, +-1); free
-reduction is the only normalization performed.  The Fox derivative is
-computed left to right:
+reduction is the only normalization performed.  A presentation with m
+generators, n relators and declared boundary genus l is *geometrically
+balanced* when m - n = l and there are exactly l inclusion words; the
+torsion matrix is then square of size m, its first l columns coming from
+the inclusion words and its last n from the relators, and the torsion is
+the class of its determinant in Z[H_1] up to +-h.
+
+The entries of the torsion matrix are Fox derivatives, computed left to
+right,
 
     d(uw)/dx = du/dx * aug(w) + u * dw/dx,      aug(group word) = 1,
 
-so d(a)/da = 1 and d(a^-1)/da = -a^-1.  A presentation with m generators,
-n relators and declared boundary genus l is *geometrically balanced* when
-m - n = l and there are exactly l inclusion words; the torsion matrix is
-then square of size m, its first l columns coming from the inclusion
-words and its last n from the relators, and the torsion is the class of
-its determinant in Z[H_1] up to +-h.
-
-``theta_matrix`` does not form the Fox derivatives in the free group
-ring: it builds each column in one walk over its word, carrying the
-image in H_1 of the prefix, so every letter adds one term to the row of
-its generator.  ``fox_derivative``, with ``combo_add`` and ``combo_mul``
-on formal combinations of words, stays public as the paper's Fox
-calculus, the definition that the tests hold ``theta_matrix`` to.
+so d(a)/da = 1 and d(a^-1)/da = -a^-1, and pushed to Z[H_1].
+``theta_matrix`` does not form them in the free group ring: it builds
+each column in one walk over its word, carrying the image in H_1 of the
+prefix, so every letter adds one term to the row of its generator.  The
+Fox derivative in the free group ring is kept in ``tests/fox_oracle.py``
+as the definition that the tests hold ``theta_matrix`` to.
 """
 
 from dataclasses import dataclass
@@ -60,30 +60,14 @@ class FreeWord:
             letters.append(table[tok])
         return cls(letters)
 
-    def to_string(self, generator_names):
-        out = []
-        for g, e in self.letters:
-            name = generator_names[g]
-            out.append(name if e == 1 else name.upper())
-        return " ".join(out)
-
-    def __mul__(self, other):
-        return FreeWord(self.letters + other.letters)
-
     def exponents(self, num_generators):
         """Total exponent of each generator (the abelianized image)."""
         vec = [0] * num_generators
         for g, e in self.letters:
-            if g >= num_generators:
+            if not 0 <= g < num_generators:
                 raise InvalidGenerator(f"letter index {g} out of range")
             vec[g] += e
         return tuple(vec)
-
-    def is_identity(self):
-        return not self.letters
-
-    def __len__(self):
-        return len(self.letters)
 
     def __eq__(self, other):
         return isinstance(other, FreeWord) and self.letters == other.letters
@@ -93,58 +77,6 @@ class FreeWord:
 
     def __repr__(self):
         return f"FreeWord({self.letters!r})"
-
-
-# A formal Z-linear combination of free words is a dict FreeWord -> int.
-
-def combo_add(x, y):
-    out = dict(x)
-    for w, c in y.items():
-        out[w] = out.get(w, 0) + c
-        if out[w] == 0:
-            del out[w]
-    return out
-
-
-def combo_mul(x, y):
-    """Product in the free group ring."""
-    out = {}
-    for u, cu in x.items():
-        for w, cw in y.items():
-            p = u * w
-            out[p] = out.get(p, 0) + cu * cw
-            if out[p] == 0:
-                del out[p]
-    return out
-
-
-def fox_derivative(w, i, num_generators):
-    """Fox derivative d(w)/d(a_i) as a formal combination of words.
-
-    >>> names = ["a", "b"]
-    >>> w = FreeWord.from_string("a b a", names)
-    >>> sorted((u.to_string(names), c) for u, c in fox_derivative(w, 0, 2).items())
-    [('', 1), ('a b', 1)]
-    """
-    if not 0 <= i < num_generators:
-        raise InvalidGenerator(f"generator index {i} out of range (m={num_generators})")
-    result = {}
-    prefix = FreeWord()
-    for g, e in w.letters:
-        if g >= num_generators:
-            raise InvalidGenerator(f"letter index {g} out of range")
-        if g == i:
-            if e == 1:
-                term = prefix
-                sign = 1
-            else:
-                term = prefix * FreeWord(((g, -1),))
-                sign = -1
-            result[term] = result.get(term, 0) + sign
-            if result[term] == 0:
-                del result[term]
-        prefix = prefix * FreeWord(((g, e),))
-    return result
 
 
 @dataclass(frozen=True)
@@ -184,13 +116,6 @@ class Presentation:
                          for r in expect_items(data.get("relators", []), str, "relators"))
         return cls(names, relators, expect(data.get("boundary_genus"), int, "boundary_genus"))
 
-    def to_json(self):
-        return {
-            "generators": list(self.generator_names),
-            "relators": [r.to_string(self.generator_names) for r in self.relators],
-            "boundary_genus": self.boundary_genus,
-        }
-
 
 @dataclass(frozen=True)
 class InclusionData:
@@ -204,10 +129,6 @@ class InclusionData:
         return cls(tuple(FreeWord.from_string(w, presentation.generator_names)
                          for w in images))
 
-    def to_json(self, presentation):
-        return {"sigma_images": [w.to_string(presentation.generator_names)
-                                 for w in self.sigma_images]}
-
 
 def load_presentation_json(data):
     p = Presentation.from_json(data)
@@ -216,28 +137,15 @@ def load_presentation_json(data):
 
 
 def abelianization(p):
-    """First homology of the presented group, with the induced ring map.
+    """First homology of the presented group.
 
-    Returns (g, phi) where g is the cokernel of the relator exponent
-    matrix and phi sends a FreeWord (or a formal combination of words) to
-    its class in Z[g].
+    The cokernel of the relator exponent matrix; it carries the projection
+    from Z^m that ``theta_matrix`` reads the images of the letters from.
     """
     m = p.num_generators
     cols = [r.exponents(m) for r in p.relators]
-    matrix = IntMatrix(tuple(tuple(col[i] for col in cols) for i in range(m)),
-                       m, len(cols))
-    g = cokernel(matrix)
-
-    def phi(x):
-        if isinstance(x, FreeWord):
-            x = {x: 1}
-        terms = {}
-        for w, c in x.items():
-            elem = g.from_ambient(w.exponents(m))
-            terms[elem] = terms.get(elem, 0) + c
-        return GroupRingElem(terms)
-
-    return g, phi
+    return cokernel(IntMatrix._of(tuple(tuple(col[i] for col in cols) for i in range(m)),
+                                  m, len(cols)))
 
 
 def is_geometrically_balanced(p, k):
@@ -261,7 +169,7 @@ def theta_matrix(p, k):
         raise NotGeometricallyBalanced(
             f"m={p.num_generators}, n={p.num_relators}, genus={p.boundary_genus}, "
             f"l={len(k.sigma_images)}")
-    g, _ = abelianization(p)
+    g = abelianization(p)
     m = p.num_generators
     images = [g.projection.column(i) for i in range(m)]
     columns = list(k.sigma_images) + list(p.relators)

@@ -2,8 +2,8 @@
 oracles: `det_oracle.det_group_ring` (the cofactor expansion on
 `GroupElement` keys, in the caller's row order) term for term before
 normalizing, whatever order the library expands, with its refusals under
-a lowered memo-key bound; `phi` of each `fox_derivative` entry by entry,
-and the CLI bytes with the oracle swapped in."""
+a lowered memo-key bound; `phi` of each `fox_oracle.fox_derivative` entry
+by entry, and the CLI bytes with the oracle swapped in."""
 
 import random
 from contextlib import contextmanager
@@ -13,13 +13,13 @@ from hypothesis import given, settings, strategies as st
 
 import det_oracle
 from conftest import diagram_names, paired_names
+from fox_oracle import concat, fox_derivative, phi
 from h1_oracle import det
 from ring_oracle import element
 from sutured_kit import abelian, cli, fixtures
 from sutured_kit.abelian import FinAbGroup, GroupRingElem, IntMatrix, det_group_ring, ring_aug
 from sutured_kit.errors import DeterminantTooLarge
-from sutured_kit.fox import (FreeWord, InclusionData, Presentation, abelianization,
-                             fox_derivative, theta_matrix, torsion)
+from sutured_kit.fox import FreeWord, InclusionData, Presentation, theta_matrix, torsion
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 TORSIONS = ((), (2,), (3,), (2, 4), (2, 12))
@@ -184,7 +184,7 @@ def presentations(draw):
 
     relators = [word() for _ in range(n)]
     if n and draw(st.booleans()):
-        relators[0] = FreeWord([(0, 1)] * draw(st.integers(2, 4))) * relators[0]
+        relators[0] = concat(FreeWord([(0, 1)] * draw(st.integers(2, 4))), relators[0])
     p = Presentation(tuple("abcdef"[:m]), tuple(relators), m - n)
     return p, InclusionData(tuple(word() for _ in range(m - n)))
 
@@ -193,11 +193,10 @@ def presentations(draw):
 @given(presentations())
 def test_theta_is_phi_of_each_fox_derivative(case):
     p, k = case
-    _, phi = abelianization(p)
     m = p.num_generators
     columns = list(k.sigma_images) + list(p.relators)
-    theta, _ = theta_matrix(p, k)
-    assert theta == [[phi(fox_derivative(w, i, m)) for w in columns] for i in range(m)]
+    theta, g = theta_matrix(p, k)
+    assert theta == [[phi(g, fox_derivative(w, i, m)) for w in columns] for i in range(m)]
 
 
 BUNDLED_RUNS = ([("torsion", f.name) for f in fixtures.fixture_list() if f.kind == "presentation"]
