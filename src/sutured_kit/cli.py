@@ -12,6 +12,7 @@ prints its usage text, not JSON, and ``main`` returns 0.
 
 import argparse
 import functools
+import gc
 import json
 import sys
 
@@ -118,10 +119,17 @@ def _emit(payload):
 
 def _load_json_file(path):
     with open(path, "r", encoding="utf-8") as fh:
+        # a parsed JSON document holds no reference cycles, so a collection
+        # during the parse could free nothing and only walks the new objects
+        enabled = gc.isenabled()
+        gc.disable()
         try:
             return json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply to parse") from None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 def _load_diagram(path):

@@ -51,12 +51,11 @@ the integer hull of ``polytope`` decides under its dimension bound.
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import abelian
-from .abelian import (FinAbGroup, IntMatrix, _perm_sign, det_group_ring, doteq_normalize,
-                      smith_cokernel, GroupRingElem)
+from .abelian import (IntMatrix, _perm_sign, det_group_ring, doteq_normalize, smith_cokernel,
+                      GroupRingElem)
 from .errors import (DimensionTooLarge, InvalidDiagram, NotAGenerator, NotBalanced, expect,
                      expect_items)
 from .polytope import MAX_DIMENSION, SupportData, hull
@@ -98,13 +97,15 @@ def format_arc_ref(arc, sign):
     return ("-" if sign < 0 else "") + f"{fam}{curve + 1}.{idx}"
 
 
-@dataclass(frozen=True)
 class Region:
     """Complement region: arc boundary cycles, contained boundary circles, genus."""
 
-    cycles: tuple          # tuple of cycles; a cycle is a tuple of (arc, sign)
-    boundary_circles: int = 0
-    genus: int = 0
+    __slots__ = ("cycles", "boundary_circles", "genus")
+
+    def __init__(self, cycles, boundary_circles=0, genus=0):
+        self.cycles = cycles  # tuple of cycles; a cycle is a tuple of (arc, sign)
+        self.boundary_circles = boundary_circles
+        self.genus = genus
 
     @classmethod
     def from_json(cls, data, field="region"):
@@ -125,7 +126,6 @@ class Region:
         }
 
 
-@dataclass(frozen=True)
 class GeneratorMatching:
     """One intersection point on each alpha and each beta curve.
 
@@ -133,7 +133,10 @@ class GeneratorMatching:
     point p; the map i -> j must be a bijection.
     """
 
-    assignment: tuple
+    __slots__ = ("assignment",)
+
+    def __init__(self, assignment):
+        self.assignment = assignment
 
     def sigma(self):
         return tuple(j for j, _ in self.assignment)
@@ -705,13 +708,15 @@ def epsilon(d, x, y):
     return _h1data(d).difference(x, y)
 
 
-@dataclass(frozen=True)
 class SpincPartition:
     """Generators grouped by eps = 0, with the H_1(M) difference torsor data."""
 
-    classes: tuple           # tuple of tuples of generator indices
-    difference: dict         # (class index, class index) -> GroupElement
-    group: FinAbGroup
+    __slots__ = ("classes", "difference", "group")
+
+    def __init__(self, classes, difference, group):
+        self.classes = classes          # tuple of tuples of generator indices
+        self.difference = difference    # (class index, class index) -> GroupElement
+        self.group = group
 
 
 def spinc_partition(d):
@@ -733,14 +738,22 @@ def spinc_partition(d):
 # -- domains -------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class DomainVector:
     """Integer coefficients over the internal regions (those off the boundary)."""
 
-    coefficients: tuple
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients):
+        self.coefficients = coefficients
 
     def __len__(self):
         return len(self.coefficients)
+
+    def __eq__(self, other):
+        return isinstance(other, DomainVector) and self.coefficients == other.coefficients
+
+    def __hash__(self):
+        return hash(self.coefficients)
 
 
 def internal_regions(d):

@@ -18,8 +18,8 @@ subsurfaces are single annuli and the pairing works.
 
 import json
 import os
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import diagram as diagram_mod
 from . import fox as fox_mod
@@ -27,8 +27,7 @@ from . import fox as fox_mod
 ENV_VAR = "SUTURED_KIT_FIXTURES"
 
 
-@dataclass(frozen=True)
-class FixtureInfo:
+class FixtureInfo(NamedTuple):
     name: str
     kind: str           # "diagram" | "presentation" | "support"
     file: str
@@ -36,8 +35,7 @@ class FixtureInfo:
     description: str
 
     def to_json(self):
-        return {"name": self.name, "kind": self.kind, "file": self.file,
-                "pair": self.pair, "description": self.description}
+        return self._asdict()
 
 
 FIXTURES = (

@@ -22,7 +22,6 @@ Fox derivative in the free group ring is kept in ``tests/fox_oracle.py``
 as the definition that the tests hold ``theta_matrix`` to.
 """
 
-from dataclasses import dataclass
 from operator import add, sub
 
 from .abelian import GroupRingElem, IntMatrix, cokernel, det_group_ring, doteq_normalize
@@ -79,20 +78,29 @@ class FreeWord:
         return f"FreeWord({self.letters!r})"
 
 
-@dataclass(frozen=True)
 class Presentation:
     """Finite presentation <a_1..a_m | r_1..r_n> plus the declared boundary genus."""
 
-    generator_names: tuple
-    relators: tuple
-    boundary_genus: int
+    __slots__ = ("generator_names", "relators", "boundary_genus")
 
-    def __post_init__(self):
-        m = len(self.generator_names)
-        if len(self.relators) > m:
+    def __init__(self, generator_names, relators, boundary_genus):
+        m = len(generator_names)
+        if len(relators) > m:
             raise ValueError("presentation needs at least as many generators as relators")
-        for r in self.relators:
+        for r in relators:
             r.exponents(m)  # validates letter indices
+        self.generator_names = generator_names
+        self.relators = relators
+        self.boundary_genus = boundary_genus
+
+    def _key(self):
+        return self.generator_names, self.relators, self.boundary_genus
+
+    def __eq__(self, other):
+        return isinstance(other, Presentation) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def num_generators(self):
@@ -117,11 +125,19 @@ class Presentation:
         return cls(names, relators, expect(data.get("boundary_genus"), int, "boundary_genus"))
 
 
-@dataclass(frozen=True)
 class InclusionData:
     """Images under the inclusion-induced map of the bottom-surface generators."""
 
-    sigma_images: tuple
+    __slots__ = ("sigma_images",)
+
+    def __init__(self, sigma_images):
+        self.sigma_images = sigma_images
+
+    def __eq__(self, other):
+        return isinstance(other, InclusionData) and self.sigma_images == other.sigma_images
+
+    def __hash__(self):
+        return hash(self.sigma_images)
 
     @classmethod
     def from_json(cls, data, presentation):

@@ -22,8 +22,6 @@ smaller.  The bundled fixtures all have torsion coefficients +-1, where
 the two notions coincide.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .abelian import echelon
@@ -33,30 +31,28 @@ from .errors import (BadDimension, DimensionTooLarge, EmptySupport,
 MAX_DIMENSION = 6
 
 
-@dataclass(frozen=True)
 class SupportData:
     """Distinct integer support points with positive multiplicities."""
 
-    dimension: int
-    points: tuple
-    multiplicity: dict = None
+    __slots__ = ("dimension", "points", "multiplicity")
 
-    def __post_init__(self):
-        pts = tuple(tuple(int(x) for x in p) for p in self.points)
+    def __init__(self, dimension, points, multiplicity=None):
+        pts = tuple(tuple(int(x) for x in p) for p in points)
         if len(set(pts)) != len(pts):
             raise ValueError("support points must be distinct")
         for p in pts:
-            if len(p) != self.dimension:
-                raise BadDimension(f"point {p} does not have dimension {self.dimension}")
-        object.__setattr__(self, "points", pts)
-        mult = dict(self.multiplicity or {})
+            if len(p) != dimension:
+                raise BadDimension(f"point {p} does not have dimension {dimension}")
+        mult = dict(multiplicity or {})
         clean = {}
         for p in pts:
-            m = int(mult.get(tuple(p), 1))
+            m = int(mult.get(p, 1))
             if m <= 0:
                 raise ValueError("multiplicities must be positive")
-            clean[tuple(p)] = m
-        object.__setattr__(self, "multiplicity", clean)
+            clean[p] = m
+        self.dimension = dimension
+        self.points = pts
+        self.multiplicity = clean
 
     @classmethod
     def from_json(cls, data):
@@ -98,7 +94,6 @@ def _kernel(rows, width):
     return out
 
 
-@dataclass(frozen=True)
 class SupportPolytope:
     """Exact convex hull of support points.
 
@@ -108,11 +103,14 @@ class SupportPolytope:
     lower-dimensional hull is fully described.
     """
 
-    ambient_dimension: int
-    dim: int
-    vertices: tuple
-    facets: tuple
-    equations: tuple
+    __slots__ = ("ambient_dimension", "dim", "vertices", "facets", "equations")
+
+    def __init__(self, ambient_dimension, dim, vertices, facets, equations):
+        self.ambient_dimension = ambient_dimension
+        self.dim = dim
+        self.vertices = vertices
+        self.facets = facets
+        self.equations = equations
 
     def min_value(self, alpha):
         if len(alpha) != self.ambient_dimension:
@@ -255,6 +253,7 @@ def is_centrally_symmetric(p):
 
 def surface_c(chi, index_i, rotation_r):
     """The pairing value chi(S) + I(S) - r(S, t) of a decomposing surface."""
+    from fractions import Fraction  # no subcommand reads it; kept off the import path
     return Fraction(chi) + Fraction(index_i) - Fraction(rotation_r)
 
 

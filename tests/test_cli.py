@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import operator
@@ -569,6 +570,24 @@ class TestUnreadableInput:
         assert code == 1 and data["error"] == "bad_input"
         assert "nested too deeply" in data["detail"]
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_is_restored(self, capsys, tmp_path, enabled):
+        # the JSON parse runs with the cyclic collector off, then puts back its state
+        deep, bad = tmp_path / "deep.json", tmp_path / "bad.json"
+        deep.write_text("[" * 200_000)
+        bad.write_text(json.dumps({"genus": 0, "boundary_circles": 1, "alpha": 5}))
+        cases = [(fixture_path("t212"), 0, None), (str(bad), 1, "bad_input"),
+                 (str(deep), 1, "bad_input"), (str(tmp_path), 1, "file_unreadable")]
+        was = gc.isenabled()
+        try:
+            for path, want_code, error in cases:
+                (gc.enable if enabled else gc.disable)()
+                code, data = run_json(capsys, "euler", path)
+                assert gc.isenabled() is enabled
+                assert code == want_code and data.get("error") == error
+        finally:
+            (gc.enable if was else gc.disable)()
+
 
 class TestOracleBounds:
     @pytest.mark.parametrize("argv,named", [
@@ -641,3 +660,16 @@ def test_numpy_is_loaded_only_by_maslov(tmp_path):
     name, doc = proc.stdout.split("\n", 1)
     assert name == "UnitaryLoop"
     assert json.loads(doc) == {"kind": "symplectic_loop", "index": 0}
+
+
+def test_cli_start_up_loads_no_dataclasses_or_fractions():
+    # the records are plain classes and surface_c imports Fraction when it runs
+    script = (
+        "import sys, sutured_kit.cli\n"
+        "sutured_kit.cli.build_parser()\n"
+        "print(sorted({'dataclasses', 'fractions', 'inspect'} & set(sys.modules)))\n")
+    src = str(Path(cli.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          check=False, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

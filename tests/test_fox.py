@@ -111,6 +111,23 @@ class TestFoxDerivative:
             assert lhs == rhs
 
 
+class TestPresentation:
+    def test_more_relators_than_generators_refused(self):
+        with pytest.raises(ValueError) as exc:
+            Presentation(("a",), (w("a", ("a",)), w("a a", ("a",))), 0)
+        assert str(exc.value) == "presentation needs at least as many generators as relators"
+
+    def test_value_equality_and_hash(self):
+        p, q = (Presentation(AB, (w("a b a B A B"),), 1) for _ in range(2))
+        assert p == q and hash(p) == hash(q)
+        assert p != Presentation(AB, (w("a b a B A B"),), 0)
+        assert p != Presentation(("a", "c"), (w("a b a B A B"),), 1)
+        k, k2 = (InclusionData((w("b"),)) for _ in range(2))
+        assert k == k2 and hash(k) == hash(k2)
+        assert k != InclusionData((w("a"),))
+        assert p != k and k != (w("b"),)
+
+
 class TestAbelianization:
     def test_free_rank_one(self):
         p = Presentation(("a",), (), 1)

@@ -24,6 +24,34 @@ def rand_support(rng, dim, npoints, span=4):
     return SupportData(dim, tuple(sorted(pts)))
 
 
+class TestSupportData:
+    def test_points_come_back_as_tuples_of_ints(self):
+        s = SupportData(2, [[True, 2], (3, 4)])
+        assert s.points == ((1, 2), (3, 4))
+        assert all(type(x) is int for p in s.points for x in p)
+        assert all(type(p) is tuple for p in s.points)
+
+    def test_multiplicity_is_cleaned(self):
+        # missing points default to 1, points not in the support are dropped
+        s = SupportData(1, ((0,), (2,)), {(2,): 3, (5,): 7})
+        assert s.multiplicity == {(0,): 1, (2,): 3}
+        assert SupportData(1, ((0,),)).multiplicity == {(0,): 1}
+
+    def test_repeated_points_refused(self):
+        with pytest.raises(ValueError, match="^support points must be distinct$"):
+            SupportData(2, ((0, 0), (1, 0), (0, 0)))
+
+    def test_point_of_wrong_dimension_refused(self):
+        with pytest.raises(BadDimension) as exc:
+            SupportData(2, ((0, 0), (1, 0, 0)))
+        assert exc.value.detail == "point (1, 0, 0) does not have dimension 2"
+
+    @pytest.mark.parametrize("mult", [0, -2])
+    def test_non_positive_multiplicity_refused(self, mult):
+        with pytest.raises(ValueError, match="^multiplicities must be positive$"):
+            SupportData(1, ((0,), (2,)), {(2,): mult})
+
+
 class TestHull:
     def test_triangle(self):
         h = hull(TRIANGLE)
