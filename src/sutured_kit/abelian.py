@@ -13,20 +13,20 @@ and no modular shortcut, because all downstream comparisons are exact
 equalities of torsion polynomials up to units.
 
 A group element of ``FinAbGroup(free_rank=r, torsion=(d_1,..,d_k))`` is a
-``NamedTuple`` of tuples ``(free, torsion)``, residues reduced mod d_i,
+named tuple of tuples ``(free, torsion)``, residues reduced mod d_i,
 ordered by (free, torsion) as a tuple and built from a coordinate vector
 by ``FinAbGroup.from_coords``.  The routines that make one element per
 term (that constructor, the determinant's decode, the normal form and the
 inversion) build it with ``tuple.__new__``, which skips the Python-level
-``NamedTuple.__new__``.  The group is written multiplicatively
+``__new__`` of the named tuple.  The group is written multiplicatively
 when it acts on group-ring elements, so "multiply by h" means "add h to
 every exponent".
 """
 
+from collections import namedtuple
 from itertools import repeat
 from math import comb
 from operator import mod, mul, neg, sub
-from typing import NamedTuple
 
 from .errors import DeterminantTooLarge
 
@@ -212,11 +212,10 @@ def smith_cokernel(u, d):
     return FinAbGroup(n - rank, tuple(d[i] for i in tors_idx), projection=projection)
 
 
-class GroupElement(NamedTuple):
+class GroupElement(namedtuple("GroupElement", "free torsion")):
     """Element of a FinAbGroup: free exponents plus reduced torsion residues."""
 
-    free: tuple
-    torsion: tuple
+    __slots__ = ()
 
     def is_identity(self):
         return not any(self.free) and not any(self.torsion)

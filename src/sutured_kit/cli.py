@@ -6,15 +6,20 @@ document (sorted keys, so the bytes are reproducible across runs).  Exit
 codes: 0 on success, 1 on a domain error (reported as {"error": code,
 "detail": text}), 2 on a usage error.  A result that cannot be encoded,
 such as an integer past the interpreter's int-to-str digit limit, is a
-``bad_input`` error document.  ``--help`` is the one exception: argparse
-prints its usage text, not JSON, and ``main`` returns 0.
+``bad_input`` error document.  ``--help`` is the one exception: ``main``
+prints the usage text, not JSON, and returns 0.
+
+The argv grammar is one table, ``_COMMANDS``, read by ``_parse`` the way
+argparse would read it, but no option may be abbreviated or given twice.
+The rules that span options (one ``polytope`` source, one ``oracle``
+calculator, ``--with-closed`` only with ``--connected-sum``) are checked by
+the subcommands, before they read any input.
 """
 
-import argparse
-import functools
 import gc
 import json
 import sys
+from types import SimpleNamespace
 
 from . import abelian, diagram, fixtures, fox, oracle, polytope
 from .abelian import GroupRingElem
@@ -23,30 +28,6 @@ from .errors import SuturedKitError, expect
 
 class UsageError(Exception):
     pass
-
-
-class _Exit(Exception):
-    def __init__(self, status):
-        super().__init__(status)
-        self.status = status
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse would print to stderr and exit(2); route it through JSON instead
-    def error(self, message):
-        raise UsageError(message)
-
-    # --help has printed its usage text and would exit(0); main returns the status instead
-    def exit(self, status=0, message=None):
-        raise _Exit(status)
-
-
-class _Once(argparse.Action):
-    # argparse would keep the last of a repeated option; refuse the repeat instead
-    def __call__(self, parser, namespace, values, option_string=None):
-        if getattr(namespace, self.dest) is not None:
-            raise UsageError(f"{option_string} given more than once")
-        setattr(namespace, self.dest, values)
 
 
 _scalar = json.JSONEncoder(sort_keys=True).encode
@@ -219,7 +200,9 @@ def cmd_crosscheck(args):
 
 
 def cmd_polytope(args):
-    if args.support:
+    if (args.support is None) == (args.diagram is None):
+        raise UsageError("choose one of --support / --diagram")
+    if args.support is not None:
         data = polytope.SupportData.from_json(_load_json_file(args.support))
     else:
         d = _load_diagram(args.diagram)
@@ -232,6 +215,9 @@ def cmd_polytope(args):
 
 
 def cmd_oracle(args):
+    calculators = (args.solid_torus, args.closed, args.connected_sum)
+    if sum(c is not None for c in calculators) > 1:
+        raise UsageError("choose one of --solid-torus / --closed / --connected-sum")
     if args.with_closed and not args.connected_sum:
         raise UsageError("--with-closed applies only to --connected-sum")
     if args.solid_torus:
@@ -266,81 +252,192 @@ def cmd_fixtures(args):
             "directory": str(fixtures.fixtures_dir())}
 
 
-# -- wiring ---------------------------------------------------------------------
+# -- argv ----------------------------------------------------------------------
 
-# the subcommands that read one input file: (name, function, argument, help)
-_ONE_FILE = (
-    ("check", cmd_check, "diagram", "validate a diagram; report balance and admissibility"),
-    ("generators", cmd_generators, "diagram", "enumerate the generators of a diagram"),
-    ("spinc", cmd_spinc, "diagram", "partition generators into Spin^c classes"),
-    ("euler", cmd_euler, "diagram", "signed Euler polynomial of a diagram"),
-    ("torsion", cmd_torsion, "presentation", "torsion determinant of a presentation"),
-)
+_HELP = ("-h", "--help")
+
+# subcommand: (function, help, positionals, options).  An option is (flag,
+# metavars, type, help): with no metavar it is a flag, False unless given;
+# with one it takes one value of its type (str, int, or a tuple of the
+# choices); with several, that many ints as a list.  A value not given is None.
+_COMMANDS = {
+    "check": (cmd_check, "validate a diagram; report balance and admissibility",
+              ("diagram",), ()),
+    "generators": (cmd_generators, "enumerate the generators of a diagram", ("diagram",), ()),
+    "spinc": (cmd_spinc, "partition generators into Spin^c classes", ("diagram",), ()),
+    "euler": (cmd_euler, "signed Euler polynomial of a diagram", ("diagram",), ()),
+    "torsion": (cmd_torsion, "torsion determinant of a presentation", ("presentation",), ()),
+    "crosscheck": (cmd_crosscheck, "compare a diagram's Euler polynomial with a "
+                   "presentation's torsion up to units", ("diagram", "presentation"), (
+                       ("--allow-inversion", (), None,
+                        "also try the exponent inversion h -> h^-1"),)),
+    "polytope": (cmd_polytope, "hull, facets and symmetry of support data "
+                 "(exactly one of --support, --diagram)", (), (
+                     ("--support", ("SUPPORT",), str, "explicit support JSON file"),
+                     ("--diagram", ("DIAGRAM",), str,
+                      "take support from a diagram's Euler polynomial"),
+                     ("--canonical", (), None, "translate the lex-min vertex to the origin"))),
+    "oracle": (cmd_oracle, "closed-form rank calculators (exactly one of "
+               "--solid-torus, --closed, --connected-sum)", (), (
+                   ("--solid-torus", ("P", "Q", "N"), int,
+                    "solid torus with N parallel (P, Q) sutures"),
+                   ("--closed", ("HF_RANK", "N"), int, "closed manifold minus N balls"),
+                   ("--connected-sum", ("A", "B"), int, "connected sum of pieces of ranks A, B"),
+                   ("--with-closed", (), None, "second summand is a closed manifold"))),
+    "maslov": (cmd_maslov, "loop indices and spectral flow from sampled matrix data",
+               ("input",), (
+                   ("--kind", ("KIND",), ("lagrangian_loop", "symplectic_loop",
+                                          "spectral_flow"), "overrides the input's kind"),
+                   ("--samples", ("N",), int, "expected number of steps (guard)"))),
+    "fixtures": (cmd_fixtures, "list bundled fixtures", (), ()),
+}
 
 
-@functools.cache
+class _Help(Exception):
+    """``-h`` or ``--help`` was read; the argument is the usage text."""
+
+
+def _usage(command=None):
+    """The ``--help`` text of the top level or of one subcommand."""
+    if command is None:
+        head = ["usage: sutured-kit [-h] command ...", "",
+                "Combinatorial invariants of balanced sutured 3-manifolds", "", "commands:"]
+        rows = [(name, entry[1]) for name, entry in _COMMANDS.items()]
+    else:
+        _, text, positionals, options = _COMMANDS[command]
+        rows = [(" ".join([flag, "{" + ",".join(kind) + "}"] if type(kind) is tuple
+                          else [flag, *metavars]), note)
+                for flag, metavars, kind, note in options]
+        head = [" ".join([f"usage: sutured-kit {command} [-h]", *(f"[{r}]" for r, _ in rows),
+                          *positionals]), "", text] + (["", "options:"] if rows else [])
+    width = max((len(r) for r, _ in rows), default=0)
+    return "\n".join(head + [f"  {r:{width}}  {note}" for r, note in rows]) + "\n"
+
+
+def _is_negative_number(token):
+    """argparse's ``-\\d+|-\\d*\\.\\d+``: the token is a value, not an option."""
+    whole, dot, frac = token[1:].partition(".")
+    if dot:
+        return (not whole or whole.isdecimal()) and frac.isdecimal()
+    return whole.isdecimal()
+
+
+def _is_option(token, known):
+    """Whether argparse reads ``token`` as an option, known or not."""
+    return (token.partition("=")[0] in known
+            or len(token) > 1 and token[0] == "-" and " " not in token
+            and not _is_negative_number(token))
+
+
+def _takes(flag, arity):
+    return f"{flag} takes {arity} value{'' if arity == 1 else 's'}"
+
+
+def _parse(argv=None):
+    """``argv`` (default ``sys.argv[1:]``) read against ``_COMMANDS`` the way
+    argparse reads it, except that no option may be abbreviated or given
+    twice.  Returns a ``SimpleNamespace`` of ``command``, ``func`` and one
+    attribute per positional and option; raises ``UsageError`` on a bad
+    argv and ``_Help`` when ``-h``/``--help`` is read.
+
+    Tokens are read left to right, and ``--`` makes every later one a
+    positional.  A malformed option is refused where it stands, before a
+    later ``--help``; an unknown option or a missing or surplus positional
+    is refused at the end, after it."""
+    tokens = sys.argv[1:] if argv is None else list(argv)
+    unknown = []
+    for start, token in enumerate(tokens):
+        if token == "--":
+            raise UsageError("-- before the subcommand")
+        if not _is_option(token, _HELP):
+            break
+        flag, eq, _ = token.partition("=")
+        if flag not in _HELP:
+            unknown.append(token)
+        elif eq:
+            raise UsageError(_takes(flag, 0) + ", not one after =")
+        else:
+            raise _Help(_usage())
+    else:
+        raise UsageError(f"unrecognized arguments: {' '.join(unknown)}" if unknown
+                         else "missing subcommand")
+    command = token
+    if command not in _COMMANDS:
+        raise UsageError(f"invalid choice: {command!r} (choose from {', '.join(_COMMANDS)})")
+    func, _, positionals, options = _COMMANDS[command]
+    values = {"command": command, "func": func}
+    known = dict.fromkeys(_HELP, (None, 0, None))
+    for flag, metavars, kind, _ in options:
+        dest = flag[2:].replace("-", "_")
+        known[flag] = (dest, len(metavars), kind)
+        values[dest] = None if metavars else False
+    free, given = [], set()
+    literal = dangling = follows_free = False
+    rest = iter(tokens[start + 1:])
+    for token in rest:
+        if literal or token != "--" and not _is_option(token, known):
+            free.append(token)
+            dangling, follows_free = False, True
+            continue
+        if token == "--":
+            # argparse takes "--" only beside a positional, before or after it
+            literal, dangling = True, not follows_free
+            continue
+        follows_free = False
+        flag, eq, value = token.partition("=")
+        if flag not in known:
+            unknown.append(token)
+            continue
+        dest, arity, kind = known[flag]
+        if eq and arity != 1:
+            raise UsageError(_takes(flag, arity) + ", not one after =")
+        if dest is None:
+            raise _Help(_usage(command))
+        if flag in given:
+            raise UsageError(f"{flag} given more than once")
+        given.add(flag)
+        if not arity:
+            values[dest] = True
+            continue
+        got = [value] if eq else [next(rest, None) for _ in range(arity)]
+        if not eq and (None in got or any(_is_option(v, known) for v in got)):
+            raise UsageError(_takes(flag, arity))
+        if type(kind) is tuple and got[0] not in kind:
+            raise UsageError(f"{flag}: invalid choice {got[0]!r} (choose from {', '.join(kind)})")
+        if kind is int:
+            try:
+                got = [int(v) for v in got]
+            except ValueError as exc:
+                raise UsageError(f"{flag}: {exc}") from None
+        values[dest] = got if arity > 1 else got[0]
+    if len(free) < len(positionals):
+        raise UsageError("the following arguments are required: "
+                         + ", ".join(positionals[len(free):]))
+    unknown += free[len(positionals):] + ["--"] * dangling
+    if unknown:
+        raise UsageError(f"unrecognized arguments: {' '.join(unknown)}")
+    values.update(zip(positionals, free))
+    return SimpleNamespace(**values)
+
+
+_PARSER = SimpleNamespace(parse_args=_parse)
+
+
 def build_parser():
-    """The one parser of the process; ``parse_args`` keeps no state in it."""
-    parser = _Parser(prog="sutured-kit",
-                     description="Combinatorial invariants of balanced sutured "
-                                 "3-manifolds")
-    sub = parser.add_subparsers(dest="command", metavar="command")
-
-    for name, func, arg, text in _ONE_FILE:
-        p = sub.add_parser(name, help=text)
-        p.add_argument(arg)
-        p.set_defaults(func=func)
-
-    p = sub.add_parser("crosscheck", help="compare a diagram's Euler polynomial "
-                       "with a presentation's torsion up to units")
-    p.add_argument("diagram")
-    p.add_argument("presentation")
-    p.add_argument("--allow-inversion", action="store_true",
-                   help="also try the exponent inversion h -> h^-1")
-    p.set_defaults(func=cmd_crosscheck)
-
-    p = sub.add_parser("polytope", help="hull, facets and symmetry of support data")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--support", help="explicit support JSON file")
-    group.add_argument("--diagram", help="take support from a diagram's Euler polynomial")
-    p.add_argument("--canonical", action="store_true",
-                   help="translate the lex-min vertex to the origin")
-    p.set_defaults(func=cmd_polytope)
-
-    p = sub.add_parser("oracle", help="closed-form rank calculators")
-    calculator = p.add_mutually_exclusive_group()
-    calculator.add_argument("--solid-torus", nargs=3, type=int, action=_Once,
-                            metavar=("P", "Q", "N"))
-    calculator.add_argument("--closed", nargs=2, type=int, action=_Once, metavar=("HF_RANK", "N"))
-    calculator.add_argument("--connected-sum", nargs=2, type=int, action=_Once, metavar=("A", "B"))
-    p.add_argument("--with-closed", action="store_true",
-                   help="second summand is a closed manifold")
-    p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("maslov", help="loop indices and spectral flow from "
-                       "sampled matrix data")
-    p.add_argument("input", help="JSON file with kind and samples")
-    p.add_argument("--kind", choices=["lagrangian_loop", "symplectic_loop",
-                                      "spectral_flow"])
-    p.add_argument("--samples", type=int, help="expected number of steps (guard)")
-    p.set_defaults(func=cmd_maslov)
-
-    p = sub.add_parser("fixtures", help="list bundled fixtures")
-    p.set_defaults(func=cmd_fixtures)
-
-    return parser
+    """The argv parser of ``main``: ``build_parser().parse_args(argv)`` is the
+    namespace ``main`` runs.  Its grammar is the ``_COMMANDS`` table, so this
+    builds nothing."""
+    return _PARSER
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if not getattr(args, "func", None):
-            raise UsageError("missing subcommand")
+        args = _parse(argv)
         _emit(args.func(args))
         return 0
-    except _Exit as exc:
-        return exc.status
+    except _Help as exc:
+        sys.stdout.write(exc.args[0])
+        return 0
     except UsageError as exc:
         _emit({"error": "usage", "detail": str(exc)})
         return 2

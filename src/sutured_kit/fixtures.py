@@ -18,8 +18,7 @@ subsurfaces are single annuli and the pairing works.
 
 import json
 import os
-from pathlib import Path
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import diagram as diagram_mod
 from . import fox as fox_mod
@@ -27,12 +26,9 @@ from . import fox as fox_mod
 ENV_VAR = "SUTURED_KIT_FIXTURES"
 
 
-class FixtureInfo(NamedTuple):
-    name: str
-    kind: str           # "diagram" | "presentation" | "support"
-    file: str
-    pair: str           # paired fixture name, or ""
-    description: str
+# kind is "diagram", "presentation" or "support"; pair is the paired fixture's name, or ""
+class FixtureInfo(namedtuple("FixtureInfo", "name kind file pair description")):
+    __slots__ = ()
 
     def to_json(self):
         return self._asdict()
@@ -77,6 +73,7 @@ FIXTURES = (
 
 
 def fixtures_dir():
+    from pathlib import Path    # only the callers that want the directory load pathlib
     override = os.environ.get(ENV_VAR)
     if override:
         return Path(override)

@@ -10,8 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import argparse_oracle
 from conftest import paired_names, reverse_region, s1xs2_minus_ball
 from h1_oracle import torus_diagram
 from ring_oracle import element, ring_to_json
@@ -185,6 +186,19 @@ class TestPolytopeCommand:
         assert code == 2
         assert data["error"] == "usage"
 
+    @pytest.mark.parametrize("argv", [("--canonical",),
+                                      ("--support", "s.json", "--diagram", "d.json")])
+    def test_requires_exactly_one_source(self, capsys, argv):
+        # checked by cmd_polytope, before it opens either file
+        code, data = run_json(capsys, "polytope", *argv)
+        assert code == 2
+        assert data["error"] == "usage"
+
+    @pytest.mark.parametrize("option", ["--support", "--diagram"])
+    def test_empty_path_is_file_not_found(self, capsys, option):
+        code, data = run_json(capsys, "polytope", option, "")
+        assert code == 1 and data["error"] == "file_not_found"
+
 
 class TestOracleCommand:
     def test_solid_torus(self, capsys):
@@ -207,6 +221,11 @@ class TestOracleCommand:
         code, data = run_json(capsys, "oracle", "--solid-torus", "2", "4", "2")
         assert code == 1
         assert data["error"] == "non_coprime"
+
+    def test_negative_value_reaches_the_calculator(self, capsys):
+        # "-1" reads as a value, not an option, so the refusal is the domain's
+        code, data = run_json(capsys, "oracle", "--closed", "-1", "2")
+        assert code == 1 and data["error"] == "non_positive_rank"
 
     def test_missing_choice(self, capsys):
         code, data = run_json(capsys, "oracle")
@@ -376,11 +395,45 @@ class TestContract:
         assert data["error"] == "bad_input" and "limit" in data["detail"]
 
     def test_help_available(self, capsys):
-        # --help prints argparse's usage text, not JSON, and main returns 0
+        # --help prints the CLI's usage text, not JSON, and main returns 0
         for argv in [[], ["check"], ["generators"], ["spinc"], ["euler"], ["torsion"],
                      ["crosscheck"], ["polytope"], ["oracle"], ["maslov"], ["fixtures"]]:
             assert cli.main(argv + ["--help"]) == 0
             assert capsys.readouterr().out.startswith("usage: sutured-kit")
+
+    def test_help_lists_every_option(self, capsys):
+        assert cli.main(["-h"]) == 0
+        top = capsys.readouterr().out
+        for name, (_, text, positionals, options) in cli._COMMANDS.items():
+            assert f"  {name}" in top and text in top
+            assert cli.main([name, "-h"]) == 0
+            out = capsys.readouterr().out
+            assert out.startswith(f"usage: sutured-kit {name} [-h]")
+            assert out.splitlines()[0].endswith(" ".join(("",) + positionals).rstrip())
+            assert all(f"[{flag}" in out and note in out for flag, _, _, note in options)
+
+    @pytest.mark.parametrize("argv,detail", [
+        (("polytope", "--canon", "--support", "s.json"), "unrecognized arguments: --canon"),
+        (("polytope", "--support", "s.json", "--canonical", "--canonical"),
+         "--canonical given more than once"),
+        (("polytope", "--support", "a.json", "--support", "b.json"),
+         "--support given more than once"),
+        (("maslov", "in.json", "--kind", "spectral_flow", "--kind=spectral_flow"),
+         "--kind given more than once"),
+        (("crosscheck", "d", "p", "--allow-inversion", "--allow-inversion"),
+         "--allow-inversion given more than once"),
+    ])
+    def test_no_abbreviation_and_no_repeat(self, capsys, argv, detail):
+        # argparse read --canon as --canonical and kept the last of a repeated option
+        assert run_json(capsys, *argv) == (2, {"error": "usage", "detail": detail})
+
+    def test_lone_double_dash_is_a_value(self, capsys):
+        # argparse stored [] for these, and main then raised TypeError
+        for argv in (["polytope", "--support=--"], ["crosscheck", "d.json", "--", "--"]):
+            args = cli.build_parser().parse_args(argv)
+            assert "--" in vars(args).values()
+            code, data = run_json(capsys, *argv)
+            assert code == 1 and data["error"] == "file_not_found"
 
 
 @st.composite
@@ -607,7 +660,7 @@ class TestOneParser:
     def test_built_once(self):
         assert cli.build_parser() is cli.build_parser()
 
-    def test_no_flag_carries_over(self, capsys, tmp_path, monkeypatch):
+    def test_no_flag_carries_over(self, capsys, tmp_path):
         support = tmp_path / "support.json"
         support.write_text(json.dumps({"dimension": 2, "points": [[1, 1], [3, 1], [1, 3]]}))
         loop = tmp_path / "loop.json"
@@ -624,23 +677,114 @@ class TestOneParser:
                  ("maslov", str(loop))]
         usage_errors = [("polytope", "--support", str(support), "--diagram", d),
                         ("crosscheck", "--allow-inversion", d),
-                        ("maslov", "--kind", "nope", str(loop))]
-        fresh_parser = cli.build_parser.__wrapped__
-        with monkeypatch.context() as m:
-            m.setattr(cli, "build_parser", fresh_parser)
-            fresh = [run(capsys, *argv) for argv in calls]
+                        ("maslov", "--kind", "nope", str(loop)),
+                        ("polytope", "--canonical", "--support", str(support), "--canonical")]
+        parsed = [vars(cli.build_parser().parse_args(argv)) for argv in calls]
+        fresh = [run(capsys, *argv) for argv in calls]
         got = []
         for i, argv in enumerate(calls):
-            assert (vars(cli.build_parser().parse_args(argv))
-                    == vars(fresh_parser().parse_args(argv)))
-            got.append(run(capsys, *argv))
             code, data = run_json(capsys, *usage_errors[i % len(usage_errors)])
             assert code == 2 and data["error"] == "usage"
+            assert vars(cli.build_parser().parse_args(argv)) == parsed[i]
+            got.append(run(capsys, *argv))
         assert got == fresh
         # each flag shows in the output, so a flag left over would show too
         assert fresh[0] != fresh[1]
         assert fresh[4][0] == 0 and json.loads(fresh[4][1])["index"] == 1
         assert fresh[5][0] == 1 and "kind" in json.loads(fresh[5][1])["detail"]
+
+
+_FLAGS = sorted({flag for entry in cli._COMMANDS.values() for flag, *_ in entry[3]})
+_INTS = ["1", "2", "3", "0", "-1", "-3", " 4", "1_0"]
+_FILES = ["t.json", "/missing.json", "", "-", "a b", "-a b", "-5", "-.5", "-x"]
+_JUNK = ["--", "-h", "--help", "--help=1", "-h=", "-x", "--nope", "--nope=1", "--canon", "--c",
+         "-hx", "--with", "x", "1.5", "nope", "spectral_flow"]
+
+
+@st.composite
+def argvs(draw):
+    """Mostly well-formed argv: a subcommand, its positionals and some of its
+    options with values of their type, shuffled, plus junk, a stray option of
+    another subcommand, or a token dropped."""
+    name = draw(st.sampled_from(list(cli._COMMANDS)))
+    _, _, positionals, options = cli._COMMANDS[name]
+    parts = [[draw(st.sampled_from(_FILES))] for _ in positionals]
+    for flag, metavars, kind, _ in draw(st.lists(st.sampled_from(options), unique=True)
+                                        if options else st.just([])):
+        pool = (_INTS if kind is int else [*kind, "nope"] if type(kind) is tuple else _FILES)
+        values = [draw(st.sampled_from(pool)) for _ in metavars]
+        if len(values) == 1 and draw(st.booleans()):
+            parts.append([f"{flag}={values[0]}"])
+        else:
+            parts.append([flag, *values])
+    parts += draw(st.lists(st.sampled_from(_JUNK + _FLAGS + _FILES + _INTS).map(lambda t: [t])
+                           | st.sampled_from(_FLAGS).map(lambda f: [f + "=" + f[2:]]),
+                           max_size=1))
+    argv = [token for part in draw(st.permutations(parts)) for token in part]
+    if argv and draw(st.integers(0, 4)) == 0:
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    prefix = [draw(st.sampled_from(_JUNK))] if draw(st.integers(0, 5)) == 0 else []
+    return prefix + [name] + argv
+
+
+def _argparse_outcome(argv):
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            args = argparse_oracle.build_parser().parse_args(argv)
+    except cli.UsageError as exc:
+        return "usage", str(exc)
+    except argparse_oracle._Exit:
+        return "help", None
+    if not getattr(args, "func", None):
+        return "usage", "missing subcommand"      # refused by main
+    # argparse strips a lone "--" from a value and stores [], which main then
+    # passed to open() and died of TypeError; the table parser keeps "--"
+    return "ok", {k: "--" if v == [] else v for k, v in vars(args).items()}
+
+
+def _table_outcome(argv):
+    try:
+        args = cli.build_parser().parse_args(argv)
+    except cli.UsageError as exc:
+        return "usage", str(exc)
+    except cli._Help:
+        return "help", None
+    return "ok", vars(args)
+
+
+def _departs(argv):
+    """Whether argv has what argparse reads and the table parser refuses on
+    purpose: an abbreviated option (or -h run together with letters), or one
+    option given twice."""
+    flags = [token.partition("=")[0] for token in argv]
+    abbreviated = any(flag not in _FLAGS and flag != "--help" and len(flag) > 2
+                      and any(f.startswith(flag) for f in _FLAGS + ["--help"])
+                      for flag in flags if flag.startswith("--"))
+    named = [flag for flag in flags if flag in _FLAGS]
+    return (abbreviated or len(named) != len(set(named))
+            or any(t.startswith("-h") and len(t) > 2 and t[2] != "=" for t in argv))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(argvs())
+@example(["check", "-a b"])
+@example(["polytope", "--support", "--canonical"])
+@example(["oracle", "--closed", "-1", "2"])
+@example(["crosscheck", "d.json", "--", "-h"])
+@example(["maslov", "-.5", "--samples", "-5", "--kind=spectral_flow"])
+def test_table_parser_reads_argv_as_argparse_did(argv):
+    old, new = _argparse_outcome(argv), _table_outcome(argv)
+    if old[0] == "usage" and new[0] == "ok":
+        # a rule across options that argparse checked and the subcommand checks now
+        args = cli.build_parser().parse_args(argv)
+        with pytest.raises(cli.UsageError, match="choose one of"):
+            args.func(args)
+    elif _departs(argv):
+        assert new[0] != "ok" or new == old
+    elif new[0] == "help" and old[0] == "usage" and "not allowed with" in old[1]:
+        pass    # the table parser reaches --help, which argparse's conflict check preceded
+    else:
+        assert new[0] == old[0] and (new[0] != "ok" or new[1] == old[1])
 
 
 def test_numpy_is_loaded_only_by_maslov(tmp_path):
@@ -663,13 +807,17 @@ def test_numpy_is_loaded_only_by_maslov(tmp_path):
 
 
 def test_cli_start_up_loads_no_dataclasses_or_fractions():
-    # the records are plain classes and surface_c imports Fraction when it runs
+    # the records are plain classes or named tuples, surface_c imports Fraction
+    # when it runs, argv is read from a table, and fixtures_dir imports pathlib;
+    # under -S no .pth file can load one of them before the program does
     script = (
         "import sys, sutured_kit.cli\n"
         "sutured_kit.cli.build_parser()\n"
-        "print(sorted({'dataclasses', 'fractions', 'inspect'} & set(sys.modules)))\n")
+        "code = sutured_kit.cli.main(['oracle', '--closed', '2', '2'])\n"
+        "print(code, sorted({'argparse', 'gettext', 'locale', 'typing', 'pathlib',\n"
+        "                    'dataclasses', 'fractions', 'inspect'} & set(sys.modules)))\n")
     src = str(Path(cli.__file__).parents[1])
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
                           check=False, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == '{\n  "rank": 4\n}\n0 []\n'
