@@ -8,12 +8,22 @@ is exact and uses only integers: every rank and null vector comes from
 one fraction-free elimination, ``abelian.echelon``, and every predicate
 is the sign of an integer dot product.  It grows by beneath-beyond from a
 simplex that spans the points' affine hull: each point beyond some facets
-replaces them by the cone from the point over their horizon.  A facet's
-normal is the primitive null vector of its edges and the span equations,
-oriented inward, so it lies in the span and needs no change of
-coordinates.  A point on a facet's hyperplane counts as beneath, so
-coplanar simplices merge by primitive normal and the facet set depends
-only on the point set.
+replaces them by the cone from the point over their horizon.  Only the
+span equations and the first simplex's facets take an elimination: such
+a facet's normal is the primitive null vector of its edges and the span
+equations, turned toward the simplex's centroid.  A horizon ridge R lies
+in exactly two facets, one visible from the new point p, (n1, c1), and
+one not, (n2, c2), so b = n1.p - c1 < 0 <= a = n2.p - c2, and the cone
+facet over R lies in the pencil of their hyperplanes: n = a n1 - b n2
+takes the value a c1 - b c2 = n.p on R, so it is orthogonal to the new
+facet's edges and, like n1 and n2, to the span equations, and on the
+hull n.x - n.p = a (n1.x - c1) - b (n2.x - c2) >= 0, so it points
+inward.  Its primitive vector is thus the inward null vector an
+elimination would give, at the cost of O(r) products and one gcd.
+Every normal lies in the span and needs no change of coordinates.  A
+point on a facet's hyperplane counts as beneath, so coplanar simplices
+merge by primitive normal and the facet set depends only on the point
+set.
 
 The polytope of a diagram is computed from Euler-characteristic support.
 That is a lower bound for the full homology support: where rank
@@ -23,6 +33,7 @@ the two notions coincide.
 """
 
 from math import gcd
+from operator import mul
 
 from .abelian import echelon
 from .errors import (BadDimension, DimensionTooLarge, EmptySupport,
@@ -69,7 +80,7 @@ class SupportData:
 
 
 def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _primitive(vec):
@@ -169,41 +180,54 @@ def hull(s):
         return SupportPolytope(r, 0, (tuple(origin),), (), tuple(equations))
 
     # facets are d-tuples of point indices with n . x >= c on the hull, n the
-    # primitive vector of the span orthogonal to the facet: the cofactors of
-    # its edges and the span equations.  A point on a facet's hyperplane is
-    # beneath it, so coplanar simplices survive side by side and share n.
-    spans = [n for n, _ in equations]
-    inside = [sum(pts[i][t] for i in simplex) for t in range(r)]  # (d+1) x interior
+    # primitive vector of the span orthogonal to the facet.  A point on a
+    # facet's hyperplane is beneath it, so coplanar simplices survive side
+    # by side and share n.
     facets, ridges = {}, {}
 
     def ridges_of(verts):
         return [verts[:k] + verts[k + 1:] for k in range(d)]
 
-    def add_facet(verts):
+    def add_facet(verts, n, c):
+        facets[verts] = (n, c)
+        for ridge in ridges_of(verts):
+            ridges.setdefault(ridge, set()).add(verts)
+
+    # the first simplex's facets: null vectors of their edges and the span
+    # equations, turned toward the simplex's centroid
+    spans = [n for n, _ in equations]
+    inside = [sum(pts[i][t] for i in simplex) for t in range(r)]  # (d+1) x centroid
+    for k in range(d + 1):
+        verts = tuple(sorted(simplex[:k] + simplex[k + 1:]))
         base = pts[verts[0]]
         [n] = _kernel([[a - b for a, b in zip(pts[i], base)]
                        for i in verts[1:]] + spans, r)
         c = _dot(n, base)
         if _dot(n, inside) < (d + 1) * c:
             n, c = tuple(-x for x in n), -c
-        facets[verts] = (n, c)
-        for ridge in ridges_of(verts):
-            ridges.setdefault(ridge, set()).add(verts)
+        add_facet(verts, n, c)
 
-    for k in range(d + 1):
-        add_facet(tuple(sorted(simplex[:k] + simplex[k + 1:])))
+    # a cone facet over the horizon ridge R takes the pencil normal
+    # a n1 - b n2 of R's visible facet (n1, c1) and its other facet (n2, c2),
+    # b = n1 . p - c1 < 0 <= a = n2 . p - c2 (see the module docstring)
     for i, p in enumerate(pts):
-        visible = {f for f, (n, c) in facets.items() if _dot(n, p) < c}
+        visible = {f for f, (n, c) in facets.items() if sum(map(mul, n, p)) < c}
         if not visible:
             continue
-        horizon = [ridge for f in visible for ridge in ridges_of(f)
-                   if not ridges[ridge] <= visible]
+        horizon = []
+        for f in visible:
+            for ridge in ridges_of(f):
+                [g] = ridges[ridge] - {f}
+                if g not in visible:
+                    horizon.append((ridge, facets[f], facets[g]))
         for f in visible:
             del facets[f]
             for ridge in ridges_of(f):
                 ridges[ridge].discard(f)
-        for ridge in horizon:
-            add_facet(tuple(sorted(ridge + (i,))))
+        for ridge, (n1, c1), (n2, c2) in horizon:
+            a, b = _dot(n2, p) - c2, _dot(n1, p) - c1
+            n = _primitive([a * x - b * y for x, y in zip(n1, n2)])
+            add_facet(tuple(sorted(ridge + (i,))), n, _dot(n, p))
     hyperplanes = sorted(set(facets.values()))
 
     # vertices: points whose tight facet normals have rank d

@@ -1,19 +1,28 @@
-"""Test-side oracle for the support polytope.
+"""Test-side oracles for the support polytope.
 
-The hull the library computed before its beneath-beyond construction,
-kept here as an independent check: every d-subset of the points is tried
-as a facet in rational span coordinates, coplanar candidates are merged
-by primitive normal, a vertex is a point whose tight normals have rank d,
-and normals are lifted to ambient coordinates by a Gram solve.  All
-arithmetic is exact over the rationals; the cost is O(C(N, d) * N).
+``subset_hull`` is the hull the library computed before its
+beneath-beyond construction, kept here as an independent check: every
+d-subset of the points is tried as a facet in rational span coordinates,
+coplanar candidates are merged by primitive normal, a vertex is a point
+whose tight normals have rank d, and normals are lifted to ambient
+coordinates by a Gram solve.  All arithmetic is exact over the
+rationals; the cost is O(C(N, d) * N), so it serves only small sets.
+
+``kernel_hull`` is the beneath-beyond hull as it was before its cone step
+took each new facet from the pencil at the horizon ridge: every facet,
+first simplex and cone alike, is the primitive null vector of its edges
+and the span equations (one integer elimination each), turned toward the
+first simplex's centroid.  It reaches the sizes the library serves.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+from sutured_kit.abelian import echelon
 from sutured_kit.errors import DimensionTooLarge, EmptySupport
-from sutured_kit.polytope import MAX_DIMENSION, SupportData, SupportPolytope
+from sutured_kit.polytope import (MAX_DIMENSION, SupportData, SupportPolytope,
+                                  _dot, _kernel)
 
 
 def primitive(vec):
@@ -174,3 +183,65 @@ def subset_face(s, alpha):
     chosen = tuple(pt for pt in s.points if vals[pt] == cmin)
     sub = SupportData(s.dimension, chosen, {pt: s.multiplicity[pt] for pt in chosen})
     return subset_hull(sub), chosen
+
+
+def kernel_hull(s):
+    """Beneath-beyond hull with one null-vector elimination per facet."""
+    r = s.dimension
+    if r > MAX_DIMENSION:
+        raise DimensionTooLarge(f"support dimension {r} exceeds {MAX_DIMENSION}")
+    pts = list(s.points)
+    if not pts:
+        raise EmptySupport("no support points")
+
+    origin = pts[0]
+    diffs = [tuple(a - b for a, b in zip(p, origin)) for p in pts]
+    simplex = [0] + echelon(list(zip(*diffs)))[0]
+    d = len(simplex) - 1
+    equations = [(n, _dot(n, origin)) for n in _kernel(diffs, r)]
+
+    if d == 0:
+        return SupportPolytope(r, 0, (tuple(origin),), (), tuple(equations))
+
+    spans = [n for n, _ in equations]
+    inside = [sum(pts[i][t] for i in simplex) for t in range(r)]  # (d+1) x centroid
+    facets, ridges = {}, {}
+
+    def ridges_of(verts):
+        return [verts[:k] + verts[k + 1:] for k in range(d)]
+
+    def add_facet(verts):
+        base = pts[verts[0]]
+        [n] = _kernel([[a - b for a, b in zip(pts[i], base)]
+                       for i in verts[1:]] + spans, r)
+        c = _dot(n, base)
+        if _dot(n, inside) < (d + 1) * c:
+            n, c = tuple(-x for x in n), -c
+        facets[verts] = (n, c)
+        for ridge in ridges_of(verts):
+            ridges.setdefault(ridge, set()).add(verts)
+
+    for k in range(d + 1):
+        add_facet(tuple(sorted(simplex[:k] + simplex[k + 1:])))
+    for i, p in enumerate(pts):
+        visible = {f for f, (n, c) in facets.items() if _dot(n, p) < c}
+        if not visible:
+            continue
+        horizon = [ridge for f in visible for ridge in ridges_of(f)
+                   if not ridges[ridge] <= visible]
+        for f in visible:
+            del facets[f]
+            for ridge in ridges_of(f):
+                ridges[ridge].discard(f)
+        for ridge in horizon:
+            add_facet(tuple(sorted(ridge + (i,))))
+    hyperplanes = sorted(set(facets.values()))
+
+    vertices = []
+    for i in {i for f in facets for i in f}:
+        tight = [n for n, c in hyperplanes if _dot(n, pts[i]) == c]
+        if len(echelon(tight)[0]) == d:
+            vertices.append(pts[i])
+    vertices.sort()
+
+    return SupportPolytope(r, d, tuple(vertices), tuple(hyperplanes), tuple(equations))
