@@ -1,13 +1,14 @@
 """Exact integer linear algebra and determinants over integral group rings.
 
 Smith normal form over Z on ``IntMatrix`` (its diagonal comes back as a
-tuple), one fraction-free Gauss-Jordan elimination
-(``echelon``: ranks, pivot columns, null spaces and determinants),
-finitely generated abelian groups in invariant factor form, and of their
-integral group rings only what the invariants need: ``det_group_ring``,
-the normal form up to units ``doteq_normalize`` and the inversion
-h -> h^{-1}; sums and products are left to the tests' oracles, and the CLI
-writes ring elements as JSON itself.
+tuple), worked on one matrix that holds a with u beside it and v below
+it, so each elementary operation is written once; one fraction-free
+Gauss-Jordan elimination (``echelon``: ranks, pivot columns, null spaces
+and determinants), finitely generated abelian groups in invariant factor
+form, and of their integral group rings only what the invariants need:
+``det_group_ring``, the normal form up to units ``doteq_normalize`` and
+the inversion h -> h^{-1}; sums and products are left to the tests'
+oracles, and the CLI writes ring elements as JSON itself.
 Everything is exact: entries are Python ints, there is no floating point
 and no modular shortcut, because all downstream comparisons are exact
 equalities of torsion polynomials up to units.
@@ -105,90 +106,64 @@ def smith_normal_form(a):
     """Return (u, d, v) with u*a*v = diag(d) in Smith normal form.
 
     u and v are unimodular; d is the tuple of the min(rows, cols) diagonal
-    entries, nonnegative with d_1 | d_2 | ... .  Pivoting always picks the
-    smallest nonzero entry in absolute value (the matrices showing up here
-    stay small).
+    entries, nonnegative with d_1 | d_2 | ... .  One working matrix w holds
+    all three: row i < rows is row i of a followed by row i of u, and the
+    rows of v sit below, u and v starting as identities.  A row operation
+    on the top rows then acts on a and u at once, and a column operation on
+    the first cols columns on a and v (H. Cohen, A Course in Computational
+    Algebraic Number Theory, 2.4.4).  The pivot is the smallest nonzero
+    |entry| of the trailing block, first in row-major order; its row and
+    column are cleared by floor division, a remainder left makes a new
+    pivot, and a later row with an entry the pivot does not divide is added
+    to the pivot row before the step starts over.
     """
     nrows, ncols = a.rows, a.cols
-    m = [list(row) for row in a.entries]
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    w = [[*row, *[0] * i, 1, *[0] * (nrows - 1 - i)] for i, row in enumerate(a.entries)]
+    w += ([*[0] * j, 1, *[0] * (ncols - 1 - j)] for j in range(ncols))
 
     def row_sub(i, k, q):
-        # row_i -= q * row_k
-        mi, mk = m[i], m[k]
-        for j in range(ncols):
-            mi[j] -= q * mk[j]
-        ui, uk = u[i], u[k]
-        for j in range(nrows):
-            ui[j] -= q * uk[j]
+        # row_i -= q * row_k, on a and u
+        w[i] = [x - q * y for x, y in zip(w[i], w[k])]
 
     def col_sub(j, k, q):
-        # col_j -= q * col_k
-        for row in m:
-            row[j] -= q * row[k]
-        for row in v:
+        # col_j -= q * col_k, on a and v
+        for row in w:
             row[j] -= q * row[k]
 
     t = 0
     while True:
-        # locate the smallest-magnitude nonzero pivot in the trailing block
-        pi = pj = -1
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                e = m[i][j]
-                if e != 0 and (best is None or abs(e) < best):
-                    best = abs(e)
-                    pi, pj = i, j
-        if best is None:
+        pivot = min(((abs(e), i, j) for i in range(t, nrows)
+                     for j, e in enumerate(w[i][t:ncols], t) if e), default=None)
+        if pivot is None:
             break
-        if pi != t:
-            m[t], m[pi] = m[pi], m[t]
-            u[t], u[pi] = u[pi], u[t]
+        _, pi, pj = pivot
+        w[t], w[pi] = w[pi], w[t]
         if pj != t:
-            for row in m:
+            for row in w:
                 row[t], row[pj] = row[pj], row[t]
-            for row in v:
-                row[t], row[pj] = row[pj], row[t]
-        if m[t][t] < 0:
-            for j in range(ncols):
-                m[t][j] = -m[t][j]
-            for j in range(nrows):
-                u[t][j] = -u[t][j]
-
+        if w[t][t] < 0:
+            w[t] = [-x for x in w[t]]
+        p = w[t][t]
         dirty = False
         for i in range(t + 1, nrows):
-            if m[i][t] != 0:
-                row_sub(i, t, m[i][t] // m[t][t])
-                if m[i][t] != 0:
-                    dirty = True
+            if w[i][t]:
+                row_sub(i, t, w[i][t] // p)
+                dirty = dirty or w[i][t] != 0
         for j in range(t + 1, ncols):
-            if m[t][j] != 0:
-                col_sub(j, t, m[t][j] // m[t][t])
-                if m[t][j] != 0:
-                    dirty = True
+            if w[t][j]:
+                col_sub(j, t, w[t][j] // p)
+                dirty = dirty or w[t][j] != 0
         if dirty:
-            continue  # a strictly smaller remainder appeared; re-pivot
-
-        # divisibility: fold any non-multiple into row t and restart the block
-        pivot = m[t][t]
-        viol = None
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if m[i][j] % pivot != 0:
-                    viol = i
-                    break
-            if viol is not None:
-                break
-        if viol is not None:
+            continue  # a smaller remainder is left: pivot again
+        rows = range(t + 1, nrows) if p > 1 else ()  # 1 divides every entry
+        viol = next((i for i in rows if any(map(mod, w[i][t + 1:ncols], repeat(p)))), None)
+        if viol is None:
+            t += 1
+        else:
             row_sub(t, viol, -1)  # row_t += row_viol
-            continue
-        t += 1
-
-    return (IntMatrix._of(tuple(map(tuple, u)), nrows, nrows),
-            tuple(m[i][i] for i in range(min(nrows, ncols))),
-            IntMatrix._of(tuple(map(tuple, v)), ncols, ncols))
+    return (IntMatrix._of(tuple(tuple(row[ncols:]) for row in w[:nrows]), nrows, nrows),
+            tuple(w[i][i] for i in range(min(nrows, ncols))),
+            IntMatrix._of(tuple(map(tuple, w[nrows:])), ncols, ncols))
 
 
 def cokernel(a):
@@ -384,12 +359,11 @@ def det_group_ring(m, g):
     zero pattern alone: rows in ``_footprint_order``, of m or of its
     transpose (g is abelian, so both have the same determinant), whichever
     bounds fewer memo keys, and the result times the sign of that row
-    permutation.  Below 3 x 3 the caller's order is kept.  Before any ring
-    product a bitmask pass counts the memo keys of each row of the order
-    expanded and refuses more than TOO_LARGE_DET at one row; if the chosen
-    order is refused, the caller's order is counted instead, and only its
-    refusal is raised.  The minors are then filled in for those keys, last
-    row first.
+    permutation.  Before any ring product a bitmask pass counts the memo
+    keys of each row of the order expanded and refuses more than
+    TOO_LARGE_DET at one row; if the chosen order is refused, the caller's
+    order is counted instead, and only its refusal is raised.  The minors
+    are then filled in for those keys, last row first.
 
     Inside, a group element is one int in mixed radix.  A free coordinate
     is shifted by its minimum lo over all entries and gets the digit base
@@ -402,13 +376,11 @@ def det_group_ring(m, g):
     if any(len(row) != n for row in m):
         raise ValueError("matrix is not square")
     masks = [sum(1 << j for j, e in enumerate(row) if not e.is_zero()) for row in m]
-    flip, order = False, list(range(n))
-    if n >= 3:
-        cols = [sum((mask >> j & 1) << i for i, mask in enumerate(masks)) for j in range(n)]
-        row_cost, row_order = _footprint_order(masks)
-        col_cost, col_order = _footprint_order(cols)
-        flip = col_cost < row_cost
-        order = col_order if flip else row_order
+    cols = [sum((mask >> j & 1) << i for i, mask in enumerate(masks)) for j in range(n)]
+    row_cost, row_order = _footprint_order(masks)
+    col_cost, col_order = _footprint_order(cols)
+    flip = col_cost < row_cost
+    order = col_order if flip else row_order
     expanded = [(cols if flip else masks)[i] for i in order]
     try:
         levels = _memo_levels(expanded)
