@@ -112,10 +112,12 @@ def smith_normal_form(a):
     on the top rows then acts on a and u at once, and a column operation on
     the first cols columns on a and v (H. Cohen, A Course in Computational
     Algebraic Number Theory, 2.4.4).  The pivot is the smallest nonzero
-    |entry| of the trailing block, first in row-major order; its row and
-    column are cleared by floor division, a remainder left makes a new
-    pivot, and a later row with an entry the pivot does not divide is added
-    to the pivot row before the step starts over.
+    |entry| m of the trailing block, first in row-major order: one ``min``
+    per row, a scan that stops at the first row where m is 1, and the
+    first column of that row holding +m or -m.  Its row and column are
+    cleared by floor division, a remainder left makes a new pivot, and a
+    later row with an entry the pivot does not divide is added to the
+    pivot row before the step starts over.
     """
     nrows, ncols = a.rows, a.cols
     w = [[*row, *[0] * i, 1, *[0] * (nrows - 1 - i)] for i, row in enumerate(a.entries)]
@@ -132,11 +134,17 @@ def smith_normal_form(a):
 
     t = 0
     while True:
-        pivot = min(((abs(e), i, j) for i in range(t, nrows)
-                     for j, e in enumerate(w[i][t:ncols], t) if e), default=None)
-        if pivot is None:
+        best = 0
+        for i in range(t, nrows):
+            m = min(map(abs, filter(None, w[i][t:ncols])), default=0)
+            if m and (not best or m < best):
+                best, pi = m, i
+                if m == 1:
+                    break
+        if not best:
             break
-        _, pi, pj = pivot
+        seg = w[pi][t:ncols]
+        pj = t + min(seg.index(e) for e in (best, -best) if e in seg)
         w[t], w[pi] = w[pi], w[t]
         if pj != t:
             for row in w:

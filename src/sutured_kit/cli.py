@@ -50,7 +50,8 @@ def _encode(x, indent):
         if not x:
             return "[]"
         inner = indent + "  "
-        items = [_encode(v, inner) for v in x]
+        items = (map(int.__repr__, x) if {*map(type, x)} == {int}    # plain ints, no bools
+                 else [_encode(v, inner) for v in x])
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
     if kind is dict:
         if not x:

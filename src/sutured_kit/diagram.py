@@ -36,7 +36,10 @@ They map to unit vectors of Z^L, T to 0, and C* leaves-first to whatever
 kills each region boundary: an isomorphism H_1(surface) -> Z^L.  H_1(M)
 is the cokernel of the L x (|alpha| + |beta|) matrix rel of curve images, and
 with the point potentials phi(p) = P_alpha(p) - P_beta(p), prefix sums of
-arc images along the curves, eps(x, y) = sum phi(y) - sum phi(x).  The
+arc images along the curves, eps(x, y) = sum phi(y) - sum phi(x).  Images,
+potentials and their sums are whole tuples (``map(add, ...)``,
+``map(sum, zip(...))``); the Spin^c partition sums phi over its first
+generator once and starts every generator's sum from minus that.  The
 Smith normal form u rel v = diag(s) is the only one any query runs, ``check``
 included: a periodic domain bounds sum n_c (curve c) with n in the kernel
 of rel, a connecting domain bounds the eps chain plus the n solving
@@ -52,6 +55,7 @@ the integer hull of ``polytope`` decides under its dimension bound.
 import re
 from collections import Counter
 from functools import cached_property
+from operator import add, neg, sub
 
 from . import abelian
 from .abelian import (IntMatrix, _perm_sign, det_group_ring, doteq_normalize, smith_cokernel,
@@ -565,18 +569,17 @@ def _edge_images(sk):
     cotree = set(parent_edge.values())
     leftover = [e for e in range(len(sk.edges)) if not in_tree[e] and e not in cotree]
     rank = len(leftover)
-    images = [(0,) * rank] * len(sk.edges)
+    zero = (0,) * rank
+    images = [zero] * len(sk.edges)
     for k, e in enumerate(leftover):
-        images[e] = tuple(int(j == k) for j in range(rank))
+        images[e] = zero[:k] + (1,) + zero[k + 1:]
     for r in reversed(order[1:]):
         up = parent_edge[r]
-        total = [0] * rank
+        total = zero
         for e, c in sk.columns[r].items():
-            if e != up:
-                for j, x in enumerate(images[e]):
-                    total[j] += c * x
-        c = sk.columns[r][up]
-        images[up] = tuple(-c * x for x in total)
+            if e != up and images[e] != zero:
+                total = tuple(map(add, total, map(c.__mul__, images[e])))
+        images[up] = tuple(map((-sk.columns[r][up]).__mul__, total))
     return rank, images, order, parent_edge
 
 
@@ -593,15 +596,14 @@ class _H1Data:
         curve_images = []
         phi = {}                 # point -> P_alpha(p) - P_beta(p)
         for fam, i in d.curves():
-            sign = 1 if fam == "a" else -1
+            op = add if fam == "a" else sub
             pts = d.curve_points(fam, i)
             edges = [sk.arc_edge[(fam, i, k)] for k in range(d.curve_arc_count(fam, i))]
             acc = zero
             for k, e in enumerate(edges):
                 if pts:
-                    phi[pts[k]] = tuple(a + sign * b for a, b in
-                                        zip(phi.get(pts[k], zero), acc))
-                acc = tuple(a + b for a, b in zip(acc, self.images[e]))
+                    phi[pts[k]] = tuple(map(op, phi.get(pts[k], zero), acc))
+                acc = tuple(map(add, acc, self.images[e]))
             self.curve_edges.append(edges)
             curve_images.append(acc)
         rel = IntMatrix(tuple(tuple(img[r] for img in curve_images)
@@ -614,17 +616,21 @@ class _H1Data:
     def class_of(self, chain):
         """Class in H_1(M) of a 1-cycle {arc: coefficient}."""
         boundary = {}
-        total = [0] * self.rank
+        edges = {}
         for arc, c in chain.items():
             e = self.skeleton.arc_edge[arc]
             t, h = self.skeleton.edges[e]
             boundary[h] = boundary.get(h, 0) + c
             boundary[t] = boundary.get(t, 0) - c
-            for j, x in enumerate(self.images[e]):
-                total[j] += c * x
+            edges[e] = c
         if any(boundary.values()):
             raise InvalidDiagram("chain is not a 1-cycle")
-        return self.group.from_ambient(total)
+        return self.group.from_ambient(self.image(edges))
+
+    def image(self, edges):
+        """The image in Z^L of an edge chain {edge: coefficient}."""
+        return tuple(map(sum, zip((0,) * self.rank,
+                                  *(map(c.__mul__, self.images[e]) for e, c in edges.items()))))
 
     def lift(self, chain, curve_coeffs):
         """The domain bounded by the edge chain plus sum n_c (curve c), a
@@ -649,14 +655,15 @@ class _H1Data:
                     rest[e] = rest.get(e, 0) - n * c
         return DomainVector(tuple(coeffs[r] for r in self.internal))
 
+    def potential_sum(self, x, lead):
+        """lead plus the potentials of the points of x; lead has the group's
+        length, so a generator with no points still gets a row of that length."""
+        return tuple(map(sum, zip(lead, *map(self.potential.__getitem__, x.points()))))
+
     def difference(self, x, y):
         """eps(x, y): the potentials summed over y minus those over x."""
-        total = [0] * self.group.projection.rows
-        for points, sign in ((y.points(), 1), (x.points(), -1)):
-            for p in points:
-                for j, v in enumerate(self.potential[p]):
-                    total[j] += sign * v
-        return self.group.from_coords(total)
+        base = self.potential_sum(x, (0,) * self.group.projection.rows)
+        return self.group.from_coords(self.potential_sum(y, tuple(map(neg, base))))
 
 
 def _h1data(d):
@@ -727,8 +734,10 @@ def spinc_partition(d):
     if not gens:
         return SpincPartition((), {}, data.group)
     members = {}             # eps against the first generator -> indices
+    base = data.potential_sum(gens[0], (0,) * data.group.projection.rows)
+    lead, from_coords = tuple(map(neg, base)), data.group.from_coords
     for idx, x in enumerate(gens):
-        members.setdefault(data.difference(gens[0], x), []).append(idx)
+        members.setdefault(from_coords(data.potential_sum(x, lead)), []).append(idx)
     values = list(members)
     difference = {(a, b): data.group.sub(vb, va)
                   for a, va in enumerate(values) for b, vb in enumerate(values)}
@@ -815,7 +824,7 @@ def connecting_domains(d, x, y):
     # rel n = -image(chain); eps = 0 makes every division by s exact
     u, s, v = data.snf
     chain = {data.skeleton.arc_edge[arc]: c for arc, c in _eps_chain(d, x, y).items()}
-    image = [-sum(c * data.images[e][j] for e, c in chain.items()) for j in range(data.rank)]
+    image = tuple(map(neg, data.image(chain)))
     rank = data.rank - data.group.free_rank
     n = [t // s[i] for i, t in enumerate((u @ image)[:rank])] + [0] * (v.rows - rank)
     return data.lift(chain, v @ n), periodic_lattice(d)

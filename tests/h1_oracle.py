@@ -13,14 +13,19 @@ Euler polynomial as the signed sum over every generator (the Leibniz
 expansion that the library's alpha x beta determinant replaces), and
 builders for the parametric families T(p,1;2), T(1,0;2k+2) and L(p,1)
 minus a ball.  Also the integer matrix product and determinant that the
-Smith-form tests check against, which the library does not need.
+Smith-form tests check against, which the library does not need, and the
+tree-cotree H_1 path as the library ran it one coordinate at a time
+before it worked on whole tuples: the edge images, the point potentials,
+eps and the Spin^c classes.
 """
 
 from operator import mul
 
 from ring_oracle import identity, ring_neg, ring_translate
-from sutured_kit.abelian import GroupRingElem, IntMatrix, cokernel, echelon, smith_normal_form
-from sutured_kit.diagram import (DomainVector, _check_generator, _eps_chain,
+from snf_oracle import smith_normal_form as oracle_smith_normal_form
+from sutured_kit.abelian import (GroupRingElem, IntMatrix, cokernel, echelon, smith_cokernel,
+                                 smith_normal_form)
+from sutured_kit.diagram import (DomainVector, _check_generator, _eps_chain, _UnionFind,
                                  epsilon, generator_sign, generators, h1_of_M,
                                  internal_regions)
 from sutured_kit.errors import InvalidDiagram
@@ -308,6 +313,96 @@ def enumerated_euler_polynomial(d):
         cls = epsilon(d, gens[0], x)
         terms[cls] = terms.get(cls, 0) + generator_sign(d, x)
     return quadratic_doteq_normalize(GroupRingElem(terms), group), group
+
+
+# -- the tree-cotree path, one coordinate at a time ------------------------------
+
+def loop_edge_images(sk):
+    """(L, tree-cotree images of the edges in Z^L, C* order, C* parent edges).
+
+    C* is breadth-first from the outside node; the C* edge above a region
+    has coefficient +-1 in its boundary and is solved after the regions
+    below it.
+    """
+    uf = _UnionFind(len(sk.vertex_index))
+    in_tree = [uf.union(t, h) for t, h in sk.edges]
+    adjacent = [[] for _ in range(sk.outside + 1)]
+    for e, (r, s) in enumerate(sk.sides):
+        if not in_tree[e] and r != s:
+            adjacent[r].append((e, s))
+            adjacent[s].append((e, r))
+    parent_edge = {sk.outside: None}
+    order = [sk.outside]
+    for node in order:
+        for e, other in adjacent[node]:
+            if other not in parent_edge:
+                parent_edge[other] = e
+                order.append(other)
+    if len(order) != len(adjacent):
+        raise InvalidDiagram("regions are not connected across the cut graph")
+    cotree = set(parent_edge.values())
+    leftover = [e for e in range(len(sk.edges)) if not in_tree[e] and e not in cotree]
+    rank = len(leftover)
+    images = [(0,) * rank] * len(sk.edges)
+    for k, e in enumerate(leftover):
+        images[e] = tuple(int(j == k) for j in range(rank))
+    for r in reversed(order[1:]):
+        up = parent_edge[r]
+        total = [0] * rank
+        for e, c in sk.columns[r].items():
+            if e != up:
+                for j, x in enumerate(images[e]):
+                    total[j] += c * x
+        c = sk.columns[r][up]
+        images[up] = tuple(-c * x for x in total)
+    return rank, images, order, parent_edge
+
+
+class LoopH1:
+    """The edge images, the curve-image matrix rel, its Smith form by
+    ``snf_oracle``, H_1(M) and the potential of each point."""
+
+    def __init__(self, d):
+        d.require_valid()
+        sk = d._skeleton
+        self.rank, self.images, self.order, self.parent_edge = loop_edge_images(sk)
+        zero = (0,) * self.rank
+        curve_images = []
+        phi = {}                 # point -> P_alpha(p) - P_beta(p)
+        for fam, i in d.curves():
+            sign = 1 if fam == "a" else -1
+            pts = d.curve_points(fam, i)
+            edges = [sk.arc_edge[(fam, i, k)] for k in range(d.curve_arc_count(fam, i))]
+            acc = zero
+            for k, e in enumerate(edges):
+                if pts:
+                    phi[pts[k]] = tuple(a + sign * b for a, b in
+                                        zip(phi.get(pts[k], zero), acc))
+                acc = tuple(a + b for a, b in zip(acc, self.images[e]))
+            curve_images.append(acc)
+        self.rel = IntMatrix(tuple(tuple(img[r] for img in curve_images)
+                                   for r in range(self.rank)),
+                             self.rank, len(curve_images))
+        self.snf = u, s, _ = oracle_smith_normal_form(self.rel)
+        self.group = smith_cokernel(u, s)
+        self.potential = {p: self.group.projection @ v for p, v in phi.items()}
+
+    def difference(self, x, y):
+        """eps(x, y): the potentials summed over y minus those over x."""
+        total = [0] * self.group.projection.rows
+        for points, sign in ((y.points(), 1), (x.points(), -1)):
+            for p in points:
+                for j, v in enumerate(self.potential[p]):
+                    total[j] += sign * v
+        return self.group.from_coords(total)
+
+    def spinc_classes(self, d):
+        """Generator index classes of eps = 0, in first-appearance order."""
+        gens = generators(d)
+        members = {}
+        for idx, x in enumerate(gens):
+            members.setdefault(self.difference(gens[0], x), []).append(idx)
+        return tuple(map(tuple, members.values()))
 
 
 # -- parametric families -------------------------------------------------------
