@@ -324,11 +324,11 @@ class SuturedDiagram:
 
         sk = self._skeleton
         bad += sk.violations
-        for arc, signs in zip(sk.arc_edge, sk.signs):
-            if len(signs) != 2:
-                bad.append(f"arc {format_arc_ref(arc, 1)} appears {len(signs)} times "
+        for arc, sides, net in zip(sk.arc_edge, sk.sides, sk.net):
+            if len(sides) != 2:
+                bad.append(f"arc {format_arc_ref(arc, 1)} appears {len(sides)} times "
                            "in region boundaries (expected 2)")
-            elif signs[0] == signs[1]:
+            elif net:
                 bad.append(f"arc {format_arc_ref(arc, 1)} is traversed twice in the "
                            "same direction")
 
@@ -338,7 +338,7 @@ class SuturedDiagram:
                        f"declares {self.boundary_circles}")
 
         # Euler characteristic of the cell structure against 2 - 2g - b
-        n_points = len(set(sk.ends))
+        n_points = len(sk.names)
         n_arcs = len(sk.arc_edge)
         chi_regions = sum(2 - 2 * r.genus - len(r.cycles) - r.boundary_circles
                           for r in self.regions)
@@ -364,9 +364,10 @@ class SuturedDiagram:
 
     def _complement_components(self, removed_family):
         """Components of the surface minus one curve family, as region sets."""
-        sk = self._skeleton
+        sk, split = self._skeleton, len(self.alpha)
+        kept = sk.curve_edges[split:] if removed_family == "a" else sk.curve_edges[:split]
         return _region_components(len(self.regions), [
-            sk.sides[e] for arc, e in sk.arc_edge.items() if arc[0] != removed_family])
+            sk.sides[e] for edges in kept for e in edges])
 
     def is_balanced(self):
         """Counts match and each complement component reaches the boundary."""
@@ -453,45 +454,46 @@ class _Skeleton:
     """CW structure of the surface with the boundary circles filled in as cells,
     read in one pass over the region cycles.
 
-    ``columns[r]`` is the boundary of region r as {edge: coefficient};
-    ``sides[e]`` holds the dual nodes edge e separates, region indices or
-    ``outside`` (the region count) for a boundary loop edge, and ``signs[e]``
-    the signs arc edge e is traversed with.  Dart 2e (2e + 1) is the tail
-    (head) of arc edge e, at point ``ends[2e]`` (``ends[2e + 1]``).  At a
-    corner an arc of a cycle arrives at a point by one dart and the next arc
-    leaves it by another: ``turn`` maps the first to the second.
-    ``violations`` names unknown arcs and unclosed cycles.
+    A vertex is an int: first the points in the order they appear along the
+    curves, ``names[v]`` the point or, for an empty curve's vertex, (family,
+    curve); then one per boundary circle.  Arc edges run curve by curve, alpha
+    first, so the arcs of curve c are the range ``curve_edges[c]``; region by
+    region, its circle loops and connectors follow.  ``columns[r]`` is the
+    boundary of region r as {edge: coefficient}; ``sides[e]`` holds the dual
+    nodes edge e separates, region indices or ``outside`` (the region count)
+    for a loop edge, one per traversal of an arc, and ``net[e]`` sums the
+    signs of those traversals.  Dart 2e (2e + 1) is the tail (head) of arc
+    edge e, at vertex ``ends[2e]`` (``ends[2e + 1]``).  At a corner an arc of
+    a cycle arrives at a point by one dart and the next arc leaves it by
+    another: ``turn`` maps the first to the second.  ``violations`` names
+    unknown arcs and unclosed cycles.
     """
 
     def __init__(self, d):
-        self.vertex_index = {}
-        self.edges = []          # (tail index, head index)
-        self.sides = []
-        self.arc_edge = {}
+        index = {}               # point, or (family, curve) of an empty curve -> vertex
+        self.edges = []          # (tail, head)
+        self.curve_edges = []
         self.outside = len(d.regions)
         self.violations = []
-
-        def vertex(name):
-            if name not in self.vertex_index:
-                self.vertex_index[name] = len(self.vertex_index)
-            return self.vertex_index[name]
-
-        def add_edge(tail, head):
-            self.edges.append((tail, head))
-            self.sides.append([])
-            return len(self.edges) - 1
-
-        for arc in d.arcs():
-            t, h = d.arc_endpoints(arc)
-            self.arc_edge[arc] = add_edge(vertex(t), vertex(h))
+        for fam, curves in (("a", d.alpha), ("b", d.beta)):
+            for i, pts in enumerate(curves):
+                vs = ([index.setdefault(p, len(index)) for p in pts]
+                      or [index.setdefault((fam, i), len(index))])
+                self.curve_edges.append(range(len(self.edges), len(self.edges) + len(vs)))
+                self.edges += zip(vs, vs[1:] + vs[:1])
+        self.names = list(index)
+        n_arcs = len(self.edges)
+        self.arc_edge = dict(zip(d.arcs(), range(n_arcs)))
         self.ends = [v for edge in self.edges for v in edge]
-        self.signs = [[] for _ in self.edges]
+        self.sides = [[] for _ in range(n_arcs)]
+        self.net = [0] * n_arcs
         self.turn = {}
+        self.n_vertices = len(index)
 
         self.columns = []
         for rid, region in enumerate(d.regions):
             col = {}
-            anchors = []
+            bounds = []          # a vertex on each boundary cycle, then the circles
             for cyc in region.cycles:
                 darts = []       # (leaving dart, arriving dart) of each arc
                 for arc, sign in cyc:
@@ -502,44 +504,41 @@ class _Skeleton:
                         continue
                     col[e] = col.get(e, 0) + sign
                     self.sides[e].append(rid)
-                    self.signs[e].append(sign)
+                    self.net[e] += sign
                     darts.append((2 * e + (sign < 0), 2 * e + (sign > 0)))
                 if not cyc or len(darts) < len(cyc):
                     continue
-                anchors.append(self.ends[darts[0][0]])
+                bounds.append(self.ends[darts[0][0]])
                 corners = [(a, b) for (_, a), (b, _) in zip(darts, darts[1:] + darts[:1])]
                 self.turn.update(corners)
                 if any(self.ends[a] != self.ends[b] for a, b in corners):
                     self.violations.append(f"region {rid} has a boundary cycle that is "
                                            "not a closed walk")
-            circle_vertices = []
-            for k in range(region.boundary_circles):
-                v = vertex(f"~o{rid}.{k}")
-                circle_vertices.append(v)
-                e = add_edge(v, v)
-                col[e] = 1
-                self.sides[e] += [rid, self.outside]
-            # cut the region to a disk: connectors from the base cycle to every
-            # other boundary cycle, each traversed once in each direction
-            base = anchors[0] if anchors else (circle_vertices[0] if circle_vertices else None)
-            extra = anchors[1:] + (circle_vertices if anchors else circle_vertices[1:])
-            for v in extra:
-                e = add_edge(base, v)
-                self.sides[e] += [rid, rid]
+            circles = range(self.n_vertices, self.n_vertices + region.boundary_circles)
+            self.n_vertices += len(circles)
+            for v in circles:
+                col[len(self.edges)] = 1
+                self.edges.append((v, v))
+                self.sides.append([rid, self.outside])
+            # cut the region to a disk: connectors from the first boundary to
+            # every other one, each traversed once in each direction
+            bounds += circles
+            for v in bounds[1:]:
+                self.edges.append((bounds[0], v))
+                self.sides.append([rid, rid])
             self.columns.append(col)
 
     def pinch_points(self):
         """Violations for the points whose corners form more than one cycle.  Sound
         once every cycle closes and every arc runs once each way: ``turn`` is then
         a permutation of the darts, and each of its cycles stays at one point."""
-        turn, cycles = dict(self.turn), [0] * len(self.vertex_index)
+        turn, cycles = dict(self.turn), [0] * len(self.names)
         while turn:
             start, dart = turn.popitem()
             cycles[self.ends[start]] += 1
             while dart != start:
                 dart = turn.pop(dart)
-        names = list(self.vertex_index)
-        return [f"point {names[v]} is not a crossing: its corners form {c} cycles"
+        return [f"point {self.names[v]} is not a crossing: its corners form {c} cycles"
                 for v, c in enumerate(cycles) if c > 1]
 
 
@@ -550,7 +549,7 @@ def _edge_images(sk):
     has coefficient +-1 in its boundary and is solved after the regions
     below it.
     """
-    uf = _UnionFind(len(sk.vertex_index))
+    uf = _UnionFind(sk.n_vertices)
     in_tree = [uf.union(t, h) for t, h in sk.edges]
     adjacent = [[] for _ in range(sk.outside + 1)]
     for e, (r, s) in enumerate(sk.sides):
@@ -592,19 +591,15 @@ class _H1Data:
         self.rank, self.images, self.order, self.parent_edge = _edge_images(sk)
         self.internal = internal_regions(d)
         zero = (0,) * self.rank
-        self.curve_edges = []
         curve_images = []
         phi = {}                 # point -> P_alpha(p) - P_beta(p)
-        for fam, i in d.curves():
-            op = add if fam == "a" else sub
-            pts = d.curve_points(fam, i)
-            edges = [sk.arc_edge[(fam, i, k)] for k in range(d.curve_arc_count(fam, i))]
+        for c, (pts, edges) in enumerate(zip(d.alpha + d.beta, sk.curve_edges)):
+            op = add if c < len(d.alpha) else sub
             acc = zero
             for k, e in enumerate(edges):
                 if pts:
                     phi[pts[k]] = tuple(map(op, phi.get(pts[k], zero), acc))
                 acc = tuple(map(add, acc, self.images[e]))
-            self.curve_edges.append(edges)
             curve_images.append(acc)
         rel = IntMatrix(tuple(tuple(img[r] for img in curve_images)
                               for r in range(self.rank)),
@@ -642,7 +637,7 @@ class _H1Data:
         +-1.  A region touching the boundary gets 0 from its loop edge.
         """
         rest = dict(chain)
-        for m, edges in zip(curve_coeffs, self.curve_edges):
+        for m, edges in zip(curve_coeffs, self.skeleton.curve_edges):
             for e in edges:
                 rest[e] = rest.get(e, 0) + m
         coeffs = [0] * self.skeleton.outside

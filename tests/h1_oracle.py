@@ -79,30 +79,41 @@ def solve_integer(a, b):
 
 
 class SnfSkeleton:
-    """CW structure of the surface with dense d1, d2 columns and curve chains."""
+    """CW structure of the surface with dense d1, d2 columns and curve chains.
+
+    Vertices are integer ids: a point is keyed by its name, the vertex of an
+    empty curve by (family, curve) and a boundary circle by ("o", region,
+    k), so no synthetic vertex shares a key with a point.
+    """
 
     def __init__(self, d):
         self.vertex_index = {}
         self.edges = []
         self.arc_edge = {}
 
-        def vertex(name):
-            if name not in self.vertex_index:
-                self.vertex_index[name] = len(self.vertex_index)
-            return self.vertex_index[name]
+        def vertex(key):
+            if key not in self.vertex_index:
+                self.vertex_index[key] = len(self.vertex_index)
+            return self.vertex_index[key]
 
         def add_edge(tail, head):
             self.edges.append((tail, head))
             return len(self.edges) - 1
 
+        def endpoints(arc):
+            fam, i, k = arc
+            pts = d.curve_points(fam, i)
+            if not pts:
+                return vertex((fam, i)), vertex((fam, i))
+            return vertex(pts[k]), vertex(pts[(k + 1) % len(pts)])
+
         for arc in d.arcs():
-            t, h = d.arc_endpoints(arc)
-            self.arc_edge[arc] = add_edge(vertex(t), vertex(h))
+            self.arc_edge[arc] = add_edge(*endpoints(arc))
 
         def walk_start(cyc):
             arc, sign = cyc[0]
-            t, h = d.arc_endpoints(arc)
-            return vertex(t if sign > 0 else h)
+            t, h = endpoints(arc)
+            return t if sign > 0 else h
 
         raw_columns = []
         for rid, region in enumerate(d.regions):
@@ -115,7 +126,7 @@ class SnfSkeleton:
                     col[e] = col.get(e, 0) + sign
             circle_vertices = []
             for k in range(region.boundary_circles):
-                v = vertex(f"~o{rid}.{k}")
+                v = vertex(("o", rid, k))
                 circle_vertices.append(v)
                 e = add_edge(v, v)
                 col[e] = col.get(e, 0) + 1
@@ -324,7 +335,7 @@ def loop_edge_images(sk):
     has coefficient +-1 in its boundary and is solved after the regions
     below it.
     """
-    uf = _UnionFind(len(sk.vertex_index))
+    uf = _UnionFind(sk.n_vertices)
     in_tree = [uf.union(t, h) for t, h in sk.edges]
     adjacent = [[] for _ in range(sk.outside + 1)]
     for e, (r, s) in enumerate(sk.sides):

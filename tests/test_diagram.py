@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (annulus_with_core_alpha, brute_force_admissible,
                       circle_pairs_disk, lp_admissible, nested_circles_annulus,
-                      rename_points, rotate_curve, s1xs2_minus_ball,
+                      rename_points, reverse_region, rotate_curve, s1xs2_minus_ball,
                       swap_alpha_curves, t312_json, t312_sign_variant,
                       diagram_names, two_circles_disk)
 from h1_oracle import (_boundary_rows, chain_diagram, lens_diagram,
@@ -165,6 +165,23 @@ class TestValidate:
         data = load(name).to_json()
         data[family] = curves
         assert SuturedDiagram.from_json(data).validate().violations == violations
+
+    def test_arc_used_three_times(self):
+        # a1.1 runs + in region 0's cycle, + in the added walk P0 -> P1 -> P0 and
+        # - in region 1; a1.0 runs -, +, +
+        data = load("t212").to_json()
+        data["regions"][0]["cycles"].append(["a1.0", "a1.1"])
+        assert SuturedDiagram.from_json(data).validate().violations == [
+            "arc a1.0 appears 3 times in region boundaries (expected 2)",
+            "arc a1.1 appears 3 times in region boundaries (expected 2)",
+            "Euler characteristic -3 does not match 2-2g-b = -2"]
+
+    def test_arcs_traversed_backwards_twice(self):
+        # region 1 seen from the other side: a1.0 and b1.1 run -, -, the others +, +
+        data = reverse_region(load("t212").to_json(), 1)
+        assert SuturedDiagram.from_json(data).validate().violations == [
+            f"arc {a} is traversed twice in the same direction"
+            for a in ("a1.0", "a1.1", "b1.0", "b1.1")]
 
     def test_crossing_sign_not_unit(self):
         data = load("t212").to_json()
