@@ -25,7 +25,7 @@ every exponent".
 """
 
 from collections import namedtuple
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import comb
 from operator import mod, mul, neg, sub
 
@@ -102,7 +102,7 @@ def echelon(rows):
     return pivots, m, sign
 
 
-def smith_normal_form(a):
+def smith_normal_form(a, with_v=True):
     """Return (u, d, v) with u*a*v = diag(d) in Smith normal form.
 
     u and v are unimodular; d is the tuple of the min(rows, cols) diagonal
@@ -111,7 +111,9 @@ def smith_normal_form(a):
     rows of v sit below, u and v starting as identities.  A row operation
     on the top rows then acts on a and u at once, and a column operation on
     the first cols columns on a and v (H. Cohen, A Course in Computational
-    Algebraic Number Theory, 2.4.4).  The pivot is the smallest nonzero
+    Algebraic Number Theory, 2.4.4).  No step reads the rows of v, so with
+    ``with_v`` false they are left out, and v comes back as None; u and d
+    are the same.  The pivot is the smallest nonzero
     |entry| m of the trailing block, first in row-major order: one ``min``
     per row, a scan that stops at the first row where m is 1, and the
     first column of that row holding +m or -m.  Its row and column are
@@ -121,7 +123,8 @@ def smith_normal_form(a):
     """
     nrows, ncols = a.rows, a.cols
     w = [[*row, *[0] * i, 1, *[0] * (nrows - 1 - i)] for i, row in enumerate(a.entries)]
-    w += ([*[0] * j, 1, *[0] * (ncols - 1 - j)] for j in range(ncols))
+    if with_v:
+        w += ([*[0] * j, 1, *[0] * (ncols - 1 - j)] for j in range(ncols))
 
     def row_sub(i, k, q):
         # row_i -= q * row_k, on a and u
@@ -171,7 +174,7 @@ def smith_normal_form(a):
             row_sub(t, viol, -1)  # row_t += row_viol
     return (IntMatrix._of(tuple(tuple(row[ncols:]) for row in w[:nrows]), nrows, nrows),
             tuple(w[i][i] for i in range(min(nrows, ncols))),
-            IntMatrix._of(tuple(map(tuple, w[nrows:])), ncols, ncols))
+            IntMatrix._of(tuple(map(tuple, w[nrows:])), ncols, ncols) if with_v else None)
 
 
 def cokernel(a):
@@ -180,7 +183,7 @@ def cokernel(a):
     The returned group remembers the projection from ambient coordinates,
     so classes of ambient vectors can be computed with ``from_ambient``.
     """
-    u, d, _ = smith_normal_form(a)
+    u, d, _ = smith_normal_form(a, with_v=False)
     return smith_cokernel(u, d)
 
 
@@ -358,6 +361,33 @@ def _memo_levels(masks):
     return levels
 
 
+def _packing(ranges, n):
+    """Mixed-radix layout for sums of n integer vectors whose coordinate c
+    lies in ranges[c] = (lo, hi).
+
+    Returns (lows, bases, weights): coordinate c is shifted by lo, so its
+    digit is >= 0, and gets the base n*(hi - lo) + 1, so a sum of n digits
+    carries into no other; weights[c] is the product of the bases before c.
+    A vector packs to sum((x_c - lo_c) * weights[c]), and a sum of n packed
+    vectors to the sum of their shifted coordinates in the same digits.
+    """
+    bases = [n * (hi - lo) + 1 for lo, hi in ranges]
+    return [lo for lo, _ in ranges], bases, list(accumulate(bases[:-1], mul, initial=1))
+
+
+def _unpack(keys, lows, bases, n):
+    """The coordinates of sums of n vectors packed by ``_packing``, one list
+    over the keys per coordinate: digit by digit, the lowest digit is key mod
+    bases[0] and the last is what the other bases leave, plus the shift n*lo."""
+    digits = []
+    for b in bases[:-1]:
+        pairs = list(map(divmod, keys, repeat(b)))
+        keys = [q for q, _ in pairs]
+        digits.append([d for _, d in pairs])
+    digits.append(list(keys))
+    return [[d + n * lo for d in col] if lo else col for col, lo in zip(digits, lows)]
+
+
 def det_group_ring(m, g):
     """Determinant of a square matrix over Z[g].
 
@@ -373,12 +403,12 @@ def det_group_ring(m, g):
     order is counted instead, and only its refusal is raised.  The minors
     are then filled in for those keys, last row first.
 
-    Inside, a group element is one int in mixed radix.  A free coordinate
-    is shifted by its minimum lo over all entries and gets the digit base
-    n*(hi - lo) + 1; a torsion residue is left unreduced in base
-    n*(d - 1) + 1.  A minor sums at most n keys, so no digit carries and
-    the group-ring product is addition of keys on plain dicts.  One decode
-    at the end undoes the shift n*lo and reduces the residues mod d.
+    Inside, a group element is one int in the mixed radix of ``_packing``:
+    a free coordinate ranges from its minimum to its maximum over all
+    entries, and a torsion residue from 0 to d - 1, left unreduced in sums.
+    A minor sums at most n keys, so no digit carries and the group-ring
+    product is addition of keys on plain dicts.  One ``_unpack`` at the
+    end gives the coordinates, and the residues are reduced mod d.
     """
     n = len(m)
     if any(len(row) != n for row in m):
@@ -402,16 +432,10 @@ def det_group_ring(m, g):
     parity = _perm_sign(order)
 
     elements = [h for row in m for e in row for h in e._terms]
-    lows, bases = [], []
-    for c in range(g.free_rank):
-        lo = min((h.free[c] for h in elements), default=0)
-        lows.append(lo)
-        bases.append(n * (max((h.free[c] for h in elements), default=0) - lo) + 1)
-    bases += [n * (d - 1) + 1 for d in g.torsion]
-    weights = [1]
-    for b in bases[:-1]:
-        weights.append(weights[-1] * b)
-    offset = sum(lo * w for lo, w in zip(lows, weights))
+    ranges = [(min(col, default=0), max(col, default=0))
+              for col in ([h.free[c] for h in elements] for c in range(g.free_rank))]
+    lows, bases, weights = _packing(ranges + [(0, d - 1) for d in g.torsion], n)
+    offset = sum(map(mul, lows, weights))
 
     def pack(h):
         return sum(map(mul, h.free + h.torsion, weights)) - offset
@@ -441,19 +465,12 @@ def det_group_ring(m, g):
             above[mask] = [kc for kc in total.items() if kc[1]]
         memo = above
 
-    # one decode, digit by digit over all keys: the lowest digit is key mod
-    # bases[0], and the last is what the other bases leave
     items = memo[(1 << n) - 1]
     keys, coeffs = zip(*items) if items else ((), ())
-    digits = []
-    for b in bases[:-1]:
-        pairs = list(map(divmod, keys, repeat(b)))
-        keys = [q for q, _ in pairs]
-        digits.append([d for _, d in pairs])
-    digits.append(keys)
+    columns = _unpack(keys, lows, bases, n)
     r = g.free_rank
-    free = [[d + s for d in col] for col, s in zip(digits, [n * lo for lo in lows])]
-    res = [[d % t for d in col] for col, t in zip(digits[r:], g.torsion)]
+    free = columns[:r]
+    res = [[d % t for d in col] for col, t in zip(columns[r:], g.torsion)]
     count = len(coeffs)
     coords = zip(zip(*free) if free else repeat((), count), zip(*res) if res else repeat((), count))
     if parity < 0:

@@ -39,7 +39,9 @@ def _encode(x, indent):
 
     The standard library runs its pure-Python encoder whenever ``indent``
     is set; this walk builds the same bytes from the C string quoting.  A
-    ``GroupRingElem`` is written as its list of terms, see ``_encode_ring``.
+    ``GroupRingElem`` is written as its list of terms, see ``_encode_ring``,
+    and a ``SpincPartition`` as its list of differences, see
+    ``_encode_differences``.
     """
     kind = type(x)
     if kind is int:
@@ -64,6 +66,8 @@ def _encode(x, indent):
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
     if kind is GroupRingElem:
         return _encode_ring(x, indent)
+    if kind is diagram.SpincPartition:
+        return _encode_differences(x, indent)
     if kind is float or kind is bool or x is None:
         return _scalar(x)
     return json.dumps(x, sort_keys=True, indent=2).replace("\n", "\n" + indent)
@@ -78,6 +82,15 @@ def _key(k):
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
+def _int_list(indent):
+    """The writer of a tuple of ints as ``_encode`` writes it at ``indent``."""
+    sep, head, tail = ",\n" + indent + "  ", "[\n" + indent + "  ", "\n" + indent + "]"
+
+    def ints(t):
+        return head + sep.join(map(str, t)) + tail if t else "[]"
+    return ints
+
+
 def _encode_ring(x, indent):
     """The terms of x in order, each as ``{"coeff": c, "exp_free": [...],
     "exp_torsion": [...]}``, written with one f-string per term."""
@@ -85,14 +98,27 @@ def _encode_ring(x, indent):
         return "[]"
     inner = indent + "  "
     field = inner + "  "
-    sep, head, tail = ",\n" + field + "  ", "[\n" + field + "  ", "\n" + field + "]"
-
-    def ints(t):
-        return head + sep.join(map(str, t)) + tail if t else "[]"
-
+    ints = _int_list(field)
     terms = [f'{{\n{field}"coeff": {c},\n{field}"exp_free": {ints(free)},\n'
              f'{field}"exp_torsion": {ints(res)}\n{inner}}}' for (free, res), c in x.items()]
     return "[\n" + inner + (",\n" + inner).join(terms) + "\n" + indent + "]"
+
+
+def _encode_differences(part, indent):
+    """The differences of a Spin^c partition by (from, to), each as
+    ``{"element": {"free": [...], "torsion": [...]}, "from": a, "to": b}``,
+    written with one f-string per entry."""
+    if not part.difference:
+        return "[]"
+    inner = indent + "  "
+    field = inner + "  "
+    deep = field + "  "
+    ints = _int_list(deep)
+    entries = [f'{{\n{field}"element": {{\n{deep}"free": {ints(free)},\n'
+               f'{deep}"torsion": {ints(res)}\n{field}}},\n{field}"from": {a},\n'
+               f'{field}"to": {b}\n{inner}}}'
+               for (a, b), (free, res) in sorted(part.difference.items())]
+    return "[\n" + inner + (",\n" + inner).join(entries) + "\n" + indent + "]"
 
 
 def _emit(payload):
@@ -150,14 +176,11 @@ def cmd_generators(args):
 def cmd_spinc(args):
     d = _load_diagram(args.diagram)
     part = diagram.spinc_partition(d)
-    diffs = [{"from": a, "to": b,
-              "element": {"free": list(e.free), "torsion": list(e.torsion)}}
-             for (a, b), e in sorted(part.difference.items())]
     return {
         "h1": abelian.group_to_json(part.group),
         "classes": [list(c) for c in part.classes],
         "base_class": 0,
-        "differences": diffs,
+        "differences": part,     # written by _encode_differences
     }
 
 

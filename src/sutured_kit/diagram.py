@@ -38,8 +38,8 @@ is the cokernel of the L x (|alpha| + |beta|) matrix rel of curve images, and
 with the point potentials phi(p) = P_alpha(p) - P_beta(p), prefix sums of
 arc images along the curves, eps(x, y) = sum phi(y) - sum phi(x).  Images,
 potentials and their sums are whole tuples (``map(add, ...)``,
-``map(sum, zip(...))``); the Spin^c partition sums phi over its first
-generator once and starts every generator's sum from minus that.  The
+``map(sum, zip(...))``); the Spin^c partition packs each phi(p) into one
+int and keys every generator by the plain sum of its points' ints.  The
 Smith normal form u rel v = diag(s) is the only one any query runs, ``check``
 included: a periodic domain bounds sum n_c (curve c) with n in the kernel
 of rel, a connecting domain bounds the eps chain plus the n solving
@@ -55,11 +55,12 @@ the integer hull of ``polytope`` decides under its dimension bound.
 import re
 from collections import Counter
 from functools import cached_property
-from operator import add, neg, sub
+from itertools import chain, repeat
+from operator import add, mod, mul, neg, sub
 
 from . import abelian
-from .abelian import (IntMatrix, _perm_sign, det_group_ring, doteq_normalize, smith_cokernel,
-                      GroupRingElem)
+from .abelian import (GroupElement, GroupRingElem, IntMatrix, _packing, _perm_sign, _unpack,
+                      det_group_ring, doteq_normalize, smith_cokernel)
 from .errors import (DimensionTooLarge, InvalidDiagram, NotAGenerator, NotBalanced, expect,
                      expect_items)
 from .polytope import MAX_DIMENSION, SupportData, hull
@@ -85,15 +86,31 @@ def parse_arc_ref(text, field="arc reference"):
                      f"got {text!r}")
 
 
-def _arc_refs(refs, field):
-    """Parse a list of arc references; a malformed one is named by index."""
-    expect_items(refs, str, field)
+def _arc_refs(refs, field, table):
+    """Read a list of arc references through ``table``, the canonical spelling
+    of each arc of the diagram's curves -> (arc, sign).  On any miss the list
+    is parsed instead, so a malformed reference is named by its index and an
+    unknown but well-formed one is kept for ``validate`` to report."""
+    arcs = tuple(map(table.get, expect_items(refs, str, field)))
+    if None not in arcs:
+        return arcs
     try:
         return tuple(map(parse_arc_ref, refs))
     except ValueError:
         for j, ref in enumerate(refs):
             parse_arc_ref(ref, f"{field}[{j}]")
         raise
+
+
+def _arc_table(alpha, beta):
+    """The canonical spelling of every arc of the curves, either sign -> (arc, sign)."""
+    table = {}
+    for fam, curves in (("a", alpha), ("b", beta)):
+        for i, pts in enumerate(curves):
+            for k in range(max(1, len(pts))):
+                text, arc = f"{fam}{i + 1}.{k}", (fam, i, k)
+                table[text], table["-" + text] = (arc, 1), (arc, -1)
+    return table
 
 
 def format_arc_ref(arc, sign):
@@ -112,10 +129,13 @@ class Region:
         self.genus = genus
 
     @classmethod
-    def from_json(cls, data, field="region"):
+    def from_json(cls, data, field="region", table=None):
+        """The region of ``data``; ``table`` maps the canonical spelling of the
+        diagram's arcs to (arc, sign), and a reference it misses is parsed."""
         expect(data, dict, field)
+        table = table or {}
         cycles = tuple(
-            _arc_refs(cyc, f"{field}.cycles[{i}]")
+            _arc_refs(cyc, f"{field}.cycles[{i}]", table)
             for i, cyc in enumerate(expect(data.get("cycles", []), list,
                                            f"{field}.cycles")))
         return cls(cycles,
@@ -153,36 +173,35 @@ class GeneratorMatching:
                 for i, (j, p) in enumerate(self.assignment)]
 
 
-class _UnionFind:
-    """Disjoint sets over 0..n-1 with path halving."""
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        parent = self.parent
+def _union_find(n, pairs):
+    """Disjoint sets over 0..n-1 on one parent list with path halving, the
+    pairs (x, y) merged in order, y's root put under x's.  Returns whether
+    each pair joined two sets, and the root of each of 0..n-1 at the end."""
+    parent = list(range(n))
+    joined = []
+    for x, y in pairs:
         while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, x, y):
-        """Merge the sets of x and y; False when they already were one set."""
-        rx, ry = self.find(x), self.find(y)
-        self.parent[ry] = rx
-        return rx != ry
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        parent[y] = x
+        joined.append(x != y)
+    roots = []
+    for x in range(n):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        roots.append(x)
+    return joined, roots
 
 
 def _region_components(n_regions, side_lists):
     """Region index lists of the classes joined by the given lists of region
     indices, each sorted, ordered by their smallest member."""
-    uf = _UnionFind(n_regions)
-    for sides in side_lists:
-        for ridx in sides[1:]:
-            uf.union(sides[0], ridx)
+    _, roots = _union_find(n_regions, [(sides[0], ridx) for sides in side_lists
+                                       for ridx in sides[1:]])
     comps = {}
-    for i in range(n_regions):
-        comps.setdefault(uf.find(i), []).append(i)
+    for i, root in enumerate(roots):
+        comps.setdefault(root, []).append(i)
     return list(comps.values())
 
 
@@ -229,9 +248,10 @@ class SuturedDiagram:
                         enumerate(expect(data.get(fam, []), list, fam))]
                   for fam in ("alpha", "beta")}
         signs = expect(data.get("crossing_sign", {}), dict, "crossing_sign")
+        table = _arc_table(curves["alpha"], curves["beta"])
         return cls(genus, boundary_circles, curves["alpha"], curves["beta"],
                    {p: expect(s, int, f"crossing_sign[{p!r}]") for p, s in signs.items()},
-                   tuple(Region.from_json(r, f"regions[{i}]") for i, r in
+                   tuple(Region.from_json(r, f"regions[{i}]", table) for i, r in
                          enumerate(expect(data.get("regions", []), list, "regions"))))
 
     def to_json(self):
@@ -262,14 +282,6 @@ class SuturedDiagram:
         for fam, i in self.curves():
             for k in range(self.curve_arc_count(fam, i)):
                 yield (fam, i, k)
-
-    def arc_endpoints(self, arc):
-        fam, i, k = arc
-        pts = self.curve_points(fam, i)
-        if not pts:
-            v = f"~{fam}{i + 1}"
-            return v, v
-        return pts[k], pts[(k + 1) % len(pts)]
 
     @cached_property
     def _curve_of(self):
@@ -549,8 +561,7 @@ def _edge_images(sk):
     has coefficient +-1 in its boundary and is solved after the regions
     below it.
     """
-    uf = _UnionFind(sk.n_vertices)
-    in_tree = [uf.union(t, h) for t, h in sk.edges]
+    in_tree, _ = _union_find(sk.n_vertices, sk.edges)
     adjacent = [[] for _ in range(sk.outside + 1)]
     for e, (r, s) in enumerate(sk.sides):
         if not in_tree[e] and r != s:
@@ -722,21 +733,40 @@ class SpincPartition:
 
 
 def spinc_partition(d):
-    """Partition the generators by vanishing of eps; differences form a torsor."""
+    """Partition the generators by vanishing of eps; differences form a torsor.
+
+    x and y share a class when sum phi(x) and sum phi(y) name one element
+    of H_1(M).  Each point's potential is packed into one int in the layout
+    of ``abelian._packing`` for sums of n = |alpha| potentials, so a
+    generator's key is the plain sum of its points' packed values.  Each
+    distinct key is unpacked once and reduced by ``from_coords``, and keys
+    that reduce to one element (unreduced torsion coordinates) merge.
+    Classes come in the order of their first generator.
+    """
     d.require_balanced()
     gens = generators(d)
     data = _h1data(d)
-    if not gens:
-        return SpincPartition((), {}, data.group)
-    members = {}             # eps against the first generator -> indices
-    base = data.potential_sum(gens[0], (0,) * data.group.projection.rows)
-    lead, from_coords = tuple(map(neg, base)), data.group.from_coords
+    group = data.group
+    n = len(d.alpha)
+    columns = [[v[c] for v in data.potential.values()] for c in range(group.projection.rows)]
+    lows, bases, weights = _packing([(min(col, default=0), max(col, default=0))
+                                     for col in columns], n)
+    packed = {p: sum(map(mul, map(sub, v, lows), weights)) for p, v in data.potential.items()}
+    members = {}             # key -> generator indices
     for idx, x in enumerate(gens):
-        members.setdefault(from_coords(data.potential_sum(x, lead)), []).append(idx)
-    values = list(members)
-    difference = {(a, b): data.group.sub(vb, va)
-                  for a, va in enumerate(values) for b, vb in enumerate(values)}
-    return SpincPartition(tuple(map(tuple, members.values())), difference, data.group)
+        members.setdefault(sum([packed[p] for _, p in x.assignment]), []).append(idx)
+    coords = _unpack(list(members), lows, bases, n)
+    classes = {}             # element -> index lists of its keys
+    for coord, idxs in zip(zip(*coords) if coords else repeat((), len(members)),
+                           members.values()):
+        classes.setdefault(group.from_coords(coord), []).append(idxs)
+    values, new, tors = list(classes), tuple.__new__, group.torsion
+    difference = {(a, b): new(GroupElement, (tuple(map(sub, fb, fa)),
+                                             tuple(map(mod, map(sub, tb, ta), tors)) if tors
+                                             else ()))
+                  for a, (fa, ta) in enumerate(values) for b, (fb, tb) in enumerate(values)}
+    return SpincPartition(tuple(tuple(sorted(chain(*idxs))) for idxs in classes.values()),
+                          difference, group)
 
 
 # -- domains -------------------------------------------------------------------------

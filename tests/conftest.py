@@ -404,3 +404,110 @@ def rotate_curve(data, family, i, shift):
     out = _remap_arc_refs(data, lambda n, arc: (n, (arc - shift) % len(pts) if n == name else arc))
     out[family][i] = pts[shift:] + pts[:shift]
     return out
+
+
+def scramble(data, rng):
+    """The same diagram with renamed points, curves started at other points,
+    swapped curves, and regions and their cycles in another order."""
+    names = sorted({p for curve in data["alpha"] + data["beta"] for p in curve})
+    data = rename_points(data, dict(zip(names, rng.sample([f"Q{i}" for i in range(len(names))],
+                                                          len(names)))))
+    for family in ("alpha", "beta"):
+        for i, curve in enumerate(data[family]):
+            data = rotate_curve(data, family, i, rng.randrange(max(len(curve), 1)))
+    if len(data["alpha"]) > 1:
+        data = swap_alpha_curves(data, *rng.sample(range(len(data["alpha"])), 2))
+    if len(data["beta"]) > 1:
+        data = swap_beta_curves(data, *rng.sample(range(len(data["beta"])), 2))
+    rng.shuffle(data["regions"])
+    for region in data["regions"]:
+        region["cycles"] = [cyc[k:] + cyc[:k] for cyc in region["cycles"]
+                            for k in [rng.randrange(max(len(cyc), 1))]]
+        rng.shuffle(region["cycles"])
+    return data
+
+
+def _ref(text):
+    """(curve name, arc, sign) of an arc reference such as ``"-b2.3"``."""
+    name, _, arc = text.lstrip("-").partition(".")
+    return name, int(arc), -1 if text.startswith("-") else 1
+
+
+def _spell(*refs):
+    return [f"{'-' if sign < 0 else ''}{name}.{arc}" for name, arc, sign in refs]
+
+
+def finger_move(data, r, i, j):
+    """Push a finger of the beta arc B at position i of region r's first cycle
+    across the alpha arc A at position j of that cycle: an isotopy of the beta
+    curve that adds a pair of points on A and B.
+
+    Walking the cycle, B runs from u to v and A from a to b.  The finger
+    leaves B, crosses the region and meets A at yb (nearer b) and ya (nearer
+    a); its tip bounds a bigon with A in the region across A, which now goes
+    round the tip, while the region across B reaches into the finger up to A.
+    The finger cuts the cycle in two: the part through v (ya -> v, on to a,
+    back to ya) stays region r with its other cycles and boundary circles, and
+    the part through u (u -> yb, on to b, back to u) is a new region.  The
+    three regions must differ.
+    """
+    cycle = data["regions"][r]["cycles"][0]
+    (bname, bk, sb), (aname, ak, sa) = _ref(cycle[i]), _ref(cycle[j])
+    assert bname[0] == "b" and aname[0] == "a"
+    split_at = {aname: ak, bname: bk}
+    out = _remap_arc_refs(data, lambda name, arc: (name, arc + 2 if arc > split_at.get(name, arc)
+                                                    else arc))
+    regions = out["regions"]
+    spots = {ref: (q, e, n) for q, region in enumerate(regions)
+             for e, cyc in enumerate(region["cycles"]) for n, ref in enumerate(map(_ref, cyc))}
+    far_a, far_b = spots[(aname, ak, -sa)], spots[(bname, bk, -sb)]
+    assert len({r, far_a[0], far_b[0]}) == 3
+    n = len({p for curve in out["alpha"] + out["beta"] for p in curve})
+    ya, yb = f"F{n}", f"F{n + 1}"
+
+    def split(family, name, k, sign, first, second):
+        # first and second in walk order onto arc k; its three parts as walked
+        out[family][int(name[1:]) - 1][k + 1:k + 1] = [first, second][::sign]
+        return [(name, k + t if sign > 0 else k + 2 - t, sign) for t in range(3)]
+
+    def rev(ref):
+        return ref[0], ref[1], -ref[2]
+
+    b1, b2, b3 = split("beta", bname, bk, sb, yb, ya)
+    a1, a2, a3 = split("alpha", aname, ak, sa, ya, yb)
+    for (q, e, k), refs in ((far_b, (rev(b3), a2, rev(b1))), (far_a, (rev(a3), b2, rev(a1)))):
+        regions[q]["cycles"][e][k:k + 1] = _spell(*refs)
+    cycle = regions[r]["cycles"][0]
+    m = len(cycle)
+    between = [cycle[(i + t) % m] for t in range(1, (j - i) % m)]      # v -> a
+    rest = [cycle[(j + t) % m] for t in range(1, (i - j) % m)]         # b -> u
+    regions[r]["cycles"][0] = _spell(b3) + between + _spell(a1)
+    regions.append({"cycles": [_spell(b1, a3) + rest], "boundary_circles": 0})
+    regions.append({"cycles": [_spell(rev(a2), rev(b2))], "boundary_circles": 0})
+    out["crossing_sign"].update({ya: 1, yb: -1})
+    return out
+
+
+def boundary_sum(one, two):
+    """The boundary connected sum of two diagrams (H_1 is the direct sum):
+    in each, the first region that holds a boundary circle; the two become
+    one region, and their two circles one circle.  The second diagram's points are
+    renamed with a leading S and its curves numbered after the first's."""
+    shift = {"a": len(one["alpha"]), "b": len(one["beta"])}
+    two = rename_points(two, {p: "S" + p for curve in two["alpha"] + two["beta"]
+                              for p in curve})
+    two = _remap_arc_refs(two, lambda name, arc: (f"{name[0]}{int(name[1:]) + shift[name[0]]}",
+                                                  arc))
+    out = json.loads(json.dumps(one))
+    out["genus"] += two["genus"]
+    out["boundary_circles"] += two["boundary_circles"] - 1
+    out["alpha"] += two["alpha"]
+    out["beta"] += two["beta"]
+    out["crossing_sign"].update(two["crossing_sign"])
+    r1, r2 = (next(i for i, r in enumerate(d["regions"]) if r["boundary_circles"])
+              for d in (out, two))
+    merged, joined = out["regions"][r1], two["regions"][r2]
+    merged["cycles"] += joined["cycles"]
+    merged["boundary_circles"] += joined["boundary_circles"] - 1
+    out["regions"] += [r for i, r in enumerate(two["regions"]) if i != r2]
+    return out

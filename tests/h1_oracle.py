@@ -16,18 +16,20 @@ minus a ball.  Also the integer matrix product and determinant that the
 Smith-form tests check against, which the library does not need, and the
 tree-cotree H_1 path as the library ran it one coordinate at a time
 before it worked on whole tuples: the edge images, the point potentials,
-eps and the Spin^c classes.
+eps and the Spin^c classes.  The Spin^c partition as the library found it
+before it packed the potentials: one tuple sum per generator, reduced one
+by one, and one ``FinAbGroup.sub`` per ordered pair of classes.  The
+union-find with one method call per find and union.
 """
 
-from operator import mul
+from operator import mul, neg
 
 from ring_oracle import identity, ring_neg, ring_translate
 from snf_oracle import smith_normal_form as oracle_smith_normal_form
 from sutured_kit.abelian import (GroupRingElem, IntMatrix, cokernel, echelon, smith_cokernel,
                                  smith_normal_form)
-from sutured_kit.diagram import (DomainVector, _check_generator, _eps_chain, _UnionFind,
-                                 epsilon, generator_sign, generators, h1_of_M,
-                                 internal_regions)
+from sutured_kit.diagram import (DomainVector, _check_generator, _eps_chain, epsilon,
+                                 generator_sign, generators, h1_of_M, internal_regions)
 from sutured_kit.errors import InvalidDiagram
 
 
@@ -295,6 +297,25 @@ def snf_spinc_classes(d):
     return h1.group, tuple(tuple(m) for m in members.values())
 
 
+def tuple_sum_spinc_partition(d):
+    """(classes, difference) of the Spin^c partition: every generator's
+    potentials summed as a tuple from minus the first generator's sum and
+    reduced by ``from_coords``, classes in first-appearance order."""
+    gens = generators(d)
+    data = d._h1
+    if not gens:
+        return (), {}
+    members = {}
+    base = data.potential_sum(gens[0], (0,) * data.group.projection.rows)
+    lead = tuple(map(neg, base))
+    for idx, x in enumerate(gens):
+        members.setdefault(data.group.from_coords(data.potential_sum(x, lead)), []).append(idx)
+    values = list(members)
+    difference = {(a, b): data.group.sub(vb, va)
+                  for a, va in enumerate(values) for b, vb in enumerate(values)}
+    return tuple(map(tuple, members.values())), difference
+
+
 def quadratic_doteq_normalize(x, g):
     """Translate by every support element, keep the smallest qualifying form."""
     if x.is_zero():
@@ -328,6 +349,27 @@ def enumerated_euler_polynomial(d):
 
 # -- the tree-cotree path, one coordinate at a time ------------------------------
 
+class UnionFind:
+    """Disjoint sets over 0..n-1 with path halving, one method call per find
+    and union, as the library kept them before ``diagram._union_find``."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, x, y):
+        """Merge the sets of x and y; False when they already were one set."""
+        rx, ry = self.find(x), self.find(y)
+        self.parent[ry] = rx
+        return rx != ry
+
+
 def loop_edge_images(sk):
     """(L, tree-cotree images of the edges in Z^L, C* order, C* parent edges).
 
@@ -335,7 +377,7 @@ def loop_edge_images(sk):
     has coefficient +-1 in its boundary and is solved after the regions
     below it.
     """
-    uf = _UnionFind(sk.n_vertices)
+    uf = UnionFind(sk.n_vertices)
     in_tree = [uf.union(t, h) for t, h in sk.edges]
     adjacent = [[] for _ in range(sk.outside + 1)]
     for e, (r, s) in enumerate(sk.sides):

@@ -17,7 +17,7 @@ from math import comb
 
 import pytest
 
-from conftest import diagram_names, rename_points, rotate_curve, swap_alpha_curves, swap_beta_curves
+from conftest import diagram_names, scramble
 from h1_oracle import LoopH1, chain_diagram, lens_diagram, torus_diagram
 from sutured_kit import fixtures
 from sutured_kit.diagram import (SuturedDiagram, _edge_images, _eps_chain, epsilon, generators,
@@ -26,27 +26,6 @@ from sutured_kit.diagram import (SuturedDiagram, _edge_images, _eps_chain, epsil
 FAMILIES = ([("torus", p) for p in (2, 3, 5, 8, 13, 30)] + [("lens", p) for p in (2, 3, 7)]
             + [("chain", k) for k in range(1, 11)])
 BUILD = {"torus": torus_diagram, "lens": lens_diagram, "chain": chain_diagram}
-
-
-def scramble(data, rng):
-    """The same diagram with renamed points, curves started at other points,
-    swapped curves, and regions and their cycles in another order."""
-    names = sorted({p for curve in data["alpha"] + data["beta"] for p in curve})
-    data = rename_points(data, dict(zip(names, rng.sample([f"Q{i}" for i in range(len(names))],
-                                                          len(names)))))
-    for family in ("alpha", "beta"):
-        for i, curve in enumerate(data[family]):
-            data = rotate_curve(data, family, i, rng.randrange(max(len(curve), 1)))
-    if len(data["alpha"]) > 1:
-        data = swap_alpha_curves(data, *rng.sample(range(len(data["alpha"])), 2))
-    if len(data["beta"]) > 1:
-        data = swap_beta_curves(data, *rng.sample(range(len(data["beta"])), 2))
-    rng.shuffle(data["regions"])
-    for region in data["regions"]:
-        region["cycles"] = [cyc[k:] + cyc[:k] for cyc in region["cycles"]
-                            for k in [rng.randrange(max(len(cyc), 1))]]
-        rng.shuffle(region["cycles"])
-    return data
 
 
 def cases():

@@ -54,8 +54,8 @@ METHODS = {
     "abelian.IntMatrix": "column",
     "diagram.GeneratorMatching": "points sigma to_json",
     "diagram.Region": "from_json to_json",
-    "diagram.SuturedDiagram": "arc_endpoints arcs curve_arc_count curve_points curves from_json "
-                              "is_balanced require_balanced require_valid to_json validate",
+    "diagram.SuturedDiagram": "arcs curve_arc_count curve_points curves from_json is_balanced "
+                              "require_balanced require_valid to_json validate",
     "diagram.ValidationReport": "ok",
     "fixtures.FixtureInfo": "to_json",
     "fox.FreeWord": "exponents from_string",
