@@ -353,7 +353,11 @@ def _memo_levels(masks):
     n = len(masks)
     levels = [{(1 << n) - 1}]
     for r, row in enumerate(masks):
-        nonzero = [1 << j for j in range(n) if row >> j & 1]
+        nonzero = []
+        while row:
+            bit = row & -row
+            nonzero.append(bit)
+            row ^= bit
         level = {mask ^ bit for mask in levels[-1] for bit in nonzero if mask & bit}
         if len(level) > TOO_LARGE_DET:
             raise DeterminantTooLarge(f"{len(level)} minors after row {r + 1} > {TOO_LARGE_DET}")
@@ -389,19 +393,24 @@ def _unpack(keys, lows, bases, n):
 
 
 def det_group_ring(m, g):
-    """Determinant of a square matrix over Z[g].
+    """Determinant of a square matrix over Z[g], given by its nonzero cells.
 
-    Cofactor expansion with memoization on the set of unused columns; the
-    ring has zero divisors whenever g has torsion, so fraction-free
-    elimination is not available.  The expansion order is read from the
-    zero pattern alone: rows in ``_footprint_order``, of m or of its
-    transpose (g is abelian, so both have the same determinant), whichever
-    bounds fewer memo keys, and the result times the sign of that row
-    permutation.  Before any ring product a bitmask pass counts the memo
-    keys of each row of the order expanded and refuses more than
-    TOO_LARGE_DET at one row; if the chosen order is refused, the caller's
-    order is counted instead, and only its refusal is raised.  The minors
-    are then filled in for those keys, last row first.
+    m is a list of n rows, row i a dict {column j: M_ij} holding only the
+    nonzero elements, 0 <= j < n; a missing cell is zero.  Cofactor
+    expansion with memoization on the set of unused columns; the ring has
+    zero divisors whenever g has torsion, so fraction-free elimination is
+    not available.  The expansion order is read from the zero pattern
+    alone: rows in ``_footprint_order``, of m or of its transpose (g is
+    abelian, so both have the same determinant), whichever bounds fewer
+    memo keys, and the result times the sign of that row permutation.
+    Before any ring product a bitmask pass counts the memo keys of each
+    row of the order expanded and refuses more than TOO_LARGE_DET at one
+    row; if the chosen order is refused, the caller's order is counted
+    instead, and only its refusal is raised.  The minors are then filled
+    in for those keys, last row first, each from the nonzero cells of its
+    row alone: the cofactor sign of column j is the parity of the unused
+    columns below j.  The masks, the transpose and the packing read each
+    nonzero cell once.
 
     Inside, a group element is one int in the mixed radix of ``_packing``:
     a free coordinate ranges from its minimum to its maximum over all
@@ -411,10 +420,13 @@ def det_group_ring(m, g):
     end gives the coordinates, and the residues are reduced mod d.
     """
     n = len(m)
-    if any(len(row) != n for row in m):
+    if any(not 0 <= j < n for row in m for j in row):
         raise ValueError("matrix is not square")
-    masks = [sum(1 << j for j, e in enumerate(row) if not e.is_zero()) for row in m]
-    cols = [sum((mask >> j & 1) << i for i, mask in enumerate(masks)) for j in range(n)]
+    masks = [sum(1 << j for j in row) for row in m]
+    cols = [0] * n
+    for i, row in enumerate(m):
+        for j in row:
+            cols[j] |= 1 << i
     row_cost, row_order = _footprint_order(masks)
     col_cost, col_order = _footprint_order(cols)
     flip = col_cost < row_cost
@@ -427,11 +439,15 @@ def det_group_ring(m, g):
             raise
         flip, order, levels = False, list(range(n)), _memo_levels(masks)
     if flip:
-        m = list(zip(*m))
+        t = [{} for _ in range(n)]
+        for i, row in enumerate(m):
+            for j, e in row.items():
+                t[j][i] = e
+        m = t
     m = [m[i] for i in order]
     parity = _perm_sign(order)
 
-    elements = [h for row in m for e in row for h in e._terms]
+    elements = [h for row in m for e in row.values() for h in e._terms]
     ranges = [(min(col, default=0), max(col, default=0))
               for col in ([h.free[c] for h in elements] for c in range(g.free_rank))]
     lows, bases, weights = _packing(ranges + [(0, d - 1) for d in g.torsion], n)
@@ -443,25 +459,20 @@ def det_group_ring(m, g):
     # memo: column mask -> [(key, coeff)] of the minor on the rows below
     memo = {0: [(0, 1)]}
     for r in range(n - 1, -1, -1):
-        row = [[(pack(h), c) for h, c in e._terms.items()] for e in m[r]]
+        row = [(1 << j, [(pack(h), c) for h, c in m[r][j]._terms.items()]) for j in sorted(m[r])]
         above = {}
         for mask in levels[r]:
             total = {}
             get = total.get
-            sign = 1
-            rest = mask
-            while rest:
-                j_bit = rest & (-rest)
-                rest ^= j_bit
-                entry = row[j_bit.bit_length() - 1]
-                if entry:
+            for j_bit, entry in row:
+                if mask & j_bit:
                     minor = memo[mask ^ j_bit]
+                    sign = -1 if (mask & (j_bit - 1)).bit_count() & 1 else 1
                     for ka, ca in entry:
                         ca *= sign
                         for kb, cb in minor:
                             k = ka + kb
                             total[k] = get(k, 0) + ca * cb
-                sign = -sign
             above[mask] = [kc for kc in total.items() if kc[1]]
         memo = above
 

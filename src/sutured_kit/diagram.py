@@ -35,14 +35,16 @@ an outside node reached by the loop edges, leaves L = 2g + b - 1 edges.
 They map to unit vectors of Z^L, T to 0, and C* leaves-first to whatever
 kills each region boundary: an isomorphism H_1(surface) -> Z^L.  H_1(M)
 is the cokernel of the L x (|alpha| + |beta|) matrix rel of curve images, and
-with the point potentials phi(p) = P_alpha(p) - P_beta(p), prefix sums of
-arc images along the curves, eps(x, y) = sum phi(y) - sum phi(x).  Images,
-potentials and their sums are whole tuples (``map(add, ...)``,
-``map(sum, zip(...))``); the Spin^c partition packs each phi(p) into one
-int and keys every generator by the plain sum of its points' ints.  The
-Smith normal form u rel v = diag(s) is the only one any query runs, ``check``
-included: a periodic domain bounds sum n_c (curve c) with n in the kernel
-of rel, a connecting domain bounds the eps chain plus the n solving
+with the point vectors phi(p) = P_alpha(p) - P_beta(p), prefix sums of
+arc images along the curves, eps(x, y) = sum phi(y) - sum phi(x).  Edge
+images, curve images and phi(p) are sparse vectors {coordinate: nonzero
+int}, so their sums cost their nonzero entries, not L each; the potential
+of p is the projection to H_1(M) applied to phi(p), a whole tuple, and
+the Spin^c partition packs each potential into one int and keys every
+generator by the plain sum of its points' ints.  The Smith normal form
+u rel v = diag(s) is the only one any query runs, ``check`` included: a
+periodic domain bounds sum n_c (curve c) with n in the kernel of rel, a
+connecting domain bounds the eps chain plus the n solving
 rel n = -image, and H_2 of the surface being 0, each lifts root first
 along C* to one 2-chain, which is 0 on the regions touching the boundary.
 
@@ -56,7 +58,7 @@ import re
 from collections import Counter
 from functools import cached_property
 from itertools import chain, repeat
-from operator import add, mod, mul, neg, sub
+from operator import mod, mul, neg, sub
 
 from . import abelian
 from .abelian import (GroupElement, GroupRingElem, IntMatrix, _packing, _perm_sign, _unpack,
@@ -554,12 +556,32 @@ class _Skeleton:
                 for v, c in enumerate(cycles) if c > 1]
 
 
+def _add_to(total, vec, c=1):
+    """total += c * vec on sparse vectors {coordinate: nonzero int}; a
+    coordinate that cancels leaves total."""
+    if c:
+        for j, x in vec.items():
+            x = total.get(j, 0) + c * x
+            if x:
+                total[j] = x
+            else:
+                del total[j]
+
+
+def _apply(rows, vec):
+    """The integer matrix with the given rows applied to a sparse vector."""
+    items = vec.items()
+    return tuple([sum([row[j] * x for j, x in items]) for row in rows])
+
+
 def _edge_images(sk):
     """(L, tree-cotree images of the edges in Z^L, C* order, C* parent edges).
 
-    C* is breadth-first from the outside node; the C* edge above a region
-    has coefficient +-1 in its boundary and is solved after the regions
-    below it.
+    An image is a sparse vector {coordinate: nonzero int}: {} on a tree
+    edge, {k: 1} on the k-th leftover edge.  C* is breadth-first from the
+    outside node; the C* edge above a region has coefficient +-1 in its
+    boundary and is solved after the regions below it, from the nonzero
+    images of the other edges of that boundary.
     """
     in_tree, _ = _union_find(sk.n_vertices, sk.edges)
     adjacent = [[] for _ in range(sk.outside + 1)]
@@ -578,46 +600,48 @@ def _edge_images(sk):
         raise InvalidDiagram("regions are not connected across the cut graph")
     cotree = set(parent_edge.values())
     leftover = [e for e in range(len(sk.edges)) if not in_tree[e] and e not in cotree]
-    rank = len(leftover)
-    zero = (0,) * rank
-    images = [zero] * len(sk.edges)
+    images = [{}] * len(sk.edges)            # one shared {}: images are never changed in place
     for k, e in enumerate(leftover):
-        images[e] = zero[:k] + (1,) + zero[k + 1:]
+        images[e] = {k: 1}
     for r in reversed(order[1:]):
         up = parent_edge[r]
-        total = zero
-        for e, c in sk.columns[r].items():
-            if e != up and images[e] != zero:
-                total = tuple(map(add, total, map(c.__mul__, images[e])))
-        images[up] = tuple(map((-sk.columns[r][up]).__mul__, total))
-    return rank, images, order, parent_edge
+        col = sk.columns[r]
+        total = {}
+        for e, c in col.items():
+            if images[e] and e != up:
+                _add_to(total, images[e], c)
+        if total:
+            c = -col[up]
+            images[up] = {j: c * x for j, x in total.items()}
+    return len(leftover), images, order, parent_edge
 
 
 class _H1Data:
-    """H_1(M) = H_1(surface) / curve classes, the potential of each point, and
-    the Smith form u*rel*v = diag(s) of the curve-image matrix rel."""
+    """H_1(M) = H_1(surface) / curve classes, the sparse phi(p) and the
+    potential of each point, and the Smith form u*rel*v = diag(s) of the
+    curve-image matrix rel, filled from the sparse curve images."""
 
     def __init__(self, d):
         self.skeleton = sk = d._skeleton
         self.rank, self.images, self.order, self.parent_edge = _edge_images(sk)
         self.internal = internal_regions(d)
-        zero = (0,) * self.rank
-        curve_images = []
-        phi = {}                 # point -> P_alpha(p) - P_beta(p)
+        rel = [[0] * len(sk.curve_edges) for _ in range(self.rank)]
+        phi = {}                 # point -> P_alpha(p) - P_beta(p), sparse
         for c, (pts, edges) in enumerate(zip(d.alpha + d.beta, sk.curve_edges)):
-            op = add if c < len(d.alpha) else sub
-            acc = zero
+            sign = 1 if c < len(d.alpha) else -1
+            acc = {}
             for k, e in enumerate(edges):
                 if pts:
-                    phi[pts[k]] = tuple(map(op, phi.get(pts[k], zero), acc))
-                acc = tuple(map(add, acc, self.images[e]))
-            curve_images.append(acc)
-        rel = IntMatrix(tuple(tuple(img[r] for img in curve_images)
-                              for r in range(self.rank)),
-                        self.rank, len(curve_images))
-        self.snf = u, s, _ = abelian.smith_normal_form(rel)
+                    _add_to(phi.setdefault(pts[k], {}), acc, sign)
+                _add_to(acc, self.images[e])
+            for j, x in acc.items():
+                rel[j][c] = x
+        self.phi = phi
+        self.snf = u, s, _ = abelian.smith_normal_form(
+            IntMatrix._of(tuple(map(tuple, rel)), self.rank, len(sk.curve_edges)))
         self.group = smith_cokernel(u, s)
-        self.potential = {p: self.group.projection @ v for p, v in phi.items()}
+        proj = self.group.projection.entries
+        self.potential = {p: _apply(proj, v) for p, v in phi.items()}
 
     def class_of(self, chain):
         """Class in H_1(M) of a 1-cycle {arc: coefficient}."""
@@ -631,12 +655,14 @@ class _H1Data:
             edges[e] = c
         if any(boundary.values()):
             raise InvalidDiagram("chain is not a 1-cycle")
-        return self.group.from_ambient(self.image(edges))
+        return self.group.from_coords(_apply(self.group.projection.entries, self.image(edges)))
 
     def image(self, edges):
-        """The image in Z^L of an edge chain {edge: coefficient}."""
-        return tuple(map(sum, zip((0,) * self.rank,
-                                  *(map(c.__mul__, self.images[e]) for e, c in edges.items()))))
+        """The image in Z^L of an edge chain {edge: coefficient}, sparse."""
+        total = {}
+        for e, c in edges.items():
+            _add_to(total, self.images[e], c)
+        return total
 
     def lift(self, chain, curve_coeffs):
         """The domain bounded by the edge chain plus sum n_c (curve c), a
@@ -849,9 +875,9 @@ def connecting_domains(d, x, y):
     # rel n = -image(chain); eps = 0 makes every division by s exact
     u, s, v = data.snf
     chain = {data.skeleton.arc_edge[arc]: c for arc, c in _eps_chain(d, x, y).items()}
-    image = tuple(map(neg, data.image(chain)))
     rank = data.rank - data.group.free_rank
-    n = [t // s[i] for i, t in enumerate((u @ image)[:rank])] + [0] * (v.rows - rank)
+    image = _apply(u.entries[:rank], data.image(chain))
+    n = [-t // s[i] for i, t in enumerate(image)] + [0] * (v.rows - rank)
     return data.lift(chain, v @ n), periodic_lattice(d)
 
 
@@ -874,16 +900,20 @@ def euler_polynomial(d):
     M_ij sums sign(p) h^phi(p) over the points p of alpha_i and beta_j, so
     by Leibniz det M sums sign(x) h^(sum phi(x)) over the generators x: the
     count graded by eps against x0 times the unit h^(sum phi(x0)), which
-    the +-h normalization absorbs.  Returns (polynomial, H_1(M)).
+    the +-h normalization absorbs.  Row i holds only the nonzero cells of
+    alpha_i, at most one per point, for ``det_group_ring`` to read.
+    Returns (polynomial, H_1(M)).
     """
     d.require_balanced()
     data = _h1data(d)
     group = data.group
     _, bpos = d._curve_of
-    cells = [[[] for _ in d.beta] for _ in d.alpha]
-    for i, curve in enumerate(d.alpha):
+    rows = []
+    for curve in d.alpha:
+        cells = {}
         for p in curve:
-            h = group.from_coords(data.potential[p])
-            cells[i][bpos[p]].append((h, d.crossing_sign[p]))
-    m = [[GroupRingElem(cell) for cell in row] for row in cells]
-    return doteq_normalize(det_group_ring(m, group), group), group
+            cells.setdefault(bpos[p], []).append((group.from_coords(data.potential[p]),
+                                                  d.crossing_sign[p]))
+        row = {j: GroupRingElem(cell) for j, cell in cells.items()}
+        rows.append({j: e for j, e in row.items() if not e.is_zero()})
+    return doteq_normalize(det_group_ring(rows, group), group), group

@@ -214,10 +214,12 @@ def theta_matrix(p, k):
 def torsion(p, k):
     """The torsion polynomial det Theta, normalized up to +-h.
 
+    ``det_group_ring`` reads the nonzero cells of each row of Theta.
     Returns (element of Z[H_1], H_1).  The determinant formula assumes the
     presented manifold is irreducible with connected top and bottom
     boundary surfaces; that is a contract on the input data, not something
     checkable here.
     """
     theta, g = theta_matrix(p, k)
-    return doteq_normalize(det_group_ring(theta, g), g), g
+    rows = [{j: e for j, e in enumerate(row) if e._terms} for row in theta]
+    return doteq_normalize(det_group_ring(rows, g), g), g

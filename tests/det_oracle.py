@@ -5,8 +5,11 @@ as an independent check: the same bitmask pass and memo over column
 sets, but every product goes through ``ring_mul`` on ``GroupElement``
 keys, with torsion residues reduced at each step.  ``oracle_det()``
 swaps it in for ``det_group_ring`` in every library module that binds
-that name, so whole CLI commands can be run on it.  ``Unreadable`` is
-the entry that shows a size bound is checked before any product.
+that name, so whole CLI commands can be run on it; the library hands it
+the nonzero cells of each row, which ``dense_of`` fills out with zeros.
+``rows_of`` goes the other way, from a dense matrix to the dict rows that
+the library's ``det_group_ring`` reads.  ``Unreadable`` is the entry that
+shows a size bound is checked before any product.
 """
 
 from contextlib import contextmanager
@@ -17,8 +20,19 @@ from sutured_kit.abelian import TOO_LARGE_DET, GroupRingElem
 from sutured_kit.errors import DeterminantTooLarge
 
 
+def rows_of(dense):
+    """The nonzero cells of a dense square matrix, one dict {column: entry} per row."""
+    return [{j: e for j, e in enumerate(row) if not e.is_zero()} for row in dense]
+
+
+def dense_of(rows):
+    """The n x n matrix, n = len(rows), with the cells of rows[i] in row i and 0 elsewhere."""
+    zero = GroupRingElem()
+    return [[row.get(j, zero) for j in range(len(rows))] for row in rows]
+
+
 def det_group_ring(m, g):
-    """Determinant of a square matrix over Z[g].
+    """Determinant of a dense square matrix over Z[g].
 
     Cofactor expansion with memoization on the set of unused columns; the
     ring has zero divisors whenever g has torsion, so fraction-free
@@ -71,13 +85,18 @@ class Unreadable:
         return False
 
 
+def det_of_rows(rows, g):
+    """``det_group_ring`` on the library's input form."""
+    return det_group_ring(dense_of(rows), g)
+
+
 @contextmanager
 def oracle_det():
     """Run the library on this module's ``det_group_ring`` inside the block."""
     modules = (abelian, fox, diagram)
     saved = [mod.det_group_ring for mod in modules]
     for mod in modules:
-        mod.det_group_ring = det_group_ring
+        mod.det_group_ring = det_of_rows
     try:
         yield
     finally:

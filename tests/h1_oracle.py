@@ -15,11 +15,13 @@ builders for the parametric families T(p,1;2), T(1,0;2k+2) and L(p,1)
 minus a ball.  Also the integer matrix product and determinant that the
 Smith-form tests check against, which the library does not need, and the
 tree-cotree H_1 path as the library ran it one coordinate at a time
-before it worked on whole tuples: the edge images, the point potentials,
-eps and the Spin^c classes.  The Spin^c partition as the library found it
-before it packed the potentials: one tuple sum per generator, reduced one
-by one, and one ``FinAbGroup.sub`` per ordered pair of classes.  The
-union-find with one method call per find and union.
+before it worked on whole tuples, and then on sparse vectors: the edge
+images, the point potentials, eps and the Spin^c classes, all dense, with
+``dense`` to compare the library's sparse vectors against them.  The
+Spin^c partition as the library found it before it packed the
+potentials: one tuple sum per generator, reduced one by one, and one
+``FinAbGroup.sub`` per ordered pair of classes.  The union-find with one
+method call per find and union.
 """
 
 from operator import mul, neg
@@ -411,9 +413,17 @@ def loop_edge_images(sk):
     return rank, images, order, parent_edge
 
 
+def dense(vec, length):
+    """The tuple of ``length`` entries holding a sparse vector {coordinate: int}."""
+    out = [0] * length
+    for j, x in vec.items():
+        out[j] = x
+    return tuple(out)
+
+
 class LoopH1:
     """The edge images, the curve-image matrix rel, its Smith form by
-    ``snf_oracle``, H_1(M) and the potential of each point."""
+    ``snf_oracle``, H_1(M), and phi and the potential of each point."""
 
     def __init__(self, d):
         d.require_valid()
@@ -438,6 +448,7 @@ class LoopH1:
                              self.rank, len(curve_images))
         self.snf = u, s, _ = oracle_smith_normal_form(self.rel)
         self.group = smith_cokernel(u, s)
+        self.phi = phi
         self.potential = {p: self.group.projection @ v for p, v in phi.items()}
 
     def difference(self, x, y):

@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from det_oracle import rows_of
 from h1_oracle import (det, diagonal, kernel_basis, matmul, quadratic_doteq_normalize,
                        solve_integer)
 from ring_oracle import (doteq_equal, element, identity, leibniz_det, per_term_doteq_normalize,
@@ -157,12 +158,12 @@ class TestDeterminant:
     def test_small_cases(self):
         g = FinAbGroup(1)
         x = random_ring_elem(random.Random(1), g)
-        assert det_group_ring([[x]], g) == x
-        assert det_group_ring([], g) == ring_one(g)
+        assert det_group_ring(rows_of([[x]]), g) == x
+        assert det_group_ring(rows_of([]), g) == ring_one(g)
         rng = random.Random(2)
         a, b, c, d = (random_ring_elem(rng, g) for _ in range(4))
         expect = ring_add(ring_mul(a, d, g), ring_neg(ring_mul(b, c, g)))
-        assert det_group_ring([[a, b], [c, d]], g) == expect
+        assert det_group_ring(rows_of([[a, b], [c, d]]), g) == expect
 
     @pytest.mark.parametrize("group", [FinAbGroup(1), FinAbGroup(1, (2,))])
     def test_leibniz_oracle(self, group):
@@ -171,7 +172,7 @@ class TestDeterminant:
             n = rng.randint(0, 4)
             m = [[random_ring_elem(rng, group, 2, 2) for _ in range(n)]
                  for _ in range(n)]
-            assert det_group_ring(m, group) == leibniz_det(m, group)
+            assert det_group_ring(rows_of(m), group) == leibniz_det(m, group)
 
     def test_block_multiplicative(self):
         rng = random.Random(17)
@@ -184,8 +185,8 @@ class TestDeterminant:
             M = [[A[i][j] if i < na and j < na else
                   B[i - na][j - na] if i >= na and j >= na else zero
                   for j in range(na + nb)] for i in range(na + nb)]
-            assert det_group_ring(M, g) == ring_mul(
-                det_group_ring(A, g), det_group_ring(B, g), g)
+            assert det_group_ring(rows_of(M), g) == ring_mul(
+                det_group_ring(rows_of(A), g), det_group_ring(rows_of(B), g), g)
 
     def test_row_swap_negates(self):
         rng = random.Random(19)
@@ -193,7 +194,7 @@ class TestDeterminant:
         for _ in range(20):
             m = [[random_ring_elem(rng, g, 2, 2) for _ in range(3)] for _ in range(3)]
             swapped = [m[1], m[0], m[2]]
-            assert det_group_ring(swapped, g) == ring_neg(det_group_ring(m, g))
+            assert det_group_ring(rows_of(swapped), g) == ring_neg(det_group_ring(rows_of(m), g))
 
     def test_residues_that_agree_mod_d_merge(self):
         # the decode reduces the unreduced residue sums 0..3 mod 2 onto two elements
@@ -202,18 +203,18 @@ class TestDeterminant:
         zero = GroupRingElem()
         x_plus_xt = GroupRingElem({x: 1, xt: 1})
         diagonal = [[x_plus_xt if i == j else zero for j in range(3)] for i in range(3)]
-        cube = det_group_ring(diagonal, g)          # x^3 (1 + t)^3 = 4 x^3 + 4 x^3 t
+        cube = det_group_ring(rows_of(diagonal), g)    # x^3 (1 + t)^3 = 4 x^3 + 4 x^3 t
         assert cube == GroupRingElem({element(g, (3,), (0,)): 4, element(g, (3,), (1,)): 4})
         assert all(type(e) is GroupElement for e in cube._terms)
         one = ring_one(g)
         cancel = [[one, GroupRingElem({t: 1})], [GroupRingElem({t: 1}), one]]
-        assert det_group_ring(cancel, g).is_zero()  # 1 - t^2 = 0
+        assert det_group_ring(rows_of(cancel), g).is_zero()    # 1 - t^2 = 0
 
     def test_size_guard(self):
         g = FinAbGroup(1)
         big = [[ring_one(g)] * 17 for _ in range(17)]
         with pytest.raises(DeterminantTooLarge):
-            det_group_ring(big, g)
+            det_group_ring(rows_of(big), g)
 
 
 class TestDoteq:

@@ -13,6 +13,7 @@ import numpy as np
 from conftest import (brute_force_admissible, diagram_names, lagrangian_loop, load_support,
                       paired_names, random_symmetric, tensor_rank_identity, total_rank,
                       two_circles_disk, unitary_group_loop)
+from det_oracle import rows_of
 from fox_oracle import combo_add, combo_mul, concat, fox_derivative
 from h1_oracle import det, diagonal, matmul
 from ring_oracle import doteq_equal, element, identity, leibniz_det, ring_one
@@ -145,7 +146,7 @@ def test_criterion_6_determinant_oracle():
                         tuple(rng.randrange(d) for d in g.torsion)):
                 rng.randint(-2, 2)})
                 for _ in range(n)] for _ in range(n)]
-            assert det_group_ring(m, g) == leibniz_det(m, g)
+            assert det_group_ring(rows_of(m), g) == leibniz_det(m, g)
     report(6, "determinant matches the Leibniz expansion (120 random matrices)")
 
 

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from conftest import diagram_names
-from det_oracle import Unreadable
+from det_oracle import Unreadable, rows_of
 from h1_oracle import (chain_diagram, enumerated_euler_polynomial,
                        lens_diagram, torus_diagram)
 from ring_oracle import element, ring_mul, ring_one
@@ -86,7 +86,7 @@ class TestMemoKeyBound:
         want = ring_one(g)
         for i in range(n):
             want = ring_mul(want, m[i][i], g)
-        assert det_group_ring(m, g) == want
+        assert det_group_ring(rows_of(m), g) == want
 
     def test_block_diagonal_seventeen(self):
         rng = random.Random(41)
@@ -102,12 +102,12 @@ class TestMemoKeyBound:
               for j in range(17)] for i in range(17)]
         want = ring_one(g)
         for a, b in blocks:
-            want = ring_mul(want, det_group_ring([row[a:b] for row in m[a:b]], g), g)
+            want = ring_mul(want, det_group_ring(rows_of([row[a:b] for row in m[a:b]]), g), g)
         assert not want.is_zero()
-        assert det_group_ring(m, g) == want
+        assert det_group_ring(rows_of(m), g) == want
 
     def test_refused_before_any_ring_product(self):
         dense = [[Unreadable()] * 17 for _ in range(17)]
         with pytest.raises(DeterminantTooLarge) as refused:
-            det_group_ring(dense, FinAbGroup(1))
+            det_group_ring(rows_of(dense), FinAbGroup(1))
         assert refused.value.detail == "19448 minors after row 7 > 12870"

@@ -1,15 +1,17 @@
-"""The H_1 path on whole tuples against the per-coordinate oracle.
+"""The H_1 path on sparse vectors against the per-coordinate oracle.
 
 ``h1_oracle.LoopH1`` is the tree-cotree path as it ran one coordinate at
 a time: the cotree solve, the potential loop, the Smith form of
 ``snf_oracle`` and eps summed point by point.  The library must agree
-with it on the edge images, the potentials, (u, s, v) and the Spin^c
-classes: on every bundled fixture (the disk and the annulus have one
-generator with no points), on T(p,1;2), L(p,1) and T(1,0;2k+2) with
-k <= 10, and on seeded scrambles of each.  A subset count over the beta
-curves used, keyed by the summed potential, gives the size of every
-Spin^c class without listing the generators; it must match the partition
-and, on T(1,0;2k+2) up to k = 16, the binomial row C(k, i).
+with it on the edge images and phi, each sparse vector holding no zero
+entry and equal to the oracle's tuple once made dense, on the
+potentials, (u, s, v) and the Spin^c classes: on every bundled fixture
+(the disk and the annulus have one generator with no points), on
+T(p,1;2), L(p,1) and T(1,0;2k+2) with k <= 10, and on seeded scrambles
+of each.  A subset count over the beta curves used, keyed by the summed
+potential, gives the size of every Spin^c class without listing the
+generators; it must match the partition and, on T(1,0;2k+2) up to
+k = 16, the binomial row C(k, i).
 """
 
 import random
@@ -18,7 +20,7 @@ from math import comb
 import pytest
 
 from conftest import diagram_names, scramble
-from h1_oracle import LoopH1, chain_diagram, lens_diagram, torus_diagram
+from h1_oracle import LoopH1, chain_diagram, dense, lens_diagram, torus_diagram
 from sutured_kit import fixtures
 from sutured_kit.diagram import (SuturedDiagram, _edge_images, _eps_chain, epsilon, generators,
                                  h1_of_M, spinc_partition)
@@ -45,9 +47,13 @@ def test_h1_path_matches_per_coordinate_oracle(label, data):
     d = SuturedDiagram.from_json(data)
     h1_of_M(d)
     h1, oracle = d._h1, LoopH1(d)
-    assert _edge_images(d._skeleton) == (oracle.rank, oracle.images, oracle.order,
-                                         oracle.parent_edge)
-    assert h1.images == oracle.images
+    rank, images, order, parent_edge = _edge_images(d._skeleton)
+    assert (rank, order, parent_edge) == (oracle.rank, oracle.order, oracle.parent_edge)
+    for sparse in (images, h1.images):
+        assert [dense(img, rank) for img in sparse] == oracle.images
+        assert not any(0 in img.values() for img in sparse)
+    assert {p: dense(v, rank) for p, v in h1.phi.items()} == oracle.phi
+    assert not any(0 in v.values() for v in h1.phi.values())
     assert h1.potential == oracle.potential
     (u, s, v), (ou, os, ov) = h1.snf, oracle.snf
     assert (u.entries, s, v.entries) == (ou.entries, os, ov.entries)
