@@ -6,7 +6,7 @@ Modules:
 - ``abelian``: Smith normal form, abelian groups, group-ring determinants up to units
 - ``fox``: free words, torsion of balanced presentations via Fox derivatives in Z[H_1]
 - ``diagram``: sutured Heegaard diagrams, generators, Spin^c partition, domains
-- ``polytope``: exact support polytopes, faces, support function, rank bounds
+- ``polytope``: exact support polytopes, central symmetry, rank bounds
 - ``maslov``: Maslov loop indices and spectral flow of symmetric paths
 - ``oracle``: closed-form rank tables used as ground truth
 - ``fixtures``: bundled example data tying the modules together

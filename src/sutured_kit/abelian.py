@@ -320,12 +320,17 @@ def ring_aug(x):
 
 
 def _perm_sign(perm):
-    sign = 1
+    """Sign of a permutation of range(n): (-1)^(n - number of cycles)."""
+    seen = [False] * len(perm)
+    parity = len(perm)
     for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
+        if not seen[i]:
+            parity -= 1
+            j = i
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+    return -1 if parity & 1 else 1
 
 
 def _footprint_order(masks):

@@ -1,5 +1,5 @@
-"""Support polytopes of Spin^c data, their faces and support function,
-plus the rank-based depth and disjoint-surface bound calculators.
+"""Support polytopes of Spin^c data, their central symmetry, and the
+rank-based depth and disjoint-surface bound calculators.
 
 Support points are integer vectors in Z^r (classes of supported Spin^c
 structures pushed to the free part of H_1 and doubled, following the
@@ -7,7 +7,9 @@ convention that first Chern classes double torsor distances).  The hull
 is exact and uses only integers: every rank and null vector comes from
 one fraction-free elimination, ``abelian.echelon``, and every predicate
 is the sign of an integer dot product.  It grows by beneath-beyond from a
-simplex that spans the points' affine hull: each point beyond some facets
+simplex that spans the points' affine hull, taking the points farthest
+from their centroid first, so that the simplex is large and interior
+points arrive beneath every facet: each point beyond some facets
 replaces them by the cone from the point over their horizon.  Only the
 span equations and the first simplex's facets take an elimination: such
 a facet's normal is the primitive null vector of its edges and the span
@@ -23,7 +25,9 @@ elimination would give, at the cost of O(r) products and one gcd.
 Every normal lies in the span and needs no change of coordinates.  A
 point on a facet's hyperplane counts as beneath, so coplanar simplices
 merge by primitive normal and the facet set depends only on the point
-set.
+set.  The span equations are the null vectors of the first simplex's
+edges alone, and a point is a vertex when no other point lies on every
+facet through it, a test of bitmasks with no elimination.
 
 The polytope of a diagram is computed from Euler-characteristic support.
 That is a lower bound for the full homology support: where rank
@@ -32,8 +36,9 @@ smaller.  The bundled fixtures all have torsion coefficients +-1, where
 the two notions coincide.
 """
 
+from functools import reduce
 from math import gcd
-from operator import mul
+from operator import and_, mul
 
 from .abelian import echelon
 from .errors import (BadDimension, DimensionTooLarge, EmptySupport,
@@ -157,24 +162,35 @@ def hull(s):
     """Exact convex hull of the support points; handles lower dimensions.
 
     Beneath-beyond over the integers: a first simplex spanning the points'
-    affine hull is grown one point at a time, each point beyond some
-    facets replacing them by its cone over their horizon.
+    affine hull is grown one point at a time, farthest from the centroid
+    first, each point beyond some facets replacing them by its cone over
+    their horizon.
     """
     r = s.dimension
     if r > MAX_DIMENSION:
         raise DimensionTooLarge(f"support dimension {r} exceeds {MAX_DIMENSION}")
-    pts = list(s.points)
-    if not pts:
+    if not s.points:
         raise EmptySupport("no support points")
 
+    # farthest from the centroid first (Quickhull's order): |N x - t|^2, t the
+    # coordinate sums, is N^2 times the squared distance, in integers.  The
+    # first simplex is then large and most interior points arrive beneath
+    # every facet.  The sort is stable, and the output does not depend on
+    # the order anyway: hyperplanes and vertices are sorted, the equations
+    # come from a unique reduced echelon form.
+    size = len(s.points)
+    total = [sum(col) for col in zip(*s.points)]
+    pts = sorted(s.points, reverse=True,
+                 key=lambda p: sum((size * x - t) ** 2 for x, t in zip(p, total)))
+
     # first simplex: the pivot columns of the differences, as columns, are
-    # the points that raise the rank, in input order; the span equations
-    # are the null vectors of the differences
+    # the points that raise the rank, in that order.  Its edges span the
+    # differences' row space, so their null vectors are the span equations.
     origin = pts[0]
     diffs = [tuple(a - b for a, b in zip(p, origin)) for p in pts]
     simplex = [0] + echelon(list(zip(*diffs)))[0]
     d = len(simplex) - 1
-    equations = [(n, _dot(n, origin)) for n in _kernel(diffs, r)]
+    equations = [(n, _dot(n, origin)) for n in _kernel([diffs[i] for i in simplex], r)]
 
     if d == 0:
         return SupportPolytope(r, 0, (tuple(origin),), (), tuple(equations))
@@ -230,37 +246,18 @@ def hull(s):
             add_facet(tuple(sorted(ridge + (i,))), n, _dot(n, p))
     hyperplanes = sorted(set(facets.values()))
 
-    # vertices: points whose tight facet normals have rank d
-    vertices = []
-    for i in {i for f in facets for i in f}:
-        tight = [n for n, c in hyperplanes if _dot(n, pts[i]) == c]
-        if len(echelon(tight)[0]) == d:
-            vertices.append(pts[i])
-    vertices.sort()
+    # vertices: the facets through a point p cut out the smallest face
+    # containing it, and a face other than {p} has another vertex, an input
+    # point on each of those facets.  So p is a vertex exactly when no other
+    # point lies on every facet hyperplane through p: the AND of the masks
+    # of the points on those hyperplanes is p's own bit.  Every vertex is a
+    # corner of some facet simplex, so only those points are tried.
+    corners = {i for f in facets for i in f}
+    masks = [sum(1 << i for i in corners if _dot(n, pts[i]) == c) for n, c in hyperplanes]
+    vertices = sorted(pts[i] for i in corners
+                      if reduce(and_, (m for m in masks if m >> i & 1)) == 1 << i)
 
     return SupportPolytope(r, d, tuple(vertices), tuple(hyperplanes), tuple(equations))
-
-
-def support_function(p, alpha):
-    """y_t(alpha): the maximum of <-c, alpha> over the polytope, exactly."""
-    return -p.min_value(tuple(alpha))
-
-
-def face(p, s, alpha):
-    """Minimizing face in direction alpha and the support points realizing it.
-
-    Returns (face polytope, tuple of input points attaining the minimum of
-    <c, alpha>).  alpha = 0 gives back the whole polytope.
-    """
-    alpha = tuple(alpha)
-    if len(alpha) != p.ambient_dimension:
-        raise BadDimension("direction has the wrong length")
-    vals = {pt: sum(a * b for a, b in zip(pt, alpha)) for pt in s.points}
-    cmin = min(vals.values())
-    chosen = tuple(pt for pt in s.points if vals[pt] == cmin)
-    sub = SupportData(s.dimension, chosen,
-                      {pt: s.multiplicity[pt] for pt in chosen})
-    return hull(sub), chosen
 
 
 def is_centrally_symmetric(p):
@@ -273,12 +270,6 @@ def is_centrally_symmetric(p):
     total = [sum(col) for col in zip(*p.vertices)]
     scaled = {tuple(n * x for x in w) for w in p.vertices}
     return all(tuple(2 * t - n * x for t, x in zip(total, v)) in scaled for v in p.vertices)
-
-
-def surface_c(chi, index_i, rotation_r):
-    """The pairing value chi(S) + I(S) - r(S, t) of a decomposing surface."""
-    from fractions import Fraction  # no subcommand reads it; kept off the import path
-    return Fraction(chi) + Fraction(index_i) - Fraction(rotation_r)
 
 
 def depth_bound(rank):

@@ -13,6 +13,10 @@ took each new facet from the pencil at the horizon ridge: every facet,
 first simplex and cone alike, is the primitive null vector of its edges
 and the span equations (one integer elimination each), turned toward the
 first simplex's centroid.  It reaches the sizes the library serves.
+
+``rank_vertices`` is the vertex test both used, and the library too
+before it tested point masks: a point is a vertex when the normals of
+the facet hyperplanes through it have rank d, one elimination per point.
 """
 
 from fractions import Fraction
@@ -237,11 +241,11 @@ def kernel_hull(s):
             add_facet(tuple(sorted(ridge + (i,))))
     hyperplanes = sorted(set(facets.values()))
 
-    vertices = []
-    for i in {i for f in facets for i in f}:
-        tight = [n for n, c in hyperplanes if _dot(n, pts[i]) == c]
-        if len(echelon(tight)[0]) == d:
-            vertices.append(pts[i])
-    vertices.sort()
-
+    vertices = rank_vertices(pts, hyperplanes, d)
     return SupportPolytope(r, d, tuple(vertices), tuple(hyperplanes), tuple(equations))
+
+
+def rank_vertices(points, hyperplanes, d):
+    """The points whose tight facet normals have rank d, sorted."""
+    return sorted(p for p in points
+                  if len(echelon([n for n, c in hyperplanes if _dot(n, p) == c])[0]) == d)

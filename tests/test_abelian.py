@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import gcd
 
@@ -10,8 +11,8 @@ from h1_oracle import (det, diagonal, kernel_basis, matmul, quadratic_doteq_norm
 from ring_oracle import (doteq_equal, element, identity, leibniz_det, per_term_doteq_normalize,
                          per_term_invert_exponents, ring_add, ring_mul, ring_neg, ring_one,
                          ring_to_json)
-from sutured_kit.abelian import (FinAbGroup, GroupElement, GroupRingElem, IntMatrix, cokernel,
-                                 det_group_ring, doteq_normalize, group_to_json,
+from sutured_kit.abelian import (FinAbGroup, GroupElement, GroupRingElem, IntMatrix, _perm_sign,
+                                 cokernel, det_group_ring, doteq_normalize, group_to_json,
                                  ring_aug, ring_invert_exponents, smith_normal_form)
 from sutured_kit.errors import DeterminantTooLarge
 
@@ -355,3 +356,23 @@ class TestSerialization:
         x = GroupRingElem({identity(g): 2, element(g, (1,)): -5})
         assert ring_aug(x) == -3
         assert ring_aug(GroupRingElem({element(g, (3,)): 4})) == 4
+
+
+def inversion_sign(perm):
+    """The sign by counting inversions, O(n^2)."""
+    n = len(perm)
+    return -1 if sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)) % 2 else 1
+
+
+class TestPermSign:
+    def test_every_permutation_up_to_seven(self):
+        for n in range(8):
+            for perm in itertools.permutations(range(n)):
+                assert _perm_sign(perm) == inversion_sign(perm)
+
+    def test_seeded_large_permutation(self):
+        perm = list(range(400))
+        random.Random(400).shuffle(perm)
+        assert _perm_sign(perm) == inversion_sign(perm)
+        perm[0], perm[1] = perm[1], perm[0]
+        assert _perm_sign(perm) == inversion_sign(perm)

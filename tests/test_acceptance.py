@@ -26,7 +26,8 @@ from sutured_kit.maslov import (SymmetricPath, UnitaryLoop, maslov_loop_index,
                                 spectral_flow, symplectic_loop_index)
 from sutured_kit.oracle import solid_torus_sfh
 from sutured_kit.polytope import (depth_bound, hull, is_centrally_symmetric,
-                                  seifert_surface_bound, support_function)
+                                  seifert_surface_bound)
+from test_polytope import support_function
 
 
 def report(n, text):

@@ -807,8 +807,8 @@ def test_numpy_is_loaded_only_by_maslov(tmp_path):
 
 
 def test_cli_start_up_loads_no_dataclasses_or_fractions():
-    # the records are plain classes or named tuples, surface_c imports Fraction
-    # when it runs, argv is read from a table, and fixtures_dir imports pathlib;
+    # the records are plain classes or named tuples, no module imports Fraction,
+    # argv is read from a table, and fixtures_dir imports pathlib when it runs;
     # under -S no .pth file can load one of them before the program does
     script = (
         "import sys, sutured_kit.cli\n"

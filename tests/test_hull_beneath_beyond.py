@@ -14,7 +14,8 @@ import json
 from hypothesis import given, settings, strategies as st
 
 from hull_oracle import subset_face, subset_hull
-from sutured_kit.polytope import SupportData, face, hull
+from sutured_kit.polytope import SupportData, hull
+from test_polytope import face
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 

@@ -9,12 +9,41 @@ from sutured_kit import fixtures
 from sutured_kit.diagram import euler_polynomial
 from sutured_kit.errors import (BadDimension, DimensionTooLarge, EmptySupport,
                                 NonPositiveRank)
-from sutured_kit.polytope import (SupportData, depth_bound, face, hull,
-                                  is_centrally_symmetric,
-                                  seifert_surface_bound, support_from_euler_polynomial,
-                                  support_function, surface_c)
+from sutured_kit.polytope import (SupportData, depth_bound, hull, is_centrally_symmetric,
+                                  seifert_surface_bound, support_from_euler_polynomial)
 
 TRIANGLE = SupportData(2, ((0, 0), (2, 0), (0, 2)))
+
+
+# the support function, faces and the surface pairing value: no subcommand
+# uses them, so they live here, next to their tests
+
+
+def support_function(p, alpha):
+    """y_t(alpha): the maximum of <-c, alpha> over the polytope, exactly."""
+    return -p.min_value(tuple(alpha))
+
+
+def face(p, s, alpha):
+    """Minimizing face in direction alpha and the support points realizing it.
+
+    Returns (face polytope, tuple of input points attaining the minimum of
+    <c, alpha>).  alpha = 0 gives back the whole polytope.
+    """
+    alpha = tuple(alpha)
+    if len(alpha) != p.ambient_dimension:
+        raise BadDimension("direction has the wrong length")
+    vals = {pt: sum(a * b for a, b in zip(pt, alpha)) for pt in s.points}
+    cmin = min(vals.values())
+    chosen = tuple(pt for pt in s.points if vals[pt] == cmin)
+    sub = SupportData(s.dimension, chosen,
+                      {pt: s.multiplicity[pt] for pt in chosen})
+    return hull(sub), chosen
+
+
+def surface_c(chi, index_i, rotation_r):
+    """The pairing value chi(S) + I(S) - r(S, t) of a decomposing surface."""
+    return Fraction(chi) + Fraction(index_i) - Fraction(rotation_r)
 
 
 def rand_support(rng, dim, npoints, span=4):

@@ -40,9 +40,8 @@ PUBLIC = {
               "spectral_flow symplectic_loop_index",
     "oracle": "MAX_RANK_BITS MAX_TABLE_BITS RankTable closed_manifold_rank connected_sum_rank "
               "solid_torus_sfh",
-    "polytope": "MAX_DIMENSION SupportData SupportPolytope depth_bound face hull "
-                "is_centrally_symmetric seifert_surface_bound support_from_euler_polynomial "
-                "support_function surface_c",
+    "polytope": "MAX_DIMENSION SupportData SupportPolytope depth_bound hull "
+                "is_centrally_symmetric seifert_surface_bound support_from_euler_polynomial",
 }
 
 # the public methods (functions, properties, class methods) of each public
