@@ -16,12 +16,13 @@ equalities of torsion polynomials up to units.
 A group element of ``FinAbGroup(free_rank=r, torsion=(d_1,..,d_k))`` is a
 named tuple of tuples ``(free, torsion)``, residues reduced mod d_i,
 ordered by (free, torsion) as a tuple and built from a coordinate vector
-by ``FinAbGroup.from_coords``.  The routines that make one element per
-term (that constructor, the determinant's decode, the normal form and the
-inversion) build it with ``tuple.__new__``, which skips the Python-level
-``__new__`` of the named tuple.  The group is written multiplicatively
-when it acts on group-ring elements, so "multiply by h" means "add h to
-every exponent".
+by ``FinAbGroup.from_coords``; ``_key_codec`` packs one into an int for
+the sums of n elements that ``det_group_ring`` and the Spin^c partition
+add.  The routines that make one element per term (that constructor, the
+codec's decode, the normal form and the inversion) build it with
+``tuple.__new__``, which skips the Python-level ``__new__`` of the named
+tuple.  The group is written multiplicatively when it acts on group-ring
+elements, so "multiply by h" means "add h to every exponent".
 """
 
 from collections import namedtuple
@@ -370,31 +371,45 @@ def _memo_levels(masks):
     return levels
 
 
-def _packing(ranges, n):
-    """Mixed-radix layout for sums of n integer vectors whose coordinate c
-    lies in ranges[c] = (lo, hi).
+def _key_codec(vectors, n, g):
+    """(pack, decode): sums of n coordinate vectors of g as mixed-radix ints.
 
-    Returns (lows, bases, weights): coordinate c is shifted by lo, so its
-    digit is >= 0, and gets the base n*(hi - lo) + 1, so a sum of n digits
-    carries into no other; weights[c] is the product of the bases before c.
-    A vector packs to sum((x_c - lo_c) * weights[c]), and a sum of n packed
-    vectors to the sum of their shifted coordinates in the same digits.
+    The vectors are laid out as ``FinAbGroup.from_coords`` reads them,
+    residues reduced or not; the coordinate count is read from g, so with
+    no vectors a key decodes to the identity.  Coordinate c is shifted by
+    its minimum lo over the vectors and gets the base n*(hi - lo) + 1, so a
+    sum of n digits carries into no other.  ``pack(v)`` is one int, and
+    ``decode(keys)`` lists the elements named by keys that are sums of
+    exactly n packed vectors: digit by digit over all the keys, n*lo added
+    back, the residues reduced mod d.
     """
-    bases = [n * (hi - lo) + 1 for lo, hi in ranges]
-    return [lo for lo, _ in ranges], bases, list(accumulate(bases[:-1], mul, initial=1))
+    r = g.free_rank
+    columns = list(zip(*vectors)) or [()] * (r + len(g.torsion))
+    lows = [min(col, default=0) for col in columns]
+    bases = [n * (max(col, default=0) - lo) + 1 for col, lo in zip(columns, lows)]
+    weights = list(accumulate(bases[:-1], mul, initial=1))
+    offset = sum(map(mul, lows, weights))
 
+    def pack(v):
+        return sum(map(mul, v, weights)) - offset
 
-def _unpack(keys, lows, bases, n):
-    """The coordinates of sums of n vectors packed by ``_packing``, one list
-    over the keys per coordinate: digit by digit, the lowest digit is key mod
-    bases[0] and the last is what the other bases leave, plus the shift n*lo."""
-    digits = []
-    for b in bases[:-1]:
-        pairs = list(map(divmod, keys, repeat(b)))
-        keys = [q for q, _ in pairs]
-        digits.append([d for _, d in pairs])
-    digits.append(list(keys))
-    return [[d + n * lo for d in col] if lo else col for col, lo in zip(digits, lows)]
+    def decode(keys):
+        keys = list(keys)
+        count = len(keys)
+        digits = []
+        for b in bases[:-1]:
+            pairs = list(map(divmod, keys, repeat(b)))
+            keys = [q for q, _ in pairs]
+            digits.append([d for _, d in pairs])
+        digits.append(keys)
+        shifts = [n * lo for lo in lows]
+        free = [[d + s for d in col] if s else col for col, s in zip(digits[:r], shifts)]
+        res = [[(d + s) % t for d in col] for col, s, t in zip(digits[r:], shifts[r:], g.torsion)]
+        return [tuple.__new__(GroupElement, fr) for fr in
+                zip(zip(*free) if free else repeat((), count),
+                    zip(*res) if res else repeat((), count))]
+
+    return pack, decode
 
 
 def det_group_ring(m, g):
@@ -414,15 +429,12 @@ def det_group_ring(m, g):
     instead, and only its refusal is raised.  The minors are then filled
     in for those keys, last row first, each from the nonzero cells of its
     row alone: the cofactor sign of column j is the parity of the unused
-    columns below j.  The masks, the transpose and the packing read each
-    nonzero cell once.
+    columns below j.  The masks and the transpose read each nonzero cell once.
 
-    Inside, a group element is one int in the mixed radix of ``_packing``:
-    a free coordinate ranges from its minimum to its maximum over all
-    entries, and a torsion residue from 0 to d - 1, left unreduced in sums.
-    A minor sums at most n keys, so no digit carries and the group-ring
-    product is addition of keys on plain dicts.  One ``_unpack`` at the
-    end gives the coordinates, and the residues are reduced mod d.
+    Inside, a group element is one int packed by ``_key_codec``.  A minor
+    sums at most n keys, so no digit carries and the group-ring product is
+    addition of keys on plain dicts.  The determinant's keys are decoded
+    once at the end, and terms whose residues now agree mod d merge.
     """
     n = len(m)
     if any(not 0 <= j < n for row in m for j in row):
@@ -452,19 +464,14 @@ def det_group_ring(m, g):
     m = [m[i] for i in order]
     parity = _perm_sign(order)
 
-    elements = [h for row in m for e in row.values() for h in e._terms]
-    ranges = [(min(col, default=0), max(col, default=0))
-              for col in ([h.free[c] for h in elements] for c in range(g.free_rank))]
-    lows, bases, weights = _packing(ranges + [(0, d - 1) for d in g.torsion], n)
-    offset = sum(map(mul, lows, weights))
-
-    def pack(h):
-        return sum(map(mul, h.free + h.torsion, weights)) - offset
+    pack, decode = _key_codec([h.free + h.torsion for row in m for e in row.values()
+                               for h in e._terms], n, g)
 
     # memo: column mask -> [(key, coeff)] of the minor on the rows below
     memo = {0: [(0, 1)]}
     for r in range(n - 1, -1, -1):
-        row = [(1 << j, [(pack(h), c) for h, c in m[r][j]._terms.items()]) for j in sorted(m[r])]
+        row = [(1 << j, [(pack(h.free + h.torsion), c) for h, c in m[r][j]._terms.items()])
+               for j in sorted(m[r])]
         above = {}
         for mask in levels[r]:
             total = {}
@@ -483,22 +490,9 @@ def det_group_ring(m, g):
 
     items = memo[(1 << n) - 1]
     keys, coeffs = zip(*items) if items else ((), ())
-    columns = _unpack(keys, lows, bases, n)
-    r = g.free_rank
-    free = columns[:r]
-    res = [[d % t for d in col] for col, t in zip(columns[r:], g.torsion)]
-    count = len(coeffs)
-    coords = zip(zip(*free) if free else repeat((), count), zip(*res) if res else repeat((), count))
-    if parity < 0:
-        coeffs = [-c for c in coeffs]
-    if res:
-        # residues that agree mod d now land on one element: merge them first
-        merged = {}
-        for fr, c in zip(coords, coeffs):
-            merged[fr] = merged.get(fr, 0) + c
-        coords, coeffs = merged.keys(), merged.values()
-    return GroupRingElem._of({tuple.__new__(GroupElement, fr): c
-                              for fr, c in zip(coords, coeffs) if c})
+    terms = zip(decode(keys), coeffs if parity > 0 else map(neg, coeffs))
+    # with torsion, keys whose residues agree mod d name one element: the constructor merges
+    return GroupRingElem(terms) if g.torsion else GroupRingElem._of(dict(terms))
 
 
 def doteq_normalize(x, g):

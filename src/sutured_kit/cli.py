@@ -19,6 +19,7 @@ the subcommands, before they read any input.
 import gc
 import json
 import sys
+from operator import mod, sub
 from types import SimpleNamespace
 
 from . import abelian, diagram, fixtures, fox, oracle, polytope
@@ -40,8 +41,8 @@ def _encode(x, indent):
     The standard library runs its pure-Python encoder whenever ``indent``
     is set; this walk builds the same bytes from the C string quoting.  A
     ``GroupRingElem`` is written as its list of terms, see ``_encode_ring``,
-    and a ``SpincPartition`` as its list of differences, see
-    ``_encode_differences``.
+    and a ``SpincPartition`` as the differences of its class values, every
+    ordered pair, see ``_encode_differences``.
     """
     kind = type(x)
     if kind is int:
@@ -107,17 +108,19 @@ def _encode_ring(x, indent):
 def _encode_differences(part, indent):
     """The differences of a Spin^c partition by (from, to), each as
     ``{"element": {"free": [...], "torsion": [...]}, "from": a, "to": b}``,
-    written with one f-string per entry."""
-    if not part.difference:
+    written with one f-string per entry.  The element is ``values[b] -
+    values[a]``, residues mod d; looping a, then b, is the sorted order."""
+    values, tors = part.values, part.group.torsion
+    if not values:
         return "[]"
     inner = indent + "  "
     field = inner + "  "
     deep = field + "  "
     ints = _int_list(deep)
-    entries = [f'{{\n{field}"element": {{\n{deep}"free": {ints(free)},\n'
-               f'{deep}"torsion": {ints(res)}\n{field}}},\n{field}"from": {a},\n'
-               f'{field}"to": {b}\n{inner}}}'
-               for (a, b), (free, res) in sorted(part.difference.items())]
+    entries = [f'{{\n{field}"element": {{\n{deep}"free": {ints(tuple(map(sub, fb, fa)))},\n'
+               f'{deep}"torsion": {ints(tuple(map(mod, map(sub, tb, ta), tors)))}\n{field}}},\n'
+               f'{field}"from": {a},\n{field}"to": {b}\n{inner}}}'
+               for a, (fa, ta) in enumerate(values) for b, (fb, tb) in enumerate(values)]
     return "[\n" + inner + (",\n" + inner).join(entries) + "\n" + indent + "]"
 
 

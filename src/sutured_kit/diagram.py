@@ -40,8 +40,9 @@ arc images along the curves, eps(x, y) = sum phi(y) - sum phi(x).  Edge
 images, curve images and phi(p) are sparse vectors {coordinate: nonzero
 int}, so their sums cost their nonzero entries, not L each; the potential
 of p is the projection to H_1(M) applied to phi(p), a whole tuple, and
-the Spin^c partition packs each potential into one int and keys every
-generator by the plain sum of its points' ints.  The Smith normal form
+the Spin^c partition packs each potential into one int by
+``abelian._key_codec``, keys every generator by the plain sum of its
+points' ints and keeps one element of H_1(M) per class.  The Smith form
 u rel v = diag(s) is the only one any query runs, ``check`` included: a
 periodic domain bounds sum n_c (curve c) with n in the kernel of rel, a
 connecting domain bounds the eps chain plus the n solving
@@ -57,12 +58,12 @@ the integer hull of ``polytope`` decides under its dimension bound.
 import re
 from collections import Counter
 from functools import cached_property
-from itertools import chain, repeat
-from operator import mod, mul, neg, sub
+from itertools import chain
+from operator import neg
 
 from . import abelian
-from .abelian import (GroupElement, GroupRingElem, IntMatrix, _packing, _perm_sign, _unpack,
-                      det_group_ring, doteq_normalize, smith_cokernel)
+from .abelian import (GroupRingElem, IntMatrix, _key_codec, _perm_sign, det_group_ring,
+                      doteq_normalize, smith_cokernel)
 from .errors import (DimensionTooLarge, InvalidDiagram, NotAGenerator, NotBalanced, expect,
                      expect_items)
 from .polytope import MAX_DIMENSION, SupportData, hull
@@ -748,13 +749,13 @@ def epsilon(d, x, y):
 
 
 class SpincPartition:
-    """Generators grouped by eps = 0, with the H_1(M) difference torsor data."""
+    """Generators grouped by eps = 0; eps from class a to b is values[b] - values[a]."""
 
-    __slots__ = ("classes", "difference", "group")
+    __slots__ = ("classes", "values", "group")
 
-    def __init__(self, classes, difference, group):
+    def __init__(self, classes, values, group):
         self.classes = classes          # tuple of tuples of generator indices
-        self.difference = difference    # (class index, class index) -> GroupElement
+        self.values = values            # class index -> GroupElement, sum phi of a member
         self.group = group
 
 
@@ -762,37 +763,26 @@ def spinc_partition(d):
     """Partition the generators by vanishing of eps; differences form a torsor.
 
     x and y share a class when sum phi(x) and sum phi(y) name one element
-    of H_1(M).  Each point's potential is packed into one int in the layout
-    of ``abelian._packing`` for sums of n = |alpha| potentials, so a
-    generator's key is the plain sum of its points' packed values.  Each
-    distinct key is unpacked once and reduced by ``from_coords``, and keys
-    that reduce to one element (unreduced torsion coordinates) merge.
-    Classes come in the order of their first generator.
+    of H_1(M).  Each point's potential is packed once into one int by
+    ``abelian._key_codec`` for sums of n = |alpha| potentials, so a
+    generator's key is the plain sum of its points' ints.  The distinct
+    keys are decoded together, and keys that name one element (unreduced
+    torsion coordinates) merge.  Classes come in the order of their first
+    generator, each with its element.
     """
     d.require_balanced()
     gens = generators(d)
     data = _h1data(d)
-    group = data.group
-    n = len(d.alpha)
-    columns = [[v[c] for v in data.potential.values()] for c in range(group.projection.rows)]
-    lows, bases, weights = _packing([(min(col, default=0), max(col, default=0))
-                                     for col in columns], n)
-    packed = {p: sum(map(mul, map(sub, v, lows), weights)) for p, v in data.potential.items()}
+    pack, decode = _key_codec(list(data.potential.values()), len(d.alpha), data.group)
+    packed = {p: pack(v) for p, v in data.potential.items()}
     members = {}             # key -> generator indices
     for idx, x in enumerate(gens):
         members.setdefault(sum([packed[p] for _, p in x.assignment]), []).append(idx)
-    coords = _unpack(list(members), lows, bases, n)
     classes = {}             # element -> index lists of its keys
-    for coord, idxs in zip(zip(*coords) if coords else repeat((), len(members)),
-                           members.values()):
-        classes.setdefault(group.from_coords(coord), []).append(idxs)
-    values, new, tors = list(classes), tuple.__new__, group.torsion
-    difference = {(a, b): new(GroupElement, (tuple(map(sub, fb, fa)),
-                                             tuple(map(mod, map(sub, tb, ta), tors)) if tors
-                                             else ()))
-                  for a, (fa, ta) in enumerate(values) for b, (fb, tb) in enumerate(values)}
+    for h, idxs in zip(decode(members), members.values()):
+        classes.setdefault(h, []).append(idxs)
     return SpincPartition(tuple(tuple(sorted(chain(*idxs))) for idxs in classes.values()),
-                          difference, group)
+                          tuple(classes), data.group)
 
 
 # -- domains -------------------------------------------------------------------------

@@ -318,6 +318,14 @@ def tuple_sum_spinc_partition(d):
     return tuple(map(tuple, members.values())), difference
 
 
+def partition_differences(part):
+    """{(a, b): eps from class a to class b} of a ``SpincPartition``, read
+    from its class values as ``values[b] - values[a]``, a then b."""
+    values, group = part.values, part.group
+    return {(a, b): group.sub(vb, va)
+            for a, va in enumerate(values) for b, vb in enumerate(values)}
+
+
 def quadratic_doteq_normalize(x, g):
     """Translate by every support element, keep the smallest qualifying form."""
     if x.is_zero():

@@ -15,7 +15,7 @@ from conftest import (brute_force_admissible, diagram_names, lagrangian_loop, lo
                       two_circles_disk, unitary_group_loop)
 from det_oracle import rows_of
 from fox_oracle import combo_add, combo_mul, concat, fox_derivative
-from h1_oracle import det, diagonal, matmul
+from h1_oracle import det, diagonal, matmul, partition_differences
 from ring_oracle import doteq_equal, element, identity, leibniz_det, ring_one
 from sutured_kit import diagram, fixtures, fox
 from sutured_kit.abelian import (FinAbGroup, GroupRingElem, IntMatrix, det_group_ring,
@@ -195,7 +195,7 @@ def test_criterion_8_eps_spinc_suite():
     assert len(part.classes) == 2
     grp = part.group
     assert grp.free_rank == 1 and not grp.torsion
-    diff = part.difference[(0, 1)]
+    diff = partition_differences(part)[(0, 1)]
     assert diff in (element(grp, (1,)), element(grp, (-1,)))
     report(8, "eps additivity, domains iff eps=0, T(1,0;4) splits 2 classes")
 

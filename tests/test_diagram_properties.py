@@ -22,7 +22,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (diagram_names, rename_points, reverse_region, rotate_curve,
                       swap_alpha_curves, swap_beta_curves)
-from h1_oracle import chain_diagram, lens_diagram, torus_diagram
+from h1_oracle import chain_diagram, lens_diagram, partition_differences, torus_diagram
 from ring_oracle import doteq_equal
 from sutured_kit import cli, fixtures
 from sutured_kit.diagram import (SuturedDiagram, euler_polynomial, generators,
@@ -57,7 +57,7 @@ def invariants(data, back=None):
     gens = generators(d)
     keys = [frozenset(frozenset(back.get(p, p) for p in gens[i].points()) for i in cls)
             for cls in part.classes]
-    diffs = {(keys[a], keys[b]): e for (a, b), e in part.difference.items()}
+    diffs = {(keys[a], keys[b]): e for (a, b), e in partition_differences(part).items()}
     return poly, group, part.group, set(keys), diffs
 
 

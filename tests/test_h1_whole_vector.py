@@ -20,7 +20,8 @@ from math import comb
 import pytest
 
 from conftest import diagram_names, scramble
-from h1_oracle import LoopH1, chain_diagram, dense, lens_diagram, torus_diagram
+from h1_oracle import (LoopH1, chain_diagram, dense, lens_diagram, partition_differences,
+                       torus_diagram)
 from sutured_kit import fixtures
 from sutured_kit.diagram import (SuturedDiagram, _edge_images, _eps_chain, epsilon, generators,
                                  h1_of_M, spinc_partition)
@@ -74,7 +75,8 @@ def test_generator_with_no_points_has_a_class_of_full_length(name, free_rank):
     part = spinc_partition(d)
     assert part.group.free_rank == free_rank
     assert part.classes == ((0,),)
-    assert part.difference[(0, 0)].free == (0,) * free_rank
+    assert part.values[0].free == (0,) * free_rank
+    assert partition_differences(part)[(0, 0)].free == (0,) * free_rank
     assert epsilon(d, x, x).free == (0,) * free_rank
 
 

@@ -1,10 +1,12 @@
 """Packed Spin^c classes and the ``differences`` writer against the old path.
 
 ``spinc_partition`` packs each point's potential into one int, keys every
-generator by the plain sum of its points' ints, and reduces each distinct
-key once.  ``h1_oracle.tuple_sum_spinc_partition`` is the classifier it
-replaced: a tuple sum per generator, reduced one by one.  Classes, member
-order and every difference must agree on every bundled fixture (the disk
+generator by the plain sum of its points' ints, and decodes the distinct
+keys together.  ``h1_oracle.tuple_sum_spinc_partition`` is the classifier
+it replaced: a tuple sum per generator, reduced one by one.  Classes,
+member order, each class's value (the reduced potential sum of a member)
+and every difference read from the values by
+``h1_oracle.partition_differences`` must agree on every bundled fixture (the disk
 has H_1 = 0, and it and the annulus have one generator with no points),
 on T(p,1;2), L(p,1) (torsion, and negative potentials) and T(1,0;2k+2),
 on L(p,1) after a finger move, where two distinct keys reduce to one
@@ -24,8 +26,10 @@ import random
 import pytest
 
 from conftest import boundary_sum, diagram_names, finger_move, scramble
-from h1_oracle import chain_diagram, lens_diagram, torus_diagram, tuple_sum_spinc_partition
-from sutured_kit import cli, fixtures
+from h1_oracle import (chain_diagram, lens_diagram, partition_differences, torus_diagram,
+                       tuple_sum_spinc_partition)
+from sutured_kit import cli, diagram, fixtures
+from sutured_kit.abelian import _key_codec
 from sutured_kit.diagram import SuturedDiagram, generators, h1_of_M, spinc_partition
 
 FAMILIES = ([("torus", p) for p in (2, 3, 5, 8, 13, 30)] + [("lens", p) for p in (2, 3, 7)]
@@ -66,20 +70,23 @@ def cases():
 CASES = cases()
 
 
-def partition_with_key_count(d):
-    """spinc_partition(d) and the number of distinct keys it reduced."""
-    group, _ = h1_of_M(d)
-    reduce, calls = group.from_coords, []
+def partition_with_key_count(monkeypatch, d):
+    """spinc_partition(d) and the number of distinct keys it decoded."""
+    counts = []
 
-    def counting(coords):
-        calls.append(coords)
-        return reduce(coords)
+    def counting_codec(vectors, n, g):
+        pack, decode = _key_codec(vectors, n, g)
 
-    group.from_coords = counting
-    try:
-        return spinc_partition(d), len(calls)
-    finally:
-        del group.from_coords
+        def counting(keys):
+            keys = list(keys)
+            counts.append(len(keys))
+            return decode(keys)
+        return pack, counting
+
+    monkeypatch.setattr(diagram, "_key_codec", counting_codec)
+    part = spinc_partition(d)
+    (keys,) = counts
+    return part, keys
 
 
 @pytest.mark.parametrize("label,data", CASES, ids=[label for label, _ in CASES])
@@ -88,8 +95,13 @@ def test_partition_matches_tuple_sum_oracle(label, data):
     part = spinc_partition(d)
     classes, difference = tuple_sum_spinc_partition(d)
     assert part.classes == classes
-    assert list(part.difference.items()) == list(difference.items())
+    assert list(partition_differences(part).items()) == list(difference.items())
     assert part.group == d._h1.group
+    # each class value is the plain sum of one member's potentials, reduced
+    h1, gens = d._h1, generators(d)
+    zero = (0,) * h1.group.projection.rows
+    assert part.values == tuple(h1.group.from_coords(h1.potential_sum(gens[c[0]], zero))
+                                for c in part.classes)
 
 
 def test_cases_cover_the_edges():
@@ -105,13 +117,13 @@ def test_cases_cover_the_edges():
 
 
 @pytest.mark.parametrize("p", [3, 4, 5])
-def test_two_keys_reduce_to_one_class(p):
+def test_two_keys_reduce_to_one_class(monkeypatch, p):
     d = SuturedDiagram.from_json(finger_lens(p))
-    part, keys = partition_with_key_count(d)
+    part, keys = partition_with_key_count(monkeypatch, d)
     assert part.group.torsion == (p,) and len(part.classes) == p
     assert len(generators(d)) == p + 2
     assert keys > len(part.classes)
-    assert (part.classes, part.difference) == tuple_sum_spinc_partition(d)
+    assert (part.classes, partition_differences(part)) == tuple_sum_spinc_partition(d)
 
 
 # -- bytes of the differences writer ---------------------------------------------------
