@@ -16,9 +16,11 @@ equalities of torsion polynomials up to units.
 A group element of ``FinAbGroup(free_rank=r, torsion=(d_1,..,d_k))`` is a
 named tuple of tuples ``(free, torsion)``, residues reduced mod d_i,
 ordered by (free, torsion) as a tuple and built from a coordinate vector
-by ``FinAbGroup.from_coords``; ``_key_codec`` packs one into an int for
-the sums of n elements that ``det_group_ring`` and the Spin^c partition
-add.  The routines that make one element per term (that constructor, the
+by ``FinAbGroup.from_coords``; ``_key_codec`` packs one into an int,
+first coordinate most significant, for the sums of n elements that
+``det_group_ring`` and the Spin^c partition add, and reduced elements
+pack in their own order, so the normal form up to units works on ints.
+The routines that make one element per term (that constructor, the
 codec's decode, the normal form and the inversion) build it with
 ``tuple.__new__``, which skips the Python-level ``__new__`` of the named
 tuple.  The group is written multiplicatively when it acts on group-ring
@@ -27,8 +29,8 @@ elements, so "multiply by h" means "add h to every exponent".
 
 from collections import namedtuple
 from itertools import accumulate, repeat
-from math import comb
-from operator import mod, mul, neg, sub
+from math import comb, prod
+from operator import mod, mul, neg
 
 from .errors import DeterminantTooLarge
 
@@ -371,48 +373,119 @@ def _memo_levels(masks):
     return levels
 
 
+def _digits(keys, radix):
+    """The digit columns of ints in a mixed radix whose lower bases are
+    ``radix``: first the quotient left above them, then one column per
+    base, the last the least significant."""
+    cols = []
+    for b in reversed(radix):
+        pairs = list(map(divmod, keys, repeat(b)))
+        keys = [q for q, _ in pairs]
+        cols.append([d for _, d in pairs])
+    cols.append(keys)
+    cols.reverse()
+    return cols
+
+
 def _key_codec(vectors, n, g):
-    """(pack, decode): sums of n coordinate vectors of g as mixed-radix ints.
+    """(pack, decode, normal_form): sums of n coordinate vectors of g as mixed-radix ints.
 
     The vectors are laid out as ``FinAbGroup.from_coords`` reads them,
     residues reduced or not; the coordinate count is read from g, so with
     no vectors a key decodes to the identity.  Coordinate c is shifted by
     its minimum lo over the vectors and gets the base n*(hi - lo) + 1, so a
-    sum of n digits carries into no other.  ``pack(v)`` is one int, and
-    ``decode(keys)`` lists the elements named by keys that are sums of
-    exactly n packed vectors: digit by digit over all the keys, n*lo added
-    back, the residues reduced mod d.
+    sum of n digits carries into no other.  The first coordinate is the
+    most significant digit, so keys order as their coordinate sums do
+    lexicographically, and packed elements as the elements do.  ``pack(v)``
+    is one int.  Keys that are sums of exactly n packed vectors are read
+    through one reduced int each: the free digits as packed, then the
+    residues, n*lo added back and reduced mod d, in the radix (d_1, .., d_k).
+    Keys naming one element reduce to one int, and reduced ints order as
+    the elements do.  ``decode(keys)`` lists the elements of keys, digit by
+    digit over all of them, n*lo added back to the free digits.
+
+    ``normal_form(keys, coeffs)`` is the +-h normal form (see
+    ``doteq_normalize``) of the ring element with these terms, keys
+    distinct, coefficients nonzero, worked on the reduced ints, whose
+    terms merge.  The candidates are those sharing the free digits of the
+    least; each form translates only the torsion digits, the free shift
+    being the same for all, and the forms are compared as sorted
+    (int, coefficient) lists.  Only the least is decoded, in order.
     """
     r = g.free_rank
-    columns = list(zip(*vectors)) or [()] * (r + len(g.torsion))
+    tors = g.torsion
+    columns = list(zip(*vectors)) or [()] * (r + len(tors))
     lows = [min(col, default=0) for col in columns]
     bases = [n * (max(col, default=0) - lo) + 1 for col, lo in zip(columns, lows)]
-    weights = list(accumulate(bases[:-1], mul, initial=1))
+    weights = list(accumulate(reversed(bases[1:]), mul, initial=1))[::-1]
     offset = sum(map(mul, lows, weights))
+    shifts = [n * lo for lo in lows]
+    span = prod(bases[r:])        # the torsion digits of a key, read as one int
+    size = prod(tors)             # the reduced residues in the radix (d_1, .., d_k), as one int
+    rweights = list(accumulate(reversed(tors[1:]), mul, initial=1))[::-1]    # of that radix
 
     def pack(v):
         return sum(map(mul, v, weights)) - offset
 
-    def decode(keys):
+    def reduce(keys):
+        """One int per key: its free digits as packed, then its residues
+        mod d in the radix (d_1, .., d_k)."""
         keys = list(keys)
-        count = len(keys)
-        digits = []
-        for b in bases[:-1]:
-            pairs = list(map(divmod, keys, repeat(b)))
-            keys = [q for q, _ in pairs]
-            digits.append([d for _, d in pairs])
-        digits.append(keys)
-        shifts = [n * lo for lo in lows]
-        free = [[d + s for d in col] if s else col for col, s in zip(digits[:r], shifts)]
-        res = [[(d + s) % t for d in col] for col, s, t in zip(digits[r:], shifts[r:], g.torsion)]
+        if not tors:
+            return keys
+        b, s, d = bases[-1], shifts[-1], tors[-1]
+        out = [k // span * size + (k % b + s) % d for k in keys]
+        for kw, b, s, d, w in zip(weights[r:-1], bases[r:-1], shifts[r:-1], tors[:-1], rweights):
+            out = [x + (k // kw % b + s) % d * w for x, k in zip(out, keys)]
+        return out
+
+    def elements(reduced, free_shifts):
+        """The elements of reduced ints, free_shifts added to their free digits."""
+        cols = _digits(reduced, [*bases[1:r], *tors])
+        free = [[d + s for d in col] if s else col for col, s in zip(cols[:r], free_shifts)]
+        res = cols[len(cols) - len(tors):]
+        count = len(reduced)
         return [tuple.__new__(GroupElement, fr) for fr in
                 zip(zip(*free) if free else repeat((), count),
                     zip(*res) if res else repeat((), count))]
 
-    return pack, decode
+    def decode(keys):
+        return elements(reduce(keys), shifts)
+
+    def normal_form(keys, coeffs):
+        if tors:
+            reduced = reduce(keys)
+            terms = dict.fromkeys(reduced, 0)
+            for k, c in zip(reduced, coeffs):
+                terms[k] += c
+            terms = {k: c for k, c in terms.items() if c}
+        else:
+            terms = dict(zip(keys, coeffs))
+        if not terms:
+            return GroupRingElem._of({})
+        keys, coeffs = list(terms), list(terms.values())
+        res = [[k // w % d for k in keys] for d, w in zip(tors, rweights)]
+        block = [k - k % size for k in keys] if tors else keys      # residues set to 0
+        low = min(keys)
+        top = low - low % size + size     # the keys below top share the free digits of low
+
+        def form(i):
+            """The terms less the residues of candidate i, signed by its coefficient, sorted."""
+            shifted = block
+            for col, d, w in zip(res, tors, rweights):
+                a = col[i]
+                shifted = [k + (t - a) % d * w for k, t in zip(shifted, col)]
+            return sorted(zip(shifted, coeffs if coeffs[i] > 0 else map(neg, coeffs)))
+
+        keys, coeffs = zip(*min(map(form, [i for i, k in enumerate(keys) if k < top])))
+        # the first key is the candidate's own: the free digits of low, residues 0
+        first = _digits([keys[0] // size], bases[1:r])
+        return GroupRingElem._of(dict(zip(elements(keys, [-col[0] for col in first]), coeffs)))
+
+    return pack, decode, normal_form
 
 
-def det_group_ring(m, g):
+def det_group_ring(m, g, normalize=False):
     """Determinant of a square matrix over Z[g], given by its nonzero cells.
 
     m is a list of n rows, row i a dict {column j: M_ij} holding only the
@@ -434,7 +507,10 @@ def det_group_ring(m, g):
     Inside, a group element is one int packed by ``_key_codec``.  A minor
     sums at most n keys, so no digit carries and the group-ring product is
     addition of keys on plain dicts.  The determinant's keys are decoded
-    once at the end, and terms whose residues now agree mod d merge.
+    once at the end, and terms whose residues now agree mod d merge.  With
+    ``normalize`` the result is the +-h normal form that ``doteq_normalize``
+    would give, reached from the keys by the codec's ``normal_form``
+    without decoding the determinant itself.
     """
     n = len(m)
     if any(not 0 <= j < n for row in m for j in row):
@@ -464,8 +540,8 @@ def det_group_ring(m, g):
     m = [m[i] for i in order]
     parity = _perm_sign(order)
 
-    pack, decode = _key_codec([h.free + h.torsion for row in m for e in row.values()
-                               for h in e._terms], n, g)
+    pack, decode, normal_form = _key_codec(
+        [h.free + h.torsion for row in m for e in row.values() for h in e._terms], n, g)
 
     # memo: column mask -> [(key, coeff)] of the minor on the rows below
     memo = {0: [(0, 1)]}
@@ -490,6 +566,8 @@ def det_group_ring(m, g):
 
     items = memo[(1 << n) - 1]
     keys, coeffs = zip(*items) if items else ((), ())
+    if normalize:
+        return normal_form(keys, coeffs)    # which absorbs the sign of the permutation
     terms = zip(decode(keys), coeffs if parity > 0 else map(neg, coeffs))
     # with torsion, keys whose residues agree mod d name one element: the constructor merges
     return GroupRingElem(terms) if g.torsion else GroupRingElem._of(dict(terms))
@@ -503,26 +581,17 @@ def doteq_normalize(x, g):
     coefficient positive, and among all support elements achieving this
     take the lexicographically smallest result.  Torsion residues are
     never negative, so translating by -s makes the identity lex-minimal
-    exactly when s has the lex-minimal free part: one pass finds the
+    exactly when s has the lex-minimal free part: those are the
     candidates, each signed by the coefficient of s.  For torsion-free
     groups there is exactly one; with torsion, the residue translates tied
     on the free part are compared, which keeps the form invariant under
-    multiplication by units.
+    multiplication by units.  The terms are packed one by one and the
+    codec's ``normal_form`` does the rest on ints; the result's terms are
+    stored in ``items()`` order.
     """
-    if x.is_zero():
-        return x
-    terms = x._terms
-    low = min(terms).free
-    tors = g.torsion
-    forms = []
-    for (sf, st), c in terms.items():
-        if sf == low:
-            sign = 1 if c > 0 else -1
-            forms.append(GroupRingElem._of({
-                tuple.__new__(GroupElement, (tuple(map(sub, free, sf)),
-                                             tuple(map(mod, map(sub, res, st), tors)))): sign * b
-                for (free, res), b in terms.items()}))
-    return forms[0] if len(forms) == 1 else min(forms, key=GroupRingElem.items)
+    vectors = [h.free + h.torsion for h in x._terms]
+    pack, _, normal_form = _key_codec(vectors, 1, g)
+    return normal_form(list(map(pack, vectors)), list(x._terms.values()))
 
 
 # -- serialization ------------------------------------------------------------

@@ -63,7 +63,7 @@ from operator import neg
 
 from . import abelian
 from .abelian import (GroupRingElem, IntMatrix, _key_codec, _perm_sign, det_group_ring,
-                      doteq_normalize, smith_cokernel)
+                      smith_cokernel)
 from .errors import (DimensionTooLarge, InvalidDiagram, NotAGenerator, NotBalanced, expect,
                      expect_items)
 from .polytope import MAX_DIMENSION, SupportData, hull
@@ -773,7 +773,7 @@ def spinc_partition(d):
     d.require_balanced()
     gens = generators(d)
     data = _h1data(d)
-    pack, decode = _key_codec(list(data.potential.values()), len(d.alpha), data.group)
+    pack, decode, _ = _key_codec(list(data.potential.values()), len(d.alpha), data.group)
     packed = {p: pack(v) for p, v in data.potential.items()}
     members = {}             # key -> generator indices
     for idx, x in enumerate(gens):
@@ -906,4 +906,4 @@ def euler_polynomial(d):
                                                   d.crossing_sign[p]))
         row = {j: GroupRingElem(cell) for j, cell in cells.items()}
         rows.append({j: e for j, e in row.items() if not e.is_zero()})
-    return doteq_normalize(det_group_ring(rows, group), group), group
+    return det_group_ring(rows, group, normalize=True), group

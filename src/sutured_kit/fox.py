@@ -22,10 +22,21 @@ Fox derivative in the free group ring is kept in ``tests/fox_oracle.py``
 as the definition that the tests hold ``theta_matrix`` to.
 """
 
-from operator import add, sub
+from functools import lru_cache
+from operator import add, mod, neg
 
-from .abelian import GroupRingElem, IntMatrix, cokernel, det_group_ring, doteq_normalize
+from .abelian import GroupElement, GroupRingElem, IntMatrix, cokernel, det_group_ring
 from .errors import InvalidGenerator, NotGeometricallyBalanced, expect, expect_items
+
+
+@lru_cache(maxsize=16)
+def _letter_table(generator_names):
+    """Letter -> (generator index, +-1); kept for the last few name tuples,
+    so the relators and inclusion words of a presentation share one."""
+    table = {}
+    for i, name in enumerate(generator_names):
+        table[name], table[name.upper()] = (i, 1), (i, -1)
+    return table
 
 
 class FreeWord:
@@ -49,9 +60,7 @@ class FreeWord:
     @classmethod
     def from_string(cls, text, generator_names):
         """Parse whitespace-separated letters; a name in uppercase is its inverse."""
-        table = {}
-        for i, name in enumerate(generator_names):
-            table[name], table[name.upper()] = (i, 1), (i, -1)
+        table = _letter_table(tuple(generator_names))
         letters = []
         for tok in text.split():
             if tok not in table:
@@ -179,35 +188,46 @@ def theta_matrix(p, k):
     all pushed through the abelianization.  Each column is built in one
     walk over its word, carrying the image in H_1 of the prefix read so
     far: a letter a_i adds +h^prefix to row i, a letter a_i^-1 adds
-    -h^(prefix - a_i).
+    -h^(prefix - a_i).  The prefix's residues are reduced at each letter,
+    so the terms of a cell merge in the walk, and each cell is built once,
+    without its zero sums.
     """
     if not is_geometrically_balanced(p, k):
         raise NotGeometricallyBalanced(
             f"m={p.num_generators}, n={p.num_relators}, genus={p.boundary_genus}, "
             f"l={len(k.sigma_images)}")
     g = abelianization(p)
-    m = p.num_generators
-    images = [g.projection.column(i) for i in range(m)]
+    r, tors = g.free_rank, g.torsion
+    # letter (i, +-1) -> +-(the coordinates of the image of a_i)
+    steps = {}
+    for i in range(p.num_generators):
+        image = g.projection.column(i)
+        steps[i, 1], steps[i, -1] = image, tuple(map(neg, image))
     columns = list(k.sigma_images) + list(p.relators)
     zero = GroupRingElem()
-    entries = [[zero] * len(columns) for _ in range(m)]
+    entries = [[zero] * len(columns) for _ in range(p.num_generators)]
     for col, w in enumerate(columns):
         rows = {}
         prefix = (0,) * g.projection.rows
-        for i, e in w.letters:
-            if not 0 <= i < m:
-                raise InvalidGenerator(f"letter index {i} out of range")
-            if e == 1:
-                key = prefix
-                prefix = tuple(map(add, prefix, images[i]))
-            else:
-                prefix = key = tuple(map(sub, prefix, images[i]))
+        for letter in w.letters:
+            step = steps.get(letter)
+            if step is None:
+                raise InvalidGenerator(f"letter index {letter[0]} out of range")
+            after = tuple(map(add, prefix, step))
+            if tors:
+                after = after[:r] + tuple(map(mod, after[r:], tors))
+            i, e = letter
+            key = prefix if e > 0 else after       # +h^prefix or -h^(prefix - a_i)
             terms = rows.setdefault(i, {})
             terms[key] = terms.get(key, 0) + e
+            prefix = after
         for i, terms in rows.items():
-            # prefixes that differ but agree mod d reduce to one element: the constructor
-            # merges them and drops a zero sum
-            entries[i][col] = GroupRingElem((g.from_coords(key), c) for key, c in terms.items())
+            cell = {}
+            for key, c in terms.items():
+                if c:
+                    cell[tuple.__new__(GroupElement, (key[:r], key[r:]))] = c
+            if cell:
+                entries[i][col] = GroupRingElem._of(cell)
     return entries, g
 
 
@@ -222,4 +242,4 @@ def torsion(p, k):
     """
     theta, g = theta_matrix(p, k)
     rows = [{j: e for j, e in enumerate(row) if e._terms} for row in theta]
-    return doteq_normalize(det_group_ring(rows, g), g), g
+    return det_group_ring(rows, g, normalize=True), g

@@ -6,7 +6,9 @@ sets, but every product goes through ``ring_mul`` on ``GroupElement``
 keys, with torsion residues reduced at each step.  ``oracle_det()``
 swaps it in for ``det_group_ring`` in every library module that binds
 that name, so whole CLI commands can be run on it; the library hands it
-the nonzero cells of each row, which ``dense_of`` fills out with zeros.
+the nonzero cells of each row, which ``dense_of`` fills out with zeros,
+and asks for the normal form, which the tuple oracle of ``ring_oracle``
+then takes.
 ``rows_of`` goes the other way, from a dense matrix to the dict rows that
 the library's ``det_group_ring`` reads.  ``Unreadable`` is the entry that
 shows a size bound is checked before any product.
@@ -14,7 +16,7 @@ shows a size bound is checked before any product.
 
 from contextlib import contextmanager
 
-from ring_oracle import ring_add, ring_mul, ring_neg, ring_one
+from ring_oracle import ring_add, ring_mul, ring_neg, ring_one, tuple_doteq_normalize
 from sutured_kit import abelian, diagram, fox
 from sutured_kit.abelian import TOO_LARGE_DET, GroupRingElem
 from sutured_kit.errors import DeterminantTooLarge
@@ -85,9 +87,11 @@ class Unreadable:
         return False
 
 
-def det_of_rows(rows, g):
-    """``det_group_ring`` on the library's input form."""
-    return det_group_ring(dense_of(rows), g)
+def det_of_rows(rows, g, normalize=False):
+    """``det_group_ring`` on the library's input form, its normal form
+    taken by the tuple oracle when asked for."""
+    det = det_group_ring(dense_of(rows), g)
+    return tuple_doteq_normalize(det, g) if normalize else det
 
 
 @contextmanager

@@ -1,11 +1,14 @@
 """Test-side arithmetic in Z[G]: the library forms only determinants and
 +-h normal forms, the oracles also sums, products, translates, equality up
 to units and the Leibniz expansion of a determinant.  Also kept here as
-references: the normal form and the inversion written with one
-``g.add``/``g.neg`` per term, and the JSON term list of a ring element,
-whose indented dump the CLI's writer must reproduce byte for byte."""
+references: the normal form on ``GroupElement`` tuples that the library
+ran before it worked on packed ints, the normal form and the inversion
+written with one ``g.add``/``g.neg`` per term, and the JSON term list of a
+ring element, whose indented dump the CLI's writer must reproduce byte
+for byte."""
 
 from itertools import permutations
+from operator import mod, sub
 
 from sutured_kit.abelian import GroupElement, GroupRingElem, doteq_normalize, ring_invert_exponents
 
@@ -70,6 +73,25 @@ def doteq_equal(x, y, g, allow_inversion=False):
     nx = doteq_normalize(x, g)
     return nx == doteq_normalize(y, g) or (
         allow_inversion and nx == doteq_normalize(ring_invert_exponents(y, g), g))
+
+
+def tuple_doteq_normalize(x, g):
+    """``doteq_normalize`` on tuples: every candidate's form built as a
+    ``GroupRingElem``, translated by tuple arithmetic, compared by ``items()``."""
+    if x.is_zero():
+        return x
+    terms = x._terms
+    low = min(terms).free
+    tors = g.torsion
+    forms = []
+    for (sf, st), c in terms.items():
+        if sf == low:
+            sign = 1 if c > 0 else -1
+            forms.append(GroupRingElem._of({
+                tuple.__new__(GroupElement, (tuple(map(sub, free, sf)),
+                                             tuple(map(mod, map(sub, res, st), tors)))): sign * b
+                for (free, res), b in terms.items()}))
+    return forms[0] if len(forms) == 1 else min(forms, key=GroupRingElem.items)
 
 
 def per_term_doteq_normalize(x, g):

@@ -7,7 +7,10 @@ repeats, must decode to ``from_coords`` of their plain sum, also when
 several such sums are decoded at once.  The coordinate count comes from
 the group: with no vectors at all, the empty determinant and the one
 generator of the disk and the annulus still decode to the identity of
-full length.
+full length.  The first coordinate is the most significant digit, so
+packed keys of reduced elements order as the elements do; the Spin^c
+partition, which keys its classes by first appearance, keeps its class
+order.
 """
 
 import json
@@ -40,7 +43,7 @@ def codec_cases(draw):
 @given(codec_cases())
 def test_decode_of_packed_sums_is_from_coords_of_the_sum(case):
     g, vectors, n, selections = case
-    pack, decode = _key_codec(vectors, n, g)
+    pack, decode, _ = _key_codec(vectors, n, g)
     width = g.free_rank + len(g.torsion)
     sums = [[sum(vectors[i][c] for i in picked) for c in range(width)] for picked in selections]
     keys = [sum(pack(vectors[i]) for i in picked) for picked in selections]
@@ -48,9 +51,34 @@ def test_decode_of_packed_sums_is_from_coords_of_the_sum(case):
     assert decode(keys) == [g.from_coords(s) for s in sums]
 
 
+@st.composite
+def reduced_elements(draw):
+    """(g, elements, n): elements with free exponents in [-50, 50] and
+    residues reduced, several on one free part, and a summand count n."""
+    g = FinAbGroup(draw(st.integers(0, 3)), draw(st.sampled_from(((), (2,), (3, 6)))))
+    free = st.tuples(*[st.integers(-50, 50)] * g.free_rank)
+    frees = draw(st.lists(free, min_size=1, max_size=4))
+    res = st.tuples(*[st.integers(0, d - 1) for d in g.torsion])
+    elements = draw(st.lists(st.tuples(st.sampled_from(frees), res), min_size=1, max_size=10))
+    return g, [g.from_coords(f + t) for f, t in elements], draw(st.integers(1, 6))
+
+
+@PROPERTY
+@given(reduced_elements())
+def test_packed_key_order_is_element_order(case):
+    """The first coordinate is the most significant digit: packed keys of
+    reduced elements sort, and tie, as the elements do."""
+    g, elements, n = case
+    pack, _, _ = _key_codec([h.free + h.torsion for h in elements], n, g)
+    keys = [pack(h.free + h.torsion) for h in elements]
+    for a, ka in zip(elements, keys):
+        for b, kb in zip(elements, keys):
+            assert (ka < kb, ka == kb) == (a < b, a == b)
+
+
 @pytest.mark.parametrize("g", [FinAbGroup(2), FinAbGroup(1, (3,)), FinAbGroup(0)])
 def test_no_vectors_decode_to_the_identity_of_full_length(g):
-    _, decode = _key_codec([], 0, g)
+    _, decode, _ = _key_codec([], 0, g)
     assert decode([0]) == [identity(g)]
 
 
@@ -58,6 +86,14 @@ def test_empty_determinant_is_the_identity_of_full_length():
     g = FinAbGroup(2)
     assert det_group_ring([], g) == GroupRingElem({identity(g): 1})
     assert det_group_ring([], g).items()[0][0].free == (0, 0)
+
+
+@pytest.mark.parametrize("name", ["t104", "t106", "t212", "t312"])
+def test_spinc_classes_in_the_order_of_their_first_generator(name):
+    part = spinc_partition(fixtures.load_diagram(name))
+    firsts = [members[0] for members in part.classes]
+    assert firsts == sorted(firsts) and firsts[0] == 0
+    assert len(part.values) == len(set(part.values)) == len(part.classes)
 
 
 @pytest.mark.parametrize("name,free_rank", [("disk", 0), ("annulus", 1)])

@@ -105,9 +105,9 @@ def test_euler_matrix_is_its_nonzero_cells(label, data, monkeypatch):
     d = SuturedDiagram.from_json(data)
     seen = []
 
-    def record(rows, g):
+    def record(rows, g, **kwargs):
         seen.append(rows)
-        return det_group_ring(rows, g)
+        return det_group_ring(rows, g, **kwargs)
 
     monkeypatch.setattr(diagram, "det_group_ring", record)
     euler_polynomial(d)

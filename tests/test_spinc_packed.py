@@ -75,13 +75,13 @@ def partition_with_key_count(monkeypatch, d):
     counts = []
 
     def counting_codec(vectors, n, g):
-        pack, decode = _key_codec(vectors, n, g)
+        pack, decode, normal_form = _key_codec(vectors, n, g)
 
         def counting(keys):
             keys = list(keys)
             counts.append(len(keys))
             return decode(keys)
-        return pack, counting
+        return pack, counting, normal_form
 
     monkeypatch.setattr(diagram, "_key_codec", counting_codec)
     part = spinc_partition(d)
