@@ -22,8 +22,13 @@ the signed, Spin^c-graded Euler polynomial as the determinant of the
 alpha x beta potential matrix.  One pass over the region cycles builds
 the cell structure that all of these read.  Each derived structure (the
 point -> curve tables, the cell structure, the validation and balance
-reports, the generators and the H_1 data) is a cached property, built once
-per diagram on first use.
+reports, the completable matchings, the generators and the H_1 data) is a
+cached property, built once per diagram on first use.
+
+Generators: of the masks of beta curves that the first i alpha curves
+can meet one each, only those from which the remaining curves can still
+be matched are kept, and ``generators`` and ``spinc_partition`` walk only
+those, so no partial matching is a dead end.
 
 Homology cellulation: every region must have genus zero; a region with
 extra boundary cycles (arc cycles or contained boundary circles) is cut
@@ -41,11 +46,11 @@ images, curve images and phi(p) are sparse vectors {coordinate: nonzero
 int}, so their sums cost their nonzero entries, not L each; the potential
 of p is the projection to H_1(M) applied to phi(p), a whole tuple, and
 the Spin^c partition packs each potential into one int by
-``abelian._key_codec``, keys every generator by the plain sum of its
-points' ints and keeps one element of H_1(M) per class.  The Smith form
-u rel v = diag(s) is the only one any query runs, ``check`` included: a
-periodic domain bounds sum n_c (curve c) with n in the kernel of rel, a
-connecting domain bounds the eps chain plus the n solving
+``abelian._key_codec``, sums a generator's points' ints along the walk
+of ``generators`` and keeps one element of H_1(M) per class.  The Smith
+form u rel v = diag(s) is the only one any query runs, ``check``
+included: a periodic domain bounds sum n_c (curve c) with n in the kernel
+of rel, a connecting domain bounds the eps chain plus the n solving
 rel n = -image, and H_2 of the surface being 0, each lifts root first
 along C* to one 2-chain, which is 0 on the regions touching the boundary.
 
@@ -114,6 +119,26 @@ def _arc_table(alpha, beta):
                 text, arc = f"{fam}{i + 1}.{k}", (fam, i, k)
                 table[text], table["-" + text] = (arc, 1), (arc, -1)
     return table
+
+
+def _read_regions(items, table):
+    """The regions of a JSON list, their references read through ``table``,
+    or None when an item has a wrong type or a reference that ``table``
+    misses: ``Region.from_json`` then names the field or parses the list.
+    The types are checked in bulk, so no field name is built."""
+    rows = [(r.get("cycles", []), r.get("boundary_circles", 0), r.get("genus", 0))
+            for r in items if type(r) is dict]
+    if len(rows) < len(items) or not {
+            (type(c), type(b), type(g)) for c, b, g in rows} <= {(list, int, int)}:
+        return None
+    cycles = list(chain.from_iterable([c for c, _, _ in rows]))
+    if not set(map(type, cycles)) <= {list}:
+        return None
+    refs = list(chain.from_iterable(cycles))
+    if not (set(map(type, refs)) <= {str} and set(refs) <= table.keys()):
+        return None
+    get = table.__getitem__
+    return [Region(tuple([tuple(map(get, cyc)) for cyc in c]), b, g) for c, b, g in rows]
 
 
 def format_arc_ref(arc, sign):
@@ -251,11 +276,13 @@ class SuturedDiagram:
                         enumerate(expect(data.get(fam, []), list, fam))]
                   for fam in ("alpha", "beta")}
         signs = expect(data.get("crossing_sign", {}), dict, "crossing_sign")
+        signs = {p: expect(s, int, f"crossing_sign[{p!r}]") for p, s in signs.items()}
         table = _arc_table(curves["alpha"], curves["beta"])
-        return cls(genus, boundary_circles, curves["alpha"], curves["beta"],
-                   {p: expect(s, int, f"crossing_sign[{p!r}]") for p, s in signs.items()},
-                   tuple(Region.from_json(r, f"regions[{i}]", table) for i, r in
-                         enumerate(expect(data.get("regions", []), list, "regions"))))
+        items = expect(data.get("regions", []), list, "regions")
+        regions = _read_regions(items, table)
+        if regions is None:
+            regions = [Region.from_json(r, f"regions[{i}]", table) for i, r in enumerate(items)]
+        return cls(genus, boundary_circles, curves["alpha"], curves["beta"], signs, regions)
 
     def to_json(self):
         return {
@@ -407,29 +434,53 @@ class SuturedDiagram:
             raise NotBalanced("; ".join(report.reasons))
 
     @cached_property
-    def _generators(self):
+    def _completable(self):
+        """(candidates, moves) of the matchings of a balanced diagram.
+
+        ``candidates[i]`` lists (j, p) for the points p of alpha_i, p on
+        beta_j, sorted.  A forward pass finds the masks of the beta curves
+        that the first i alpha curves can meet one each; a backward pass
+        keeps those from which the remaining curves can still be matched.  ``moves[i]``
+        maps each kept mask m to the (m | 1 << j, k) for the k-th candidate
+        (j, p) of alpha_i that leads to a kept mask, in candidate order.
+        """
         _, bpos = self._curve_of
         candidates = [sorted((bpos[p], p) for p in curve) for curve in self.alpha]
-        n = len(candidates)
-        out = []
-        used = [False] * len(self.beta)
-        pick = []
+        bits = [[1 << j for j, _ in cands] for cands in candidates]
+        reach = [{0}]
+        for row in bits:
+            reach.append({m | bit for m in reach[-1] for bit in row if not m & bit})
+        ahead, moves = reach.pop(), []
+        for row in reversed(bits):
+            step = {}
+            for m in reach.pop():
+                # a kept mask after alpha_i has i + 1 bits, so bit is new to m
+                ms = [(m | bit, k) for k, bit in enumerate(row) if m | bit in ahead]
+                if ms or not reach:      # the empty start mask stays, with no moves if stuck
+                    step[m] = ms
+            moves.append(step)
+            ahead = step
+        return candidates, moves[::-1]
 
-        def backtrack(i):
-            if i == n:
-                out.append(GeneratorMatching(tuple(pick)))
-                return
-            for j, p in candidates[i]:
-                if not used[j]:
-                    used[j] = True
-                    pick.append((j, p))
-                    backtrack(i + 1)
-                    pick.pop()
-                    used[j] = False
+    def _matchings(self, values, start):
+        """One total per generator, in the order of ``generators``: start plus
+        ``values[i][k]`` for the k-th candidate of alpha_i that it picks.
 
-        backtrack(0)
-        del backtrack       # the closure refers to itself; drop the cycle now
-        return tuple(out)
+        Level by level, each prefix (beta mask, total) extends by the moves
+        of its mask, so every prefix completes: a level holds at most as
+        many prefixes as there are generators, in lexicographic order of
+        their picks.
+        """
+        level = [(0, start)]
+        for step, vals in zip(self._completable[1], values):
+            step = {m: [(m2, vals[k]) for m2, k in ms] for m, ms in step.items()}
+            level = [(m2, total + v) for m, total in level for m2, v in step[m]]
+        return [total for _, total in level]
+
+    @cached_property
+    def _generators(self):
+        values = [[(x,) for x in cands] for cands in self._completable[0]]
+        return tuple(map(GeneratorMatching, self._matchings(values, ())))
 
     @cached_property
     def _h1(self):
@@ -441,8 +492,10 @@ class SuturedDiagram:
 def generators(d):
     """All systems of distinct intersection points, one per curve of each family.
 
-    Enumerated by backtracking over the alpha curves; the result is ordered
-    lexicographically by the sequence (sigma(i), point name).
+    Walked over the alpha curves along the masks of used beta curves from
+    which the remaining curves can still be matched, so no partial
+    matching is a dead end; the result is ordered lexicographically by the
+    sequence (sigma(i), point name).
     """
     d.require_balanced()
     return d._generators
@@ -765,19 +818,19 @@ def spinc_partition(d):
     x and y share a class when sum phi(x) and sum phi(y) name one element
     of H_1(M).  Each point's potential is packed once into one int by
     ``abelian._key_codec`` for sums of n = |alpha| potentials, so a
-    generator's key is the plain sum of its points' ints.  The distinct
-    keys are decoded together, and keys that name one element (unreduced
-    torsion coordinates) merge.  Classes come in the order of their first
-    generator, each with its element.
+    generator's key is the plain sum of its points' ints, carried along
+    the same walk as ``generators`` and with no generator built.  The
+    distinct keys are decoded together, and keys that name one element
+    (unreduced torsion coordinates) merge.  Classes come in the order of
+    their first generator, each with its element.
     """
     d.require_balanced()
-    gens = generators(d)
     data = _h1data(d)
     pack, decode, _ = _key_codec(list(data.potential.values()), len(d.alpha), data.group)
-    packed = {p: pack(v) for p, v in data.potential.items()}
+    values = [[pack(data.potential[p]) for _, p in cands] for cands in d._completable[0]]
     members = {}             # key -> generator indices
-    for idx, x in enumerate(gens):
-        members.setdefault(sum([packed[p] for _, p in x.assignment]), []).append(idx)
+    for idx, key in enumerate(d._matchings(values, 0)):
+        members.setdefault(key, []).append(idx)
     classes = {}             # element -> index lists of its keys
     for h, idxs in zip(decode(members), members.values()):
         classes.setdefault(h, []).append(idxs)

@@ -21,7 +21,9 @@ images, the point potentials, eps and the Spin^c classes, all dense, with
 Spin^c partition as the library found it before it packed the
 potentials: one tuple sum per generator, reduced one by one, and one
 ``FinAbGroup.sub`` per ordered pair of classes.  The union-find with one
-method call per find and union.
+method call per find and union.  The generators as the recursive
+backtrack listed them before the walk over completable beta masks, and
+the number of calls it makes.
 """
 
 from operator import mul, neg
@@ -30,8 +32,8 @@ from ring_oracle import identity, ring_neg, ring_translate
 from snf_oracle import smith_normal_form as oracle_smith_normal_form
 from sutured_kit.abelian import (GroupRingElem, IntMatrix, cokernel, echelon, smith_cokernel,
                                  smith_normal_form)
-from sutured_kit.diagram import (DomainVector, _check_generator, _eps_chain, epsilon,
-                                 generator_sign, generators, h1_of_M, internal_regions)
+from sutured_kit.diagram import (DomainVector, GeneratorMatching, _check_generator, _eps_chain,
+                                 epsilon, generator_sign, generators, h1_of_M, internal_regions)
 from sutured_kit.errors import InvalidDiagram
 
 
@@ -299,11 +301,13 @@ def snf_spinc_classes(d):
     return h1.group, tuple(tuple(m) for m in members.values())
 
 
-def tuple_sum_spinc_partition(d):
+def tuple_sum_spinc_partition(d, gens=None):
     """(classes, difference) of the Spin^c partition: every generator's
     potentials summed as a tuple from minus the first generator's sum and
-    reduced by ``from_coords``, classes in first-appearance order."""
-    gens = generators(d)
+    reduced by ``from_coords``, classes in first-appearance order.  The
+    generators are ``generators(d)`` unless given."""
+    if gens is None:
+        gens = generators(d)
     data = d._h1
     if not gens:
         return (), {}
@@ -355,6 +359,52 @@ def enumerated_euler_polynomial(d):
         cls = epsilon(d, gens[0], x)
         terms[cls] = terms.get(cls, 0) + generator_sign(d, x)
     return quadratic_doteq_normalize(GroupRingElem(terms), group), group
+
+
+def backtrack_generators(d):
+    """The generators of a balanced diagram as the library enumerated them
+    before it walked completable beta masks: a recursive backtrack over the
+    alpha curves that also tries beta curves used further down."""
+    _, bpos = d._curve_of
+    candidates = [sorted((bpos[p], p) for p in curve) for curve in d.alpha]
+    n = len(candidates)
+    out = []
+    used = [False] * len(d.beta)
+    pick = []
+
+    def backtrack(i):
+        if i == n:
+            out.append(GeneratorMatching(tuple(pick)))
+            return
+        for j, p in candidates[i]:
+            if not used[j]:
+                used[j] = True
+                pick.append((j, p))
+                backtrack(i + 1)
+                pick.pop()
+                used[j] = False
+
+    backtrack(0)
+    del backtrack       # the closure refers to itself; drop the cycle now
+    return tuple(out)
+
+
+def backtrack_calls(d):
+    """The number of calls ``backtrack_generators`` makes: one per partial
+    matching of the first i alpha curves to distinct beta curves, i = 0..n,
+    counted level by level over the masks of used beta curves."""
+    _, bpos = d._curve_of
+    level, calls = {0: 1}, 1
+    for curve in d.alpha:
+        nxt = {}
+        for mask, count in level.items():
+            for p in curve:
+                bit = 1 << bpos[p]
+                if not mask & bit:
+                    nxt[mask | bit] = nxt.get(mask | bit, 0) + count
+        level = nxt
+        calls += sum(level.values())
+    return calls
 
 
 # -- the tree-cotree path, one coordinate at a time ------------------------------

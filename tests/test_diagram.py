@@ -120,8 +120,10 @@ class TestValidate:
                 h1_of_M(d)
             with pytest.raises(InvalidDiagram):
                 generators(d)
+            with pytest.raises(InvalidDiagram):
+                spinc_partition(d)
         assert d.validate() is d.validate() and not d.validate().ok
-        assert not {"_balance", "_generators", "_h1"} & set(vars(d))
+        assert not {"_balance", "_completable", "_generators", "_h1"} & set(vars(d))
 
     @pytest.mark.parametrize("edit,violations", [
         (lambda d: d.update(genus=-1),
