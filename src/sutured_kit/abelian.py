@@ -6,9 +6,10 @@ it, so each elementary operation is written once; one fraction-free
 Gauss-Jordan elimination (``echelon``: ranks, pivot columns, null spaces
 and determinants), finitely generated abelian groups in invariant factor
 form, and of their integral group rings only what the invariants need:
-``det_group_ring``, the normal form up to units ``doteq_normalize`` and
-the inversion h -> h^{-1}; sums and products are left to the tests'
-oracles, and the CLI writes ring elements as JSON itself.
+``det_group_ring``, which returns its determinant in the normal form up
+to units of ``doteq_normalize``, that normal form itself and the
+inversion h -> h^{-1}; sums and products are left to the tests' oracles,
+and the CLI writes ring elements as JSON itself.
 Everything is exact: entries are Python ints, there is no floating point
 and no modular shortcut, because all downstream comparisons are exact
 equalities of torsion polynomials up to units.
@@ -184,7 +185,7 @@ def cokernel(a):
     """The quotient Z^rows / column-span(a) as a FinAbGroup in Smith form.
 
     The returned group remembers the projection from ambient coordinates,
-    so classes of ambient vectors can be computed with ``from_ambient``.
+    whose rows give the coordinates of the class of an ambient vector.
     """
     u, d, _ = smith_normal_form(a, with_v=False)
     return smith_cokernel(u, d)
@@ -241,24 +242,6 @@ class FinAbGroup:
         r = self.free_rank
         return tuple.__new__(GroupElement,
                              (tuple(coords[:r]), tuple(map(mod, coords[r:], self.torsion))))
-
-    def from_ambient(self, vec):
-        if self.projection is None:
-            raise ValueError("group carries no ambient projection")
-        return self.from_coords(self.projection @ tuple(vec))
-
-    def add(self, x, y):
-        free = tuple(a + b for a, b in zip(x.free, y.free))
-        tors = tuple((a + b) % d for a, b, d in zip(x.torsion, y.torsion, self.torsion))
-        return GroupElement(free, tors)
-
-    def neg(self, x):
-        free = tuple(-a for a in x.free)
-        tors = tuple((-a) % d for a, d in zip(x.torsion, self.torsion))
-        return GroupElement(free, tors)
-
-    def sub(self, x, y):
-        return self.add(x, self.neg(y))
 
 
 class GroupRingElem:
@@ -485,8 +468,9 @@ def _key_codec(vectors, n, g):
     return pack, decode, normal_form
 
 
-def det_group_ring(m, g, normalize=False):
-    """Determinant of a square matrix over Z[g], given by its nonzero cells.
+def det_group_ring(m, g):
+    """The +-h normal form of the determinant of a square matrix over Z[g],
+    given by its nonzero cells.
 
     m is a list of n rows, row i a dict {column j: M_ij} holding only the
     nonzero elements, 0 <= j < n; a missing cell is zero.  Cofactor
@@ -495,22 +479,22 @@ def det_group_ring(m, g, normalize=False):
     not available.  The expansion order is read from the zero pattern
     alone: rows in ``_footprint_order``, of m or of its transpose (g is
     abelian, so both have the same determinant), whichever bounds fewer
-    memo keys, and the result times the sign of that row permutation.
-    Before any ring product a bitmask pass counts the memo keys of each
-    row of the order expanded and refuses more than TOO_LARGE_DET at one
-    row; if the chosen order is refused, the caller's order is counted
-    instead, and only its refusal is raised.  The minors are then filled
-    in for those keys, last row first, each from the nonzero cells of its
-    row alone: the cofactor sign of column j is the parity of the unused
-    columns below j.  The masks and the transpose read each nonzero cell once.
+    memo keys; reordering the rows changes only the sign, which the normal
+    form absorbs.  Before any ring product a bitmask pass counts the memo
+    keys of each row of the order expanded and refuses more than
+    TOO_LARGE_DET at one row; if the chosen order is refused, the caller's
+    order is counted instead, and only its refusal is raised.  The minors
+    are then filled in for those keys, last row first, each from the
+    nonzero cells of its row alone: the cofactor sign of column j is the
+    parity of the unused columns below j.  The masks and the transpose read
+    each nonzero cell once.
 
     Inside, a group element is one int packed by ``_key_codec``.  A minor
     sums at most n keys, so no digit carries and the group-ring product is
-    addition of keys on plain dicts.  The determinant's keys are decoded
-    once at the end, and terms whose residues now agree mod d merge.  With
-    ``normalize`` the result is the +-h normal form that ``doteq_normalize``
-    would give, reached from the keys by the codec's ``normal_form``
-    without decoding the determinant itself.
+    addition of keys on plain dicts.  The torsion that the determinant
+    computes is defined only up to units +-h, so the result is the normal
+    form that ``doteq_normalize`` would give, reached from the keys by the
+    codec's ``normal_form`` without decoding the determinant itself.
     """
     n = len(m)
     if any(not 0 <= j < n for row in m for j in row):
@@ -530,7 +514,7 @@ def det_group_ring(m, g, normalize=False):
     except DeterminantTooLarge:
         if expanded == masks:
             raise
-        flip, order, levels = False, list(range(n)), _memo_levels(masks)
+        flip, order, levels = False, range(n), _memo_levels(masks)
     if flip:
         t = [{} for _ in range(n)]
         for i, row in enumerate(m):
@@ -538,9 +522,8 @@ def det_group_ring(m, g, normalize=False):
                 t[j][i] = e
         m = t
     m = [m[i] for i in order]
-    parity = _perm_sign(order)
 
-    pack, decode, normal_form = _key_codec(
+    pack, _, normal_form = _key_codec(
         [h.free + h.torsion for row in m for e in row.values() for h in e._terms], n, g)
 
     # memo: column mask -> [(key, coeff)] of the minor on the rows below
@@ -566,11 +549,7 @@ def det_group_ring(m, g, normalize=False):
 
     items = memo[(1 << n) - 1]
     keys, coeffs = zip(*items) if items else ((), ())
-    if normalize:
-        return normal_form(keys, coeffs)    # which absorbs the sign of the permutation
-    terms = zip(decode(keys), coeffs if parity > 0 else map(neg, coeffs))
-    # with torsion, keys whose residues agree mod d name one element: the constructor merges
-    return GroupRingElem(terms) if g.torsion else GroupRingElem._of(dict(terms))
+    return normal_form(keys, coeffs)
 
 
 def doteq_normalize(x, g):

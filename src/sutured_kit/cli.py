@@ -31,18 +31,19 @@ class UsageError(Exception):
     pass
 
 
-_scalar = json.JSONEncoder(sort_keys=True).encode
-_quote = json.encoder.encode_basestring_ascii
+_quote = json.encoder.encode_basestring_ascii    # TypeError on anything but a str
 
 
 def _encode(x, indent):
     """``json.dumps(x, sort_keys=True, indent=2)`` nested at ``indent``.
 
     The standard library runs its pure-Python encoder whenever ``indent``
-    is set; this walk builds the same bytes from the C string quoting.  A
-    ``GroupRingElem`` is written as its list of terms, see ``_encode_ring``,
-    and a ``SpincPartition`` as the differences of its class values, every
-    ordered pair, see ``_encode_differences``.
+    is set; this walk builds the same bytes from the C string quoting.  It
+    writes what the subcommands return and nothing else: dicts with str
+    keys, lists and tuples, str, int, bool and None, a ``GroupRingElem`` as
+    its list of terms, see ``_encode_ring``, and a ``SpincPartition`` as
+    the differences of its class values, every ordered pair, see
+    ``_encode_differences``.  Any other type raises TypeError.
     """
     kind = type(x)
     if kind is int:
@@ -60,27 +61,17 @@ def _encode(x, indent):
         if not x:
             return "{}"
         inner = indent + "  "
-        if all(type(k) is str for k in x):
-            items = [_quote(k) + ": " + _encode(x[k], inner) for k in sorted(x)]
-        else:   # sorted as they are, then written as strings
-            items = [_quote(_key(k)) + ": " + _encode(v, inner) for k, v in sorted(x.items())]
+        items = [_quote(k) + ": " + _encode(x[k], inner) for k in sorted(x)]
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
     if kind is GroupRingElem:
         return _encode_ring(x, indent)
     if kind is diagram.SpincPartition:
         return _encode_differences(x, indent)
-    if kind is float or kind is bool or x is None:
-        return _scalar(x)
-    return json.dumps(x, sort_keys=True, indent=2).replace("\n", "\n" + indent)
-
-
-def _key(k):
-    """A dict key as ``json.dumps`` writes it."""
-    if isinstance(k, str):
-        return k
-    if isinstance(k, (int, float)) or k is None:
-        return _scalar(k)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+    if kind is bool:
+        return "true" if x else "false"
+    if x is None:
+        return "null"
+    raise TypeError(f"a payload holds no {kind.__name__}")
 
 
 def _int_list(indent):

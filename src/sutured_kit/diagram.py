@@ -96,18 +96,11 @@ def parse_arc_ref(text, field="arc reference"):
 
 def _arc_refs(refs, field, table):
     """Read a list of arc references through ``table``, the canonical spelling
-    of each arc of the diagram's curves -> (arc, sign).  On any miss the list
-    is parsed instead, so a malformed reference is named by its index and an
-    unknown but well-formed one is kept for ``validate`` to report."""
-    arcs = tuple(map(table.get, expect_items(refs, str, field)))
-    if None not in arcs:
-        return arcs
-    try:
-        return tuple(map(parse_arc_ref, refs))
-    except ValueError:
-        for j, ref in enumerate(refs):
-            parse_arc_ref(ref, f"{field}[{j}]")
-        raise
+    of each arc of the diagram's curves -> (arc, sign); a reference it misses
+    is parsed, so a malformed one is named by its index and an unknown but
+    well-formed one is kept for ``validate`` to report."""
+    return tuple(table.get(ref) or parse_arc_ref(ref, f"{field}[{j}]")
+                 for j, ref in enumerate(expect_items(refs, str, field)))
 
 
 def _arc_table(alpha, beta):
@@ -272,11 +265,18 @@ class SuturedDiagram:
         expect(data, dict, "diagram JSON")
         genus = expect(data.get("genus"), int, "genus")
         boundary_circles = expect(data.get("boundary_circles"), int, "boundary_circles")
-        curves = {fam: [expect_items(c, str, f"{fam}[{i}]") for i, c in
-                        enumerate(expect(data.get(fam, []), list, fam))]
-                  for fam in ("alpha", "beta")}
+        # types are checked in bulk; a field name is built only to report a fault
+        curves = {}
+        for fam in ("alpha", "beta"):
+            items = curves[fam] = expect(data.get(fam, []), list, fam)
+            if not (set(map(type, items)) <= {list}
+                    and set(map(type, chain.from_iterable(items))) <= {str}):
+                for i, c in enumerate(items):
+                    expect_items(c, str, f"{fam}[{i}]")
         signs = expect(data.get("crossing_sign", {}), dict, "crossing_sign")
-        signs = {p: expect(s, int, f"crossing_sign[{p!r}]") for p, s in signs.items()}
+        if not set(map(type, signs.values())) <= {int}:
+            for p, s in signs.items():
+                expect(s, int, f"crossing_sign[{p!r}]")
         table = _arc_table(curves["alpha"], curves["beta"])
         items = expect(data.get("regions", []), list, "regions")
         regions = _read_regions(items, table)
@@ -959,4 +959,4 @@ def euler_polynomial(d):
                                                   d.crossing_sign[p]))
         row = {j: GroupRingElem(cell) for j, cell in cells.items()}
         rows.append({j: e for j, e in row.items() if not e.is_zero()})
-    return det_group_ring(rows, group, normalize=True), group
+    return det_group_ring(rows, group), group

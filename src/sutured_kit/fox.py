@@ -241,5 +241,5 @@ def torsion(p, k):
     checkable here.
     """
     theta, g = theta_matrix(p, k)
-    rows = [{j: e for j, e in enumerate(row) if e._terms} for row in theta]
-    return det_group_ring(rows, g, normalize=True), g
+    rows = [{j: e for j, e in enumerate(row) if not e.is_zero()} for row in theta]
+    return det_group_ring(rows, g), g

@@ -128,11 +128,6 @@ class SupportPolytope:
         self.facets = facets
         self.equations = equations
 
-    def min_value(self, alpha):
-        if len(alpha) != self.ambient_dimension:
-            raise BadDimension("direction has the wrong length")
-        return min(_dot(vert, alpha) for vert in self.vertices)
-
     def translate(self, shift):
         verts = tuple(tuple(x + s for x, s in zip(v, shift)) for v in self.vertices)
         facets = tuple((n, c + sum(a * s for a, s in zip(n, shift)))

@@ -7,8 +7,10 @@ keys, with torsion residues reduced at each step.  ``oracle_det()``
 swaps it in for ``det_group_ring`` in every library module that binds
 that name, so whole CLI commands can be run on it; the library hands it
 the nonzero cells of each row, which ``dense_of`` fills out with zeros,
-and asks for the normal form, which the tuple oracle of ``ring_oracle``
-then takes.
+and the tuple normal form of ``ring_oracle`` is then taken, the one
+result the library's ``det_group_ring`` has.  ``normal_det`` is that
+form of the oracle's determinant of a dense matrix, which the tests hold
+the library's to.
 ``rows_of`` goes the other way, from a dense matrix to the dict rows that
 the library's ``det_group_ring`` reads.  ``Unreadable`` is the entry that
 shows a size bound is checked before any product.
@@ -87,11 +89,14 @@ class Unreadable:
         return False
 
 
-def det_of_rows(rows, g, normalize=False):
-    """``det_group_ring`` on the library's input form, its normal form
-    taken by the tuple oracle when asked for."""
-    det = det_group_ring(dense_of(rows), g)
-    return tuple_doteq_normalize(det, g) if normalize else det
+def normal_det(m, g):
+    """The +-h normal form, by the tuple oracle, of the determinant of a dense matrix."""
+    return tuple_doteq_normalize(det_group_ring(m, g), g)
+
+
+def det_of_rows(rows, g):
+    """``normal_det`` on the library's input form."""
+    return normal_det(dense_of(rows), g)
 
 
 @contextmanager

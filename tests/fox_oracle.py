@@ -12,6 +12,7 @@ projection, as ``fox.abelianization`` returns it; ``concat`` is the
 product of two words.
 """
 
+from ring_oracle import from_ambient
 from sutured_kit.abelian import GroupRingElem
 from sutured_kit.errors import InvalidGenerator
 from sutured_kit.fox import FreeWord
@@ -79,6 +80,6 @@ def phi(g, x):
     m = g.projection.cols
     terms = {}
     for w, c in x.items():
-        elem = g.from_ambient(w.exponents(m))
+        elem = from_ambient(g, w.exponents(m))
         terms[elem] = terms.get(elem, 0) + c
     return GroupRingElem(terms)

@@ -28,7 +28,7 @@ the number of calls it makes.
 
 from operator import mul, neg
 
-from ring_oracle import identity, ring_neg, ring_translate
+from ring_oracle import from_ambient, group_neg, group_sub, identity, ring_neg, ring_translate
 from snf_oracle import smith_normal_form as oracle_smith_normal_form
 from sutured_kit.abelian import (GroupRingElem, IntMatrix, cokernel, echelon, smith_cokernel,
                                  smith_normal_form)
@@ -192,7 +192,7 @@ class SnfH1:
         vec = [0] * self.skeleton.n_edges
         for arc, c in chain.items():
             vec[self.skeleton.arc_edge[arc]] += c
-        return self.group.from_ambient(self._coords(vec))
+        return from_ambient(self.group, self._coords(vec))
 
 
 def _boundary_rows(d, internal):
@@ -317,7 +317,7 @@ def tuple_sum_spinc_partition(d, gens=None):
     for idx, x in enumerate(gens):
         members.setdefault(data.group.from_coords(data.potential_sum(x, lead)), []).append(idx)
     values = list(members)
-    difference = {(a, b): data.group.sub(vb, va)
+    difference = {(a, b): group_sub(data.group, vb, va)
                   for a, va in enumerate(values) for b, vb in enumerate(values)}
     return tuple(map(tuple, members.values())), difference
 
@@ -326,7 +326,7 @@ def partition_differences(part):
     """{(a, b): eps from class a to class b} of a ``SpincPartition``, read
     from its class values as ``values[b] - values[a]``, a then b."""
     values, group = part.values, part.group
-    return {(a, b): group.sub(vb, va)
+    return {(a, b): group_sub(group, vb, va)
             for a, va in enumerate(values) for b, vb in enumerate(values)}
 
 
@@ -337,7 +337,7 @@ def quadratic_doteq_normalize(x, g):
     one = identity(g)
     best = None
     for s in x.support():
-        y = ring_translate(x, g.neg(s), g)
+        y = ring_translate(x, group_neg(g, s), g)
         if min(y._terms) != one:
             continue
         if y._terms.get(one, 0) < 0:

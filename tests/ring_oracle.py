@@ -1,11 +1,13 @@
-"""Test-side arithmetic in Z[G]: the library forms only determinants and
-+-h normal forms, the oracles also sums, products, translates, equality up
-to units and the Leibniz expansion of a determinant.  Also kept here as
-references: the normal form on ``GroupElement`` tuples that the library
-ran before it worked on packed ints, the normal form and the inversion
-written with one ``g.add``/``g.neg`` per term, and the JSON term list of a
-ring element, whose indented dump the CLI's writer must reproduce byte
-for byte."""
+"""Test-side arithmetic in G and Z[G]: the library forms only +-h normal
+forms, of determinants among others, the oracles also the group law on
+single elements (``group_add``, ``group_neg``, ``group_sub``), the class
+of an ambient vector (``from_ambient``), sums, products, translates,
+equality up to units and the Leibniz expansion of a determinant.  Also
+kept here as references: the normal form on ``GroupElement`` tuples that
+the library ran before it worked on packed ints, the normal form and the
+inversion written with one ``group_add``/``group_neg`` per term, and the
+JSON term list of a ring element, whose indented dump the CLI's writer
+must reproduce byte for byte."""
 
 from itertools import permutations
 from operator import mod, sub
@@ -19,6 +21,29 @@ def element(g, free=(), torsion=()):
     if len(free) != g.free_rank or len(torsion) != len(g.torsion):
         raise ValueError("component count mismatch")
     return g.from_coords(free + torsion)
+
+
+def from_ambient(g, vec):
+    """The class in g of a vector in the coordinates g was presented in."""
+    if g.projection is None:
+        raise ValueError("group carries no ambient projection")
+    return g.from_coords(g.projection @ tuple(vec))
+
+
+def group_add(g, x, y):
+    free = tuple(a + b for a, b in zip(x.free, y.free))
+    tors = tuple((a + b) % d for a, b, d in zip(x.torsion, y.torsion, g.torsion))
+    return GroupElement(free, tors)
+
+
+def group_neg(g, x):
+    free = tuple(-a for a in x.free)
+    tors = tuple((-a) % d for a, d in zip(x.torsion, g.torsion))
+    return GroupElement(free, tors)
+
+
+def group_sub(g, x, y):
+    return group_add(g, x, group_neg(g, y))
 
 
 def identity(g):
@@ -45,14 +70,14 @@ def ring_mul(x, y, g):
     terms = {}
     for a, ca in x._terms.items():
         for b, cb in y._terms.items():
-            s = g.add(a, b)
+            s = group_add(g, a, b)
             terms[s] = terms.get(s, 0) + ca * cb
     return GroupRingElem(terms)
 
 
 def ring_translate(x, h, g):
     """Multiply by the single group element h."""
-    return GroupRingElem({g.add(a, h): c for a, c in x._terms.items()})
+    return GroupRingElem({group_add(g, a, h): c for a, c in x._terms.items()})
 
 
 def leibniz_det(m, g):
@@ -95,21 +120,22 @@ def tuple_doteq_normalize(x, g):
 
 
 def per_term_doteq_normalize(x, g):
-    """``doteq_normalize`` with one ``g.add`` per term and the merging constructor."""
+    """``doteq_normalize`` with one ``group_add`` per term and the merging constructor."""
     if x.is_zero():
         return x
     low = min(x._terms).free
     forms = []
     for s, c in x._terms.items():
         if s.free == low:
-            inv, sign = g.neg(s), (1 if c > 0 else -1)
-            forms.append(GroupRingElem({g.add(a, inv): sign * b for a, b in x._terms.items()}))
+            inv, sign = group_neg(g, s), (1 if c > 0 else -1)
+            forms.append(GroupRingElem({group_add(g, a, inv): sign * b
+                                        for a, b in x._terms.items()}))
     return forms[0] if len(forms) == 1 else min(forms, key=GroupRingElem.items)
 
 
 def per_term_invert_exponents(x, g):
-    """``ring_invert_exponents`` with one ``g.neg`` per term."""
-    return GroupRingElem({g.neg(a): c for a, c in x._terms.items()})
+    """``ring_invert_exponents`` with one ``group_neg`` per term."""
+    return GroupRingElem({group_neg(g, a): c for a, c in x._terms.items()})
 
 
 def ring_to_json(x):

@@ -7,7 +7,9 @@ equal cycles on every bundled fixture, on T(p,1;2), L(p,1), T(1,0;2k+2)
 and on seeded scrambles of each, and every reference there must be in the
 table.  Malformed references keep the exception and message of the parser,
 naming the same index, and an unknown but well-formed arc the same
-``validate`` violation.
+``validate`` violation.  The curves and crossing signs are checked in
+bulk, and a fault there keeps the message naming its field, in the order
+alpha, beta, crossing_sign.
 """
 
 import json
@@ -115,3 +117,29 @@ def test_json_round_trip_reads_through_the_table():
         d = SuturedDiagram.from_json(data)
         again = SuturedDiagram.from_json(json.loads(json.dumps(d.to_json())))
         assert [r.cycles for r in again.regions] == [r.cycles for r in d.regions], label
+
+
+def t212_edited(edit):
+    data = fixtures.load_diagram("t212").to_json()
+    edit(data)
+    return data
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda d: d["alpha"].__setitem__(0, "P0"), "alpha[0] must be a list, got 'P0'"),
+    (lambda d: d["beta"].append({"P0": 1}), "beta[1] must be a list, got {'P0': 1}"),
+    (lambda d: d["beta"][0].__setitem__(1, 5), "beta[0][1] must be a string, got 5"),
+    (lambda d: d["alpha"][0].append(None), "alpha[0][2] must be a string, got None"),
+    (lambda d: d.update(alpha=[["P0", 1]], beta=7), "alpha[0][1] must be a string, got 1"),
+    (lambda d: d.update(alpha="P0"), "alpha must be a list, got 'P0'"),
+    (lambda d: d["crossing_sign"].__setitem__("P1", True),
+     "crossing_sign['P1'] must be an integer, got True"),
+    (lambda d: d["crossing_sign"].update(P0=1.0, P1="1"),
+     "crossing_sign['P0'] must be an integer, got 1.0"),
+    (lambda d: d.update(beta=[[2]], crossing_sign={"P0": None}),
+     "beta[0][0] must be a string, got 2"),
+])
+def test_curve_and_sign_faults_keep_the_field_message(edit, message):
+    with pytest.raises(ValueError) as err:
+        SuturedDiagram.from_json(t212_edited(edit))
+    assert str(err.value) == message

@@ -449,11 +449,11 @@ def ring_elements(draw):
         for _ in range(draw(st.integers(0, 4))))
 
 
+# what the subcommands return: no floats and no dict keys but str
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text() | ring_elements(),
+    st.none() | st.booleans() | st.integers() | st.text() | ring_elements(),
     lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
-                   | st.dictionaries(st.text(max_size=3), inner, max_size=4)
-                   | st.dictionaries(st.integers(), inner, max_size=3)),
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=4)),
     max_leaves=12)
 
 
@@ -475,6 +475,15 @@ def test_emit_writes_the_bytes_of_indented_json_dumps(value):
     with contextlib.redirect_stdout(out):
         cli._emit(value)
     assert out.getvalue() == json.dumps(plain(value), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    1.5, [0, 2.0], {"a": float("nan")}, {1: "a"}, {"a": 1, 2: "b"}, {None: 0}, {"a": {(1,): 2}},
+    {1, 2}, b"bytes", FinAbGroup(1)])
+def test_emit_refuses_what_no_subcommand_returns(value):
+    # floats and dicts keyed by anything but str are refused, as is any other type
+    with pytest.raises(TypeError):
+        cli._encode(value, "")
 
 
 class TestInputShape:

@@ -1,8 +1,8 @@
 """The packed-key determinant and the one-pass Fox matrix against their
-oracles: `det_oracle.det_group_ring` (the cofactor expansion on
-`GroupElement` keys, in the caller's row order) term for term before
-normalizing, whatever order the library expands, with its refusals under
-a lowered memo-key bound; `phi` of each `fox_oracle.fox_derivative` entry
+oracles: the tuple normal form of `det_oracle.det_group_ring` (the
+cofactor expansion on `GroupElement` keys, in the caller's row order)
+term for term, whatever order the library expands, with its refusals
+under a lowered memo-key bound; `phi` of each `fox_oracle.fox_derivative` entry
 by entry, and the CLI bytes with the oracle swapped in."""
 
 import random
@@ -16,7 +16,7 @@ from conftest import diagram_names, paired_names
 from det_oracle import rows_of
 from fox_oracle import concat, fox_derivative, phi
 from h1_oracle import det
-from ring_oracle import element
+from ring_oracle import element, group_add
 from sutured_kit import abelian, cli, fixtures
 from sutured_kit.abelian import FinAbGroup, GroupRingElem, IntMatrix, det_group_ring, ring_aug
 from sutured_kit.errors import DeterminantTooLarge
@@ -54,7 +54,8 @@ def group_matrices(draw):
     elif special == "unit":
         src, dst = draw(st.permutations(range(n)))[:2]
         u, sign = draw_element(), draw(st.sampled_from((-1, 1)))
-        m[dst] = [GroupRingElem((g.add(h, u), sign * c) for h, c in e.items()) for e in m[src]]
+        m[dst] = [GroupRingElem((group_add(g, h, u), sign * c) for h, c in e.items())
+                  for e in m[src]]
     return m, g
 
 
@@ -62,7 +63,7 @@ def group_matrices(draw):
 @given(group_matrices())
 def test_packed_equals_cofactor_oracle(case):
     m, g = case
-    assert det_group_ring(rows_of(m), g) == det_oracle.det_group_ring(m, g)
+    assert det_group_ring(rows_of(m), g) == det_oracle.normal_det(m, g)
 
 
 def test_matrix_of_one_term_entries_spans_every_digit():
@@ -71,7 +72,7 @@ def test_matrix_of_one_term_entries_spans_every_digit():
                          1 + i * j})
           for j in range(5)] for i in range(5)]
     got = det_group_ring(rows_of(m), g)
-    assert not got.is_zero() and got == det_oracle.det_group_ring(m, g)
+    assert not got.is_zero() and got == det_oracle.normal_det(m, g)
 
 
 PATTERNS = ("sparse", "bidiagonal", "permutation", "dense row", "dense column")
@@ -124,12 +125,12 @@ def memo_bound(limit):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(patterned_matrices(), st.sampled_from((1, 2, 3, 5, 8)))
 def test_expansion_order_keeps_every_term_and_every_refusal(case, limit):
-    """The raw determinant, before the +-h normal form could hide a sign,
-    equals the oracle's; under a bound lowered to ``limit`` memo keys the
-    routine refuses only what the oracle's pass in the caller's order
-    refuses, with the same detail."""
+    """The determinant equals the tuple normal form of the oracle's, term
+    for term; under a bound lowered to ``limit`` memo keys the routine
+    refuses only what the oracle's pass in the caller's order refuses, with
+    the same detail."""
     m, g = case
-    want = det_oracle.det_group_ring(m, g)
+    want = det_oracle.normal_det(m, g)
     assert det_group_ring(rows_of(m), g) == want
     with memo_bound(limit):
         try:

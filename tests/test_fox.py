@@ -3,7 +3,8 @@ import random
 import pytest
 
 from fox_oracle import combo_add, combo_mul, concat, fox_derivative, phi
-from ring_oracle import doteq_equal, element, identity, ring_add, ring_mul, ring_neg, ring_one
+from ring_oracle import (doteq_equal, element, from_ambient, group_add, identity, ring_add,
+                         ring_mul, ring_neg, ring_one)
 from sutured_kit.abelian import GroupRingElem
 from sutured_kit.errors import InvalidGenerator, NotGeometricallyBalanced
 from sutured_kit.fox import (FreeWord, InclusionData, Presentation, abelianization,
@@ -211,8 +212,8 @@ class TestBalanceAndTheta:
         for j, word in enumerate(inclusion.sigma_images + relators):
             for i in range(3):
                 assert theta[i][j] == phi(g, fox_derivative(word, i, 3))
-        c, b = g.from_ambient((0, 0, 1)), g.from_ambient((0, 1, 0))
-        assert theta[1][2] == GroupRingElem({c: 2, g.add(c, b): 2})
+        c, b = from_ambient(g, (0, 0, 1)), from_ambient(g, (0, 1, 0))
+        assert theta[1][2] == GroupRingElem({c: 2, group_add(g, c, b): 2})
         assert theta[2][2].is_zero()
 
     def test_theta_requires_balance(self):

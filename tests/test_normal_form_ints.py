@@ -1,6 +1,6 @@
 """The +-h normal form on packed ints against the tuple oracle.
 
-``doteq_normalize`` and ``det_group_ring(..., normalize=True)`` both run
+``doteq_normalize`` and ``det_group_ring`` both run
 the codec's ``normal_form``: reduced residues, candidates picked by the
 free digit block, torsion digits translated, forms sorted and compared as
 (key, coefficient) int lists, and only the winner decoded.
@@ -14,7 +14,7 @@ that differ only after the translation of their torsion digits compete.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from det_oracle import rows_of
+from det_oracle import det_of_rows, rows_of
 from ring_oracle import element, tuple_doteq_normalize
 from sutured_kit.abelian import FinAbGroup, GroupRingElem, det_group_ring, doteq_normalize
 
@@ -77,8 +77,7 @@ def matrices(draw):
 @given(matrices())
 def test_normalized_determinant_is_the_tuple_oracle_of_the_determinant(case):
     rows, g = case
-    assert_same_form(det_group_ring(rows, g, normalize=True),
-                     tuple_doteq_normalize(det_group_ring(rows, g), g))
+    assert_same_form(det_group_ring(rows, g), det_of_rows(rows, g))
 
 
 # (group, terms as (free, residues, coefficient)): two candidates, the

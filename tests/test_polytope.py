@@ -15,13 +15,21 @@ from sutured_kit.polytope import (SupportData, depth_bound, hull, is_centrally_s
 TRIANGLE = SupportData(2, ((0, 0), (2, 0), (0, 2)))
 
 
-# the support function, faces and the surface pairing value: no subcommand
-# uses them, so they live here, next to their tests
+# the least value of a direction, the support function, faces and the
+# surface pairing value: no subcommand uses them, so they live here, next
+# to their tests
+
+
+def min_value(p, alpha):
+    """The minimum of <c, alpha> over the vertices c of the polytope."""
+    if len(alpha) != p.ambient_dimension:
+        raise BadDimension("direction has the wrong length")
+    return min(sum(a * b for a, b in zip(vert, alpha)) for vert in p.vertices)
 
 
 def support_function(p, alpha):
     """y_t(alpha): the maximum of <-c, alpha> over the polytope, exactly."""
-    return -p.min_value(tuple(alpha))
+    return -min_value(p, tuple(alpha))
 
 
 def face(p, s, alpha):
@@ -180,7 +188,7 @@ class TestSupportFunction:
             h = hull(rand_support(rng, dim, rng.randint(1, 6)))
             alpha = tuple(rng.randint(-4, 4) for _ in range(dim))
             assert type(support_function(h, alpha)) is int
-            assert type(h.min_value(alpha)) is int
+            assert type(min_value(h, alpha)) is int
             assert all(type(c) is int for _, c in h.facets + h.equations)
             assert all(type(x) is int for v in h.vertices for x in v)
 
@@ -191,7 +199,9 @@ class TestSupportFunction:
             s = rand_support(rng, dim, rng.randint(2, 6))
             h = hull(s)
             alpha = tuple(rng.randint(-4, 4) for _ in range(dim))
-            assert h.min_value(alpha) == -support_function(h, alpha)
+            _, chosen = face(h, s, alpha)
+            values = {sum(a * b for a, b in zip(pt, alpha)) for pt in chosen}
+            assert values == {-support_function(h, alpha)}
 
 
 class TestFace:

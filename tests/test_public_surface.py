@@ -47,7 +47,7 @@ PUBLIC = {
 # the public methods (functions, properties, class methods) of each public
 # class; a public class that is not listed has none
 METHODS = {
-    "abelian.FinAbGroup": "add from_ambient from_coords neg sub",
+    "abelian.FinAbGroup": "from_coords",
     "abelian.GroupElement": "is_identity",
     "abelian.GroupRingElem": "is_zero items support",
     "abelian.IntMatrix": "column",
@@ -63,7 +63,7 @@ METHODS = {
     "maslov.UnitaryLoop": "closes_in_group",
     "oracle.RankTable": "support to_json values_in_order",
     "polytope.SupportData": "from_json",
-    "polytope.SupportPolytope": "canonical_translate min_value to_json translate",
+    "polytope.SupportPolytope": "canonical_translate to_json translate",
 }
 
 
