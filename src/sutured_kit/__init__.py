@@ -9,7 +9,7 @@ Modules:
 - ``polytope``: exact support polytopes, central symmetry, rank bounds
 - ``maslov``: Maslov loop indices and spectral flow of symmetric paths
 - ``oracle``: closed-form rank tables used as ground truth
-- ``fixtures``: bundled example data tying the modules together
+- ``fixtures``: the table of bundled example data and its directory
 - ``cli``: the ``sutured-kit`` command
 """
 

@@ -62,9 +62,6 @@ class IntMatrix:
         a.rows, a.cols, a.entries = rows, cols, entries
         return a
 
-    def __repr__(self):
-        return f"IntMatrix({list(map(list, self.entries))!r})"
-
     def __matmul__(self, vec):
         if self.cols != len(vec):
             raise ValueError("dimension mismatch")
@@ -225,17 +222,10 @@ class FinAbGroup:
         self.torsion = torsion
         self.projection = projection
 
-    def __repr__(self):
-        parts = ["Z"] * self.free_rank + [f"Z/{d}" for d in self.torsion]
-        return "FinAbGroup(" + (" + ".join(parts) if parts else "0") + ")"
-
     def __eq__(self, other):
         # identity of the abstract group; projections are bookkeeping
         return (isinstance(other, FinAbGroup) and self.free_rank == other.free_rank
                 and self.torsion == other.torsion)
-
-    def __hash__(self):
-        return hash((self.free_rank, self.torsion))
 
     def from_coords(self, coords):
         """The element with coordinates ``coords``: free exponents, then residues mod d_i."""
@@ -280,15 +270,6 @@ class GroupRingElem:
 
     def __eq__(self, other):
         return isinstance(other, GroupRingElem) and self._terms == other._terms
-
-    def __hash__(self):
-        return hash(tuple(self.items()))
-
-    def __repr__(self):
-        if self.is_zero():
-            return "GroupRingElem(0)"
-        bits = [f"{c}*{g.free}{g.torsion}" for g, c in self.items()]
-        return "GroupRingElem(" + " + ".join(bits) + ")"
 
 
 def ring_invert_exponents(x, g):

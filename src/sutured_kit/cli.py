@@ -266,7 +266,7 @@ def cmd_maslov(args):
 
 
 def cmd_fixtures(args):
-    return {"fixtures": [f.to_json() for f in fixtures.fixture_list()],
+    return {"fixtures": [f.to_json() for f in fixtures.FIXTURES],
             "directory": str(fixtures.fixtures_dir())}
 
 

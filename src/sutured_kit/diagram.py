@@ -163,13 +163,6 @@ class Region:
                    expect(data.get("boundary_circles", 0), int, f"{field}.boundary_circles"),
                    expect(data.get("genus", 0), int, f"{field}.genus"))
 
-    def to_json(self):
-        return {
-            "cycles": [[format_arc_ref(a, s) for a, s in cyc] for cyc in self.cycles],
-            "boundary_circles": self.boundary_circles,
-            "genus": self.genus,
-        }
-
 
 class GeneratorMatching:
     """One intersection point on each alpha and each beta curve.
@@ -234,9 +227,6 @@ class ValidationReport:
     def ok(self):
         return not self.violations
 
-    def __repr__(self):
-        return f"ValidationReport(ok={self.ok}, violations={self.violations!r})"
-
 
 class BalanceReport:
     def __init__(self, balanced, reasons):
@@ -258,7 +248,7 @@ class SuturedDiagram:
         self.crossing_sign = dict(crossing_sign)
         self.regions = tuple(regions)
 
-    # -- input/output ---------------------------------------------------------
+    # -- input ------------------------------------------------------------------
 
     @classmethod
     def from_json(cls, data):
@@ -283,16 +273,6 @@ class SuturedDiagram:
         if regions is None:
             regions = [Region.from_json(r, f"regions[{i}]", table) for i, r in enumerate(items)]
         return cls(genus, boundary_circles, curves["alpha"], curves["beta"], signs, regions)
-
-    def to_json(self):
-        return {
-            "genus": self.genus,
-            "boundary_circles": self.boundary_circles,
-            "alpha": [list(c) for c in self.alpha],
-            "beta": [list(c) for c in self.beta],
-            "crossing_sign": dict(sorted(self.crossing_sign.items())),
-            "regions": [r.to_json() for r in self.regions],
-        }
 
     # -- basic structure --------------------------------------------------------
 
@@ -720,7 +700,8 @@ class _H1Data:
 
     def lift(self, chain, curve_coeffs):
         """The domain bounded by the edge chain plus sum n_c (curve c), a
-        cycle that must be 0 in H_1 of the surface.
+        cycle that must be 0 in H_1 of the surface, as its tuple of
+        coefficients over the internal regions (those off the boundary).
 
         H_2 of the skeleton is 0, so the 2-chain is unique.  Root first
         along C*, with the outside node at 0, region r is solved from its C*
@@ -739,7 +720,7 @@ class _H1Data:
             if n:
                 for e, c in col.items():
                     rest[e] = rest.get(e, 0) - n * c
-        return DomainVector(tuple(coeffs[r] for r in self.internal))
+        return tuple(coeffs[r] for r in self.internal)
 
     def potential_sum(self, x, lead):
         """lead plus the potentials of the points of x; lead has the group's
@@ -841,30 +822,13 @@ def spinc_partition(d):
 # -- domains -------------------------------------------------------------------------
 
 
-class DomainVector:
-    """Integer coefficients over the internal regions (those off the boundary)."""
-
-    __slots__ = ("coefficients",)
-
-    def __init__(self, coefficients):
-        self.coefficients = coefficients
-
-    def __len__(self):
-        return len(self.coefficients)
-
-    def __eq__(self, other):
-        return isinstance(other, DomainVector) and self.coefficients == other.coefficients
-
-    def __hash__(self):
-        return hash(self.coefficients)
-
-
 def internal_regions(d):
     return [i for i, r in enumerate(d.regions) if r.boundary_circles == 0]
 
 
 def periodic_lattice(d):
-    """Integer basis of the periodic domains.
+    """Integer basis of the periodic domains, each a coefficient tuple
+    over ``internal_regions(d)``.
 
     A domain is periodic when its boundary is a sum n_c (curve c) of whole
     curves, 0 in H_1 of the surface: n runs over the kernel of the curve
@@ -887,13 +851,11 @@ def admissible_lattice(basis):
     inside.  A rank above ``polytope.MAX_DIMENSION`` raises
     DimensionTooLarge, with the rank in its detail.
     """
-    vectors = [tuple(v.coefficients) if isinstance(v, DomainVector) else tuple(v)
-               for v in basis]
-    if not vectors:
+    if not basis:
         return True
-    if len(vectors) > MAX_DIMENSION:
-        raise DimensionTooLarge(f"periodic lattice rank {len(vectors)} exceeds {MAX_DIMENSION}")
-    h = hull(SupportData(len(vectors), sorted(set(zip(*vectors)))))
+    if len(basis) > MAX_DIMENSION:
+        raise DimensionTooLarge(f"periodic lattice rank {len(basis)} exceeds {MAX_DIMENSION}")
+    h = hull(SupportData(len(basis), sorted(set(zip(*basis)))))
     return all(c == 0 for _, c in h.equations) and all(c < 0 for _, c in h.facets)
 
 
@@ -907,7 +869,8 @@ def connecting_domains(d, x, y):
 
     Its boundary runs along the alpha curves from x to y and along the beta
     curves from y to x, up to adding full curves.  Returns (particular
-    DomainVector, periodic basis), or None exactly when eps(x, y) != 0.
+    domain, periodic basis), both as coefficient tuples over
+    ``internal_regions(d)``, or None exactly when eps(x, y) != 0.
     """
     d.require_balanced()
     _check_generator(d, x)

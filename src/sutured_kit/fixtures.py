@@ -16,12 +16,8 @@ two annuli.  The solid torus therefore also ships as T(2,1;2), where both
 subsurfaces are single annuli and the pairing works.
 """
 
-import json
 import os
 from collections import namedtuple
-
-from . import diagram as diagram_mod
-from . import fox as fox_mod
 
 ENV_VAR = "SUTURED_KIT_FIXTURES"
 
@@ -79,32 +75,3 @@ def fixtures_dir():
         return Path(override)
     return Path(__file__).parent / "data"
 
-
-def fixture_list():
-    return FIXTURES
-
-
-def fixture_info(name):
-    for f in FIXTURES:
-        if f.name == name:
-            return f
-    raise KeyError(f"no bundled fixture named {name!r}")
-
-
-def _load_json(filename):
-    with open(fixtures_dir() / filename, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def load_diagram(name):
-    info = fixture_info(name)
-    if info.kind != "diagram":
-        raise KeyError(f"{name} is a {info.kind} fixture, not a diagram")
-    return diagram_mod.SuturedDiagram.from_json(_load_json(info.file))
-
-
-def load_presentation(name):
-    info = fixture_info(name)
-    if info.kind != "presentation":
-        raise KeyError(f"{name} is a {info.kind} fixture, not a presentation")
-    return fox_mod.load_presentation_json(_load_json(info.file))

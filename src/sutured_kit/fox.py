@@ -77,15 +77,6 @@ class FreeWord:
             vec[g] += e
         return tuple(vec)
 
-    def __eq__(self, other):
-        return isinstance(other, FreeWord) and self.letters == other.letters
-
-    def __hash__(self):
-        return hash(self.letters)
-
-    def __repr__(self):
-        return f"FreeWord({self.letters!r})"
-
 
 class Presentation:
     """Finite presentation <a_1..a_m | r_1..r_n> plus the declared boundary genus."""
@@ -101,15 +92,6 @@ class Presentation:
         self.generator_names = generator_names
         self.relators = relators
         self.boundary_genus = boundary_genus
-
-    def _key(self):
-        return self.generator_names, self.relators, self.boundary_genus
-
-    def __eq__(self, other):
-        return isinstance(other, Presentation) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     @property
     def num_generators(self):
@@ -141,12 +123,6 @@ class InclusionData:
 
     def __init__(self, sigma_images):
         self.sigma_images = sigma_images
-
-    def __eq__(self, other):
-        return isinstance(other, InclusionData) and self.sigma_images == other.sigma_images
-
-    def __hash__(self):
-        return hash(self.sigma_images)
 
     @classmethod
     def from_json(cls, data, presentation):

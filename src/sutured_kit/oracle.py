@@ -35,12 +35,6 @@ class RankTable:
     def values_in_order(self):
         return [self.ranks[i] for i in self.support()]
 
-    def __eq__(self, other):
-        return isinstance(other, RankTable) and self.ranks == other.ranks
-
-    def __repr__(self):
-        return f"RankTable({self.ranks!r})"
-
     def to_json(self):
         return {"ranks": {str(i): self.ranks[i] for i in self.support()}}
 

@@ -1,5 +1,5 @@
 """Shared test helpers: independent oracles, handmade diagram variants and
-the bundled fixtures listed by kind.
+the bundled fixtures listed by kind and read.
 
 Everything here is deliberately independent of the library's own code
 paths: convex-hull membership is decided by a small exact simplex,
@@ -15,11 +15,9 @@ from fractions import Fraction
 import numpy as np
 
 from sutured_kit import fixtures
-from sutured_kit.diagram import SuturedDiagram
 from sutured_kit.errors import CrossingCountMismatch
 from sutured_kit.maslov import CROSSING_SHIFT
 from sutured_kit.oracle import solid_torus_sfh
-from sutured_kit.polytope import SupportData
 
 
 # -- bundled fixtures by kind ----------------------------------------------------
@@ -33,12 +31,15 @@ def paired_names():
     return [(f.name, f.pair) for f in fixtures.FIXTURES if f.kind == "diagram" and f.pair]
 
 
-def load_support(name):
-    info = fixtures.fixture_info(name)
-    if info.kind != "support":
-        raise KeyError(f"{name} is a {info.kind} fixture, not support data")
-    with open(fixtures.fixtures_dir() / info.file, encoding="utf-8") as fh:
-        return SupportData.from_json(json.load(fh))
+def fixture_path(name):
+    """The path of the bundled fixture ``name``, as a string; ``fixture_json`` reads it."""
+    file, = (f.file for f in fixtures.FIXTURES if f.name == name)
+    return str(fixtures.fixtures_dir() / file)
+
+
+def fixture_json(name):
+    with open(fixture_path(name), encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 # -- exact linear programming (test-side oracle) --------------------------------
@@ -228,7 +229,7 @@ def stepwise_spectral_flow(path):
     return endpoint
 
 
-# -- handmade diagram variants -------------------------------------------------------
+# -- handmade diagram variants, as diagram JSON ------------------------------------
 
 def circle_pairs_disk(k):
     """k disjoint pairs of crossing circles inside a disk, each pair bounding
@@ -243,14 +244,14 @@ def circle_pairs_disk(k):
                     {"cycles": [[f"{a}.0", f"-{b}.0"]], "boundary_circles": 0},
                     {"cycles": [[f"{b}.1", f"-{a}.1"]], "boundary_circles": 0}]
         outer.append([f"-{a}.0", f"-{b}.1"])
-    return SuturedDiagram.from_json({
+    return {
         "genus": 0,
         "boundary_circles": 1,
         "alpha": alpha,
         "beta": [list(c) for c in alpha],
         "crossing_sign": crossing_sign,
         "regions": regions + [{"cycles": outer, "boundary_circles": 1}],
-    })
+    }
 
 
 def two_circles_disk():
@@ -262,7 +263,7 @@ def two_circles_disk():
 def annulus_with_core_alpha():
     """Annulus with one embedded alpha circle parallel to the core: valid,
     curve counts 1 vs 0, so unbalanced."""
-    return SuturedDiagram.from_json({
+    return {
         "genus": 0,
         "boundary_circles": 2,
         "alpha": [[]],
@@ -272,13 +273,13 @@ def annulus_with_core_alpha():
             {"cycles": [["a1.0"]], "boundary_circles": 1},
             {"cycles": [["-a1.0"]], "boundary_circles": 1},
         ],
-    })
+    }
 
 
 def nested_circles_annulus():
     """Annulus with a beta circle nested inside an alpha circle; both curve
     complements have a component missing the boundary."""
-    return SuturedDiagram.from_json({
+    return {
         "genus": 0,
         "boundary_circles": 2,
         "alpha": [[]],
@@ -289,14 +290,14 @@ def nested_circles_annulus():
             {"cycles": [["-b1.0"], ["a1.0"]], "boundary_circles": 0},
             {"cycles": [["-a1.0"]], "boundary_circles": 2},
         ],
-    })
+    }
 
 
 def s1xs2_minus_ball():
     """S^1 x S^2 minus a ball on the genus-1 surface with one boundary circle:
     alpha and beta meet twice with opposite signs, so alpha - beta bounds
     and the periodic lattice has rank 1, with H_1(M) = Z; admissible."""
-    return SuturedDiagram.from_json({
+    return {
         "genus": 1,
         "boundary_circles": 1,
         "alpha": [["P0", "P1"]],
@@ -307,7 +308,7 @@ def s1xs2_minus_ball():
             {"cycles": [["b1.1", "-a1.1"]], "boundary_circles": 0},
             {"cycles": [["a1.1", "b1.0"], ["-a1.0", "-b1.1"]], "boundary_circles": 1},
         ],
-    })
+    }
 
 
 def t312_json():
@@ -331,7 +332,7 @@ def t312_sign_variant():
     the alternating polynomial 1 - h + h^2."""
     data = t312_json()
     data["crossing_sign"] = {"P0": -1, "P1": 1, "P2": 1}
-    return SuturedDiagram.from_json(data)
+    return data
 
 
 def rename_points(data, mapping):

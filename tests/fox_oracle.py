@@ -1,7 +1,8 @@
 """Test-side Fox calculus in the free group ring: the paper's definition,
 which ``fox.theta_matrix`` must agree with after the abelianization.
 
-A formal Z-linear combination of free words is a dict FreeWord -> int.
+A formal Z-linear combination of free words is a dict from the words'
+letter tuples (``FreeWord.letters``) to ints.
 The derivative is computed left to right:
 
     d(uw)/dx = du/dx * aug(w) + u * dw/dx,      aug(group word) = 1,
@@ -37,7 +38,7 @@ def combo_mul(x, y):
     out = {}
     for u, cu in x.items():
         for w, cw in y.items():
-            p = concat(u, w)
+            p = FreeWord(u + w).letters
             out[p] = out.get(p, 0) + cu * cw
             if out[p] == 0:
                 del out[p]
@@ -49,7 +50,7 @@ def fox_derivative(w, i, num_generators):
 
     >>> names = ["a", "b"]
     >>> w = FreeWord.from_string("a b a", names)
-    >>> fox_derivative(w, 0, 2) == {FreeWord(): 1, FreeWord.from_string("a b", names): 1}
+    >>> fox_derivative(w, 0, 2) == {(): 1, FreeWord.from_string("a b", names).letters: 1}
     True
     """
     if not 0 <= i < num_generators:
@@ -66,9 +67,10 @@ def fox_derivative(w, i, num_generators):
             else:
                 term = concat(prefix, FreeWord(((g, -1),)))
                 sign = -1
-            result[term] = result.get(term, 0) + sign
-            if result[term] == 0:
-                del result[term]
+            key = term.letters
+            result[key] = result.get(key, 0) + sign
+            if result[key] == 0:
+                del result[key]
         prefix = concat(prefix, FreeWord(((g, e),)))
     return result
 
@@ -76,10 +78,10 @@ def fox_derivative(w, i, num_generators):
 def phi(g, x):
     """The class in Z[g] of a FreeWord or of a formal combination of words."""
     if isinstance(x, FreeWord):
-        x = {x: 1}
+        x = {x.letters: 1}
     m = g.projection.cols
     terms = {}
     for w, c in x.items():
-        elem = from_ambient(g, w.exponents(m))
+        elem = from_ambient(g, FreeWord(w).exponents(m))
         terms[elem] = terms.get(elem, 0) + c
     return GroupRingElem(terms)

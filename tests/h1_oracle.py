@@ -32,8 +32,8 @@ from ring_oracle import from_ambient, group_neg, group_sub, identity, ring_neg, 
 from snf_oracle import smith_normal_form as oracle_smith_normal_form
 from sutured_kit.abelian import (GroupRingElem, IntMatrix, cokernel, echelon, smith_cokernel,
                                  smith_normal_form)
-from sutured_kit.diagram import (DomainVector, GeneratorMatching, _check_generator, _eps_chain,
-                                 epsilon, generator_sign, generators, h1_of_M, internal_regions)
+from sutured_kit.diagram import (GeneratorMatching, _check_generator, _eps_chain, epsilon,
+                                 generator_sign, generators, h1_of_M, internal_regions)
 from sutured_kit.errors import InvalidDiagram
 
 
@@ -226,7 +226,7 @@ def snf_periodic_lattice(d):
         return []
     mat = IntMatrix(tuple(constraints) if constraints else ((0,) * len(internal),),
                     len(constraints) if constraints else 1, len(internal))
-    return [DomainVector(tuple(col)) for col in kernel_basis(mat)]
+    return [tuple(col) for col in kernel_basis(mat)]
 
 
 def snf_connecting_domains(d, x, y):
@@ -234,8 +234,9 @@ def snf_connecting_domains(d, x, y):
 
     Solves the integer system saying the domain boundary runs along the
     alpha curves from x to y and along the beta curves from y to x, up to
-    adding full curves.  Returns (particular DomainVector, periodic basis)
-    or None; None happens exactly when eps(x, y) != 0.
+    adding full curves.  Returns (particular domain, periodic basis), as
+    coefficient tuples over the internal regions, or None; None happens
+    exactly when eps(x, y) != 0.
     """
     d.require_balanced()
     _check_generator(d, x)
@@ -256,11 +257,11 @@ def snf_connecting_domains(d, x, y):
         mat_rows.append(tuple(row))
         rhs.append(path.get(arc, 0))
     if not mat_rows:
-        return (DomainVector(()), snf_periodic_lattice(d))
+        return (), snf_periodic_lattice(d)
     sol = solve_integer(IntMatrix(tuple(mat_rows), len(mat_rows), ncols), rhs)
     if sol is None:
         return None
-    return DomainVector(tuple(sol[:len(internal)])), snf_periodic_lattice(d)
+    return tuple(sol[:len(internal)]), snf_periodic_lattice(d)
 
 
 def curve_walk(d, fam, i, p, q, backward=False):

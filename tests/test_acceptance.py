@@ -10,7 +10,7 @@ from math import comb, gcd
 
 import numpy as np
 
-from conftest import (brute_force_admissible, diagram_names, lagrangian_loop, load_support,
+from conftest import (brute_force_admissible, diagram_names, fixture_json, lagrangian_loop,
                       paired_names, random_symmetric, tensor_rank_identity, total_rank,
                       two_circles_disk, unitary_group_loop)
 from det_oracle import rows_of
@@ -18,15 +18,15 @@ from fox_oracle import combo_add, combo_mul, concat, fox_derivative
 from h1_oracle import det, diagonal, matmul, partition_differences
 from ring_oracle import (doteq_equal, element, group_add, identity, leibniz_det, ring_one,
                          tuple_doteq_normalize)
-from sutured_kit import diagram, fixtures, fox
+from sutured_kit import diagram, fox
 from sutured_kit.abelian import (FinAbGroup, GroupRingElem, IntMatrix, det_group_ring,
                                  smith_normal_form)
-from sutured_kit.diagram import admissible_lattice
-from sutured_kit.fox import FreeWord
+from sutured_kit.diagram import SuturedDiagram, admissible_lattice
+from sutured_kit.fox import FreeWord, load_presentation_json
 from sutured_kit.maslov import (SymmetricPath, UnitaryLoop, maslov_loop_index,
                                 spectral_flow, symplectic_loop_index)
 from sutured_kit.oracle import solid_torus_sfh
-from sutured_kit.polytope import (depth_bound, hull, is_centrally_symmetric,
+from sutured_kit.polytope import (SupportData, depth_bound, hull, is_centrally_symmetric,
                                   seifert_surface_bound)
 from test_polytope import support_function
 
@@ -62,13 +62,12 @@ def test_criterion_1_solid_torus_table():
 def test_criterion_2_product_detection():
     """Annulus and disk: one generator, Euler polynomial and torsion both 1."""
     for name in ("annulus", "disk"):
-        d = fixtures.load_diagram(name)
+        d = SuturedDiagram.from_json(fixture_json(name))
         gens = diagram.generators(d)
         assert len(gens) == 1
         poly, grp = diagram.euler_polynomial(d)
         assert doteq_equal(poly, ring_one(grp), grp)
-        pres_name = fixtures.fixture_info(name).pair
-        p, k = fixtures.load_presentation(pres_name)
+        p, k = load_presentation_json(fixture_json(dict(paired_names())[name]))
         tau, pgrp = fox.torsion(p, k)
         assert pgrp == grp
         assert doteq_equal(tau, ring_one(pgrp), pgrp)
@@ -82,9 +81,9 @@ def test_criterion_3_cross_module_oracle():
     assert pairs
     modes = {}
     for dname, pname in pairs:
-        d = fixtures.load_diagram(dname)
+        d = SuturedDiagram.from_json(fixture_json(dname))
         poly, dgrp = diagram.euler_polynomial(d)
-        p, k = fixtures.load_presentation(pname)
+        p, k = load_presentation_json(fixture_json(pname))
         tau, pgrp = fox.torsion(p, k)
         assert dgrp == pgrp, (dname, pname)
         if doteq_equal(poly, tau, dgrp):
@@ -100,7 +99,7 @@ def test_criterion_3_cross_module_oracle():
 def test_criterion_4_fox_calculus_algebra():
     """Product rule and fundamental identity on >= 500 random words."""
     rng = random.Random(20240813)
-    one = FreeWord()
+    one = ()
     for _ in range(520):
         m = rng.randint(1, 4)
         u = FreeWord([(rng.randrange(m), rng.choice((1, -1)))
@@ -110,13 +109,12 @@ def test_criterion_4_fox_calculus_algebra():
         for i in range(m):
             assert fox_derivative(concat(u, w), i, m) == combo_add(
                 fox_derivative(u, i, m),
-                combo_mul({u: 1}, fox_derivative(w, i, m)))
-        lhs = combo_add({w: 1}, {one: -1})
+                combo_mul({u.letters: 1}, fox_derivative(w, i, m)))
+        lhs = combo_add({w.letters: 1}, {one: -1})
         rhs = {}
         for i in range(m):
-            gen = FreeWord(((i, 1),))
             rhs = combo_add(rhs, combo_mul(
-                fox_derivative(w, i, m), combo_add({gen: 1}, {one: -1})))
+                fox_derivative(w, i, m), combo_add({((i, 1),): 1}, {one: -1})))
         assert lhs == rhs
     report(4, "product rule and fundamental identity on 520 random words")
 
@@ -155,11 +153,11 @@ def test_criterion_6_determinant_oracle():
 def test_criterion_7_admissibility_oracle():
     """Exact feasibility agrees with brute force on fixtures and random lattices."""
     for name in diagram_names():
-        d = fixtures.load_diagram(name)
-        basis = [v.coefficients for v in diagram.periodic_lattice(d)]
+        d = SuturedDiagram.from_json(fixture_json(name))
+        basis = diagram.periodic_lattice(d)
         assert diagram.is_admissible(d) == brute_force_admissible(basis)
-    extra = two_circles_disk()
-    basis = [v.coefficients for v in diagram.periodic_lattice(extra)]
+    extra = SuturedDiagram.from_json(two_circles_disk())
+    basis = diagram.periodic_lattice(extra)
     assert diagram.is_admissible(extra) == brute_force_admissible(basis) == False  # noqa: E712
     rng = random.Random(20240812)
     checked = 0
@@ -178,7 +176,7 @@ def test_criterion_7_admissibility_oracle():
 def test_criterion_8_eps_spinc_suite():
     """eps additivity, domain existence iff eps = 0, and the T(1,0;4) split."""
     for name in diagram_names():
-        d = fixtures.load_diagram(name)
+        d = SuturedDiagram.from_json(fixture_json(name))
         gens = diagram.generators(d)
         assert len(gens) <= 50
         grp, _ = diagram.h1_of_M(d)
@@ -190,7 +188,7 @@ def test_criterion_8_eps_spinc_suite():
                 for z in gens:
                     assert diagram.epsilon(d, x, z) == \
                         group_add(grp, e, diagram.epsilon(d, y, z))
-    d = fixtures.load_diagram("t104")
+    d = SuturedDiagram.from_json(fixture_json("t104"))
     part = diagram.spinc_partition(d)
     assert len(diagram.generators(d)) == 2
     assert len(part.classes) == 2
@@ -203,7 +201,7 @@ def test_criterion_8_eps_spinc_suite():
 
 def test_criterion_9_polytope():
     """Pretzel triangle asymmetry plus exact support-function properties."""
-    s = load_support("pretzel222")
+    s = SupportData.from_json(fixture_json("pretzel222"))
     h = hull(s)
     assert h.dim == 2
     assert len(h.vertices) == 3
@@ -216,7 +214,6 @@ def test_criterion_9_polytope():
         pts = set()
         while len(pts) < rng.randint(2, 6):
             pts.add(tuple(rng.randint(-4, 4) for _ in range(dim)))
-        from sutured_kit.polytope import SupportData
         hh = hull(SupportData(dim, tuple(sorted(pts))))
         for _ in range(6):
             alpha = tuple(rng.randint(-5, 5) for _ in range(dim))

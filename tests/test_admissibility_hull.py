@@ -4,7 +4,8 @@
 `lp_admissible` (and, where its coefficient bound is enough, against
 `brute_force_admissible`) on random lattices with dependent and zero
 vectors, on a case Fourier-Motzkin elimination could not finish, and on
-the rank bound it shares with `polytope.hull`.
+the rank bound it shares with `polytope.hull`.  `check` runs the hull on
+the periodic domains of the S^1 x S^2 diagram and of the circle pairs.
 """
 
 import json
@@ -15,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import brute_force_admissible, circle_pairs_disk, lp_admissible, s1xs2_minus_ball
 from sutured_kit import cli
-from sutured_kit.diagram import DomainVector, admissible_lattice, is_admissible, periodic_lattice
+from sutured_kit.diagram import (SuturedDiagram, admissible_lattice, is_admissible,
+                                 periodic_lattice)
 from sutured_kit.errors import DimensionTooLarge
 from sutured_kit.polytope import MAX_DIMENSION
 
@@ -53,7 +55,6 @@ def lattices(draw):
 def test_agrees_with_lp_oracle(vectors):
     fast = admissible_lattice(vectors)
     assert fast == lp_admissible(vectors)
-    assert admissible_lattice([DomainVector(v) for v in vectors]) == fast
     # with entries in [-3, 3], a rank <= 2 cone has its extreme rays inside
     # the brute force's coefficient box
     if len(vectors) <= 2 and all(abs(x) <= 3 for v in vectors for x in v):
@@ -83,22 +84,42 @@ def test_rank_seven_is_refused():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_circle_pairs_are_inadmissible(k):
-    d = circle_pairs_disk(k)
-    basis = [v.coefficients for v in periodic_lattice(d)]
+    d = SuturedDiagram.from_json(circle_pairs_disk(k))
+    basis = periodic_lattice(d)
     assert len(basis) == 2 * k
     assert not is_admissible(d) and not lp_admissible(basis)
 
 
 def test_genus_one_lattice_reaches_the_hull():
-    d = s1xs2_minus_ball()
-    basis = [v.coefficients for v in periodic_lattice(d)]
+    d = SuturedDiagram.from_json(s1xs2_minus_ball())
+    basis = periodic_lattice(d)
     assert basis == [(-1, 1)]
     assert is_admissible(d) and lp_admissible(basis)
 
 
+BALANCE_FAULT = "a component of the complement of the {} curves misses the boundary"
+# name: (diagram, what check prints); periodic lattices of rank 1, then 2k
+CHECKED = {
+    "s1xs2": (s1xs2_minus_ball(), {"valid": True, "balanced": True, "admissible": True}),
+    **{f"pairs-{k}": (circle_pairs_disk(k), {
+        "valid": True, "balanced": False, "admissible": False,
+        "reasons": [BALANCE_FAULT.format(fam) for fam in ("alpha", "beta") for _ in range(k)]})
+       for k in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("name", list(CHECKED))
+def test_check_decides_admissibility_through_the_hull(capsys, tmp_path, name):
+    data, want = CHECKED[name]
+    path = tmp_path / "diagram.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["check", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == want
+
+
 def test_check_refuses_a_rank_eight_lattice(capsys, tmp_path):
     path = tmp_path / "pairs.json"
-    path.write_text(json.dumps(circle_pairs_disk(4).to_json()))
+    path.write_text(json.dumps(circle_pairs_disk(4)))
     code = cli.main(["check", str(path)])
     out = json.loads(capsys.readouterr().out)
     assert code == 1 and out["error"] == "dimension_too_large"

@@ -17,10 +17,9 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import diagram_names, finger_move, scramble
+from conftest import diagram_names, finger_move, fixture_json, scramble
 from h1_oracle import (backtrack_calls, backtrack_generators, chain_diagram, lens_diagram,
                        torus_diagram, tuple_sum_spinc_partition)
-from sutured_kit import fixtures
 from sutured_kit.diagram import SuturedDiagram, generators, spinc_partition
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -36,7 +35,7 @@ NO_GENERATORS = {
     ],
 }
 
-CASES = ([fixtures.load_diagram(name).to_json() for name in diagram_names()]
+CASES = ([fixture_json(name) for name in diagram_names()]
          + [torus_diagram(p) for p in range(2, 13)]
          + [chain_diagram(k) for k in range(1, 8)]
          + [lens_diagram(p) for p in (2, 3, 7)]

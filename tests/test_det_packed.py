@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import det_oracle
-from conftest import diagram_names, paired_names
+from conftest import diagram_names, fixture_path, paired_names
 from det_oracle import rows_of
 from fox_oracle import concat, fox_derivative, phi
 from h1_oracle import det
@@ -201,15 +201,14 @@ def test_theta_is_phi_of_each_fox_derivative(case):
     assert theta == [[phi(g, fox_derivative(w, i, m)) for w in columns] for i in range(m)]
 
 
-BUNDLED_RUNS = ([("torsion", f.name) for f in fixtures.fixture_list() if f.kind == "presentation"]
+BUNDLED_RUNS = ([("torsion", f.name) for f in fixtures.FIXTURES if f.kind == "presentation"]
                 + [("euler", name) for name in diagram_names()]
                 + [("crosscheck", d, p) for d, p in paired_names()])
 
 
 @pytest.mark.parametrize("run", BUNDLED_RUNS, ids=" ".join)
 def test_cli_bytes_equal_with_the_oracle(run, capsys):
-    argv = [run[0]] + [str(fixtures.fixtures_dir() / fixtures.fixture_info(name).file)
-                       for name in run[1:]]
+    argv = [run[0]] + [fixture_path(name) for name in run[1:]]
     code = cli.main(argv)
     fast = capsys.readouterr().out
     with det_oracle.oracle_det():

@@ -20,11 +20,11 @@ import tempfile
 
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import (diagram_names, rename_points, reverse_region, rotate_curve,
+from conftest import (diagram_names, fixture_json, rename_points, reverse_region, rotate_curve,
                       swap_alpha_curves, swap_beta_curves)
 from h1_oracle import chain_diagram, lens_diagram, partition_differences, torus_diagram
 from ring_oracle import doteq_equal, group_neg
-from sutured_kit import cli, fixtures
+from sutured_kit import cli
 from sutured_kit.diagram import (SuturedDiagram, euler_polynomial, generators,
                                  spinc_partition)
 
@@ -35,7 +35,7 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=N
 def diagrams(draw):
     kind = draw(st.sampled_from(("bundled", "torus", "chain", "lens")))
     if kind == "bundled":
-        return fixtures.load_diagram(draw(st.sampled_from(diagram_names()))).to_json()
+        return fixture_json(draw(st.sampled_from(diagram_names())))
     if kind == "torus":
         return torus_diagram(draw(st.integers(2, 12)))
     if kind == "chain":
@@ -125,7 +125,7 @@ def test_invariant_under_rotating_a_curve(data, draw):
 
 
 def test_swapped_t106_keeps_its_invariants():
-    data = fixtures.load_diagram("t106").to_json()
+    data = fixture_json("t106")
     poly, group, h1, classes, _ = invariants(data)
     poly2, group2, h1_2, classes2, _ = invariants(swap_alpha_curves(data))
     assert (group2, h1_2, classes2) == (group, h1, classes)
@@ -133,7 +133,7 @@ def test_swapped_t106_keeps_its_invariants():
 
 
 def test_beta_swapped_t106_keeps_its_invariants():
-    data = fixtures.load_diagram("t106").to_json()
+    data = fixture_json("t106")
     assert_same_up_to_sign(data, swap_beta_curves(data))
 
 

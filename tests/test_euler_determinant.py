@@ -7,12 +7,12 @@ import random
 
 import pytest
 
-from conftest import diagram_names
+from conftest import diagram_names, fixture_json
 from det_oracle import Unreadable, rows_of
 from h1_oracle import (chain_diagram, enumerated_euler_polynomial,
                        lens_diagram, torus_diagram)
 from ring_oracle import element, ring_mul, ring_one, tuple_doteq_normalize
-from sutured_kit import cli, diagram, fixtures
+from sutured_kit import cli, diagram
 from sutured_kit.abelian import FinAbGroup, GroupRingElem, det_group_ring
 from sutured_kit.diagram import SuturedDiagram, euler_polynomial
 from sutured_kit.errors import DeterminantTooLarge
@@ -31,7 +31,7 @@ def family(kind, n):
 class TestAgainstEnumeration:
     @pytest.mark.parametrize("name", ALL_DIAGRAMS)
     def test_bundled(self, name):
-        d = fixtures.load_diagram(name)
+        d = SuturedDiagram.from_json(fixture_json(name))
         assert euler_polynomial(d) == enumerated_euler_polynomial(d)
 
     @pytest.mark.parametrize("kind,n", FAMILY_CASES)
@@ -48,17 +48,16 @@ class TestAgainstEnumeration:
 
 class TestNoEnumeration:
     def test_generators_never_called(self, monkeypatch):
-        diagrams = ([fixtures.load_diagram(name) for name in ALL_DIAGRAMS]
-                    + [family("chain", k) for k in range(1, 11)])
-        expected = [enumerated_euler_polynomial(d) for d in diagrams]
+        cases = ([fixture_json(name) for name in ALL_DIAGRAMS]
+                 + [BUILDERS["chain"](k) for k in range(1, 11)])
+        expected = [enumerated_euler_polynomial(SuturedDiagram.from_json(data)) for data in cases]
 
         def refuse(d):
             raise AssertionError("generators enumerated")
 
         monkeypatch.setattr(diagram, "generators", refuse)
-        for d, want in zip(diagrams, expected):
-            fresh = SuturedDiagram.from_json(d.to_json())
-            assert euler_polynomial(fresh) == want
+        for data, want in zip(cases, expected):
+            assert euler_polynomial(SuturedDiagram.from_json(data)) == want
 
     def test_chain_beyond_the_old_size_limit(self, tmp_path, capsys):
         # 17 alpha curves: 131072 generators, a 17 x 17 bidiagonal matrix

@@ -6,12 +6,12 @@ import random
 
 import pytest
 
-from conftest import diagram_names, s1xs2_minus_ball
+from conftest import diagram_names, fixture_json, fixture_path, s1xs2_minus_ball
 from h1_oracle import (SnfH1, chain_diagram, eps_chain,
                        quadratic_doteq_normalize, snf_spinc_classes,
                        torus_diagram)
 from ring_oracle import element, identity, ring_to_json
-from sutured_kit import abelian, cli, fixtures
+from sutured_kit import abelian, cli
 from sutured_kit.abelian import FinAbGroup, GroupRingElem
 from sutured_kit.diagram import (SuturedDiagram, _eps_chain, connecting_domains,
                                  epsilon, euler_polynomial, generator_sign,
@@ -48,7 +48,7 @@ def oracle_euler_document(d):
 class TestAgainstSnfOracle:
     @pytest.mark.parametrize("name", ALL_DIAGRAMS)
     def test_bundled_group_and_classes(self, name):
-        d = fixtures.load_diagram(name)
+        d = SuturedDiagram.from_json(fixture_json(name))
         group, classes = snf_spinc_classes(d)
         part = spinc_partition(d)
         assert part.group == group
@@ -64,10 +64,10 @@ class TestAgainstSnfOracle:
 
     @pytest.mark.parametrize("name", ALL_DIAGRAMS)
     def test_bundled_euler_bytes(self, name, capsys):
-        path = fixtures.fixtures_dir() / fixtures.fixture_info(name).file
+        path = fixture_path(name)
         assert cli.main(["euler", str(path)]) == 0
         out = capsys.readouterr().out
-        assert out == oracle_euler_document(fixtures.load_diagram(name))
+        assert out == oracle_euler_document(SuturedDiagram.from_json(fixture_json(name)))
 
     @pytest.mark.parametrize("kind,n", [("torus", 7), ("torus", 30), ("chain", 4)])
     def test_family_euler_bytes(self, kind, n, tmp_path, capsys):
@@ -81,7 +81,7 @@ class TestAgainstSnfOracle:
 class TestPotentials:
     @pytest.mark.parametrize("name", ALL_DIAGRAMS)
     def test_epsilon_is_class_of_explicit_chain(self, name):
-        d = fixtures.load_diagram(name)
+        d = SuturedDiagram.from_json(fixture_json(name))
         _, class_of = h1_of_M(d)
         gens = generators(d)
         for x in gens:
@@ -101,7 +101,7 @@ class TestPotentials:
             assert class_of(eps_chain(d, gens[0], y, backward=True)) == e
 
     def test_class_of_rejects_non_cycles(self):
-        d = fixtures.load_diagram("t312")
+        d = SuturedDiagram.from_json(fixture_json("t312"))
         _, class_of = h1_of_M(d)
         with pytest.raises(InvalidDiagram):
             class_of({("a", 0, 0): 1})
@@ -132,7 +132,8 @@ class TestStructure:
         bound = 2 * d.genus + d.boundary_circles - 1
         assert snf_shapes and max(rows for rows, _ in snf_shapes) <= bound
 
-    @pytest.mark.parametrize("build", [lambda: family("torus", 60), s1xs2_minus_ball],
+    @pytest.mark.parametrize("build", [lambda: family("torus", 60),
+                                       lambda: SuturedDiagram.from_json(s1xs2_minus_ball())],
                              ids=["torus-60", "s1xs2"])
     def test_domains_need_no_large_snf(self, snf_shapes, build):
         d = build()
@@ -155,7 +156,8 @@ def random_element(rng, g, terms):
 
 @pytest.mark.parametrize("group", [FinAbGroup(1), FinAbGroup(1, (2,)), FinAbGroup(1, (6,)),
                                    FinAbGroup(2, (4,)), FinAbGroup(0, (6,))],
-                         ids=repr)
+                         ids=["FinAbGroup(Z)", "FinAbGroup(Z + Z/2)", "FinAbGroup(Z + Z/6)",
+                              "FinAbGroup(Z + Z + Z/4)", "FinAbGroup(Z/6)"])
 def test_doteq_normalize_matches_quadratic_oracle(group):
     rng = random.Random(7 + group.free_rank * 31 + sum(group.torsion))
     for _ in range(150):

@@ -19,10 +19,9 @@ from math import comb
 
 import pytest
 
-from conftest import diagram_names, scramble
+from conftest import diagram_names, fixture_json, scramble
 from h1_oracle import (LoopH1, chain_diagram, dense, lens_diagram, partition_differences,
                        torus_diagram)
-from sutured_kit import fixtures
 from sutured_kit.diagram import (SuturedDiagram, _edge_images, _eps_chain, epsilon, generators,
                                  h1_of_M, spinc_partition)
 
@@ -32,7 +31,7 @@ BUILD = {"torus": torus_diagram, "lens": lens_diagram, "chain": chain_diagram}
 
 
 def cases():
-    out = [(name, fixtures.load_diagram(name).to_json()) for name in diagram_names()]
+    out = [(name, fixture_json(name)) for name in diagram_names()]
     out += [(f"{kind}-{n}", BUILD[kind](n)) for kind, n in FAMILIES]
     rng = random.Random(24)
     out += [(f"{label}-scrambled-{s}", scramble(data, rng)) for label, data in list(out)
@@ -70,7 +69,7 @@ def test_h1_path_matches_per_coordinate_oracle(label, data):
 
 @pytest.mark.parametrize("name,free_rank", [("disk", 0), ("annulus", 1)])
 def test_generator_with_no_points_has_a_class_of_full_length(name, free_rank):
-    d = fixtures.load_diagram(name)
+    d = SuturedDiagram.from_json(fixture_json(name))
     (x,) = generators(d)
     part = spinc_partition(d)
     assert part.group.free_rank == free_rank

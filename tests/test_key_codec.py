@@ -18,10 +18,11 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import fixture_json
 from ring_oracle import identity
-from sutured_kit import cli, fixtures
+from sutured_kit import cli
 from sutured_kit.abelian import FinAbGroup, GroupRingElem, _key_codec, det_group_ring
-from sutured_kit.diagram import spinc_partition
+from sutured_kit.diagram import SuturedDiagram, spinc_partition
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -90,7 +91,7 @@ def test_empty_determinant_is_the_identity_of_full_length():
 
 @pytest.mark.parametrize("name", ["t104", "t106", "t212", "t312"])
 def test_spinc_classes_in_the_order_of_their_first_generator(name):
-    part = spinc_partition(fixtures.load_diagram(name))
+    part = spinc_partition(SuturedDiagram.from_json(fixture_json(name)))
     firsts = [members[0] for members in part.classes]
     assert firsts == sorted(firsts) and firsts[0] == 0
     assert len(part.values) == len(set(part.values)) == len(part.classes)
@@ -98,12 +99,12 @@ def test_spinc_classes_in_the_order_of_their_first_generator(name):
 
 @pytest.mark.parametrize("name,free_rank", [("disk", 0), ("annulus", 1)])
 def test_spinc_of_a_diagram_with_no_alpha_curves(capsys, tmp_path, name, free_rank):
-    d = fixtures.load_diagram(name)
+    d = SuturedDiagram.from_json(fixture_json(name))
     part = spinc_partition(d)
     assert part.values == (identity(part.group),)
     assert part.values[0].free == (0,) * free_rank
     path = tmp_path / "diagram.json"
-    path.write_text(json.dumps(d.to_json()))
+    path.write_text(json.dumps(fixture_json(name)))
     assert cli.main(["spinc", str(path)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["differences"] == [{"element": {"free": [0] * free_rank, "torsion": []},

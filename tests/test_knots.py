@@ -15,10 +15,10 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import fixture_json
 from knots import (knot_sum, poly_div, poly_mul, scramble, torus_alexander, torus_knot,
                    wirtinger_torus)
 from ring_oracle import element, tuple_doteq_normalize
-from sutured_kit import fixtures
 from sutured_kit.abelian import FinAbGroup, GroupRingElem
 from sutured_kit.fox import load_presentation_json, torsion
 
@@ -49,7 +49,7 @@ def test_two_generator_torus_knots(p, q):
 
 
 def test_trefoil_fixture():
-    assert_torsion_of(fixtures.load_presentation("trefoil_pres"), [1, -1, 1])
+    assert_torsion_of(load_presentation_json(fixture_json("trefoil_pres")), [1, -1, 1])
 
 
 @pytest.mark.parametrize("a,b", [(3, 5), (5, 7), (21, 31)])

@@ -3,10 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_force_hull_vertices, load_support
+from conftest import brute_force_hull_vertices, fixture_json
 from ring_oracle import element
-from sutured_kit import fixtures
-from sutured_kit.diagram import euler_polynomial
+from sutured_kit.diagram import SuturedDiagram, euler_polynomial
 from sutured_kit.errors import (BadDimension, DimensionTooLarge, EmptySupport,
                                 NonPositiveRank)
 from sutured_kit.polytope import (SupportData, depth_bound, hull, is_centrally_symmetric,
@@ -243,7 +242,7 @@ class TestFace:
 
 class TestSymmetry:
     def test_pretzel_triangle_not_symmetric(self):
-        s = load_support("pretzel222")
+        s = SupportData.from_json(fixture_json("pretzel222"))
         h = hull(s)
         assert h.dim == 2 and len(h.vertices) == 3
         assert not is_centrally_symmetric(h)
@@ -307,7 +306,7 @@ class TestCalculators:
 class TestSupportFromEuler:
     def test_doubling_and_translation_invariance(self):
         from ring_oracle import ring_translate
-        d = fixtures.load_diagram("t312")
+        d = SuturedDiagram.from_json(fixture_json("t312"))
         poly, grp = euler_polynomial(d)
         s = support_from_euler_polynomial(poly, grp)
         assert s.points == ((0,), (2,), (4,))  # doubled exponents
@@ -322,7 +321,7 @@ class TestSupportFromEuler:
         assert h1.vertices == h2.vertices and h1.facets == h2.facets
 
     def test_multiplicities_are_absolute_coefficients(self):
-        d = fixtures.load_diagram("t106")
+        d = SuturedDiagram.from_json(fixture_json("t106"))
         poly, grp = euler_polynomial(d)   # 1 - 2h + h^2
         s = support_from_euler_polynomial(poly, grp)
         assert s.multiplicity == {(0,): 1, (2,): 2, (4,): 1}

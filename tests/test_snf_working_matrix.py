@@ -25,10 +25,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import snf_oracle
-from conftest import diagram_names
+from conftest import diagram_names, fixture_json
 from sutured_kit import abelian, fixtures, fox
 from sutured_kit.abelian import IntMatrix, smith_normal_form
-from sutured_kit.diagram import h1_of_M
+from sutured_kit.diagram import SuturedDiagram, h1_of_M
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -111,7 +111,7 @@ def recorded_matrices(monkeypatch, compute):
 
 @pytest.mark.parametrize("name", diagram_names())
 def test_matches_oracle_on_diagram_rel(monkeypatch, name):
-    d = fixtures.load_diagram(name)
+    d = SuturedDiagram.from_json(fixture_json(name))
     seen = recorded_matrices(monkeypatch, lambda: h1_of_M(d))
     assert len(seen) == 1
     assert_same_form(seen[0])
@@ -119,7 +119,7 @@ def test_matches_oracle_on_diagram_rel(monkeypatch, name):
 
 @pytest.mark.parametrize("name", [f.name for f in fixtures.FIXTURES if f.kind == "presentation"])
 def test_matches_oracle_on_presentation_exponents(monkeypatch, name):
-    p, _ = fixtures.load_presentation(name)
+    p, _ = fox.load_presentation_json(fixture_json(name))
     seen = recorded_matrices(monkeypatch, lambda: fox.abelianization(p))
     assert len(seen) == 1
     assert_same_form(seen[0])

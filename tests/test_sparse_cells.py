@@ -17,11 +17,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import det_oracle
-from conftest import diagram_names, finger_move
+from conftest import diagram_names, finger_move, fixture_json
 from det_oracle import dense_of
 from h1_oracle import chain_diagram, torus_diagram
 from ring_oracle import element
-from sutured_kit import diagram, fixtures
+from sutured_kit import diagram
 from sutured_kit.abelian import FinAbGroup, GroupRingElem, det_group_ring
 from sutured_kit.diagram import SuturedDiagram, euler_polynomial, h1_of_M
 
@@ -95,7 +95,7 @@ def cancelled_cell_chain():
     return finger_move(data, len(data["regions"]) - 1, 2, 5)
 
 
-EULER_CASES = ([(name, fixtures.load_diagram(name).to_json()) for name in diagram_names()]
+EULER_CASES = ([(name, fixture_json(name)) for name in diagram_names()]
                + [(f"torus-{p}", torus_diagram(p)) for p in (2, 5)]
                + [(f"chain-{k}", chain_diagram(k)) for k in (1, 4, 9)]
                + [("chain-2-cancelled-cell", cancelled_cell_chain())])

@@ -25,10 +25,10 @@ import random
 
 import pytest
 
-from conftest import boundary_sum, diagram_names, finger_move, scramble
+from conftest import boundary_sum, diagram_names, finger_move, fixture_json, scramble
 from h1_oracle import (chain_diagram, lens_diagram, partition_differences, torus_diagram,
                        tuple_sum_spinc_partition)
-from sutured_kit import cli, diagram, fixtures
+from sutured_kit import cli, diagram
 from sutured_kit.abelian import _key_codec
 from sutured_kit.diagram import SuturedDiagram, generators, h1_of_M, spinc_partition
 
@@ -57,7 +57,7 @@ def sum_label(one, two):
 
 
 def cases():
-    out = [(name, fixtures.load_diagram(name).to_json()) for name in diagram_names()]
+    out = [(name, fixture_json(name)) for name in diagram_names()]
     out += [(f"{kind}-{n}", BUILD[kind](n)) for kind, n in FAMILIES]
     out += [(f"finger-lens-{p}", finger_lens(p)) for p in (3, 4, 5)]
     out += [(sum_label(*pair), summed(*pair)) for pair in SUMS]
@@ -160,7 +160,7 @@ def test_differences_bytes_on_families(capsys, tmp_path, kind, n):
 
 @pytest.mark.parametrize("name", ["disk", "annulus"])
 def test_differences_bytes_on_fixtures(capsys, tmp_path, name):
-    assert_spinc_bytes(capsys, tmp_path, fixtures.load_diagram(name).to_json())
+    assert_spinc_bytes(capsys, tmp_path, fixture_json(name))
 
 
 @pytest.mark.parametrize("p", [3, 4, 5])
@@ -179,5 +179,5 @@ def test_writer_cases_have_torsion_and_empty_free_parts():
         group, _ = h1_of_M(SuturedDiagram.from_json(BUILD[kind](n)))
         seen.add((bool(group.free_rank), bool(group.torsion)))
     assert {(False, True), (True, False)} <= seen
-    group, _ = h1_of_M(fixtures.load_diagram("disk"))
+    group, _ = h1_of_M(SuturedDiagram.from_json(fixture_json("disk")))
     assert (group.free_rank, group.torsion) == (0, ())

@@ -29,17 +29,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import lagrangian_loop, paired_names, random_symmetric, unitary_group_loop
+from conftest import (fixture_path, lagrangian_loop, paired_names, random_symmetric,
+                      unitary_group_loop)
 from h1_oracle import lens_diagram
 from sutured_kit import cli, fixtures
 
 
-def _fixture(name):
-    return str(fixtures.fixtures_dir() / fixtures.fixture_info(name).file)
-
-
 def _kinds(kind):
-    return [f.name for f in fixtures.fixture_list() if f.kind == kind]
+    return [f.name for f in fixtures.FIXTURES if f.kind == kind]
 
 
 def _random_support(seed):
@@ -89,22 +86,22 @@ def cases(workdir):
     out = []
     for name in _kinds("diagram"):
         for cmd in ("check", "generators", "spinc", "euler"):
-            out.append((f"{cmd} {name}", [cmd, _fixture(name)]))
+            out.append((f"{cmd} {name}", [cmd, fixture_path(name)]))
         for extra in ([], ["--canonical"]):
             out.append((" ".join(["polytope --diagram", name] + extra),
-                        ["polytope", "--diagram", _fixture(name)] + extra))
+                        ["polytope", "--diagram", fixture_path(name)] + extra))
     for name in _kinds("presentation"):
-        out.append((f"torsion {name}", ["torsion", _fixture(name)]))
+        out.append((f"torsion {name}", ["torsion", fixture_path(name)]))
     for name in _kinds("support"):
         for extra in ([], ["--canonical"]):
             out.append((" ".join(["polytope --support", name] + extra),
-                        ["polytope", "--support", _fixture(name)] + extra))
+                        ["polytope", "--support", fixture_path(name)] + extra))
     for dname, pname in paired_names():
         for extra in ([], ["--allow-inversion"]):
             out.append((" ".join(["crosscheck", dname, pname] + extra),
-                        ["crosscheck", _fixture(dname), _fixture(pname)] + extra))
+                        ["crosscheck", fixture_path(dname), fixture_path(pname)] + extra))
     out.append(("crosscheck t104 t212_pres",
-                ["crosscheck", _fixture("t104"), _fixture("t212_pres")]))
+                ["crosscheck", fixture_path("t104"), fixture_path("t212_pres")]))
     for argv in (["oracle", "--solid-torus", "2", "1", "2"],
                  ["oracle", "--solid-torus", "1", "0", "8"],
                  ["oracle", "--closed", "3", "2"],
@@ -115,8 +112,8 @@ def cases(workdir):
         out.append((" ".join(["argv:"] + argv), argv))
     for cmd, name in (("euler", "t312_pres"), ("torsion", "t212"),
                       ("check", "pretzel222")):
-        out.append((f"{cmd} {name}", [cmd, _fixture(name)]))
-    out.append(("polytope --support t212", ["polytope", "--support", _fixture("t212")]))
+        out.append((f"{cmd} {name}", [cmd, fixture_path(name)]))
+    out.append(("polytope --support t212", ["polytope", "--support", fixture_path("t212")]))
     for tag, payload in (("dim7", {"dimension": 7, "points": [[0] * 7]}),
                          ("empty", {"dimension": 2, "points": []})):
         path = Path(workdir) / f"{tag}.json"

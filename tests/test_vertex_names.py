@@ -14,9 +14,9 @@ import json
 
 import pytest
 
-from conftest import diagram_names, rename_points
+from conftest import diagram_names, fixture_json, fixture_path, rename_points
 from h1_oracle import chain_diagram, snf_spinc_classes, torus_diagram
-from sutured_kit import cli, fixtures
+from sutured_kit import cli
 from sutured_kit.diagram import SuturedDiagram, spinc_partition
 from test_h1_whole_vector import test_h1_path_matches_per_coordinate_oracle as matches_loop_oracle
 
@@ -44,11 +44,11 @@ def with_empty_pair(data):
 
 
 def cases():
-    out = [(name, fixtures.load_diagram(name).to_json()) for name in diagram_names()]
+    out = [(name, fixture_json(name)) for name in diagram_names()]
     out = [(label, data) for label, data in out if data["alpha"] and data["alpha"][0]]
     out += [("chain-3", chain_diagram(3)), ("torus-5", torus_diagram(5))]
     out = [(label, data, circle_name(data)) for label, data in out]
-    empty = with_empty_pair(fixtures.load_diagram("t212").to_json())
+    empty = with_empty_pair(fixture_json("t212"))
     out += [("t212-empty-pair", empty, name) for name in ("~a2", "~b2", circle_name(empty))]
     return [(f"{label}:{new}", data, rename_points(data, {data["alpha"][0][0]: new}))
             for label, data, new in out]
@@ -88,9 +88,9 @@ def test_oracles_agree_on_the_renamed_diagram(label, data, renamed):
 
 
 def test_crosscheck_still_matches(capsys, tmp_path):
-    data = rename_points(fixtures.load_diagram("t212").to_json(), {"P0": "~o0.0"})
+    data = rename_points(fixture_json("t212"), {"P0": "~o0.0"})
     path = tmp_path / "d.json"
     path.write_text(json.dumps(data))
-    pres = fixtures.fixtures_dir() / fixtures.fixture_info("t212_pres").file
+    pres = fixture_path("t212_pres")
     assert cli.main(["crosscheck", str(path), str(pres)]) == 0
     assert json.loads(capsys.readouterr().out)["match"] is True
