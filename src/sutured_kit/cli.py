@@ -248,10 +248,15 @@ def cmd_oracle(args):
     raise UsageError("choose one of --solid-torus / --closed / --connected-sum")
 
 
+_MASLOV_KINDS = ("lagrangian_loop", "symplectic_loop", "spectral_flow")
+
+
 def cmd_maslov(args):
     from . import maslov     # the one subcommand that needs numpy
     data = expect(_load_json_file(args.input), dict, "maslov JSON")
     kind = args.kind or expect(data.get("kind"), str, "kind")
+    if kind not in _MASLOV_KINDS:
+        raise ValueError(f"kind must be one of {', '.join(_MASLOV_KINDS)}, got {kind!r}")
     samples = maslov.samples_from_json(data.get("samples"))
     if args.samples is not None and len(samples) - 1 != args.samples:
         raise UsageError(f"input provides {len(samples) - 1} steps, "
@@ -260,13 +265,11 @@ def cmd_maslov(args):
         return {"kind": kind, "index": maslov.maslov_loop_index(maslov.UnitaryLoop(samples))}
     if kind == "symplectic_loop":
         return {"kind": kind, "index": maslov.symplectic_loop_index(maslov.UnitaryLoop(samples))}
-    if kind == "spectral_flow":
-        return {"kind": kind, "flow": maslov.spectral_flow(maslov.SymmetricPath(samples))}
-    raise UsageError(f"unknown maslov input kind {kind!r}")
+    return {"kind": kind, "flow": maslov.spectral_flow(maslov.SymmetricPath(samples))}
 
 
 def cmd_fixtures(args):
-    return {"fixtures": [f.to_json() for f in fixtures.FIXTURES],
+    return {"fixtures": [f._asdict() for f in fixtures.FIXTURES],
             "directory": str(fixtures.fixtures_dir())}
 
 
@@ -304,8 +307,7 @@ _COMMANDS = {
                    ("--with-closed", (), None, "second summand is a closed manifold"))),
     "maslov": (cmd_maslov, "loop indices and spectral flow from sampled matrix data",
                ("input",), (
-                   ("--kind", ("KIND",), ("lagrangian_loop", "symplectic_loop",
-                                          "spectral_flow"), "overrides the input's kind"),
+                   ("--kind", ("KIND",), _MASLOV_KINDS, "overrides the input's kind"),
                    ("--samples", ("N",), int, "expected number of steps (guard)"))),
     "fixtures": (cmd_fixtures, "list bundled fixtures", (), ()),
 }

@@ -134,9 +134,9 @@ def _read_regions(items, table):
     return [Region(tuple([tuple(map(get, cyc)) for cyc in c]), b, g) for c, b, g in rows]
 
 
-def format_arc_ref(arc, sign):
+def format_arc_ref(arc):
     fam, curve, idx = arc
-    return ("-" if sign < 0 else "") + f"{fam}{curve + 1}.{idx}"
+    return f"{fam}{curve + 1}.{idx}"
 
 
 class Region:
@@ -150,11 +150,10 @@ class Region:
         self.genus = genus
 
     @classmethod
-    def from_json(cls, data, field="region", table=None):
+    def from_json(cls, data, field, table):
         """The region of ``data``; ``table`` maps the canonical spelling of the
         diagram's arcs to (arc, sign), and a reference it misses is parsed."""
         expect(data, dict, field)
-        table = table or {}
         cycles = tuple(
             _arc_refs(cyc, f"{field}.cycles[{i}]", table)
             for i, cyc in enumerate(expect(data.get("cycles", []), list,
@@ -276,22 +275,11 @@ class SuturedDiagram:
 
     # -- basic structure --------------------------------------------------------
 
-    def curves(self):
-        for i in range(len(self.alpha)):
-            yield ("a", i)
-        for j in range(len(self.beta)):
-            yield ("b", j)
-
-    def curve_points(self, fam, i):
-        return self.alpha[i] if fam == "a" else self.beta[i]
-
-    def curve_arc_count(self, fam, i):
-        return max(1, len(self.curve_points(fam, i)))
-
     def arcs(self):
-        for fam, i in self.curves():
-            for k in range(self.curve_arc_count(fam, i)):
-                yield (fam, i, k)
+        for fam, curves in (("a", self.alpha), ("b", self.beta)):
+            for i, pts in enumerate(curves):
+                for k in range(max(1, len(pts))):
+                    yield (fam, i, k)
 
     @cached_property
     def _curve_of(self):
@@ -348,10 +336,10 @@ class SuturedDiagram:
         bad += sk.violations
         for arc, sides, net in zip(sk.arc_edge, sk.sides, sk.net):
             if len(sides) != 2:
-                bad.append(f"arc {format_arc_ref(arc, 1)} appears {len(sides)} times "
+                bad.append(f"arc {format_arc_ref(arc)} appears {len(sides)} times "
                            "in region boundaries (expected 2)")
             elif net:
-                bad.append(f"arc {format_arc_ref(arc, 1)} is traversed twice in the "
+                bad.append(f"arc {format_arc_ref(arc)} is traversed twice in the "
                            "same direction")
 
         circles = sum(r.boundary_circles for r in self.regions)
@@ -548,7 +536,7 @@ class _Skeleton:
                     e = self.arc_edge.get(arc)
                     if e is None:
                         self.violations.append(f"region {rid} references unknown arc "
-                                               f"{format_arc_ref(arc, 1)}")
+                                               f"{format_arc_ref(arc)}")
                         continue
                     col[e] = col.get(e, 0) + sign
                     self.sides[e].append(rid)
@@ -755,12 +743,12 @@ def h1_of_M(d):
 def _eps_chain(d, x, y):
     """The 1-cycle {arc: 1} along each alpha curve from x to y and along each
     beta curve from y to x, following the curves' cyclic orientation."""
-    walks = [("a", i, x.assignment[i][1], y.assignment[i][1]) for i in range(len(d.alpha))]
-    walks += [("b", j, q, p) for (j, p), (_, q) in
+    walks = [("a", i, pts, x.assignment[i][1], y.assignment[i][1])
+             for i, pts in enumerate(d.alpha)]
+    walks += [("b", j, d.beta[j], q, p) for (j, p), (_, q) in
               zip(sorted(x.assignment), sorted(y.assignment))]
     chain = {}
-    for fam, i, p, q in walks:
-        pts = d.curve_points(fam, i)
+    for fam, i, pts, p, q in walks:
         k, stop = pts.index(p), pts.index(q)
         while k != stop:
             chain[(fam, i, k)] = 1

@@ -23,11 +23,7 @@ ENV_VAR = "SUTURED_KIT_FIXTURES"
 
 
 # kind is "diagram", "presentation" or "support"; pair is the paired fixture's name, or ""
-class FixtureInfo(namedtuple("FixtureInfo", "name kind file pair description")):
-    __slots__ = ()
-
-    def to_json(self):
-        return self._asdict()
+FixtureInfo = namedtuple("FixtureInfo", "name kind file pair description")
 
 
 FIXTURES = (

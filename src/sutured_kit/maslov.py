@@ -99,9 +99,8 @@ class SymmetricPath:
             raise NotSymmetric(f"sample {k} has a nonzero imaginary part; "
                                "spectral flow needs real symmetric matrices")
         stack = stack.real
-        n = stack.shape[1]
         asym = np.linalg.norm(stack - stack.transpose(0, 2, 1), axis=(1, 2))
-        k = _first(asym > SYMMETRY_TOL * max(1.0, n))
+        k = _first(asym > SYMMETRY_TOL * max(1.0, stack.shape[1]))
         if k is not None:
             raise NotSymmetric(f"sample {k} is not symmetric within {SYMMETRY_TOL}")
         for which, a in (("start", stack[0]), ("end", stack[-1])):
@@ -109,7 +108,6 @@ class SymmetricPath:
                 raise EndpointSingular(f"{which} matrix has an eigenvalue within "
                                        f"{ENDPOINT_TOL} of zero")
         self.samples = stack
-        self.n = n
 
 
 def _winding(dets, power):

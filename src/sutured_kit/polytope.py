@@ -48,27 +48,23 @@ MAX_DIMENSION = 6
 
 
 class SupportData:
-    """Distinct integer support points with positive multiplicities."""
+    """Distinct integer support points, as tuples of one dimension.
 
-    __slots__ = ("dimension", "points", "multiplicity")
+    The hull reads the point set alone.  ``from_json`` checks the optional
+    ``multiplicities`` field, one positive integer per point, and drops it.
+    """
 
-    def __init__(self, dimension, points, multiplicity=None):
-        pts = tuple(tuple(int(x) for x in p) for p in points)
+    __slots__ = ("dimension", "points")
+
+    def __init__(self, dimension, points):
+        pts = tuple(points)
         if len(set(pts)) != len(pts):
             raise ValueError("support points must be distinct")
         for p in pts:
             if len(p) != dimension:
                 raise BadDimension(f"point {p} does not have dimension {dimension}")
-        mult = dict(multiplicity or {})
-        clean = {}
-        for p in pts:
-            m = int(mult.get(p, 1))
-            if m <= 0:
-                raise ValueError("multiplicities must be positive")
-            clean[p] = m
         self.dimension = dimension
         self.points = pts
-        self.multiplicity = clean
 
     @classmethod
     def from_json(cls, data):
@@ -76,12 +72,12 @@ class SupportData:
         pts = [tuple(expect_items(p, int, f"points[{i}]"))
                for i, p in enumerate(expect(data.get("points"), list, "points"))]
         mults = data.get("multiplicities")
-        if mults is not None:
-            if len(expect_items(mults, int, "multiplicities")) != len(pts):
-                raise ValueError(f"multiplicities has {len(mults)} entries "
-                                 f"for {len(pts)} points")
-            mults = dict(zip(pts, mults))
-        return cls(expect(data.get("dimension"), int, "dimension"), tuple(pts), mults)
+        if mults is not None and len(expect_items(mults, int, "multiplicities")) != len(pts):
+            raise ValueError(f"multiplicities has {len(mults)} entries for {len(pts)} points")
+        s = cls(expect(data.get("dimension"), int, "dimension"), pts)
+        if mults is not None and any(m <= 0 for m in mults):
+            raise ValueError("multiplicities must be positive")
+        return s
 
 
 def _dot(u, v):
@@ -119,27 +115,21 @@ class SupportPolytope:
     lower-dimensional hull is fully described.
     """
 
-    __slots__ = ("ambient_dimension", "dim", "vertices", "facets", "equations")
+    __slots__ = ("dim", "vertices", "facets", "equations")
 
-    def __init__(self, ambient_dimension, dim, vertices, facets, equations):
-        self.ambient_dimension = ambient_dimension
+    def __init__(self, dim, vertices, facets, equations):
         self.dim = dim
         self.vertices = vertices
         self.facets = facets
         self.equations = equations
 
-    def translate(self, shift):
-        verts = tuple(tuple(x + s for x, s in zip(v, shift)) for v in self.vertices)
-        facets = tuple((n, c + sum(a * s for a, s in zip(n, shift)))
-                       for n, c in self.facets)
-        eqs = tuple((n, c + sum(a * s for a, s in zip(n, shift)))
-                    for n, c in self.equations)
-        return SupportPolytope(self.ambient_dimension, self.dim, verts, facets, eqs)
-
     def canonical_translate(self):
         """Translate the lex-min vertex to the origin (hulls compare up to translation)."""
         v0 = min(self.vertices)
-        return self.translate(tuple(-x for x in v0))
+        verts = tuple(tuple(x - s for x, s in zip(v, v0)) for v in self.vertices)
+        facets = tuple((n, c - _dot(n, v0)) for n, c in self.facets)
+        eqs = tuple((n, c - _dot(n, v0)) for n, c in self.equations)
+        return SupportPolytope(self.dim, verts, facets, eqs)
 
     def to_json(self):
         return {
@@ -188,7 +178,7 @@ def hull(s):
     equations = [(n, _dot(n, origin)) for n in _kernel([diffs[i] for i in simplex], r)]
 
     if d == 0:
-        return SupportPolytope(r, 0, (tuple(origin),), (), tuple(equations))
+        return SupportPolytope(0, (tuple(origin),), (), tuple(equations))
 
     # facets are d-tuples of point indices with n . x >= c on the hull, n the
     # primitive vector of the span orthogonal to the facet.  A point on a
@@ -252,7 +242,7 @@ def hull(s):
     vertices = sorted(pts[i] for i in corners
                       if reduce(and_, (m for m in masks if m >> i & 1)) == 1 << i)
 
-    return SupportPolytope(r, d, tuple(vertices), tuple(hyperplanes), tuple(equations))
+    return SupportPolytope(d, tuple(vertices), tuple(hyperplanes), tuple(equations))
 
 
 def is_centrally_symmetric(p):
@@ -288,16 +278,11 @@ def support_from_euler_polynomial(elem, group):
     """Project a group-ring element to support data in the free part of H_1.
 
     Exponents are doubled (Chern classes double torsor distances) and the
-    torsion part is discarded; the multiplicity of a point is the sum of
-    absolute coefficients landing on it.  Different representatives of the
-    same +-h class give translates of the same point set.
+    torsion part is discarded; the points are the distinct results, sorted.
+    Different representatives of the same +-h class give translates of the
+    same point set.
     """
-    r = group.free_rank
-    mult = {}
-    for g, c in elem.items():
-        pt = tuple(2 * x for x in g.free)
-        mult[pt] = mult.get(pt, 0) + abs(c)
-    pts = tuple(sorted(mult))
+    pts = sorted({tuple(2 * x for x in g.free) for g, _ in elem.items()})
     if not pts:
         raise EmptySupport("zero polynomial has empty support")
-    return SupportData(r, pts, mult)
+    return SupportData(group.free_rank, pts)

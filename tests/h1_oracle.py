@@ -108,7 +108,7 @@ class SnfSkeleton:
 
         def endpoints(arc):
             fam, i, k = arc
-            pts = d.curve_points(fam, i)
+            pts = (d.alpha if fam == "a" else d.beta)[i]
             if not pts:
                 return vertex((fam, i)), vertex((fam, i))
             return vertex(pts[k]), vertex(pts[(k + 1) % len(pts)])
@@ -151,11 +151,12 @@ class SnfSkeleton:
             d1[t][e] -= 1
         self.d1 = IntMatrix(d1, nv, ne)
         self.curve_chain = {}
-        for fam, i in d.curves():
-            vec = [0] * ne
-            for k in range(d.curve_arc_count(fam, i)):
-                vec[self.arc_edge[(fam, i, k)]] = 1
-            self.curve_chain[(fam, i)] = tuple(vec)
+        for fam, curves in (("a", d.alpha), ("b", d.beta)):
+            for i, pts in enumerate(curves):
+                vec = [0] * ne
+                for k in range(max(1, len(pts))):
+                    vec[self.arc_edge[(fam, i, k)]] = 1
+                self.curve_chain[(fam, i)] = tuple(vec)
 
 
 class SnfH1:
@@ -168,7 +169,7 @@ class SnfH1:
         self.kmat = IntMatrix(tuple(tuple(col[e] for col in kb) for e in range(sk.n_edges)),
                               sk.n_edges, self.k)
         self.u, self.diag, self.v = smith_normal_form(self.kmat)
-        relations = list(sk.d2_columns) + [sk.curve_chain[c] for c in d.curves()]
+        relations = list(sk.d2_columns) + list(sk.curve_chain.values())
         cols = [self._coords(vec) for vec in relations]
         rel = IntMatrix(tuple(tuple(col[i] for col in cols) for i in range(self.k)),
                         self.k, len(cols))
@@ -217,11 +218,12 @@ def snf_periodic_lattice(d):
     internal = internal_regions(d)
     rows = _boundary_rows(d, internal)
     constraints = []
-    for fam, i in d.curves():
-        ref = rows[(fam, i, 0)]
-        for k in range(1, d.curve_arc_count(fam, i)):
-            cur = rows[(fam, i, k)]
-            constraints.append(tuple(a - b for a, b in zip(cur, ref)))
+    for fam, curves in (("a", d.alpha), ("b", d.beta)):
+        for i, pts in enumerate(curves):
+            ref = rows[(fam, i, 0)]
+            for k in range(1, len(pts)):
+                cur = rows[(fam, i, k)]
+                constraints.append(tuple(a - b for a, b in zip(cur, ref)))
     if not internal:
         return []
     mat = IntMatrix(tuple(constraints) if constraints else ((0,) * len(internal),),
@@ -243,7 +245,7 @@ def snf_connecting_domains(d, x, y):
     _check_generator(d, y)
     internal = internal_regions(d)
     rows = _boundary_rows(d, internal)
-    curves = list(d.curves())
+    curves = [("a", i) for i in range(len(d.alpha))] + [("b", j) for j in range(len(d.beta))]
     curve_col = {c: len(internal) + t for t, c in enumerate(curves)}
     ncols = len(internal) + len(curves)
     path = _eps_chain(d, x, y)
@@ -267,7 +269,7 @@ def snf_connecting_domains(d, x, y):
 def curve_walk(d, fam, i, p, q, backward=False):
     """Arc chain along a curve from p to q; backward is the negative of the
     complementary walk, which differs by the full curve class."""
-    pts = d.curve_points(fam, i)
+    pts = (d.alpha if fam == "a" else d.beta)[i]
     pos = {name: k for k, name in enumerate(pts)}
     n = len(pts)
     chain = {}
@@ -491,17 +493,16 @@ class LoopH1:
         zero = (0,) * self.rank
         curve_images = []
         phi = {}                 # point -> P_alpha(p) - P_beta(p)
-        for fam, i in d.curves():
-            sign = 1 if fam == "a" else -1
-            pts = d.curve_points(fam, i)
-            edges = [sk.arc_edge[(fam, i, k)] for k in range(d.curve_arc_count(fam, i))]
-            acc = zero
-            for k, e in enumerate(edges):
-                if pts:
-                    phi[pts[k]] = tuple(a + sign * b for a, b in
-                                        zip(phi.get(pts[k], zero), acc))
-                acc = tuple(a + b for a, b in zip(acc, self.images[e]))
-            curve_images.append(acc)
+        for fam, sign, curves in (("a", 1, d.alpha), ("b", -1, d.beta)):
+            for i, pts in enumerate(curves):
+                edges = [sk.arc_edge[(fam, i, k)] for k in range(max(1, len(pts)))]
+                acc = zero
+                for k, e in enumerate(edges):
+                    if pts:
+                        phi[pts[k]] = tuple(a + sign * b for a, b in
+                                            zip(phi.get(pts[k], zero), acc))
+                    acc = tuple(a + b for a, b in zip(acc, self.images[e]))
+                curve_images.append(acc)
         self.rel = IntMatrix(tuple(tuple(img[r] for img in curve_images)
                                    for r in range(self.rank)),
                              self.rank, len(curve_images))

@@ -138,7 +138,7 @@ def subset_hull(s):
         equations.append((n, sum(a * b for a, b in zip(n, origin))))
 
     if d == 0:
-        return SupportPolytope(r, 0, (tuple(origin),), (), tuple(equations))
+        return SupportPolytope(0, (tuple(origin),), (), tuple(equations))
 
     coords = [tuple(solve_exact(basis, v)) for v in diffs]
 
@@ -177,7 +177,7 @@ def subset_hull(s):
         facets.append((amb, min(sum(a * b for a, b in zip(amb, p)) for p in pts)))
     facets.sort()
 
-    return SupportPolytope(r, d, tuple(vertices), tuple(facets), tuple(equations))
+    return SupportPolytope(d, tuple(vertices), tuple(facets), tuple(equations))
 
 
 def subset_face(s, alpha):
@@ -185,7 +185,7 @@ def subset_face(s, alpha):
     vals = {pt: sum(a * b for a, b in zip(pt, alpha)) for pt in s.points}
     cmin = min(vals.values())
     chosen = tuple(pt for pt in s.points if vals[pt] == cmin)
-    sub = SupportData(s.dimension, chosen, {pt: s.multiplicity[pt] for pt in chosen})
+    sub = SupportData(s.dimension, chosen)
     return subset_hull(sub), chosen
 
 
@@ -205,7 +205,7 @@ def kernel_hull(s):
     equations = [(n, _dot(n, origin)) for n in _kernel(diffs, r)]
 
     if d == 0:
-        return SupportPolytope(r, 0, (tuple(origin),), (), tuple(equations))
+        return SupportPolytope(0, (tuple(origin),), (), tuple(equations))
 
     spans = [n for n, _ in equations]
     inside = [sum(pts[i][t] for i in simplex) for t in range(r)]  # (d+1) x centroid
@@ -242,7 +242,7 @@ def kernel_hull(s):
     hyperplanes = sorted(set(facets.values()))
 
     vertices = rank_vertices(pts, hyperplanes, d)
-    return SupportPolytope(r, d, tuple(vertices), tuple(hyperplanes), tuple(equations))
+    return SupportPolytope(d, tuple(vertices), tuple(hyperplanes), tuple(equations))
 
 
 def rank_vertices(points, hyperplanes, d):

@@ -14,6 +14,14 @@ Every function is reached or named in ``UNREACHED`` under the reason it
 stays, and no function named there is reached: a function that only the
 tests call fails the first check, and one that gains a caller in the CLI
 fails the second, so the list has to follow the library either way.
+
+A second, static census finds the fields that nothing in the library
+reads.  Every attribute stored in ``sutured_kit`` (``self.x = ...``, or
+``x.y = ...`` on any object) is keyed by the class whose body holds the
+store, or by its module outside a class.  A load ``self.x`` inside a class
+reads that class's ``x`` only; a load ``obj.x`` on any other object reads
+every stored ``x``.  A stored field that no load reads is named in
+``WRITE_ONLY`` under the reason it stays, and the list holds nothing else.
 """
 
 import ast
@@ -56,14 +64,23 @@ UNREACHED = {
 }
 
 
-def definitions():
-    """{(file, first line): dotted name} of every def in the package, the
-    package's own module named ``__init__``."""
-    modules = [("__init__", sutured_kit)] + [
+WRITE_ONLY = {
+    "pinned by tests/test_sparse_cells.py, which bounds its nonzero entries": """
+        diagram._H1Data.phi""",
+}
+
+
+def modules():
+    """(name, module) of each module of the package, its own named ``__init__``."""
+    return [("__init__", sutured_kit)] + [
         (info.name, importlib.import_module(f"sutured_kit.{info.name}"))
         for info in pkgutil.iter_modules(sutured_kit.__path__)]
+
+
+def definitions():
+    """{(file, first line): dotted name} of every def in the package."""
     out = {}
-    for prefix, module in modules:
+    for prefix, module in modules():
         path = inspect.getsourcefile(module)
         stack = [(ast.parse(inspect.getsource(module)), prefix)]
         while stack:
@@ -143,3 +160,29 @@ def test_every_function_is_reached_or_listed(tmp_path):
     assert sorted(set(names.values()) - reached - listed) == []
     assert sorted(listed & reached) == []
     assert "diagram._H1Data.lift" in reached
+
+
+def write_only_fields():
+    """Sorted dotted names of the fields stored in the package that no load reads."""
+    stores, loads = set(), set()
+    for name, module in modules():
+        stack = [(ast.parse(inspect.getsource(module)), name)]
+        while stack:
+            node, scope = stack.pop()
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.Attribute):
+                    if isinstance(child.ctx, ast.Store):
+                        stores.add((scope, child.attr))
+                    elif isinstance(child.value, ast.Name) and child.value.id == "self":
+                        loads.add((scope, child.attr))
+                    else:
+                        loads.add((None, child.attr))
+                inner = f"{scope}.{child.name}" if isinstance(child, ast.ClassDef) else scope
+                stack.append((child, inner))
+    return sorted(f"{scope}.{attr}" for scope, attr in stores
+                  if (scope, attr) not in loads and (None, attr) not in loads)
+
+
+def test_every_stored_field_is_read_or_listed():
+    listed = sorted(name for text in WRITE_ONLY.values() for name in text.split())
+    assert write_only_fields() == listed

@@ -195,6 +195,24 @@ class TestPolytopeCommand:
         code, data = run_json(capsys, "polytope", option, "")
         assert code == 1 and data["error"] == "file_not_found"
 
+    # the hull reads no multiplicities, but the support file's field keeps
+    # its checks: each document is the one printed before they were dropped
+    # from SupportData
+    @pytest.mark.parametrize("mults,detail", [
+        ([0, 1, 1], "multiplicities must be positive"),
+        ([-2, 1, 1], "multiplicities must be positive"),
+        ([1, 1], "multiplicities has 2 entries for 3 points"),
+        ([1.5, 1, 1], "multiplicities[0] must be an integer, got 1.5"),
+        (True, "multiplicities must be a list, got True"),
+    ])
+    def test_bad_multiplicities_keep_their_documents(self, capsys, tmp_path, mults, detail):
+        path = tmp_path / "support.json"
+        path.write_text(json.dumps({"dimension": 2, "points": [[0, 0], [2, 0], [0, 2]],
+                                    "multiplicities": mults}))
+        code, out = run(capsys, "polytope", "--support", str(path))
+        assert code == 1
+        assert out == f'{{\n  "detail": "{detail}",\n  "error": "bad_input"\n}}\n'
+
 
 class TestOracleCommand:
     def test_solid_torus(self, capsys):
@@ -291,6 +309,24 @@ class TestMaslovCommand:
         assert data == {"error": "not_symmetric",
                         "detail": "sample 0 has a nonzero imaginary part; "
                                   "spectral flow needs real symmetric matrices"}
+
+    def test_unknown_kind_in_the_file_is_bad_input(self, capsys, tmp_path):
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps({"kind": "bogus", "samples": [[[1.0]], [[1.0]]]}))
+        code, data = run_json(capsys, "maslov", str(path))
+        assert code == 1
+        assert data == {"error": "bad_input",
+                        "detail": "kind must be one of lagrangian_loop, symplectic_loop, "
+                                  "spectral_flow, got 'bogus'"}
+
+    def test_unknown_kind_flag_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps({"kind": "spectral_flow", "samples": [[[1.0]], [[1.0]]]}))
+        code, data = run_json(capsys, "maslov", str(path), "--kind", "bogus")
+        assert code == 2
+        assert data == {"error": "usage",
+                        "detail": "--kind: invalid choice 'bogus' (choose from "
+                                  "lagrangian_loop, symplectic_loop, spectral_flow)"}
 
     def test_domain_error(self, capsys, tmp_path):
         path = tmp_path / "loop.json"

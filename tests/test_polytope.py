@@ -21,7 +21,7 @@ TRIANGLE = SupportData(2, ((0, 0), (2, 0), (0, 2)))
 
 def min_value(p, alpha):
     """The minimum of <c, alpha> over the vertices c of the polytope."""
-    if len(alpha) != p.ambient_dimension:
+    if len(alpha) != len(p.vertices[0]):
         raise BadDimension("direction has the wrong length")
     return min(sum(a * b for a, b in zip(vert, alpha)) for vert in p.vertices)
 
@@ -38,14 +38,12 @@ def face(p, s, alpha):
     <c, alpha>).  alpha = 0 gives back the whole polytope.
     """
     alpha = tuple(alpha)
-    if len(alpha) != p.ambient_dimension:
+    if len(alpha) != len(p.vertices[0]):
         raise BadDimension("direction has the wrong length")
     vals = {pt: sum(a * b for a, b in zip(pt, alpha)) for pt in s.points}
     cmin = min(vals.values())
     chosen = tuple(pt for pt in s.points if vals[pt] == cmin)
-    sub = SupportData(s.dimension, chosen,
-                      {pt: s.multiplicity[pt] for pt in chosen})
-    return hull(sub), chosen
+    return hull(SupportData(s.dimension, chosen)), chosen
 
 
 def surface_c(chi, index_i, rotation_r):
@@ -61,18 +59,6 @@ def rand_support(rng, dim, npoints, span=4):
 
 
 class TestSupportData:
-    def test_points_come_back_as_tuples_of_ints(self):
-        s = SupportData(2, [[True, 2], (3, 4)])
-        assert s.points == ((1, 2), (3, 4))
-        assert all(type(x) is int for p in s.points for x in p)
-        assert all(type(p) is tuple for p in s.points)
-
-    def test_multiplicity_is_cleaned(self):
-        # missing points default to 1, points not in the support are dropped
-        s = SupportData(1, ((0,), (2,)), {(2,): 3, (5,): 7})
-        assert s.multiplicity == {(0,): 1, (2,): 3}
-        assert SupportData(1, ((0,),)).multiplicity == {(0,): 1}
-
     def test_repeated_points_refused(self):
         with pytest.raises(ValueError, match="^support points must be distinct$"):
             SupportData(2, ((0, 0), (1, 0), (0, 0)))
@@ -85,7 +71,8 @@ class TestSupportData:
     @pytest.mark.parametrize("mult", [0, -2])
     def test_non_positive_multiplicity_refused(self, mult):
         with pytest.raises(ValueError, match="^multiplicities must be positive$"):
-            SupportData(1, ((0,), (2,)), {(2,): mult})
+            SupportData.from_json({"dimension": 1, "points": [[0], [2]],
+                                   "multiplicities": [1, mult]})
 
 
 class TestHull:
@@ -223,7 +210,7 @@ class TestFace:
         h = hull(s)
         f1, pts1 = face(h, s, (0, 1))       # bottom edge
         assert set(f1.vertices) == {(0, 0), (4, 0)}
-        sub = SupportData(2, pts1, {p: s.multiplicity[p] for p in pts1})
+        sub = SupportData(2, pts1)
         f2, pts2 = face(f1, sub, (1, 0))    # its left vertex
         assert f2.vertices == ((0, 0),)
 
@@ -320,11 +307,11 @@ class TestSupportFromEuler:
         h2 = hull(s2).canonical_translate()
         assert h1.vertices == h2.vertices and h1.facets == h2.facets
 
-    def test_multiplicities_are_absolute_coefficients(self):
+    def test_points_are_the_distinct_doubled_exponents(self):
         d = SuturedDiagram.from_json(fixture_json("t106"))
         poly, grp = euler_polynomial(d)   # 1 - 2h + h^2
         s = support_from_euler_polynomial(poly, grp)
-        assert s.multiplicity == {(0,): 1, (2,): 2, (4,): 1}
+        assert s.points == ((0,), (2,), (4,))
 
     def test_torsion_part_discarded(self):
         from sutured_kit.abelian import FinAbGroup, GroupRingElem
@@ -333,7 +320,6 @@ class TestSupportFromEuler:
                            element(g, (0,), (0,)): -1})
         s = support_from_euler_polynomial(x, g)
         assert s.points == ((0,), (2,))
-        assert s.multiplicity == {(0,): 1, (2,): 2}
 
 
 def test_bounds_match_doubling_loops():

@@ -53,17 +53,16 @@ METHODS = {
     "abelian.IntMatrix": "column",
     "diagram.GeneratorMatching": "points sigma to_json",
     "diagram.Region": "from_json",
-    "diagram.SuturedDiagram": "arcs curve_arc_count curve_points curves from_json is_balanced "
-                              "require_balanced require_valid validate",
+    "diagram.SuturedDiagram": "arcs from_json is_balanced require_balanced require_valid "
+                              "validate",
     "diagram.ValidationReport": "ok",
-    "fixtures.FixtureInfo": "to_json",
     "fox.FreeWord": "exponents from_string",
     "fox.InclusionData": "from_json",
     "fox.Presentation": "from_json num_generators num_relators",
     "maslov.UnitaryLoop": "closes_in_group",
     "oracle.RankTable": "support to_json values_in_order",
     "polytope.SupportData": "from_json",
-    "polytope.SupportPolytope": "canonical_translate to_json translate",
+    "polytope.SupportPolytope": "canonical_translate to_json",
 }
 
 

@@ -6,7 +6,11 @@ oracle and error cases and twenty seeded random support sets of dimension
 input has torsion in H_1, so ``euler`` and ``spinc`` also run on the lens
 diagrams L(p,1) minus a ball (H_1 = Z/p) and ``torsion`` on twelve seeded
 random presentations, most of them with torsion in H_1: these pin the
-torsion tie-break of ``doteq_normalize``.  ``maslov`` runs on seeded
+torsion tie-break of the +-h normal form that ``det_group_ring`` takes
+from ``abelian._key_codec``.  They do not pin ``doteq_normalize``, which
+the CLI calls only in ``crosscheck --allow-inversion`` after the plain
+match fails, a case no pair here reaches; ``tests/test_normal_form_ints.py``
+holds its tie-break to the tuple oracle.  ``maslov`` runs on seeded
 loops and paths with object, number and mixed entries, with ``--kind``
 and ``--samples``, and on malformed samples.  A change to
 the library that should not move any output must leave every digest in
