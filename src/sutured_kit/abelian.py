@@ -14,6 +14,8 @@ Everything is exact: entries are Python ints, there is no floating point
 and no modular shortcut, because all downstream comparisons are exact
 equalities of torsion polynomials up to units.
 
+A ``FinAbGroup`` comes from ``smith_cokernel``: its torsion, the Smith
+diagonal entries >= 2, is a divisibility chain, and is taken as given.
 A group element of ``FinAbGroup(free_rank=r, torsion=(d_1,..,d_k))`` is a
 named tuple of tuples ``(free, torsion)``, residues reduced mod d_i,
 ordered by (free, torsion) as a tuple and built from a coordinate vector
@@ -212,13 +214,7 @@ class FinAbGroup:
     """Finitely generated abelian group Z^r + Z/d_1 + ... + Z/d_k, d_i | d_{i+1}."""
 
     def __init__(self, free_rank, torsion=(), projection=None):
-        torsion = tuple(int(t) for t in torsion)
-        if any(t < 2 for t in torsion):
-            raise ValueError("torsion coefficients must be >= 2")
-        for a, b in zip(torsion, torsion[1:]):
-            if b % a != 0:
-                raise ValueError("torsion coefficients must form a divisibility chain")
-        self.free_rank = int(free_rank)
+        self.free_rank = free_rank
         self.torsion = torsion
         self.projection = projection
 
@@ -243,7 +239,6 @@ class GroupRingElem:
         clean = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for g, c in items:
-            c = int(c)
             if c:
                 c += clean.get(g, 0)
                 if c:
@@ -478,8 +473,6 @@ def det_group_ring(m, g):
     codec's ``normal_form`` without decoding the determinant itself.
     """
     n = len(m)
-    if any(not 0 <= j < n for row in m for j in row):
-        raise ValueError("matrix is not square")
     masks = [sum(1 << j for j in row) for row in m]
     cols = [0] * n
     for i, row in enumerate(m):

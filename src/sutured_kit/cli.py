@@ -164,7 +164,9 @@ def cmd_check(args):
 def cmd_generators(args):
     d = _load_diagram(args.diagram)
     gens = diagram.generators(d)
-    return {"count": len(gens), "generators": [g.to_json() for g in gens]}
+    return {"count": len(gens),
+            "generators": [[{"alpha": i, "beta": j, "point": p} for i, (j, p) in enumerate(g)]
+                           for g in gens]}
 
 
 def cmd_spinc(args):

@@ -13,7 +13,9 @@ boundary cycles are closed walks that traverse each arc once in each
 direction, so the surface is oriented; the corners at each point, where
 one arc of a cycle arrives and the next leaves, form one cycle, so no
 point is pinched; the Euler characteristic; connectivity), balance, the
-generator set (one intersection point on each curve of either family),
+generator set (one intersection point on each curve of either family;
+a generator is its assignment tuple ``((j, p), ...)``, alpha_i meeting
+beta_j at the point p, with i -> j a bijection),
 first homology of the glued-up manifold as a quotient of H_1 of the
 surface by the curve classes, the difference class eps(x, y) between
 generators and the induced partition into Spin^c classes, periodic
@@ -163,29 +165,6 @@ class Region:
                    expect(data.get("genus", 0), int, f"{field}.genus"))
 
 
-class GeneratorMatching:
-    """One intersection point on each alpha and each beta curve.
-
-    ``assignment[i] = (j, p)`` says alpha_i meets beta_j at the chosen
-    point p; the map i -> j must be a bijection.
-    """
-
-    __slots__ = ("assignment",)
-
-    def __init__(self, assignment):
-        self.assignment = assignment
-
-    def sigma(self):
-        return tuple(j for j, _ in self.assignment)
-
-    def points(self):
-        return tuple(p for _, p in self.assignment)
-
-    def to_json(self):
-        return [{"alpha": i, "beta": j, "point": p}
-                for i, (j, p) in enumerate(self.assignment)]
-
-
 def _union_find(n, pairs):
     """Disjoint sets over 0..n-1 on one parent list with path halving, the
     pairs (x, y) merged in order, y's root put under x's.  Returns whether
@@ -240,8 +219,8 @@ class SuturedDiagram:
     """Immutable combinatorial sutured diagram; all queries are pure."""
 
     def __init__(self, genus, boundary_circles, alpha, beta, crossing_sign, regions):
-        self.genus = int(genus)
-        self.boundary_circles = int(boundary_circles)
+        self.genus = genus
+        self.boundary_circles = boundary_circles
         self.alpha = tuple(tuple(c) for c in alpha)
         self.beta = tuple(tuple(c) for c in beta)
         self.crossing_sign = dict(crossing_sign)
@@ -448,7 +427,7 @@ class SuturedDiagram:
     @cached_property
     def _generators(self):
         values = [[(x,) for x in cands] for cands in self._completable[0]]
-        return tuple(map(GeneratorMatching, self._matchings(values, ())))
+        return tuple(self._matchings(values, ()))
 
     @cached_property
     def _h1(self):
@@ -470,11 +449,11 @@ def generators(d):
 
 
 def _check_generator(d, x):
-    if not isinstance(x, GeneratorMatching) or len(x.assignment) != len(d.alpha):
+    if len(x) != len(d.alpha):
         raise NotAGenerator("wrong number of assignments")
     apos, bpos = d._curve_of
     seen = set()
-    for i, (j, p) in enumerate(x.assignment):
+    for i, (j, p) in enumerate(x):
         if j in seen:
             raise NotAGenerator("beta assignment is not a bijection")
         seen.add(j)
@@ -713,7 +692,7 @@ class _H1Data:
     def potential_sum(self, x, lead):
         """lead plus the potentials of the points of x; lead has the group's
         length, so a generator with no points still gets a row of that length."""
-        return tuple(map(sum, zip(lead, *map(self.potential.__getitem__, x.points()))))
+        return tuple(map(sum, zip(lead, *(self.potential[p] for _, p in x))))
 
     def difference(self, x, y):
         """eps(x, y): the potentials summed over y minus those over x."""
@@ -743,10 +722,8 @@ def h1_of_M(d):
 def _eps_chain(d, x, y):
     """The 1-cycle {arc: 1} along each alpha curve from x to y and along each
     beta curve from y to x, following the curves' cyclic orientation."""
-    walks = [("a", i, pts, x.assignment[i][1], y.assignment[i][1])
-             for i, pts in enumerate(d.alpha)]
-    walks += [("b", j, d.beta[j], q, p) for (j, p), (_, q) in
-              zip(sorted(x.assignment), sorted(y.assignment))]
+    walks = [("a", i, pts, x[i][1], y[i][1]) for i, pts in enumerate(d.alpha)]
+    walks += [("b", j, d.beta[j], q, p) for (j, p), (_, q) in zip(sorted(x), sorted(y))]
     chain = {}
     for fam, i, pts, p, q in walks:
         k, stop = pts.index(p), pts.index(q)
@@ -882,8 +859,8 @@ def generator_sign(d, x):
     """Permutation parity of the beta assignment times the crossing signs."""
     d.require_balanced()
     _check_generator(d, x)
-    sign = _perm_sign(x.sigma())
-    for p in x.points():
+    sign = _perm_sign([j for j, _ in x])
+    for _, p in x:
         sign *= d.crossing_sign[p]
     return sign
 

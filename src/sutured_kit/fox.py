@@ -1,13 +1,15 @@
 """Free-group words and the torsion determinant of a geometrically
 balanced presentation with inclusion data.
 
-Words are stored freely reduced as tuples of (generator index, +-1); free
-reduction is the only normalization performed.  A presentation with m
-generators, n relators and declared boundary genus l is *geometrically
-balanced* when m - n = l and there are exactly l inclusion words; the
-torsion matrix is then square of size m, its first l columns coming from
-the inclusion words and its last n from the relators, and the torsion is
-the class of its determinant in Z[H_1] up to +-h.
+Words are stored freely reduced as tuples of (generator index, +-1).
+They come only from ``FreeWord.from_string``, which looks each letter up
+among the generator names, so every letter is valid by construction and
+nothing downstream checks one again.  A presentation with m generators,
+n relators and declared boundary genus l is *geometrically balanced*
+when m - n = l and there are exactly l inclusion words; the torsion
+matrix is then square of size m, its first l columns coming from the
+inclusion words and its last n from the relators, and the torsion is the
+class of its determinant in Z[H_1] up to +-h.
 
 The entries of the torsion matrix are Fox derivatives, computed left to
 right,
@@ -47,10 +49,6 @@ class FreeWord:
     def __init__(self, letters=()):
         reduced = []
         for g, e in letters:
-            g = int(g)
-            e = int(e)
-            if e not in (1, -1):
-                raise ValueError("letter exponents must be +1 or -1")
             if reduced and reduced[-1] == (g, -e):
                 reduced.pop()
             else:
@@ -72,8 +70,6 @@ class FreeWord:
         """Total exponent of each generator (the abelianized image)."""
         vec = [0] * num_generators
         for g, e in self.letters:
-            if not 0 <= g < num_generators:
-                raise InvalidGenerator(f"letter index {g} out of range")
             vec[g] += e
         return tuple(vec)
 
@@ -84,11 +80,8 @@ class Presentation:
     __slots__ = ("generator_names", "relators", "boundary_genus")
 
     def __init__(self, generator_names, relators, boundary_genus):
-        m = len(generator_names)
-        if len(relators) > m:
+        if len(relators) > len(generator_names):
             raise ValueError("presentation needs at least as many generators as relators")
-        for r in relators:
-            r.exponents(m)  # validates letter indices
         self.generator_names = generator_names
         self.relators = relators
         self.boundary_genus = boundary_genus
@@ -186,10 +179,7 @@ def theta_matrix(p, k):
         rows = {}
         prefix = (0,) * g.projection.rows
         for letter in w.letters:
-            step = steps.get(letter)
-            if step is None:
-                raise InvalidGenerator(f"letter index {letter[0]} out of range")
-            after = tuple(map(add, prefix, step))
+            after = tuple(map(add, prefix, steps[letter]))
             if tors:
                 after = after[:r] + tuple(map(mod, after[r:], tors))
             i, e = letter

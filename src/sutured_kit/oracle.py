@@ -24,10 +24,10 @@ MAX_TABLE_BITS = 2 ** 18
 
 
 class RankTable:
-    """Finitely supported map grading -> nonnegative rank."""
+    """Finitely supported map grading -> positive rank."""
 
     def __init__(self, ranks):
-        self.ranks = {int(i): int(r) for i, r in ranks.items() if int(r) != 0}
+        self.ranks = ranks
 
     def support(self):
         return sorted(self.ranks)
@@ -60,7 +60,6 @@ def solid_torus_sfh(p, q, n):
 
 def closed_manifold_rank(hf_rank, n):
     """Rank after removing n balls from a closed manifold: hf_rank * 2^(n-1)."""
-    hf_rank, n = int(hf_rank), int(n)
     if hf_rank < 1:
         raise NonPositiveRank(f"rank must be positive, got {hf_rank}")
     if n < 1:
@@ -77,7 +76,6 @@ def connected_sum_rank(a, b, with_closed=False):
     Two sutured pieces contribute a * b * 2; summing a sutured piece with
     a closed manifold of hat-rank b gives a * b.
     """
-    a, b = int(a), int(b)
     if a < 1 or b < 1:
         raise NonPositiveRank("ranks must be positive")
     if a.bit_length() + b.bit_length() + 1 > MAX_RANK_BITS:

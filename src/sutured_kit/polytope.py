@@ -259,7 +259,6 @@ def is_centrally_symmetric(p):
 
 def depth_bound(rank):
     """Depth bound 2k from rank < 2^(k+1); rank 1 detects the product."""
-    rank = int(rank)
     if rank < 1:
         raise NonPositiveRank(f"rank must be positive, got {rank}")
     return 2 * (rank.bit_length() - 1)
@@ -268,7 +267,6 @@ def depth_bound(rank):
 def seifert_surface_bound(rank_top):
     """Largest guaranteed count n >= 1 of pairwise disjoint non-isotopic
     minimal genus Seifert surfaces: the least n with rank < 2^(n+1)."""
-    rank_top = int(rank_top)
     if rank_top < 1:
         raise NonPositiveRank(f"rank must be positive, got {rank_top}")
     return max(1, rank_top.bit_length() - 1)

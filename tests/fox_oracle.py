@@ -10,7 +10,7 @@ The derivative is computed left to right:
 so d(a)/da = 1 and d(a^-1)/da = -a^-1.  ``phi`` pushes a word or a
 combination of words to Z[g] for a group g that remembers its ambient
 projection, as ``fox.abelianization`` returns it; ``concat`` is the
-product of two words.
+product of two words, and ``random_word`` draws one through the parser.
 """
 
 from ring_oracle import from_ambient
@@ -22,6 +22,13 @@ from sutured_kit.fox import FreeWord
 def concat(u, w):
     """The freely reduced product u w."""
     return FreeWord(u.letters + w.letters)
+
+
+def random_word(rng, names, max_len=12):
+    """A word of at most max_len random letters in ``names``, each inverted
+    at random, spelled and parsed as a relator of a JSON presentation is."""
+    tokens = rng.choices(names, k=rng.randint(0, max_len))
+    return FreeWord.from_string(" ".join(rng.choice((t, t.upper())) for t in tokens), names)
 
 
 def combo_add(x, y):

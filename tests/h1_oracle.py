@@ -32,8 +32,8 @@ from ring_oracle import from_ambient, group_neg, group_sub, identity, ring_neg, 
 from snf_oracle import smith_normal_form as oracle_smith_normal_form
 from sutured_kit.abelian import (GroupRingElem, IntMatrix, cokernel, echelon, smith_cokernel,
                                  smith_normal_form)
-from sutured_kit.diagram import (GeneratorMatching, _check_generator, _eps_chain, epsilon,
-                                 generator_sign, generators, h1_of_M, internal_regions)
+from sutured_kit.diagram import (_check_generator, _eps_chain, epsilon, generator_sign,
+                                 generators, h1_of_M, internal_regions)
 from sutured_kit.errors import InvalidDiagram
 
 
@@ -283,10 +283,9 @@ def curve_walk(d, fam, i, p, q, backward=False):
 
 def eps_chain(d, x, y, backward=False):
     chain = {}
-    parts = [curve_walk(d, "a", i, x.assignment[i][1], y.assignment[i][1], backward)
-             for i in range(len(d.alpha))]
-    beta_x = {j: p for j, p in x.assignment}
-    beta_y = {j: p for j, p in y.assignment}
+    parts = [curve_walk(d, "a", i, x[i][1], y[i][1], backward) for i in range(len(d.alpha))]
+    beta_x = dict(x)
+    beta_y = dict(y)
     parts += [curve_walk(d, "b", j, beta_y[j], beta_x[j], backward) for j in beta_x]
     for part in parts:
         for arc, c in part.items():
@@ -377,7 +376,7 @@ def backtrack_generators(d):
 
     def backtrack(i):
         if i == n:
-            out.append(GeneratorMatching(tuple(pick)))
+            out.append(tuple(pick))
             return
         for j, p in candidates[i]:
             if not used[j]:
@@ -514,8 +513,8 @@ class LoopH1:
     def difference(self, x, y):
         """eps(x, y): the potentials summed over y minus those over x."""
         total = [0] * self.group.projection.rows
-        for points, sign in ((y.points(), 1), (x.points(), -1)):
-            for p in points:
+        for gen, sign in ((y, 1), (x, -1)):
+            for _, p in gen:
                 for j, v in enumerate(self.potential[p]):
                     total[j] += sign * v
         return self.group.from_coords(total)

@@ -101,12 +101,22 @@ class TestCokernel:
         assert g.free_rank == 1 and g.torsion == ()
 
     def test_projection_kills_relations(self):
+        # and the torsion, which FinAbGroup takes as given, is a divisibility
+        # chain of ints >= 2
         rng = random.Random(3)
+        chains = 0
         for _ in range(60):
             a = rand_matrix(rng, rng.randint(1, 4), rng.randint(0, 4), -5, 5)
+            scale = rng.choice((1, 2, 6))       # a common factor gives a longer chain
+            a = IntMatrix([[scale * x for x in row] for row in a.entries], a.rows, a.cols)
             g = cokernel(a)
             for j in range(a.cols):
                 assert from_ambient(g, a.column(j)) == identity(g)
+            assert type(g.free_rank) is int and type(g.torsion) is tuple
+            assert all(type(t) is int and t >= 2 for t in g.torsion)
+            assert all(b % t == 0 for t, b in zip(g.torsion, g.torsion[1:]))
+            chains += len(g.torsion) > 1
+        assert chains
 
 
 class TestGroupRing:
@@ -352,8 +362,9 @@ def test_tuple_arithmetic_is_the_per_term_oracle(case):
 class TestSerialization:
     def test_group_roundtrip(self):
         g = FinAbGroup(2, (2, 4))
-        assert FinAbGroup(**group_to_json(g)) == g
-        assert group_to_json(g) == {"free_rank": 2, "torsion": [2, 4]}
+        data = group_to_json(g)
+        assert data == {"free_rank": 2, "torsion": [2, 4]}
+        assert FinAbGroup(data["free_rank"], tuple(data["torsion"])) == g
 
     def test_ring_roundtrip_sorted(self):
         g = FinAbGroup(1, (2,))

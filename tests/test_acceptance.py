@@ -14,7 +14,7 @@ from conftest import (brute_force_admissible, diagram_names, fixture_json, lagra
                       paired_names, random_symmetric, tensor_rank_identity, total_rank,
                       two_circles_disk, unitary_group_loop)
 from det_oracle import rows_of
-from fox_oracle import combo_add, combo_mul, concat, fox_derivative
+from fox_oracle import combo_add, combo_mul, concat, fox_derivative, random_word
 from h1_oracle import det, diagonal, matmul, partition_differences
 from ring_oracle import (doteq_equal, element, group_add, identity, leibniz_det, ring_one,
                          tuple_doteq_normalize)
@@ -22,7 +22,7 @@ from sutured_kit import diagram, fox
 from sutured_kit.abelian import (FinAbGroup, GroupRingElem, IntMatrix, det_group_ring,
                                  smith_normal_form)
 from sutured_kit.diagram import SuturedDiagram, admissible_lattice
-from sutured_kit.fox import FreeWord, load_presentation_json
+from sutured_kit.fox import load_presentation_json
 from sutured_kit.maslov import (SymmetricPath, UnitaryLoop, maslov_loop_index,
                                 spectral_flow, symplectic_loop_index)
 from sutured_kit.oracle import solid_torus_sfh
@@ -102,10 +102,8 @@ def test_criterion_4_fox_calculus_algebra():
     one = ()
     for _ in range(520):
         m = rng.randint(1, 4)
-        u = FreeWord([(rng.randrange(m), rng.choice((1, -1)))
-                      for _ in range(rng.randint(0, 12))])
-        w = FreeWord([(rng.randrange(m), rng.choice((1, -1)))
-                      for _ in range(rng.randint(0, 12))])
+        names = ("a", "b", "c", "d")[:m]
+        u, w = random_word(rng, names), random_word(rng, names)
         for i in range(m):
             assert fox_derivative(concat(u, w), i, m) == combo_add(
                 fox_derivative(u, i, m),

@@ -44,7 +44,6 @@ from sutured_kit import cli, fixtures, fox
 UNREACHED = {
     "paper maps that ROADMAP direction 4 gives a caller": """
         abelian.GroupElement.is_identity abelian.IntMatrix.__matmul__
-        diagram.GeneratorMatching.points diagram.GeneratorMatching.sigma
         diagram._H1Data.class_of diagram._H1Data.difference diagram._H1Data.image
         diagram._H1Data.potential_sum diagram._check_generator diagram._eps_chain
         diagram.connecting_domains diagram.epsilon diagram.h1_of_M

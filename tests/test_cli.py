@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import operator
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 import argparse_oracle
 from conftest import (fixture_json, fixture_path, paired_names, reverse_region, s1xs2_minus_ball,
                       t312_sign_variant)
-from h1_oracle import torus_diagram
+from h1_oracle import lens_diagram, torus_diagram
 from ring_oracle import element, ring_to_json
 from sutured_kit import cli, diagram, fixtures, fox
 from sutured_kit.abelian import FinAbGroup, GroupRingElem
@@ -161,6 +162,33 @@ class TestCrosscheck:
         assert code == 0 and data["match"] is False and data["mode"] is None
         code, data = run_json(capsys, *argv, "--allow-inversion")
         assert code == 0 and data["match"] is True and data["mode"] == "inverted"
+
+    def test_inverted_mode_over_torsion(self, capsys, tmp_path, monkeypatch):
+        # L(7,1) minus a ball, H_1 = Z/7: with P0, P1, P3 flipped and with P0, P4, P6
+        # flipped (their negatives mod 7) the Euler polynomials are each other's
+        # inversion h -> h^-1 and not unit multiples, so doteq_normalize breaks its
+        # ties among all seven torsion translates; the bytes are pinned
+        paths = {}
+        for name, flips in (("d", (0, 1, 3)), ("p", (0, 4, 6))):
+            data = lens_diagram(7)
+            for i in flips:
+                data["crossing_sign"][f"P{i}"] = -1
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(data))
+        tau = diagram.euler_polynomial(diagram.SuturedDiagram.from_json(
+            json.loads(paths["p"].read_text())))
+        monkeypatch.setattr(fox, "torsion", lambda p, k: tau)
+        argv = ("crosscheck", str(paths["d"]), fixture_path("t212_pres"))
+        for extra, mode, digest in (
+                ((), None, "77d9da3810569b1b5cb2f8f6c29f323b20650cec544957c6e888e352021fa7ae"),
+                (("--allow-inversion",), "inverted",
+                 "413f910a0ae56c772bf29d77ef7ce459a62ab3e4847458ab5084e015ac50528d")):
+            code, out = run(capsys, *argv, *extra)
+            data = json.loads(out)
+            assert code == 0 and data["mode"] == mode and data["match"] is (mode is not None)
+            assert data["h1_diagram"] == data["h1_presentation"] == {"free_rank": 0,
+                                                                     "torsion": [7]}
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestPolytopeCommand:

@@ -144,24 +144,30 @@ def test_expansion_order_keeps_every_term_and_every_refusal(case, limit):
             assert exc.detail == refusal
 
 
-def relator(rng, m, length):
-    """Freely and cyclically reduced word of ``length`` letters in m generators."""
+def spelled(letters, names):
+    """The word of (index, +-1) letters, spelled in ``names`` and parsed back."""
+    return FreeWord.from_string(" ".join(names[i] if e > 0 else names[i].upper()
+                                         for i, e in letters), names)
+
+
+def relator(rng, names, length):
+    """Freely and cyclically reduced word of ``length`` letters in ``names``."""
     while True:
         letters = []
         while len(letters) < length:
-            i, e = rng.randrange(m), rng.choice((1, -1))
+            i, e = rng.randrange(len(names)), rng.choice((1, -1))
             if not letters or letters[-1] != (i, -e):
                 letters.append((i, e))
         if letters[0] != (letters[-1][0], -letters[-1][1]):
-            return FreeWord(letters)
+            return spelled(letters, names)
 
 
 def test_eighteen_generators_refused_in_the_callers_order_are_computed():
     rng = random.Random(9)
     m = 18
-    p = Presentation(tuple(f"g{i}" for i in range(m)),
-                     tuple(relator(rng, m, 5) for _ in range(m - 1)), 1)
-    k = InclusionData((relator(rng, m, 1),))
+    names = tuple(f"g{i}" for i in range(m))
+    p = Presentation(names, tuple(relator(rng, names, 5) for _ in range(m - 1)), 1)
+    k = InclusionData((relator(rng, names, 1),))
     theta, g = theta_matrix(p, k)
     with pytest.raises(DeterminantTooLarge, match="minors after row 9"):
         det_oracle.det_group_ring(theta, g)
@@ -179,15 +185,16 @@ def presentations(draw):
     that H_1 has torsion."""
     m = draw(st.integers(1, 6))
     n = draw(st.integers(0, m))
+    names = tuple("abcdef"[:m])
 
     def word():
-        return FreeWord([(draw(st.integers(0, m - 1)), draw(st.sampled_from((-1, 1))))
-                         for _ in range(draw(st.integers(0, 7)))])
+        return spelled([(draw(st.integers(0, m - 1)), draw(st.sampled_from((-1, 1))))
+                        for _ in range(draw(st.integers(0, 7)))], names)
 
     relators = [word() for _ in range(n)]
     if n and draw(st.booleans()):
-        relators[0] = concat(FreeWord([(0, 1)] * draw(st.integers(2, 4))), relators[0])
-    p = Presentation(tuple("abcdef"[:m]), tuple(relators), m - n)
+        relators[0] = concat(spelled([(0, 1)] * draw(st.integers(2, 4)), names), relators[0])
+    p = Presentation(names, tuple(relators), m - n)
     return p, InclusionData(tuple(word() for _ in range(m - n)))
 
 

@@ -55,7 +55,7 @@ def invariants(data, back=None):
     poly, group = euler_polynomial(d)
     part = spinc_partition(d)
     gens = generators(d)
-    keys = [frozenset(frozenset(back.get(p, p) for p in gens[i].points()) for i in cls)
+    keys = [frozenset(frozenset(back.get(p, p) for _, p in gens[i]) for i in cls)
             for cls in part.classes]
     diffs = {(keys[a], keys[b]): e for (a, b), e in partition_differences(part).items()}
     return poly, group, part.group, set(keys), diffs

@@ -1,9 +1,11 @@
 import random
+import string
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import fixture_json
-from fox_oracle import combo_add, combo_mul, concat, fox_derivative, phi
+from fox_oracle import combo_add, combo_mul, concat, fox_derivative, phi, random_word
 from ring_oracle import (doteq_equal, element, from_ambient, group_add, identity, ring_add,
                          ring_mul, ring_neg, ring_one)
 from sutured_kit.abelian import GroupRingElem
@@ -13,6 +15,7 @@ from sutured_kit.fox import (FreeWord, InclusionData, Presentation, abelianizati
                              theta_matrix, torsion)
 
 AB = ("a", "b")
+ABCD = ("a", "b", "c", "d")
 
 
 def w(text, names=AB):
@@ -23,9 +26,15 @@ def inverse(word):
     return FreeWord(tuple((g, -e) for g, e in reversed(word.letters)))
 
 
-def rand_word(rng, m, max_len=12):
-    return FreeWord([(rng.randrange(m), rng.choice((1, -1)))
-                     for _ in range(rng.randint(0, max_len))])
+@st.composite
+def names_and_words(draw):
+    """Distinct lowercase generator names and words of (index, inverted) draws."""
+    names = draw(st.lists(st.text(string.ascii_lowercase + string.digits, min_size=1,
+                                  max_size=3).filter(lambda s: not s.isdigit()),
+                          min_size=1, max_size=6, unique=True))
+    words = draw(st.lists(st.lists(st.tuples(st.integers(0, len(names) - 1), st.booleans()),
+                                   max_size=10), max_size=len(names)))
+    return names, words
 
 
 class TestFreeWord:
@@ -63,10 +72,32 @@ class TestFreeWord:
         with pytest.raises(ValueError, match=r"generators\[1\]"):
             Presentation.from_json({"generators": ["a", name], "boundary_genus": 1})
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(names_and_words())
+    def test_parsed_letters_are_in_range(self, case):
+        # nothing after the parser checks a letter: each is (index < m, +-1),
+        # freely reduced, in relators and inclusion words alike
+        names, words = case
+        texts = [" ".join(names[i].upper() if inv else names[i] for i, inv in word)
+                 for word in words]
+        p, k = load_presentation_json({"generators": names, "relators": texts,
+                                       "boundary_genus": 0, "sigma_images": texts})
+        for word, parsed in zip(words * 2, p.relators + k.sigma_images):
+            reduced = []
+            for i, inv in word:
+                letter = (i, -1 if inv else 1)
+                if reduced and reduced[-1] == (i, -letter[1]):
+                    reduced.pop()
+                else:
+                    reduced.append(letter)
+            assert parsed.letters == tuple(reduced)
+            assert all(type(g) is int and 0 <= g < len(names) and e in (1, -1)
+                       for g, e in parsed.letters)
+
     def test_inverse_cancels(self):
         rng = random.Random(0)
         for _ in range(100):
-            word = rand_word(rng, 3)
+            word = random_word(rng, ABCD[:3])
             assert concat(word, inverse(word)).letters == ()
 
 
@@ -91,7 +122,7 @@ class TestFoxDerivative:
         rng = random.Random(41)
         for _ in range(300):
             m = rng.randint(1, 4)
-            u, v = rand_word(rng, m), rand_word(rng, m)
+            u, v = random_word(rng, ABCD[:m]), random_word(rng, ABCD[:m])
             for i in range(m):
                 lhs = fox_derivative(concat(u, v), i, m)
                 rhs = combo_add(fox_derivative(u, i, m),
@@ -103,7 +134,7 @@ class TestFoxDerivative:
         rng = random.Random(43)
         for _ in range(300):
             m = rng.randint(1, 4)
-            word = rand_word(rng, m)
+            word = random_word(rng, ABCD[:m])
             lhs = combo_add({word.letters: 1}, {(): -1})
             rhs = {}
             for i in range(m):
@@ -144,14 +175,14 @@ class TestAbelianization:
             m = rng.randint(1, 3)
             n = rng.randint(0, m)
             names = tuple(f"x{i}" for i in range(m))
-            relators = tuple(rand_word(rng, m, 8) for _ in range(n))
+            relators = tuple(random_word(rng, names, 8) for _ in range(n))
             p = Presentation(names, relators, m - n)
             g = abelianization(p)
             for r in relators:
                 total = GroupRingElem()
                 for i in range(m):
                     col = phi(g, fox_derivative(r, i, m))
-                    gen = phi(g, FreeWord(((i, 1),)))
+                    gen = phi(g, w(names[i], names))
                     factor = ring_add(gen, ring_neg(ring_one(g)))
                     total = ring_add(total, ring_mul(col, factor, g))
                 assert total.is_zero()
@@ -211,26 +242,13 @@ class TestBalanceAndTheta:
         with pytest.raises(NotGeometricallyBalanced):
             theta_matrix(p, InclusionData((w("a"),)))
 
-    @pytest.mark.parametrize("index", [-1, 2])
-    @pytest.mark.parametrize("where", ["relator", "inclusion"])
-    def test_letter_index_out_of_range_refused(self, where, index):
-        # a word built from indices rather than parsed from names can name no generator:
-        # a relator is refused by the presentation, an inclusion word by theta_matrix
-        bad = FreeWord(((0, 1), (index, 1)))
-        with pytest.raises(InvalidGenerator) as exc:
-            if where == "relator":
-                Presentation(AB, (bad,), 1)
-            else:
-                theta_matrix(Presentation(AB, (w("a b a B A B"),), 1), InclusionData((bad,)))
-        assert exc.value.detail == f"letter index {index} out of range"
-
 
 class TestTorsion:
     def test_product_is_one(self):
         for ell in range(4):
             names = tuple(f"g{i}" for i in range(ell))
             p = Presentation(names, (), ell)
-            k = InclusionData(tuple(FreeWord(((i, 1),)) for i in range(ell)))
+            k = InclusionData(tuple(w(name, names) for name in names))
             tau, g = torsion(p, k)
             assert tau == ring_one(g)
 
@@ -263,7 +281,7 @@ class TestTorsion:
         tau0, g0 = torsion(base, k)
         assert not tau0.is_zero()
         for _ in range(25):
-            conj = rand_word(rng, 3, 5)
+            conj = random_word(rng, names, 5)
             variants = [
                 Presentation(names, (concat(concat(conj, r1), inverse(conj)), r2), 1),
                 Presentation(names, (inverse(r1), r2), 1),

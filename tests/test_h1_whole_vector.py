@@ -115,7 +115,7 @@ def test_class_sizes_match_the_partition(label, data):
     expected = {}
     for members in spinc_partition(d).classes:
         coords = [sum(c) for c in zip(zero, *(oracle.potential[p]
-                                              for p in gens[members[0]].points()))]
+                                              for _, p in gens[members[0]]))]
         expected[reduced(oracle.group, tuple(coords))] = len(members)
     assert class_sizes(d, oracle) == expected
 

@@ -23,8 +23,8 @@ PUBLIC = {
                "ring_invert_exponents smith_cokernel smith_normal_form",
     "cli": "UsageError build_parser cmd_check cmd_crosscheck cmd_euler cmd_fixtures "
            "cmd_generators cmd_maslov cmd_oracle cmd_polytope cmd_spinc cmd_torsion main",
-    "diagram": "BalanceReport GeneratorMatching Region SpincPartition "
-               "SuturedDiagram ValidationReport admissible_lattice connecting_domains "
+    "diagram": "BalanceReport Region SpincPartition SuturedDiagram ValidationReport "
+               "admissible_lattice connecting_domains "
                "epsilon euler_polynomial format_arc_ref generator_sign generators h1_of_M "
                "internal_regions is_admissible parse_arc_ref periodic_lattice spinc_partition",
     "errors": "BadDimension CrossingCountMismatch DeterminantTooLarge DimensionTooLarge "
@@ -51,7 +51,6 @@ METHODS = {
     "abelian.GroupElement": "is_identity",
     "abelian.GroupRingElem": "is_zero items support",
     "abelian.IntMatrix": "column",
-    "diagram.GeneratorMatching": "points sigma to_json",
     "diagram.Region": "from_json",
     "diagram.SuturedDiagram": "arcs from_json is_balanced require_balanced require_valid "
                               "validate",

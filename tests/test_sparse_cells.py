@@ -66,14 +66,6 @@ def test_dict_rows_equal_the_dense_oracle(case):
     assert det_group_ring(rows, g) == det_oracle.det_of_rows(rows, g)
 
 
-@pytest.mark.parametrize("column", [-1, 2])
-def test_a_column_outside_the_matrix_is_refused(column):
-    g = FinAbGroup(1)
-    one = GroupRingElem({element(g, (0,)): 1})
-    with pytest.raises(ValueError, match="not square"):
-        det_group_ring([{0: one}, {column: one}], g)
-
-
 def definition_matrix(d):
     """M_ij = sum of sign(p) h^phi(p) over the points p of alpha_i and beta_j, dense."""
     group, _ = h1_of_M(d)

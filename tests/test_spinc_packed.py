@@ -109,7 +109,7 @@ def test_cases_cover_the_edges():
     for d in ds.values():
         h1_of_M(d)
     assert any(d._h1.group.projection.rows == 0 for d in ds.values())
-    assert any(generators(d)[0].points() == () and d._h1.group.projection.rows
+    assert any(generators(d)[0] == () and d._h1.group.projection.rows
                for d in ds.values())
     assert any(x < 0 for label, d in ds.items() if label.startswith("lens")
                for v in d._h1.potential.values() for x in v)

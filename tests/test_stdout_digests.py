@@ -9,8 +9,10 @@ random presentations, most of them with torsion in H_1: these pin the
 torsion tie-break of the +-h normal form that ``det_group_ring`` takes
 from ``abelian._key_codec``.  They do not pin ``doteq_normalize``, which
 the CLI calls only in ``crosscheck --allow-inversion`` after the plain
-match fails, a case no pair here reaches; ``tests/test_normal_form_ints.py``
-holds its tie-break to the tuple oracle.  ``maslov`` runs on seeded
+match fails, a case no pair here reaches:
+``test_cli.py::TestCrosscheck::test_inverted_mode_over_torsion`` pins its
+bytes over Z/7, and ``tests/test_normal_form_ints.py`` holds its
+tie-break to the tuple oracle.  ``maslov`` runs on seeded
 loops and paths with object, number and mixed entries, with ``--kind``
 and ``--samples``, and on malformed samples.  A change to
 the library that should not move any output must leave every digest in
