@@ -235,24 +235,9 @@ class GroupRingElem:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms=()):
-        clean = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for g, c in items:
-            if c:
-                c += clean.get(g, 0)
-                if c:
-                    clean[g] = c
-                else:
-                    del clean[g]
-        self._terms = clean
-
-    @classmethod
-    def _of(cls, terms):
+    def __init__(self, terms):
         """The element on ``terms``, a dict already merged and free of zero coefficients."""
-        x = object.__new__(cls)
-        x._terms = terms
-        return x
+        self._terms = terms
 
     def items(self):
         return sorted(self._terms.items())
@@ -270,7 +255,7 @@ class GroupRingElem:
 def ring_invert_exponents(x, g):
     """Apply the automorphism h -> h^{-1} to every exponent."""
     tors = g.torsion
-    return GroupRingElem._of({
+    return GroupRingElem({
         tuple.__new__(GroupElement, (tuple(map(neg, free)),
                                      tuple(map(mod, map(neg, res), tors)))): c
         for (free, res), c in x._terms.items()})
@@ -421,7 +406,7 @@ def _key_codec(vectors, n, g):
         else:
             terms = dict(zip(keys, coeffs))
         if not terms:
-            return GroupRingElem._of({})
+            return GroupRingElem({})
         keys, coeffs = list(terms), list(terms.values())
         res = [[k // w % d for k in keys] for d, w in zip(tors, rweights)]
         block = [k - k % size for k in keys] if tors else keys      # residues set to 0
@@ -439,7 +424,7 @@ def _key_codec(vectors, n, g):
         keys, coeffs = zip(*min(map(form, [i for i, k in enumerate(keys) if k < top])))
         # the first key is the candidate's own: the free digits of low, residues 0
         first = _digits([keys[0] // size], bases[1:r])
-        return GroupRingElem._of(dict(zip(elements(keys, [-col[0] for col in first]), coeffs)))
+        return GroupRingElem(dict(zip(elements(keys, [-col[0] for col in first]), coeffs)))
 
     return pack, decode, normal_form
 

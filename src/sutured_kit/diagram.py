@@ -71,16 +71,21 @@ from operator import neg
 from . import abelian
 from .abelian import (GroupRingElem, IntMatrix, _key_codec, _perm_sign, det_group_ring,
                       smith_cokernel)
-from .errors import (DimensionTooLarge, InvalidDiagram, NotAGenerator, NotBalanced, expect,
-                     expect_items)
+from .errors import (DimensionTooLarge, InvalidDiagram, NotAGenerator, NotBalanced,
+                     TooManyBoundaryCircles, expect, expect_items)
 from .polytope import MAX_DIMENSION, SupportData, hull
 
+
+# the cell structure builds a vertex and a loop edge per boundary circle; the
+# bound is far above every diagram answered in seconds (chain T(1,0;2k+2) has
+# 2k + 2 circles, a grid of size n has 2n)
+MAX_BOUNDARY_CIRCLES = 100_000
 
 # both numbers in ASCII decimal without leading zeros, so a reference has one spelling
 _ARC_REF = re.compile(r"(-?)([ab])(0|[1-9][0-9]*)\.(0|[1-9][0-9]*)")
 
 
-def parse_arc_ref(text, field="arc reference"):
+def parse_arc_ref(text, field):
     """Parse ``"a1.0"`` / ``"-b2.3"`` into ((family, curve, arc), sign).
 
     A malformed reference raises ValueError naming ``field``.
@@ -146,7 +151,7 @@ class Region:
 
     __slots__ = ("cycles", "boundary_circles", "genus")
 
-    def __init__(self, cycles, boundary_circles=0, genus=0):
+    def __init__(self, cycles, boundary_circles, genus):
         self.cycles = cycles  # tuple of cycles; a cycle is a tuple of (arc, sign)
         self.boundary_circles = boundary_circles
         self.genus = genus
@@ -268,7 +273,15 @@ class SuturedDiagram:
 
     @cached_property
     def _skeleton(self):
-        """The one cell structure read from the region cycles."""
+        """The one cell structure read from the region cycles, built once the
+        regions' nonnegative circle counts sum to at most MAX_BOUNDARY_CIRCLES."""
+        total = 0
+        for ridx, region in enumerate(self.regions):
+            total += max(region.boundary_circles, 0)
+            if total > MAX_BOUNDARY_CIRCLES:
+                raise TooManyBoundaryCircles(
+                    f"regions[{ridx}].boundary_circles brings the circles of the regions "
+                    f"to {total} > {MAX_BOUNDARY_CIRCLES}")
         return _Skeleton(self)
 
     # -- validation ---------------------------------------------------------------
@@ -883,8 +896,9 @@ def euler_polynomial(d):
     for curve in d.alpha:
         cells = {}
         for p in curve:
-            cells.setdefault(bpos[p], []).append((group.from_coords(data.potential[p]),
-                                                  d.crossing_sign[p]))
-        row = {j: GroupRingElem(cell) for j, cell in cells.items()}
-        rows.append({j: e for j, e in row.items() if not e.is_zero()})
+            cell = cells.setdefault(bpos[p], {})
+            h = group.from_coords(data.potential[p])
+            cell[h] = cell.get(h, 0) + d.crossing_sign[p]
+        rows.append({j: GroupRingElem(terms) for j, cell in cells.items()
+                     if (terms := {h: c for h, c in cell.items() if c})})
     return det_group_ring(rows, group), group

@@ -32,7 +32,7 @@ def expect_items(value, kind, field):
 class SuturedKitError(Exception):
     code = "error"
 
-    def __init__(self, detail=""):
+    def __init__(self, detail):
         super().__init__(detail)
         self.detail = detail
 
@@ -65,6 +65,10 @@ class NotBalanced(SuturedKitError):
 
 class NotAGenerator(SuturedKitError):
     code = "not_a_generator"
+
+
+class TooManyBoundaryCircles(SuturedKitError):
+    code = "too_many_boundary_circles"
 
 
 # -- polytope ---------------------------------------------------------------

@@ -46,7 +46,7 @@ class FreeWord:
 
     __slots__ = ("letters",)
 
-    def __init__(self, letters=()):
+    def __init__(self, letters):
         reduced = []
         for g, e in letters:
             if reduced and reduced[-1] == (g, -e):
@@ -173,7 +173,7 @@ def theta_matrix(p, k):
         image = g.projection.column(i)
         steps[i, 1], steps[i, -1] = image, tuple(map(neg, image))
     columns = list(k.sigma_images) + list(p.relators)
-    zero = GroupRingElem()
+    zero = GroupRingElem({})
     entries = [[zero] * len(columns) for _ in range(p.num_generators)]
     for col, w in enumerate(columns):
         rows = {}
@@ -193,7 +193,7 @@ def theta_matrix(p, k):
                 if c:
                     cell[tuple.__new__(GroupElement, (key[:r], key[r:]))] = c
             if cell:
-                entries[i][col] = GroupRingElem._of(cell)
+                entries[i][col] = GroupRingElem(cell)
     return entries, g
 
 

@@ -159,7 +159,7 @@ def spectral_flow(path):
 
 # -- JSON ingestion -----------------------------------------------------------
 
-def matrix_from_json(rows, field="matrix"):
+def matrix_from_json(rows, field):
     """Rows of equal length of numbers or of {"re": x, "im": y} objects.
 
     A JSON string or boolean is not a number: ``complex()`` with two

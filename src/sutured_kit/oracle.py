@@ -70,7 +70,7 @@ def closed_manifold_rank(hf_rank, n):
     return hf_rank * 2 ** (n - 1)
 
 
-def connected_sum_rank(a, b, with_closed=False):
+def connected_sum_rank(a, b, with_closed):
     """Total rank of a connected sum.
 
     Two sutured pieces contribute a * b * 2; summing a sutured piece with

@@ -31,7 +31,7 @@ def rows_of(dense):
 
 def dense_of(rows):
     """The n x n matrix, n = len(rows), with the cells of rows[i] in row i and 0 elsewhere."""
-    zero = GroupRingElem()
+    zero = GroupRingElem({})
     return [[row.get(j, zero) for j in range(len(rows))] for row in rows]
 
 
@@ -63,7 +63,7 @@ def det_group_ring(m, g):
         if got is not None:
             return got
         row = n - bin(mask).count("1")
-        total = GroupRingElem()
+        total = GroupRingElem({})
         sign = 1
         rest = mask
         while rest:

@@ -13,8 +13,7 @@ projection, as ``fox.abelianization`` returns it; ``concat`` is the
 product of two words, and ``random_word`` draws one through the parser.
 """
 
-from ring_oracle import from_ambient
-from sutured_kit.abelian import GroupRingElem
+from ring_oracle import from_ambient, ring_of
 from sutured_kit.errors import InvalidGenerator
 from sutured_kit.fox import FreeWord
 
@@ -63,7 +62,7 @@ def fox_derivative(w, i, num_generators):
     if not 0 <= i < num_generators:
         raise InvalidGenerator(f"generator index {i} out of range (m={num_generators})")
     result = {}
-    prefix = FreeWord()
+    prefix = FreeWord(())
     for g, e in w.letters:
         if not 0 <= g < num_generators:
             raise InvalidGenerator(f"letter index {g} out of range")
@@ -87,8 +86,4 @@ def phi(g, x):
     if isinstance(x, FreeWord):
         x = {x.letters: 1}
     m = g.projection.cols
-    terms = {}
-    for w, c in x.items():
-        elem = from_ambient(g, FreeWord(w).exponents(m))
-        terms[elem] = terms.get(elem, 0) + c
-    return GroupRingElem(terms)
+    return ring_of((from_ambient(g, FreeWord(w).exponents(m)), c) for w, c in x.items())

@@ -28,7 +28,8 @@ the number of calls it makes.
 
 from operator import mul, neg
 
-from ring_oracle import from_ambient, group_neg, group_sub, identity, ring_neg, ring_translate
+from ring_oracle import (from_ambient, group_neg, group_sub, identity, ring_neg, ring_of,
+                         ring_translate)
 from snf_oracle import smith_normal_form as oracle_smith_normal_form
 from sutured_kit.abelian import (GroupRingElem, IntMatrix, cokernel, echelon, smith_cokernel,
                                  smith_normal_form)
@@ -355,12 +356,9 @@ def enumerated_euler_polynomial(d):
     gens = generators(d)
     group, _ = h1_of_M(d)
     if not gens:
-        return GroupRingElem(), group
-    terms = {}
-    for x in gens:
-        cls = epsilon(d, gens[0], x)
-        terms[cls] = terms.get(cls, 0) + generator_sign(d, x)
-    return quadratic_doteq_normalize(GroupRingElem(terms), group), group
+        return GroupRingElem({}), group
+    poly = ring_of((epsilon(d, gens[0], x), generator_sign(d, x)) for x in gens)
+    return quadratic_doteq_normalize(poly, group), group
 
 
 def backtrack_generators(d):

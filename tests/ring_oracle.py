@@ -9,7 +9,7 @@ inversion written with one ``group_add``/``group_neg`` per term, and the
 JSON term list of a ring element, whose indented dump the CLI's writer
 must reproduce byte for byte."""
 
-from itertools import permutations
+from itertools import chain, permutations
 from operator import mod, sub
 
 from sutured_kit.abelian import GroupElement, GroupRingElem, doteq_normalize, ring_invert_exponents
@@ -54,11 +54,16 @@ def ring_one(g):
     return GroupRingElem({identity(g): 1})
 
 
+def ring_of(pairs):
+    """The element on the pairs (h, c): equal elements merged, zero coefficients dropped."""
+    terms = {}
+    for h, c in pairs:
+        terms[h] = terms.get(h, 0) + c
+    return GroupRingElem({h: c for h, c in terms.items() if c})
+
+
 def ring_add(x, y):
-    terms = dict(x._terms)
-    for g, c in y._terms.items():
-        terms[g] = terms.get(g, 0) + c
-    return GroupRingElem(terms)
+    return ring_of(chain(x._terms.items(), y._terms.items()))
 
 
 def ring_neg(x):
@@ -67,12 +72,8 @@ def ring_neg(x):
 
 def ring_mul(x, y, g):
     """Convolution product in Z[g]; exponents add, torsion residues mod d_i."""
-    terms = {}
-    for a, ca in x._terms.items():
-        for b, cb in y._terms.items():
-            s = group_add(g, a, b)
-            terms[s] = terms.get(s, 0) + ca * cb
-    return GroupRingElem(terms)
+    return ring_of((group_add(g, a, b), ca * cb)
+                   for a, ca in x._terms.items() for b, cb in y._terms.items())
 
 
 def ring_translate(x, h, g):
@@ -83,7 +84,7 @@ def ring_translate(x, h, g):
 def leibniz_det(m, g):
     """Determinant over Z[g] as the signed sum over all permutations."""
     n = len(m)
-    total = GroupRingElem()
+    total = GroupRingElem({})
     for perm in permutations(range(n)):
         inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
         term = ring_one(g)
@@ -112,7 +113,7 @@ def tuple_doteq_normalize(x, g):
     for (sf, st), c in terms.items():
         if sf == low:
             sign = 1 if c > 0 else -1
-            forms.append(GroupRingElem._of({
+            forms.append(GroupRingElem({
                 tuple.__new__(GroupElement, (tuple(map(sub, free, sf)),
                                              tuple(map(mod, map(sub, res, st), tors)))): sign * b
                 for (free, res), b in terms.items()}))
@@ -120,7 +121,7 @@ def tuple_doteq_normalize(x, g):
 
 
 def per_term_doteq_normalize(x, g):
-    """``doteq_normalize`` with one ``group_add`` per term and the merging constructor."""
+    """``doteq_normalize`` with one ``group_add`` per term."""
     if x.is_zero():
         return x
     low = min(x._terms).free

@@ -10,7 +10,8 @@ from h1_oracle import (det, diagonal, kernel_basis, matmul, quadratic_doteq_norm
                        solve_integer)
 from ring_oracle import (doteq_equal, element, from_ambient, group_add, identity, leibniz_det,
                          per_term_doteq_normalize, per_term_invert_exponents, ring_add, ring_mul,
-                         ring_neg, ring_one, ring_to_json, ring_translate, tuple_doteq_normalize)
+                         ring_neg, ring_of, ring_one, ring_to_json, ring_translate,
+                         tuple_doteq_normalize)
 from sutured_kit.abelian import (FinAbGroup, GroupElement, GroupRingElem, IntMatrix, _perm_sign,
                                  cokernel, det_group_ring, doteq_normalize, group_to_json,
                                  ring_aug, ring_invert_exponents, smith_normal_form)
@@ -162,7 +163,7 @@ def random_ring_elem(rng, g, max_terms=4, coeff=3):
         free = tuple(rng.randint(-3, 3) for _ in range(g.free_rank))
         tors = tuple(rng.randrange(d) for d in g.torsion)
         terms[element(g, free, tors)] = rng.randint(-coeff, coeff)
-    return GroupRingElem(terms)
+    return ring_of(terms.items())
 
 
 class TestDeterminant:
@@ -195,7 +196,7 @@ class TestDeterminant:
             na, nb = rng.randint(1, 2), rng.randint(1, 2)
             A = [[random_ring_elem(rng, g, 2, 2) for _ in range(na)] for _ in range(na)]
             B = [[random_ring_elem(rng, g, 2, 2) for _ in range(nb)] for _ in range(nb)]
-            zero = GroupRingElem()
+            zero = GroupRingElem({})
             M = [[A[i][j] if i < na and j < na else
                   B[i - na][j - na] if i >= na and j >= na else zero
                   for j in range(na + nb)] for i in range(na + nb)]
@@ -226,7 +227,7 @@ class TestDeterminant:
         # the normal form reduces the unreduced residue sums 0..3 mod 2 onto two elements
         g = FinAbGroup(1, (2,))
         x, xt, t = element(g, (1,), (0,)), element(g, (1,), (1,)), element(g, (0,), (1,))
-        zero = GroupRingElem()
+        zero = GroupRingElem({})
         x_plus_xt = GroupRingElem({x: 1, xt: 1})
         diagonal = [[x_plus_xt if i == j else zero for j in range(3)] for i in range(3)]
         cube = det_group_ring(rows_of(diagonal), g)    # x^3 (1 + t)^3 = 4 x^3 + 4 x^3 t
@@ -250,7 +251,7 @@ class TestDoteq:
         self.h = element(self.z, (1,))
 
     def test_zero(self):
-        assert doteq_normalize(GroupRingElem(), self.z) == GroupRingElem()
+        assert doteq_normalize(GroupRingElem({}), self.z) == GroupRingElem({})
 
     def test_translate_to_identity(self):
         x = GroupRingElem({self.h: 1, element(self.z, (2,)): -1})
@@ -318,15 +319,15 @@ def ring_elems(draw):
 
     free_parts = [[draw(st.integers(-2, 2)) for _ in range(g.free_rank)]
                   for _ in range(draw(st.integers(1, 3)))]
-    x = GroupRingElem((draw_element(free_parts), draw(st.integers(-3, 3)))
-                      for _ in range(draw(st.integers(0, 8))))
+    x = ring_of((draw_element(free_parts), draw(st.integers(-3, 3)))
+                for _ in range(draw(st.integers(0, 8))))
     if g.torsion and draw(st.integers(0, 2)) == 0:
         t = draw_element([[0] * g.free_rank])
         orbit, h = [identity(g)], t
         while h != identity(g):
             orbit.append(h)
             h = group_add(g, h, t)
-        x = ring_mul(x, GroupRingElem((h, 1) for h in orbit), g)
+        x = ring_mul(x, GroupRingElem(dict.fromkeys(orbit, 1)), g)
     unit = draw_element([[draw(st.integers(-3, 3)) for _ in range(g.free_rank)]])
     return x, g, unit, draw(st.sampled_from((1, -1)))
 
@@ -338,7 +339,7 @@ def test_doteq_normal_form_is_the_quadratic_oracle(case):
     x, g, h, sign = case
     n = doteq_normalize(x, g)
     assert n.items() == quadratic_doteq_normalize(x, g).items()
-    y = GroupRingElem((group_add(g, e, h), sign * c) for e, c in x.items())
+    y = GroupRingElem({group_add(g, e, h): sign * c for e, c in x.items()})
     assert doteq_normalize(y, g).items() == n.items()
 
 
@@ -350,7 +351,7 @@ def test_tuple_arithmetic_is_the_per_term_oracle(case):
     ``GroupElement`` keys and coefficients, none of them zero, also where
     torsion translates tie as candidates."""
     x, g, h, sign = case
-    y = GroupRingElem((group_add(g, e, h), sign * c) for e, c in x.items())
+    y = GroupRingElem({group_add(g, e, h): sign * c for e, c in x.items()})
     for z in (x, y):
         for got, want in ((doteq_normalize(z, g), per_term_doteq_normalize(z, g)),
                           (ring_invert_exponents(z, g), per_term_invert_exponents(z, g))):
@@ -374,8 +375,8 @@ class TestSerialization:
             data = ring_to_json(x)
             keys = [(tuple(t["exp_free"]), tuple(t["exp_torsion"])) for t in data]
             assert keys == sorted(keys)
-            assert GroupRingElem((element(g, t["exp_free"], t["exp_torsion"]), t["coeff"])
-                                 for t in data) == x
+            assert GroupRingElem({element(g, t["exp_free"], t["exp_torsion"]): t["coeff"]
+                                  for t in data}) == x
 
     def test_aug(self):
         g = FinAbGroup(1)

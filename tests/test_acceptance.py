@@ -16,11 +16,10 @@ from conftest import (brute_force_admissible, diagram_names, fixture_json, lagra
 from det_oracle import rows_of
 from fox_oracle import combo_add, combo_mul, concat, fox_derivative, random_word
 from h1_oracle import det, diagonal, matmul, partition_differences
-from ring_oracle import (doteq_equal, element, group_add, identity, leibniz_det, ring_one,
-                         tuple_doteq_normalize)
+from ring_oracle import (doteq_equal, element, group_add, identity, leibniz_det, ring_of,
+                         ring_one, tuple_doteq_normalize)
 from sutured_kit import diagram, fox
-from sutured_kit.abelian import (FinAbGroup, GroupRingElem, IntMatrix, det_group_ring,
-                                 smith_normal_form)
+from sutured_kit.abelian import FinAbGroup, IntMatrix, det_group_ring, smith_normal_form
 from sutured_kit.diagram import SuturedDiagram, admissible_lattice
 from sutured_kit.fox import load_presentation_json
 from sutured_kit.maslov import (SymmetricPath, UnitaryLoop, maslov_loop_index,
@@ -139,11 +138,10 @@ def test_criterion_6_determinant_oracle():
     for g in (FinAbGroup(1), FinAbGroup(1, (2,))):
         for _ in range(60):
             n = rng.randint(0, 4)
-            m = [[GroupRingElem({
-                element(g, (rng.randint(-2, 2),),
-                        tuple(rng.randrange(d) for d in g.torsion)):
-                rng.randint(-2, 2)})
-                for _ in range(n)] for _ in range(n)]
+            m = [[ring_of([(element(g, (rng.randint(-2, 2),),
+                                    tuple(rng.randrange(d) for d in g.torsion)),
+                            rng.randint(-2, 2))])
+                  for _ in range(n)] for _ in range(n)]
             assert det_group_ring(rows_of(m), g) == tuple_doteq_normalize(leibniz_det(m, g), g)
     report(6, "determinant matches the Leibniz expansion (120 random matrices)")
 

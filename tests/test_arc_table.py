@@ -44,7 +44,8 @@ def test_table_and_parser_give_equal_cycles(label, data):
     table = _arc_table(data["alpha"], data["beta"])
     d = SuturedDiagram.from_json(data)
     for i, region in enumerate(data["regions"]):
-        parsed = tuple(tuple(map(parse_arc_ref, cyc)) for cyc in region["cycles"])
+        parsed = tuple(tuple(parse_arc_ref(ref, "arc reference") for ref in cyc)
+                       for cyc in region["cycles"])
         assert all(ref in table for cyc in region["cycles"] for ref in cyc)
         assert Region.from_json(region, f"regions[{i}]", table).cycles == parsed
         assert Region.from_json(region, f"regions[{i}]", {}).cycles == parsed
@@ -56,7 +57,7 @@ def test_table_holds_both_signs_of_every_arc():
     table = _arc_table(d.alpha, d.beta)
     assert len(table) == 2 * sum(1 for _ in d.arcs())
     for text, value in table.items():
-        assert parse_arc_ref(text) == value
+        assert parse_arc_ref(text, "arc reference") == value
 
 
 def t212_with(ref):

@@ -7,6 +7,7 @@ import operator
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ import argparse_oracle
 from conftest import (fixture_json, fixture_path, paired_names, reverse_region, s1xs2_minus_ball,
                       t312_sign_variant)
 from h1_oracle import lens_diagram, torus_diagram
-from ring_oracle import element, ring_to_json
+from ring_oracle import element, ring_of, ring_to_json
 from sutured_kit import cli, diagram, fixtures, fox
 from sutured_kit.abelian import FinAbGroup, GroupRingElem
 
@@ -503,7 +504,7 @@ def ring_elements(draw):
     g = FinAbGroup(draw(st.integers(0, 3)), draw(st.sampled_from(((), (2,), (3, 6)))))
     big = st.integers(2 ** 64, 2 ** 70)
     coeff = st.integers(-3, 3) | big | big.map(operator.neg)
-    return GroupRingElem(
+    return ring_of(
         (element(g, [draw(st.integers(-20, 20)) for _ in range(g.free_rank)],
                  [draw(st.integers(0, d - 1)) for d in g.torsion]), draw(coeff))
         for _ in range(draw(st.integers(0, 4))))
@@ -720,6 +721,52 @@ class TestOracleBounds:
         code, data = run_json(capsys, "oracle", *argv)
         assert code == 1 and data["error"] == "result_too_large"
         assert named in data["detail"]
+
+
+def circles_diagram(counts, declared=1):
+    """No curves, and one region holding each count of boundary circles."""
+    return {"genus": 0, "boundary_circles": declared, "alpha": [], "beta": [],
+            "crossing_sign": {},
+            "regions": [{"cycles": [], "boundary_circles": c, "genus": 0} for c in counts]}
+
+
+class TestBoundaryCircleBound:
+    """The regions' nonnegative circle counts are summed before the cell
+    structure, a vertex and a loop edge per circle, is built."""
+
+    @pytest.mark.parametrize("counts,region", [
+        ((2 ** 70,), 0), ((10 ** 6 + 1,), 0), ((-2 ** 70, 2, 2 ** 70), 2)],
+        ids=["2^70", "10^6+1", "negative-first"])
+    @pytest.mark.parametrize("argv", [
+        ("check",), ("generators",), ("spinc",), ("euler",), ("polytope", "--diagram")],
+        ids=" ".join)
+    def test_refused_quickly(self, capsys, tmp_path, argv, counts, region):
+        path = tmp_path / "circles.json"
+        path.write_text(json.dumps(circles_diagram(counts)))
+        start = time.perf_counter()
+        code, data = run_json(capsys, *argv, str(path))
+        assert time.perf_counter() - start < 0.1
+        assert code == 1 and data["error"] == "too_many_boundary_circles"
+        assert data["detail"].startswith(f"regions[{region}].boundary_circles ")
+
+    def test_bound_is_inclusive(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(diagram, "MAX_BOUNDARY_CIRCLES", 3)
+        path = tmp_path / "circles.json"
+        path.write_text(json.dumps(circles_diagram((-5, 3), declared=3)))
+        code, data = run_json(capsys, "check", str(path))
+        assert code == 0 and data["valid"] is False    # the negative count
+        path.write_text(json.dumps(circles_diagram((-5, 3, 1), declared=4)))
+        code, data = run_json(capsys, "check", str(path))
+        assert code == 1 and data["detail"] == (
+            "regions[2].boundary_circles brings the circles of the regions to 4 > 3")
+
+    def test_huge_declared_count_is_a_violation(self, capsys, tmp_path):
+        path = tmp_path / "circles.json"
+        path.write_text(json.dumps(circles_diagram((1,), declared=2 ** 70)))
+        code, data = run_json(capsys, "check", str(path))
+        assert code == 0 and data["valid"] is False
+        assert f"regions contain 1 boundary circles, diagram declares {2 ** 70}" \
+            in data["violations"]
 
 
 class TestOneParser:

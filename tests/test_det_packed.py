@@ -16,7 +16,7 @@ from conftest import diagram_names, fixture_path, paired_names
 from det_oracle import rows_of
 from fox_oracle import concat, fox_derivative, phi
 from h1_oracle import det
-from ring_oracle import element, group_add
+from ring_oracle import element, group_add, ring_of
 from sutured_kit import abelian, cli, fixtures
 from sutured_kit.abelian import FinAbGroup, GroupRingElem, IntMatrix, det_group_ring, ring_aug
 from sutured_kit.errors import DeterminantTooLarge
@@ -41,20 +41,20 @@ def group_matrices(draw):
     def entry():
         kind = draw(st.sampled_from(("terms", "terms", "terms", "zero", "cancel")))
         if kind == "zero":
-            return GroupRingElem()
+            return GroupRingElem({})
         terms = [(draw_element(), draw(st.integers(-3, 3))) for _ in range(draw(st.integers(1, 3)))]
         if kind == "cancel":
             terms += [(h, -c) for h, c in terms[:1]]
-        return GroupRingElem(terms)
+        return ring_of(terms)
 
     m = [[entry() for _ in range(n)] for _ in range(n)]
     special = draw(st.sampled_from(("none", "none", "zero", "unit"))) if n >= 2 else "none"
     if special == "zero":
-        m[draw(st.integers(0, n - 1))] = [GroupRingElem()] * n
+        m[draw(st.integers(0, n - 1))] = [GroupRingElem({})] * n
     elif special == "unit":
         src, dst = draw(st.permutations(range(n)))[:2]
         u, sign = draw_element(), draw(st.sampled_from((-1, 1)))
-        m[dst] = [GroupRingElem((group_add(g, h, u), sign * c) for h, c in e.items())
+        m[dst] = [GroupRingElem({group_add(g, h, u): sign * c for h, c in e.items()})
                   for e in m[src]]
     return m, g
 
@@ -101,13 +101,13 @@ def patterned_matrices(draw):
     rows, cols = draw(st.permutations(range(n))), draw(st.permutations(range(n)))
 
     def entry():
-        return GroupRingElem(
+        return ring_of(
             (element(g, [draw(st.integers(-2, 2)) for _ in range(g.free_rank)],
                      [draw(st.integers(0, 7)) for _ in g.torsion]),
              draw(st.sampled_from((-2, -1, 1, 3))))
             for _ in range(draw(st.integers(1, 2))))
 
-    return [[entry() if (rows[i], cols[j]) in cells else GroupRingElem() for j in range(n)]
+    return [[entry() if (rows[i], cols[j]) in cells else GroupRingElem({}) for j in range(n)]
             for i in range(n)], g
 
 

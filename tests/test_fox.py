@@ -179,7 +179,7 @@ class TestAbelianization:
             p = Presentation(names, relators, m - n)
             g = abelianization(p)
             for r in relators:
-                total = GroupRingElem()
+                total = GroupRingElem({})
                 for i in range(m):
                     col = phi(g, fox_derivative(r, i, m))
                     gen = phi(g, w(names[i], names))
@@ -207,7 +207,7 @@ class TestBalanceAndTheta:
     def test_theta_identity(self):
         p = Presentation(AB, (), 2)
         theta, g = theta_matrix(p, InclusionData((w("a"), w("b"))))
-        one, zero = ring_one(g), GroupRingElem()
+        one, zero = ring_one(g), GroupRingElem({})
         assert theta == [[one, zero], [zero, one]]
 
     def test_theta_trefoil_columns(self):

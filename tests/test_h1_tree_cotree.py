@@ -10,7 +10,7 @@ from conftest import diagram_names, fixture_json, fixture_path, s1xs2_minus_ball
 from h1_oracle import (SnfH1, chain_diagram, eps_chain,
                        quadratic_doteq_normalize, snf_spinc_classes,
                        torus_diagram)
-from ring_oracle import element, identity, ring_to_json
+from ring_oracle import element, identity, ring_of, ring_to_json
 from sutured_kit import abelian, cli
 from sutured_kit.abelian import FinAbGroup, GroupRingElem
 from sutured_kit.diagram import (SuturedDiagram, _eps_chain, connecting_domains,
@@ -35,11 +35,9 @@ def oracle_euler_document(d):
     """The `euler` CLI document computed along the SNF path."""
     h1 = SnfH1(d)
     gens = generators(d)
-    terms = {}
-    for x in gens:
-        cls = h1.class_of_arcs(eps_chain(d, gens[0], x))
-        terms[cls] = terms.get(cls, 0) + generator_sign(d, x)
-    poly = quadratic_doteq_normalize(GroupRingElem(terms), h1.group)
+    poly = quadratic_doteq_normalize(
+        ring_of((h1.class_of_arcs(eps_chain(d, gens[0], x)), generator_sign(d, x)) for x in gens),
+        h1.group)
     payload = {"h1": abelian.group_to_json(h1.group),
                "polynomial": ring_to_json(poly)}
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -296,7 +296,7 @@ class TestHelpers:
         assert np.linalg.norm(polar_unitary(v) - v) < 1e-9
 
     def test_json_matrices(self):
-        m = matrix_from_json([[{"re": 1, "im": 2}, 3], [0, {"im": -1}]])
+        m = matrix_from_json([[{"re": 1, "im": 2}, 3], [0, {"im": -1}]], "matrix")
         assert m[0, 0] == 1 + 2j and m[0, 1] == 3 and m[1, 1] == -1j
         samples = samples_from_json([[[1, 0], [0, 1]]] * 2)
         assert len(samples) == 2 and samples[0].shape == (2, 2)

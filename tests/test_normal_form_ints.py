@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from det_oracle import det_of_rows, rows_of
-from ring_oracle import element, tuple_doteq_normalize
+from ring_oracle import element, ring_of, tuple_doteq_normalize
 from sutured_kit.abelian import FinAbGroup, GroupRingElem, det_group_ring, doteq_normalize
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -44,7 +44,7 @@ def tied_elements(draw):
         low = min(h for h, _ in terms).free
         terms += [(element(g, low, h.torsion), c)
                   for h, c in draw_terms(draw, g, st.just(0), draw(st.integers(0, 4)))]
-    return GroupRingElem(terms), g
+    return ring_of(terms), g
 
 
 def assert_same_form(got, want):
@@ -67,8 +67,8 @@ def matrices(draw):
 
     def cell():
         if not draw(st.integers(0, 4)):
-            return GroupRingElem()
-        return GroupRingElem(draw_terms(draw, g, st.integers(-1, 1), draw(st.integers(1, 3))))
+            return GroupRingElem({})
+        return ring_of(draw_terms(draw, g, st.integers(-1, 1), draw(st.integers(1, 3))))
 
     return rows_of([[cell() for _ in range(n)] for _ in range(n)]), g
 
@@ -89,7 +89,7 @@ TIES = [(FinAbGroup(1, (2,)), [((0,), (0,), 1), ((0,), (1,), 1), ((1,), (1,), 2)
 
 @pytest.mark.parametrize("g,terms", TIES)
 def test_tie_broken_after_the_torsion_translation(g, terms):
-    x = GroupRingElem((element(g, free, res), c) for free, res, c in terms)
+    x = ring_of((element(g, free, res), c) for free, res, c in terms)
     want = tuple_doteq_normalize(x, g)
-    assert want != GroupRingElem((element(g, free, res), c) for free, res, c in terms)
+    assert want != ring_of((element(g, free, res), c) for free, res, c in terms)
     assert_same_form(doteq_normalize(x, g), want)

@@ -74,8 +74,8 @@ class TestRankCombinators:
         assert closed_manifold_rank(1, 3) == 4
 
     def test_connected_sum(self):
-        assert connected_sum_rank(1, 1) == 2
-        assert connected_sum_rank(3, 5) == 30
+        assert connected_sum_rank(1, 1, False) == 2
+        assert connected_sum_rank(3, 5, False) == 30
         assert connected_sum_rank(4, 7, with_closed=True) == 28
         assert connected_sum_rank(9, 1, with_closed=True) == 9
 
@@ -84,14 +84,14 @@ class TestRankCombinators:
         for n in range(1, 6):
             r = 3
             for _ in range(n):
-                r = connected_sum_rank(r, 1)
+                r = connected_sum_rank(r, 1, False)
             assert r == 3 * 2 ** n
 
     def test_errors(self):
         with pytest.raises(NonPositiveRank):
             closed_manifold_rank(0, 1)
         with pytest.raises(NonPositiveRank):
-            connected_sum_rank(1, 0)
+            connected_sum_rank(1, 0, False)
 
 
 class TestBounds:
@@ -99,7 +99,7 @@ class TestBounds:
 
     def test_largest_ranks_print(self):
         for rank in (closed_manifold_rank(1, MAX_RANK_BITS),
-                     connected_sum_rank(2 ** 6998, 2 ** 6998)):
+                     connected_sum_rank(2 ** 6998, 2 ** 6998, False)):
             assert rank.bit_length() <= MAX_RANK_BITS
             assert len(str(rank)) <= 4300
 

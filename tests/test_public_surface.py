@@ -23,15 +23,15 @@ PUBLIC = {
                "ring_invert_exponents smith_cokernel smith_normal_form",
     "cli": "UsageError build_parser cmd_check cmd_crosscheck cmd_euler cmd_fixtures "
            "cmd_generators cmd_maslov cmd_oracle cmd_polytope cmd_spinc cmd_torsion main",
-    "diagram": "BalanceReport Region SpincPartition SuturedDiagram ValidationReport "
-               "admissible_lattice connecting_domains "
+    "diagram": "BalanceReport MAX_BOUNDARY_CIRCLES Region SpincPartition SuturedDiagram "
+               "ValidationReport admissible_lattice connecting_domains "
                "epsilon euler_polynomial format_arc_ref generator_sign generators h1_of_M "
                "internal_regions is_admissible parse_arc_ref periodic_lattice spinc_partition",
     "errors": "BadDimension CrossingCountMismatch DeterminantTooLarge DimensionTooLarge "
               "EmptySupport EndpointSingular InvalidDiagram InvalidGenerator LoopNotClosed "
               "LoopNotClosedInGroup NonCoprime NonPositiveRank NotAGenerator NotBalanced "
               "NotGeometricallyBalanced NotSymmetric NotUnitary OddSutureCount ResultTooLarge "
-              "SamplingTooCoarse SuturedKitError expect expect_items",
+              "SamplingTooCoarse SuturedKitError TooManyBoundaryCircles expect expect_items",
     "fixtures": "ENV_VAR FIXTURES FixtureInfo fixtures_dir",
     "fox": "FreeWord InclusionData Presentation abelianization is_geometrically_balanced "
            "load_presentation_json theta_matrix torsion",

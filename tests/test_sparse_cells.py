@@ -20,9 +20,9 @@ import det_oracle
 from conftest import diagram_names, finger_move, fixture_json
 from det_oracle import dense_of
 from h1_oracle import chain_diagram, torus_diagram
-from ring_oracle import element
+from ring_oracle import element, ring_of
 from sutured_kit import diagram
-from sutured_kit.abelian import FinAbGroup, GroupRingElem, det_group_ring
+from sutured_kit.abelian import FinAbGroup, det_group_ring
 from sutured_kit.diagram import SuturedDiagram, euler_polynomial, h1_of_M
 
 TORSIONS = ((), (2,), (2, 6))
@@ -41,7 +41,7 @@ def dict_row_matrices(draw):
     density = draw(st.integers(1, 10))
 
     def entry():
-        return GroupRingElem(
+        return ring_of(
             (element(g, [draw(st.integers(-3, 3)) for _ in range(g.free_rank)],
                      [draw(st.integers(-13, 13)) for _ in g.torsion]),
              draw(st.integers(-3, 3)))
@@ -77,7 +77,7 @@ def definition_matrix(d):
             h = group.from_coords(data.potential[p])
             cell = cells[i][bpos[p]]
             cell[h] = cell.get(h, 0) + d.crossing_sign[p]
-    return [[GroupRingElem(cell) for cell in row] for row in cells]
+    return [[ring_of(cell.items()) for cell in row] for row in cells]
 
 
 def cancelled_cell_chain():
