@@ -8,6 +8,10 @@ the first alpha curve running from its 0th to its 1st point) with a ``-``
 prefix for reversed traversal; an empty curve is an embedded circle with
 no crossings and carries one artificial vertex and a single loop arc.
 
+``SuturedDiagram.from_json`` is the one reader of a diagram document: it
+reads the fields in document order, each list in one walk, and a fault
+raises ValueError naming the first faulty field, a name built only then.
+
 On top of the raw cell structure the module computes: validity (the
 boundary cycles are closed walks that traverse each arc once in each
 direction, so the surface is oriented; the corners at each point, where
@@ -72,7 +76,7 @@ from . import abelian
 from .abelian import (GroupRingElem, IntMatrix, _key_codec, _perm_sign, det_group_ring,
                       smith_cokernel)
 from .errors import (DimensionTooLarge, InvalidDiagram, NotAGenerator, NotBalanced,
-                     TooManyBoundaryCircles, expect, expect_items)
+                     TooManyBoundaryCircles, expect, expect_items, expect_rows)
 from .polytope import MAX_DIMENSION, SupportData, hull
 
 
@@ -101,15 +105,6 @@ def parse_arc_ref(text, field):
                      f"got {text!r}")
 
 
-def _arc_refs(refs, field, table):
-    """Read a list of arc references through ``table``, the canonical spelling
-    of each arc of the diagram's curves -> (arc, sign); a reference it misses
-    is parsed, so a malformed one is named by its index and an unknown but
-    well-formed one is kept for ``validate`` to report."""
-    return tuple(table.get(ref) or parse_arc_ref(ref, f"{field}[{j}]")
-                 for j, ref in enumerate(expect_items(refs, str, field)))
-
-
 def _arc_table(alpha, beta):
     """The canonical spelling of every arc of the curves, either sign -> (arc, sign)."""
     table = {}
@@ -122,23 +117,38 @@ def _arc_table(alpha, beta):
 
 
 def _read_regions(items, table):
-    """The regions of a JSON list, their references read through ``table``,
-    or None when an item has a wrong type or a reference that ``table``
-    misses: ``Region.from_json`` then names the field or parses the list.
-    The types are checked in bulk, so no field name is built."""
-    rows = [(r.get("cycles", []), r.get("boundary_circles", 0), r.get("genus", 0))
-            for r in items if type(r) is dict]
-    if len(rows) < len(items) or not {
-            (type(c), type(b), type(g)) for c, b, g in rows} <= {(list, int, int)}:
-        return None
-    cycles = list(chain.from_iterable([c for c, _, _ in rows]))
-    if not set(map(type, cycles)) <= {list}:
-        return None
-    refs = list(chain.from_iterable(cycles))
-    if not (set(map(type, refs)) <= {str} and set(refs) <= table.keys()):
-        return None
-    get = table.__getitem__
-    return [Region(tuple([tuple(map(get, cyc)) for cyc in c]), b, g) for c, b, g in rows]
+    """The regions of the JSON list ``items``, in one walk that tests types
+    inline and builds a field name such as ``regions[i].cycles[k][j]`` only
+    to raise.  A cycle is read through ``table``, the canonical spelling of
+    each arc of the curves -> (arc, sign); a reference it misses is parsed,
+    so a malformed one is named and an unknown but well-formed one is kept
+    for ``validate`` to report."""
+    get = table.get
+    regions = []
+    for i, r in enumerate(items):
+        if type(r) is not dict:
+            expect(r, dict, f"regions[{i}]")
+        cycles = r.get("cycles", [])
+        if type(cycles) is not list:
+            expect(cycles, list, f"regions[{i}].cycles")
+        read = []
+        for k, cyc in enumerate(cycles):
+            try:
+                refs = tuple(map(get, cyc)) if type(cyc) is list else (None,)
+            except TypeError:       # an unhashable item
+                refs = (None,)
+            if None in refs:
+                field = f"regions[{i}].cycles[{k}]"
+                refs = tuple(get(ref) or parse_arc_ref(ref, f"{field}[{j}]")
+                             for j, ref in enumerate(expect_items(cyc, str, field)))
+            read.append(refs)
+        circles, genus = r.get("boundary_circles", 0), r.get("genus", 0)
+        if type(circles) is not int:
+            expect(circles, int, f"regions[{i}].boundary_circles")
+        if type(genus) is not int:
+            expect(genus, int, f"regions[{i}].genus")
+        regions.append(Region(tuple(read), circles, genus))
+    return regions
 
 
 def format_arc_ref(arc):
@@ -155,19 +165,6 @@ class Region:
         self.cycles = cycles  # tuple of cycles; a cycle is a tuple of (arc, sign)
         self.boundary_circles = boundary_circles
         self.genus = genus
-
-    @classmethod
-    def from_json(cls, data, field, table):
-        """The region of ``data``; ``table`` maps the canonical spelling of the
-        diagram's arcs to (arc, sign), and a reference it misses is parsed."""
-        expect(data, dict, field)
-        cycles = tuple(
-            _arc_refs(cyc, f"{field}.cycles[{i}]", table)
-            for i, cyc in enumerate(expect(data.get("cycles", []), list,
-                                           f"{field}.cycles")))
-        return cls(cycles,
-                   expect(data.get("boundary_circles", 0), int, f"{field}.boundary_circles"),
-                   expect(data.get("genus", 0), int, f"{field}.genus"))
 
 
 def _union_find(n, pairs):
@@ -238,24 +235,16 @@ class SuturedDiagram:
         expect(data, dict, "diagram JSON")
         genus = expect(data.get("genus"), int, "genus")
         boundary_circles = expect(data.get("boundary_circles"), int, "boundary_circles")
-        # types are checked in bulk; a field name is built only to report a fault
-        curves = {}
-        for fam in ("alpha", "beta"):
-            items = curves[fam] = expect(data.get(fam, []), list, fam)
-            if not (set(map(type, items)) <= {list}
-                    and set(map(type, chain.from_iterable(items))) <= {str}):
-                for i, c in enumerate(items):
-                    expect_items(c, str, f"{fam}[{i}]")
+        # types are tested inline; a field name is built only to report a fault
+        alpha = expect_rows(data.get("alpha", []), str, "alpha")
+        beta = expect_rows(data.get("beta", []), str, "beta")
         signs = expect(data.get("crossing_sign", {}), dict, "crossing_sign")
         if not set(map(type, signs.values())) <= {int}:
             for p, s in signs.items():
                 expect(s, int, f"crossing_sign[{p!r}]")
-        table = _arc_table(curves["alpha"], curves["beta"])
-        items = expect(data.get("regions", []), list, "regions")
-        regions = _read_regions(items, table)
-        if regions is None:
-            regions = [Region.from_json(r, f"regions[{i}]", table) for i, r in enumerate(items)]
-        return cls(genus, boundary_circles, curves["alpha"], curves["beta"], signs, regions)
+        regions = _read_regions(expect(data.get("regions", []), list, "regions"),
+                                _arc_table(alpha, beta))
+        return cls(genus, boundary_circles, alpha, beta, signs, regions)
 
     # -- basic structure --------------------------------------------------------
 

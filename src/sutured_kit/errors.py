@@ -29,6 +29,15 @@ def expect_items(value, kind, field):
     return value
 
 
+def expect_rows(value, kind, field):
+    """Return ``value`` if it is a list of lists whose items all have JSON
+    type ``kind``; the name ``field[i]`` of a row is built only to raise."""
+    for i, row in enumerate(expect(value, list, field)):
+        if type(row) is not list or not set(map(type, row)) <= {kind}:
+            expect_items(row, kind, f"{field}[{i}]")
+    return value
+
+
 class SuturedKitError(Exception):
     code = "error"
 

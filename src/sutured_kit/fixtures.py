@@ -55,6 +55,10 @@ FIXTURES = (
                 "meeting in 3 points, all difference classes distinct"),
     FixtureInfo("t312_pres", "presentation", "t312_pres.json", "t312",
                 "free rank-1 presentation; inclusion word a^3"),
+    FixtureInfo("hopf_grid", "diagram", "hopf_grid.json", "",
+                "grid of size 4 with O at (i, i) and X at (i, i + 2), the Hopf "
+                "link complement: H_1 = Z^2, a periodic domain, admissible, "
+                "24 generators; support a square of dimension 2"),
     FixtureInfo("trefoil_pres", "presentation", "trefoil_pres.json", "",
                 "trefoil knot group with a meridian as inclusion word; "
                 "torsion 1 - t + t^2"),

@@ -2,14 +2,17 @@
 balanced presentation with inclusion data.
 
 Words are stored freely reduced as tuples of (generator index, +-1).
-They come only from ``FreeWord.from_string``, which looks each letter up
-among the generator names, so every letter is valid by construction and
-nothing downstream checks one again.  A presentation with m generators,
-n relators and declared boundary genus l is *geometrically balanced*
-when m - n = l and there are exactly l inclusion words; the torsion
-matrix is then square of size m, its first l columns coming from the
-inclusion words and its last n from the relators, and the torsion is the
-class of its determinant in Z[H_1] up to +-h.
+``load_presentation_json`` is the one reader of a presentation document:
+it checks the generator names while it builds one letter table for the
+document, and ``FreeWord.from_string`` looks each letter of the relators
+and inclusion words up in that table, so every letter is valid by
+construction and nothing downstream checks one again.  A presentation
+with m generators, n relators and declared boundary genus l is
+*geometrically balanced* when m - n = l and there are exactly l
+inclusion words; the torsion matrix is then square of size m, its first
+l columns coming from the inclusion words and its last n from the
+relators, and the torsion is the class of its determinant in Z[H_1] up
+to +-h.
 
 The entries of the torsion matrix are Fox derivatives, computed left to
 right,
@@ -24,21 +27,10 @@ Fox derivative in the free group ring is kept in ``tests/fox_oracle.py``
 as the definition that the tests hold ``theta_matrix`` to.
 """
 
-from functools import lru_cache
 from operator import add, mod, neg
 
 from .abelian import GroupElement, GroupRingElem, IntMatrix, cokernel, det_group_ring
 from .errors import InvalidGenerator, NotGeometricallyBalanced, expect, expect_items
-
-
-@lru_cache(maxsize=16)
-def _letter_table(generator_names):
-    """Letter -> (generator index, +-1); kept for the last few name tuples,
-    so the relators and inclusion words of a presentation share one."""
-    table = {}
-    for i, name in enumerate(generator_names):
-        table[name], table[name.upper()] = (i, 1), (i, -1)
-    return table
 
 
 class FreeWord:
@@ -56,9 +48,9 @@ class FreeWord:
         self.letters = tuple(reduced)
 
     @classmethod
-    def from_string(cls, text, generator_names):
-        """Parse whitespace-separated letters; a name in uppercase is its inverse."""
-        table = _letter_table(tuple(generator_names))
+    def from_string(cls, text, table):
+        """Parse whitespace-separated letters through ``table``, the letter
+        table of ``load_presentation_json``: letter -> (generator index, +-1)."""
         letters = []
         for tok in text.split():
             if tok not in table:
@@ -94,20 +86,6 @@ class Presentation:
     def num_relators(self):
         return len(self.relators)
 
-    @classmethod
-    def from_json(cls, data):
-        expect(data, dict, "presentation JSON")
-        names = tuple(expect_items(data.get("generators"), str, "generators"))
-        for i, name in enumerate(names):
-            # the inverse letter name.upper() must differ from name and lower back to it
-            if (name.split() != [name] or name.upper() == name
-                    or name.upper().lower() != name or name in names[:i]):
-                raise ValueError(f"generators[{i}] must be lowercase, without whitespace and "
-                                 f"distinct, got {name!r}")
-        relators = tuple(FreeWord.from_string(r, names)
-                         for r in expect_items(data.get("relators", []), str, "relators"))
-        return cls(names, relators, expect(data.get("boundary_genus"), int, "boundary_genus"))
-
 
 class InclusionData:
     """Images under the inclusion-induced map of the bottom-surface generators."""
@@ -117,17 +95,34 @@ class InclusionData:
     def __init__(self, sigma_images):
         self.sigma_images = sigma_images
 
-    @classmethod
-    def from_json(cls, data, presentation):
-        images = expect_items(data.get("sigma_images", []), str, "sigma_images")
-        return cls(tuple(FreeWord.from_string(w, presentation.generator_names)
-                         for w in images))
-
 
 def load_presentation_json(data):
-    p = Presentation.from_json(data)
-    k = InclusionData.from_json(data, p)
-    return p, k
+    """The (Presentation, InclusionData) of a JSON document, in one reader.
+
+    The fields are read in the order generators, relators,
+    boundary_genus, sigma_images.  A wrong type or generator name raises
+    ValueError naming its field, and a letter that is no generator's name
+    InvalidGenerator.
+    One letter table, name -> (i, 1) and name.upper() -> (i, -1), is built
+    while the names are checked and reads every word of the document.
+    """
+    expect(data, dict, "presentation JSON")
+    names = tuple(expect_items(data.get("generators"), str, "generators"))
+    table = {}
+    for i, name in enumerate(names):
+        # the inverse letter must differ from name and lower back to it; upper()
+        # is idempotent, so a valid name already in the table is a repeated one
+        inverse = name.upper()
+        if (name.split() != [name] or inverse == name or inverse.lower() != name
+                or name in table):
+            raise ValueError(f"generators[{i}] must be lowercase, without whitespace and "
+                             f"distinct, got {name!r}")
+        table[name], table[inverse] = (i, 1), (i, -1)
+    relators = tuple(FreeWord.from_string(r, table)
+                     for r in expect_items(data.get("relators", []), str, "relators"))
+    p = Presentation(names, relators, expect(data.get("boundary_genus"), int, "boundary_genus"))
+    images = expect_items(data.get("sigma_images", []), str, "sigma_images")
+    return p, InclusionData(tuple(FreeWord.from_string(w, table) for w in images))
 
 
 def abelianization(p):

@@ -32,8 +32,9 @@ facet through it, a test of bitmasks with no elimination.
 The polytope of a diagram is computed from Euler-characteristic support.
 That is a lower bound for the full homology support: where rank
 cancellation occurs in a single Spin^c class the polytope here can be
-smaller.  The bundled fixtures all have torsion coefficients +-1, where
-the two notions coincide.
+smaller.  On the bundled fixtures the two coincide: every coefficient is
++-1, except on the Hopf link grid, whose coefficients' absolute values
+sum to 16, the rank of its SFH.
 """
 
 from functools import reduce
@@ -42,7 +43,7 @@ from operator import and_, mul
 
 from .abelian import echelon
 from .errors import (BadDimension, DimensionTooLarge, EmptySupport,
-                     NonPositiveRank, expect, expect_items)
+                     NonPositiveRank, expect, expect_items, expect_rows)
 
 MAX_DIMENSION = 6
 
@@ -69,8 +70,7 @@ class SupportData:
     @classmethod
     def from_json(cls, data):
         expect(data, dict, "support JSON")
-        pts = [tuple(expect_items(p, int, f"points[{i}]"))
-               for i, p in enumerate(expect(data.get("points"), list, "points"))]
+        pts = list(map(tuple, expect_rows(data.get("points"), int, "points")))
         mults = data.get("multiplicities")
         if mults is not None and len(expect_items(mults, int, "multiplicities")) != len(pts):
             raise ValueError(f"multiplicities has {len(mults)} entries for {len(pts)} points")

@@ -10,7 +10,9 @@ The derivative is computed left to right:
 so d(a)/da = 1 and d(a^-1)/da = -a^-1.  ``phi`` pushes a word or a
 combination of words to Z[g] for a group g that remembers its ambient
 projection, as ``fox.abelianization`` returns it; ``concat`` is the
-product of two words, and ``random_word`` draws one through the parser.
+product of two words, ``parse_word`` reads a word spelled in given
+generator names through ``FreeWord.from_string``, and ``random_word``
+draws one through it.
 """
 
 from ring_oracle import from_ambient, ring_of
@@ -23,11 +25,20 @@ def concat(u, w):
     return FreeWord(u.letters + w.letters)
 
 
+def parse_word(text, names):
+    """The word ``text`` in the generators ``names``, read through a letter
+    table like the one ``fox.load_presentation_json`` builds."""
+    table = {}
+    for i, name in enumerate(names):
+        table[name], table[name.upper()] = (i, 1), (i, -1)
+    return FreeWord.from_string(text, table)
+
+
 def random_word(rng, names, max_len=12):
     """A word of at most max_len random letters in ``names``, each inverted
     at random, spelled and parsed as a relator of a JSON presentation is."""
     tokens = rng.choices(names, k=rng.randint(0, max_len))
-    return FreeWord.from_string(" ".join(rng.choice((t, t.upper())) for t in tokens), names)
+    return parse_word(" ".join(rng.choice((t, t.upper())) for t in tokens), names)
 
 
 def combo_add(x, y):
@@ -55,8 +66,8 @@ def fox_derivative(w, i, num_generators):
     """Fox derivative d(w)/d(a_i) as a formal combination of words.
 
     >>> names = ["a", "b"]
-    >>> w = FreeWord.from_string("a b a", names)
-    >>> fox_derivative(w, 0, 2) == {(): 1, FreeWord.from_string("a b", names).letters: 1}
+    >>> w = parse_word("a b a", names)
+    >>> fox_derivative(w, 0, 2) == {(): 1, parse_word("a b", names).letters: 1}
     True
     """
     if not 0 <= i < num_generators:

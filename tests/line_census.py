@@ -31,7 +31,7 @@ import time
 from pathlib import Path
 
 import sutured_kit
-from sutured_kit import cli, fox
+from sutured_kit import cli
 from test_census import census_argv, modules
 import workloads
 
@@ -60,7 +60,6 @@ def run_traced(runs):
     def on_call(frame, event, arg):
         return on_line if frame.f_code.co_filename.startswith(package) else None
 
-    fox._letter_table.cache_clear()     # a cached table would hide its lines
     codes = []
     previous = sys.gettrace()
     sys.settrace(on_call)

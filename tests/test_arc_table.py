@@ -2,14 +2,16 @@
 
 ``SuturedDiagram.from_json`` maps the canonical spelling of every arc of
 its curves, both signs, to (arc, sign), and a region cycle is read through
-that table; a cycle with any miss is parsed instead.  Both paths must give
-equal cycles on every bundled fixture, on T(p,1;2), L(p,1), T(1,0;2k+2)
-and on seeded scrambles of each, and every reference there must be in the
+that table; in a cycle with a miss, each reference the table misses is
+parsed.  The reader, the parser and the old named walk of
+``tests/region_oracle.py`` with and without the table must give equal
+cycles on every bundled fixture, on T(p,1;2), L(p,1), T(1,0;2k+2) and on
+seeded scrambles of each, and every reference there must be in the
 table.  Malformed references keep the exception and message of the parser,
 naming the same index, and an unknown but well-formed arc the same
-``validate`` violation.  The curves and crossing signs are checked in
-bulk, and a fault there keeps the message naming its field, in the order
-alpha, beta, crossing_sign.
+``validate`` violation.  The types of the curves and crossing signs are
+tested inline, and a fault there keeps the message naming its field, in
+the order alpha, beta, crossing_sign.
 """
 
 import random
@@ -19,8 +21,8 @@ import pytest
 
 from conftest import diagram_names, fixture_json, scramble
 from h1_oracle import chain_diagram, lens_diagram, torus_diagram
-from sutured_kit.diagram import (Region, SuturedDiagram, _arc_table, format_arc_ref,
-                                 parse_arc_ref)
+from region_oracle import region_from_json
+from sutured_kit.diagram import SuturedDiagram, _arc_table, format_arc_ref, parse_arc_ref
 
 FAMILIES = ([("torus", p) for p in (2, 3, 8, 30)] + [("lens", p) for p in (2, 7)]
             + [("chain", k) for k in range(1, 11)])
@@ -47,8 +49,8 @@ def test_table_and_parser_give_equal_cycles(label, data):
         parsed = tuple(tuple(parse_arc_ref(ref, "arc reference") for ref in cyc)
                        for cyc in region["cycles"])
         assert all(ref in table for cyc in region["cycles"] for ref in cyc)
-        assert Region.from_json(region, f"regions[{i}]", table).cycles == parsed
-        assert Region.from_json(region, f"regions[{i}]", {}).cycles == parsed
+        assert region_from_json(region, f"regions[{i}]", table).cycles == parsed
+        assert region_from_json(region, f"regions[{i}]", {}).cycles == parsed
         assert d.regions[i].cycles == parsed
 
 

@@ -14,13 +14,13 @@ from hypothesis import given, settings, strategies as st
 import det_oracle
 from conftest import diagram_names, fixture_path, paired_names
 from det_oracle import rows_of
-from fox_oracle import concat, fox_derivative, phi
+from fox_oracle import concat, fox_derivative, parse_word, phi
 from h1_oracle import det
 from ring_oracle import element, group_add, ring_of
 from sutured_kit import abelian, cli, fixtures
 from sutured_kit.abelian import FinAbGroup, GroupRingElem, IntMatrix, det_group_ring, ring_aug
 from sutured_kit.errors import DeterminantTooLarge
-from sutured_kit.fox import FreeWord, InclusionData, Presentation, theta_matrix, torsion
+from sutured_kit.fox import InclusionData, Presentation, theta_matrix, torsion
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 TORSIONS = ((), (2,), (3,), (2, 4), (2, 12))
@@ -146,8 +146,8 @@ def test_expansion_order_keeps_every_term_and_every_refusal(case, limit):
 
 def spelled(letters, names):
     """The word of (index, +-1) letters, spelled in ``names`` and parsed back."""
-    return FreeWord.from_string(" ".join(names[i] if e > 0 else names[i].upper()
-                                         for i, e in letters), names)
+    return parse_word(" ".join(names[i] if e > 0 else names[i].upper()
+                           for i, e in letters), names)
 
 
 def relator(rng, names, length):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import fixture_json
-from fox_oracle import combo_add, combo_mul, concat, fox_derivative, phi, random_word
+from fox_oracle import (combo_add, combo_mul, concat, fox_derivative, parse_word, phi,
+                        random_word)
 from ring_oracle import (doteq_equal, element, from_ambient, group_add, identity, ring_add,
                          ring_mul, ring_neg, ring_one)
 from sutured_kit.abelian import GroupRingElem
@@ -19,7 +20,7 @@ ABCD = ("a", "b", "c", "d")
 
 
 def w(text, names=AB):
-    return FreeWord.from_string(text, names)
+    return parse_word(text, names)
 
 
 def inverse(word):
@@ -56,7 +57,7 @@ class TestFreeWord:
     def test_inverse_letter_round_trips(self, names):
         data = {"generators": list(names), "boundary_genus": 1,
                 "relators": [" ".join(n + " " + n.upper() + " " + n.upper() for n in names)]}
-        p = Presentation.from_json(data)
+        p, _ = load_presentation_json(data)
         assert p.generator_names == names
         assert p.relators[0].exponents(len(names)) == (-1,) * len(names)
 
@@ -64,13 +65,13 @@ class TestFreeWord:
     def test_mixed_case_letter_refused(self, token):
         # a letter is a name or its whole uppercase form, the inverse
         with pytest.raises(InvalidGenerator, match=repr(token)):
-            FreeWord.from_string(f"ab {token}", ("ab",))
+            parse_word(f"ab {token}", ("ab",))
 
     @pytest.mark.parametrize("name", ["Ab", "A", "1", "ß", "ʰ", "ı"])
     def test_name_without_an_inverse_letter_refused(self, name):
         # name.upper() would not parse back as the inverse of name
         with pytest.raises(ValueError, match=r"generators\[1\]"):
-            Presentation.from_json({"generators": ["a", name], "boundary_genus": 1})
+            load_presentation_json({"generators": ["a", name], "boundary_genus": 1})
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(names_and_words())
@@ -274,9 +275,9 @@ class TestTorsion:
         # conjugating, inverting or swapping relators changes det Theta by a unit
         rng = random.Random(53)
         names = ("a", "b", "c")
-        r1 = FreeWord.from_string("a b a B A B", names)
-        r2 = FreeWord.from_string("c A", names)
-        k = InclusionData((FreeWord.from_string("b", names),))
+        r1 = parse_word("a b a B A B", names)
+        r2 = parse_word("c A", names)
+        k = InclusionData((parse_word("b", names),))
         base = Presentation(names, (r1, r2), 1)
         tau0, g0 = torsion(base, k)
         assert not tau0.is_zero()

@@ -31,7 +31,8 @@ PUBLIC = {
               "EmptySupport EndpointSingular InvalidDiagram InvalidGenerator LoopNotClosed "
               "LoopNotClosedInGroup NonCoprime NonPositiveRank NotAGenerator NotBalanced "
               "NotGeometricallyBalanced NotSymmetric NotUnitary OddSutureCount ResultTooLarge "
-              "SamplingTooCoarse SuturedKitError TooManyBoundaryCircles expect expect_items",
+              "SamplingTooCoarse SuturedKitError TooManyBoundaryCircles expect expect_items "
+              "expect_rows",
     "fixtures": "ENV_VAR FIXTURES FixtureInfo fixtures_dir",
     "fox": "FreeWord InclusionData Presentation abelianization is_geometrically_balanced "
            "load_presentation_json theta_matrix torsion",
@@ -51,13 +52,11 @@ METHODS = {
     "abelian.GroupElement": "is_identity",
     "abelian.GroupRingElem": "is_zero items support",
     "abelian.IntMatrix": "column",
-    "diagram.Region": "from_json",
     "diagram.SuturedDiagram": "arcs from_json is_balanced require_balanced require_valid "
                               "validate",
     "diagram.ValidationReport": "ok",
     "fox.FreeWord": "exponents from_string",
-    "fox.InclusionData": "from_json",
-    "fox.Presentation": "from_json num_generators num_relators",
+    "fox.Presentation": "num_generators num_relators",
     "maslov.UnitaryLoop": "closes_in_group",
     "oracle.RankTable": "support to_json values_in_order",
     "polytope.SupportData": "from_json",

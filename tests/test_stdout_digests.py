@@ -312,6 +312,18 @@ DIGESTS = {
         ('b7caea273b2b10182d616b52470fe892723a4a2ac023dcb1d34a1cde3c3bb8b8', 0),
     'polytope --diagram t312 --canonical':
         ('b7caea273b2b10182d616b52470fe892723a4a2ac023dcb1d34a1cde3c3bb8b8', 0),
+    'check hopf_grid':
+        ('9ffc9e37dc7d6192805d29a572fd42cf820be0cb174e834532aedb96ee02b72b', 0),
+    'generators hopf_grid':
+        ('843e97013e4ea626edb22396d7973d2dc9423d7cfa52bd9634ea7b794402565c', 0),
+    'spinc hopf_grid':
+        ('a400aec41a0f795b0203015a3a28d6958fc082daf52b719b7b145d1643f66a4f', 0),
+    'euler hopf_grid':
+        ('6a3891c101e7b1b91a4be52e8028b4c8e7c8720212a8a2d6afc7f711e4f31a37', 0),
+    'polytope --diagram hopf_grid':
+        ('5765556705a9ebfb75dd34b7a9b160a48501e0e178cb4ccb2f7f36f5d75a5f58', 0),
+    'polytope --diagram hopf_grid --canonical':
+        ('5765556705a9ebfb75dd34b7a9b160a48501e0e178cb4ccb2f7f36f5d75a5f58', 0),
     'torsion disk_pres':
         ('9a49ee6d59dd4dae34d0f10f44d0ff28394b46b3cbc2a4f39a3924bdbc891ac1', 0),
     'torsion annulus_pres':
