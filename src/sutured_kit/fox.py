@@ -2,11 +2,11 @@
 balanced presentation with inclusion data.
 
 Words are stored freely reduced as tuples of (generator index, +-1).
-``load_presentation_json`` is the one reader of a presentation document:
-it checks the generator names while it builds one letter table for the
-document, and ``FreeWord.from_string`` looks each letter of the relators
-and inclusion words up in that table, so every letter is valid by
-construction and nothing downstream checks one again.  A presentation
+``load_presentation_json`` is the one reader of a presentation document
+and holds every check on it: it checks the generator names while it
+builds one letter table for the document, and looks each letter of the
+relators and inclusion words up in that table, so every letter is valid
+by construction and nothing downstream checks one again.  A presentation
 with m generators, n relators and declared boundary genus l is
 *geometrically balanced* when m - n = l and there are exactly l
 inclusion words; the torsion matrix is then square of size m, its first
@@ -47,17 +47,6 @@ class FreeWord:
                 reduced.append((g, e))
         self.letters = tuple(reduced)
 
-    @classmethod
-    def from_string(cls, text, table):
-        """Parse whitespace-separated letters through ``table``, the letter
-        table of ``load_presentation_json``: letter -> (generator index, +-1)."""
-        letters = []
-        for tok in text.split():
-            if tok not in table:
-                raise InvalidGenerator(f"unknown letter {tok!r}")
-            letters.append(table[tok])
-        return cls(letters)
-
     def exponents(self, num_generators):
         """Total exponent of each generator (the abelianized image)."""
         vec = [0] * num_generators
@@ -72,8 +61,6 @@ class Presentation:
     __slots__ = ("generator_names", "relators", "boundary_genus")
 
     def __init__(self, generator_names, relators, boundary_genus):
-        if len(relators) > len(generator_names):
-            raise ValueError("presentation needs at least as many generators as relators")
         self.generator_names = generator_names
         self.relators = relators
         self.boundary_genus = boundary_genus
@@ -100,9 +87,9 @@ def load_presentation_json(data):
     """The (Presentation, InclusionData) of a JSON document, in one reader.
 
     The fields are read in the order generators, relators,
-    boundary_genus, sigma_images.  A wrong type or generator name raises
-    ValueError naming its field, and a letter that is no generator's name
-    InvalidGenerator.
+    boundary_genus, sigma_images.  A wrong type or generator name, or more
+    relators than generators, raises ValueError naming its field, and a
+    letter that is no generator's name InvalidGenerator naming its word.
     One letter table, name -> (i, 1) and name.upper() -> (i, -1), is built
     while the names are checked and reads every word of the document.
     """
@@ -118,11 +105,26 @@ def load_presentation_json(data):
             raise ValueError(f"generators[{i}] must be lowercase, without whitespace and "
                              f"distinct, got {name!r}")
         table[name], table[inverse] = (i, 1), (i, -1)
-    relators = tuple(FreeWord.from_string(r, table)
-                     for r in expect_items(data.get("relators", []), str, "relators"))
-    p = Presentation(names, relators, expect(data.get("boundary_genus"), int, "boundary_genus"))
+    relators = tuple(_words(expect_items(data.get("relators", []), str, "relators"),
+                            table, "relators"))
+    genus = expect(data.get("boundary_genus"), int, "boundary_genus")
+    if len(relators) > len(names):
+        raise ValueError(f"relators has {len(relators)} entries for {len(names)} generators; "
+                         "a presentation needs at least as many generators as relators")
     images = expect_items(data.get("sigma_images", []), str, "sigma_images")
-    return p, InclusionData(tuple(FreeWord.from_string(w, table) for w in images))
+    return (Presentation(names, relators, genus),
+            InclusionData(tuple(_words(images, table, "sigma_images"))))
+
+
+def _words(texts, table, field):
+    """Each text's whitespace-separated letters, read through ``table``; an
+    unknown letter raises InvalidGenerator naming its word, ``field[i]``."""
+    for i, text in enumerate(texts):
+        try:
+            word = FreeWord(map(table.__getitem__, text.split()))
+        except KeyError as exc:
+            raise InvalidGenerator(f"{field}[{i}] has unknown letter {exc.args[0]!r}") from None
+        yield word
 
 
 def abelianization(p):

@@ -13,6 +13,7 @@ positive, which equals the Morse index of the start minus that of the
 end.  The same drop after a small positive spectral shift must agree, or
 an endpoint eigenvalue lies too close to zero to count.  A sample with a
 nonzero imaginary part is refused, not cast to its real part.
+``samples_from_json`` is the one reader of JSON samples.
 """
 
 from itertools import chain, repeat
@@ -159,108 +160,81 @@ def spectral_flow(path):
 
 # -- JSON ingestion -----------------------------------------------------------
 
-def matrix_from_json(rows, field):
-    """Rows of equal length of numbers or of {"re": x, "im": y} objects.
-
-    A JSON string or boolean is not a number: ``complex()`` with two
-    arguments refuses a string, and a boolean is refused by type.
-    """
-    out = []
-    try:
-        for row in rows:
-            if type(row) is not list:
-                raise TypeError
-            conv = []
-            for x in row:
-                if type(x) is dict:
-                    re, im = x.get("re", 0.0), x.get("im", 0.0)
-                    if type(re) is bool or type(im) is bool:
-                        raise TypeError
-                    conv.append(complex(re, im))
-                elif type(x) is float or type(x) is int:
-                    conv.append(x)
-                else:
-                    raise TypeError
-            out.append(conv)
-        return np.asarray(out, dtype=complex)
-    except OverflowError:
-        i, j = _first_overflow(rows)
-        raise ValueError(f"{field}[{i}][{j}] does not fit a float") from None
-    except (TypeError, ValueError):
-        expect_items(rows, list, field)     # names a row that is not a list
-        raise ValueError(f"{field} must be rows of equal length of numbers or "
-                         '{"re": x, "im": y} objects') from None
-
-
-def _first_overflow(rows):
-    """(i, j) of the first entry holding an integer too large for a float."""
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            parts = (x.get("re", 0.0), x.get("im", 0.0)) if type(x) is dict else (x,)
-            try:
-                complex(*parts)
-            except OverflowError:
-                return i, j
-
-
 def samples_from_json(data):
     """The sample matrices stacked in one complex array; every entry finite.
 
-    One bulk pass reads the usual input, N matrices of one shape whose
-    entries are all {"re": x, "im": y} objects or all numbers: type and
-    size checks over whole lists, then one array fill.  Any other input,
-    a faulty one included, is read again matrix by matrix
-    (``matrix_from_json``), and that walk names the field at fault.  Both
-    give the same array, entry for entry.
+    Entries are numbers or {"re": x, "im": y} objects, in any mix.  Type
+    and size checks over whole lists, then one array fill, read them all;
+    on a fault ``_raise_first_fault`` names the first faulty field.
     """
     samples = expect(data, list, "samples")
     if not samples:
         raise ValueError("empty sample list")
     try:
-        stack = _bulk_samples(samples)
-    except OverflowError:       # an integer beyond a float: the walk names it
-        stack = None
-    if stack is None:
-        mats = [matrix_from_json(m, f"samples[{k}]") for k, m in enumerate(samples)]
-        try:
-            stack = np.array(mats, dtype=complex)
-        except ValueError:
-            raise ValueError("samples must be matrices of equal size") from None
+        if set(map(type, samples)) != {list} or len(set(map(len, samples))) > 1:
+            raise TypeError
+        rows = list(chain.from_iterable(samples))
+        if not set(map(type, rows)) <= {list} or len(set(map(len, rows))) > 1:
+            raise TypeError
+        entries = list(chain.from_iterable(rows))
+        kinds = set(map(type, entries))
+        if kinds <= {float, int}:
+            flat = np.array(entries, dtype=float).astype(complex)
+        else:
+            if kinds == {dict}:
+                re = list(map(dict.get, entries, repeat("re"), repeat(0.0)))
+                im = list(map(dict.get, entries, repeat("im"), repeat(0.0)))
+            else:       # mixed, or faulty: a number x reads as {"re": x}
+                re = [x.get("re", 0.0) if type(x) is dict else x for x in entries]
+                im = [x.get("im", 0.0) if type(x) is dict else 0.0 for x in entries]
+            if not set(map(type, re)) | set(map(type, im)) <= {float, int}:
+                raise TypeError
+            flat = np.empty(len(entries), dtype=complex)
+            flat.real = re
+            flat.imag = im
+    except (TypeError, OverflowError):      # OverflowError: an integer beyond a float
+        _raise_first_fault(samples)
+    n, r = len(samples), len(samples[0])
+    # N empty matrices stack to shape (N, 0), as N arrays of shape (0,) do
+    stack = flat.reshape((n, r, len(rows[0])) if r else (n, 0))
     _refuse_non_finite(stack)
     return stack
 
 
-def _one(sizes):
-    """The one value of ``sizes``, or None if it has none or several."""
-    sizes = set(sizes)
-    return sizes.pop() if len(sizes) == 1 else None
-
-
-def _bulk_samples(samples):
-    """The (N, r, c) stack, read with a few passes over whole lists, or None
-    where the samples are not N lists of r >= 1 lists of c entries that are
-    all {"re": x, "im": y} objects with number parts or all numbers."""
-    if not set(map(type, samples)) <= {list}:
-        return None
-    r = _one(map(len, samples))
-    rows = list(chain.from_iterable(samples))
-    if r is None or not set(map(type, rows)) <= {list}:
-        return None
-    c = _one(map(len, rows))
-    if c is None:
-        return None
-    entries = list(chain.from_iterable(rows))
-    kinds = set(map(type, entries))
-    if kinds <= {float, int}:
-        flat = np.array(entries, dtype=float).astype(complex)
-    elif kinds == {dict}:
-        re = list(map(dict.get, entries, repeat("re"), repeat(0.0)))
-        im = list(map(dict.get, entries, repeat("im"), repeat(0.0)))
-        if not set(map(type, re)) | set(map(type, im)) <= {float, int}:
-            return None
-        flat = np.empty(len(entries), dtype=complex)
-        flat.real = re
-        flat.imag = im
-    else:
-        return None
-    return flat.reshape(len(samples), r, c)
+def _raise_first_fault(samples):
+    """Raise the ValueError that names the first fault of ``samples``, in
+    the order of the per-entry reading kept in ``tests/maslov_oracle.py``:
+    matrix by matrix, a sample that is not a list, then in document order
+    a row that is not a list, an entry of the wrong type or an object
+    beyond a float, then rows of unequal length, then a number beyond a
+    float.  If no matrix holds a fault, the matrices differ in size.
+    """
+    for k, rows in enumerate(samples):
+        field = f"samples[{k}]"
+        huge = None         # (i, j) of the first entry beyond a float
+        try:
+            for i, row in enumerate(expect(rows, list, field)):
+                if type(row) is not list:
+                    raise TypeError
+                for j, x in enumerate(row):
+                    parts = (x.get("re", 0.0), x.get("im", 0.0)) if type(x) is dict else (x,)
+                    if not set(map(type, parts)) <= {float, int}:
+                        raise TypeError
+                    try:
+                        complex(*parts)
+                    except OverflowError:
+                        huge = huge or (i, j)
+                        if type(x) is dict:
+                            raise
+            if len(set(map(len, rows))) > 1:
+                raise TypeError
+            if huge:
+                raise OverflowError
+        except OverflowError:
+            i, j = huge
+            raise ValueError(f"{field}[{i}][{j}] does not fit a float") from None
+        except TypeError:
+            expect_items(rows, list, field)     # names a row that is not a list
+            raise ValueError(f"{field} must be rows of equal length of numbers or "
+                             '{"re": x, "im": y} objects') from None
+    raise ValueError("samples must be matrices of equal size")

@@ -51,21 +51,16 @@ MAX_DIMENSION = 6
 class SupportData:
     """Distinct integer support points, as tuples of one dimension.
 
-    The hull reads the point set alone.  ``from_json`` checks the optional
+    The hull reads the point set alone.  ``from_json``, the one reader of
+    a support document, checks the points and the optional
     ``multiplicities`` field, one positive integer per point, and drops it.
     """
 
     __slots__ = ("dimension", "points")
 
     def __init__(self, dimension, points):
-        pts = tuple(points)
-        if len(set(pts)) != len(pts):
-            raise ValueError("support points must be distinct")
-        for p in pts:
-            if len(p) != dimension:
-                raise BadDimension(f"point {p} does not have dimension {dimension}")
         self.dimension = dimension
-        self.points = pts
+        self.points = tuple(points)
 
     @classmethod
     def from_json(cls, data):
@@ -74,10 +69,19 @@ class SupportData:
         mults = data.get("multiplicities")
         if mults is not None and len(expect_items(mults, int, "multiplicities")) != len(pts):
             raise ValueError(f"multiplicities has {len(mults)} entries for {len(pts)} points")
-        s = cls(expect(data.get("dimension"), int, "dimension"), pts)
-        if mults is not None and any(m <= 0 for m in mults):
-            raise ValueError("multiplicities must be positive")
-        return s
+        dimension = expect(data.get("dimension"), int, "dimension")
+        seen = set()
+        for i, p in enumerate(pts):
+            if len(p) != dimension:
+                raise BadDimension(f"points[{i}] does not have dimension {dimension}, "
+                                   f"got {list(p)}")
+            if p in seen:
+                raise ValueError(f"points[{i}] repeats an earlier point, got {list(p)}")
+            seen.add(p)
+        for i, m in enumerate(mults or ()):
+            if m <= 0:
+                raise ValueError(f"multiplicities[{i}] must be positive, got {m}")
+        return cls(dimension, pts)
 
 
 def _dot(u, v):

@@ -11,13 +11,13 @@ so d(a)/da = 1 and d(a^-1)/da = -a^-1.  ``phi`` pushes a word or a
 combination of words to Z[g] for a group g that remembers its ambient
 projection, as ``fox.abelianization`` returns it; ``concat`` is the
 product of two words, ``parse_word`` reads a word spelled in given
-generator names through ``FreeWord.from_string``, and ``random_word``
-draws one through it.
+generator names through ``fox.load_presentation_json``, as the one
+relator of a presentation, and ``random_word`` draws one through it.
 """
 
 from ring_oracle import from_ambient, ring_of
 from sutured_kit.errors import InvalidGenerator
-from sutured_kit.fox import FreeWord
+from sutured_kit.fox import FreeWord, load_presentation_json
 
 
 def concat(u, w):
@@ -26,12 +26,11 @@ def concat(u, w):
 
 
 def parse_word(text, names):
-    """The word ``text`` in the generators ``names``, read through a letter
-    table like the one ``fox.load_presentation_json`` builds."""
-    table = {}
-    for i, name in enumerate(names):
-        table[name], table[name.upper()] = (i, 1), (i, -1)
-    return FreeWord.from_string(text, table)
+    """The word ``text`` in the generators ``names``, read by the library's
+    presentation reader as the one relator of a presentation."""
+    p, _ = load_presentation_json({"generators": list(names), "relators": [text],
+                                   "boundary_genus": 0})
+    return p.relators[0]
 
 
 def random_word(rng, names, max_len=12):

@@ -3,17 +3,18 @@ no run of a wide set of inputs executes.
 
 The inputs are the argv of ``test_census.census_argv`` (every bundled
 fixture through each subcommand that fits it, both ``crosscheck`` and
-``polytope`` variants, the ``oracle`` calculators, ``fixtures``, one tiny
-``maslov`` input of each kind and the diagrams with periodic domains)
-followed by every op of the five benchmark workloads at seed 11.  Each
-runs through ``cli.main`` under ``sys.settrace`` with line events, traced
-only in the package's own frames.  A simple statement counts as run when
-any of its lines ran, a compound one when its header did (``try`` and
-bare ``else`` have no header and are judged by what they hold), and a
-docstring is not a statement.  The output is one line with the number of
-argv, the number that exited non-zero and the wall time, then each
-function with a statement that never ran: ``(not called)`` when none of
-its body did, else each such statement's line number and first line.
+``polytope`` variants, the ``oracle`` calculators, ``fixtures``, one
+tiny ``maslov`` input of each kind and one with mixed entries, and the
+diagrams with periodic domains) followed by every op of the five
+benchmark workloads at seed 11.  Each runs through ``cli.main`` under
+``sys.settrace`` with line events, traced only in the package's own
+frames.  A simple statement counts as run when any of its lines ran, a
+compound one when its header did (``try`` and bare ``else`` have no
+header and are judged by what they hold), and a docstring is not a
+statement.  The output is one line with the number of argv, the number
+that exited non-zero and the wall time, then each function with a
+statement that never ran: ``(not called)`` when none of its body did,
+else each such statement's line number and first line.
 
 Run from the root of the repository; it takes a few seconds and writes
 its inputs to a temporary directory:

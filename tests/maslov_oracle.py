@@ -16,7 +16,7 @@ def matrix_from_json(rows, field="matrix"):
     """Rows of equal length of numbers or of {"re": x, "im": y} objects."""
     out = []
     try:
-        for row in rows:
+        for row in expect(rows, list, field):
             if type(row) is not list:
                 raise TypeError
             conv = []

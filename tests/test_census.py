@@ -5,10 +5,11 @@ trace function returns None, so no line is traced) on every bundled
 fixture through each subcommand that fits it, ``crosscheck`` with and
 without ``--allow-inversion``, ``polytope`` with and without
 ``--canonical``, the three ``oracle`` calculators, ``fixtures``, one tiny
-``maslov`` input of each kind, and the diagrams with periodic domains
-through ``check``.  The code objects that got a call are matched to the
-``def``s of ``sutured_kit`` by (file, first line), the first line being
-that of the first decorator, as ``co_firstlineno`` counts it.
+``maslov`` input of each kind and one with mixed entries, and the
+diagrams with periodic domains through ``check``.  The code objects that
+got a call are matched to the ``def``s of ``sutured_kit`` by (file, first
+line), the first line being that of the first decorator, as
+``co_firstlineno`` counts it.
 
 Every function is reached or named in ``UNREACHED`` under the reason it
 stays, and no function named there is reached: a function that only the
@@ -59,7 +60,7 @@ UNREACHED = {
     "input validation and error paths, which no input here takes": """
         cli._is_negative_number cli._takes cli._usage diagram.format_arc_ref
         diagram.parse_arc_ref
-        errors.SuturedKitError.__init__ maslov._first_overflow maslov.matrix_from_json""",
+        errors.SuturedKitError.__init__ maslov._raise_first_fault""",
 }
 
 
@@ -121,6 +122,10 @@ def census_argv(tmp_path):
         ("lagrangian_loop", lagrangian_loop(rng, 1, 48, [1])[0]),
         ("symplectic_loop", unitary_group_loop(rng, 1, 48, [1])[0]),
         ("spectral_flow", [(1 - t) * a + t * b for t in np.linspace(0, 1, 9)]))]
+    # numbers and objects in one matrix: the reader's mixed conversion
+    inputs.append(("maslov", {"kind": "spectral_flow", "samples": [
+        [[x if j % 2 else {"re": x} for j, x in enumerate(row)] for row in m.tolist()]
+        for m in (a, b)]}))
     inputs += [("check", data) for data in [s1xs2_minus_ball()] + [circle_pairs_disk(k)
                                                                     for k in (1, 2, 3)]]
     for i, (command, data) in enumerate(inputs):

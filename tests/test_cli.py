@@ -99,6 +99,23 @@ class TestPipelines:
         assert code == 1
         assert data["error"] == "not_geometrically_balanced"
 
+    @pytest.mark.parametrize("payload,error,detail", [
+        ({"generators": ["a"], "relators": ["x"], "boundary_genus": 0},
+         "invalid_generator", "relators[0] has unknown letter 'x'"),
+        ({"generators": ["a", "b"], "relators": ["a"], "boundary_genus": 1,
+          "sigma_images": ["b a x"]},
+         "invalid_generator", "sigma_images[0] has unknown letter 'x'"),
+        ({"generators": ["a"], "relators": ["a", "a"], "boundary_genus": 0},
+         "bad_input", "relators has 2 entries for 1 generators; "
+                      "a presentation needs at least as many generators as relators"),
+    ])
+    def test_presentation_fault_names_its_field(self, capsys, tmp_path, payload, error, detail):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(payload))
+        code, data = run_json(capsys, "torsion", str(path))
+        assert code == 1
+        assert data == {"error": error, "detail": detail}
+
 
 class TestCrosscheck:
     @pytest.mark.parametrize("dname,pname", paired_names())
@@ -225,11 +242,10 @@ class TestPolytopeCommand:
         assert code == 1 and data["error"] == "file_not_found"
 
     # the hull reads no multiplicities, but the support file's field keeps
-    # its checks: each document is the one printed before they were dropped
-    # from SupportData
+    # its checks, and each names its field
     @pytest.mark.parametrize("mults,detail", [
-        ([0, 1, 1], "multiplicities must be positive"),
-        ([-2, 1, 1], "multiplicities must be positive"),
+        ([0, 1, 1], "multiplicities[0] must be positive, got 0"),
+        ([-2, 1, 1], "multiplicities[0] must be positive, got -2"),
         ([1, 1], "multiplicities has 2 entries for 3 points"),
         ([1.5, 1, 1], "multiplicities[0] must be an integer, got 1.5"),
         (True, "multiplicities must be a list, got True"),
@@ -338,6 +354,20 @@ class TestMaslovCommand:
         assert data == {"error": "not_symmetric",
                         "detail": "sample 0 has a nonzero imaginary part; "
                                   "spectral flow needs real symmetric matrices"}
+
+    # an empty object or string is a sample that is not a list, like any
+    # other object, not an empty matrix
+    @pytest.mark.parametrize("samples,detail", [
+        ([[[1.0]], {}], "samples[1] must be a list, got {}"),
+        ([{}, ""], "samples[0] must be a list, got {}"),
+        ([[[1.0]], {"0": [1.0]}], "samples[1] must be a list, got {'0': [1.0]}"),
+    ])
+    def test_sample_that_is_not_a_list_is_named(self, capsys, tmp_path, samples, detail):
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps({"kind": "spectral_flow", "samples": samples}))
+        code, data = run_json(capsys, "maslov", str(path))
+        assert code == 1
+        assert data == {"error": "bad_input", "detail": detail}
 
     def test_unknown_kind_in_the_file_is_bad_input(self, capsys, tmp_path):
         path = tmp_path / "loop.json"

@@ -2,7 +2,7 @@ import cmath
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import maslov_oracle
 from conftest import (lagrangian_loop, rand_orthogonal, rand_unitary,
@@ -12,8 +12,8 @@ from sutured_kit.errors import (CrossingCountMismatch, EndpointSingular,
                                 LoopNotClosed, LoopNotClosedInGroup,
                                 NotSymmetric, NotUnitary, SamplingTooCoarse)
 from sutured_kit.maslov import (SymmetricPath, UnitaryLoop, maslov_loop_index,
-                                matrix_from_json, samples_from_json,
-                                spectral_flow, symplectic_loop_index)
+                                samples_from_json, spectral_flow,
+                                symplectic_loop_index)
 
 
 def phase_loop(steps, freq, power=1.0):
@@ -296,7 +296,7 @@ class TestHelpers:
         assert np.linalg.norm(polar_unitary(v) - v) < 1e-9
 
     def test_json_matrices(self):
-        m = matrix_from_json([[{"re": 1, "im": 2}, 3], [0, {"im": -1}]], "matrix")
+        m, = samples_from_json([[[{"re": 1, "im": 2}, 3], [0, {"im": -1}]]])
         assert m[0, 0] == 1 + 2j and m[0, 1] == 3 and m[1, 1] == -1j
         samples = samples_from_json([[[1, 0], [0, 1]]] * 2)
         assert len(samples) == 2 and samples[0].shape == (2, 2)
@@ -311,36 +311,54 @@ OBJECT = st.fixed_dictionaries({}, optional={"re": FINITE, "im": FINITE})
 HUGE = st.sampled_from([10 ** 400, -10 ** 400, 2 ** 1024 - 2 ** 970])
 PART = st.sampled_from([True, False, "1", None, [0.5], float("nan"), -float("inf")])
 BAD = PART | HUGE | st.sampled_from(["", {"re": 1.0}, (1.0,), float("inf")])
-NOT_A_LIST = st.sampled_from([5, 1.5, "x", None, True, {"0": [1.0]}, (1.0,)])
+NOT_A_LIST = st.sampled_from([5, 1.5, "x", None, True, {"0": [1.0]}, (1.0,), {}, ""])
+FAULTS = ["entry", "part", "part", "huge", "ragged", "size", "level", "empty"]
+
+
+def put_fault(draw, samples, k, entry, c):
+    """Put one drawn fault into matrix k of samples, in place; a fault that
+    needs a row or an entry where the matrix has none is not put."""
+    m = samples[k]
+    rows = [i for i, row in enumerate(m) if type(row) is list] if type(m) is list else []
+    i = draw(st.sampled_from(rows)) if rows else None
+    fault = draw(st.sampled_from(FAULTS))
+    if fault in ("entry", "part", "huge") and i is not None and m[i]:
+        j = draw(st.integers(0, len(m[i]) - 1))
+        old = m[i][j]
+        value = draw({"entry": BAD, "part": PART, "huge": HUGE}[fault])
+        if type(old) is dict and fault != "entry":
+            value = {**old, draw(st.sampled_from(["re", "im"])): value}
+        m[i][j] = value
+    elif fault == "ragged" and i is not None:
+        m[i] = m[i][:-1] if draw(st.booleans()) else m[i] + [draw(entry)]
+    elif fault == "size" and type(m) is list:
+        samples[k] = m[:-1] if draw(st.booleans()) else m + [[draw(entry)] * c]
+    elif fault == "level":
+        if i is None:
+            samples[k] = draw(NOT_A_LIST)
+        else:
+            m[i] = draw(NOT_A_LIST)
+    elif fault == "empty":
+        if i is None or draw(st.booleans()):
+            samples[k] = []
+        else:
+            m[i] = []
 
 
 @st.composite
 def sample_lists(draw):
-    """Sample lists of every entry form, most of them with one fault."""
+    """Sample lists of every entry form with no fault, one, or two (in one
+    matrix or in two), the empty list, and a value that is not a list."""
     n, r, c = draw(st.integers(1, 4)), draw(st.integers(0, 3)), draw(st.integers(0, 3))
     entry = draw(st.sampled_from([FINITE, OBJECT, FINITE | OBJECT]))
     samples = [[[draw(entry) for _ in range(c)] for _ in range(r)] for _ in range(n)]
-    k, i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, 2)), draw(st.integers(0, 2))
-    fault = draw(st.sampled_from([None, "entry", "part", "part", "huge", "ragged", "size",
-                                  "level", "top"]))
-    if fault in ("entry", "part", "huge") and r and c:
-        old = samples[k][i % r][j % c]
-        value = draw({"entry": BAD, "part": PART, "huge": HUGE}[fault])
-        if type(old) is dict and fault != "entry":
-            value = {**old, draw(st.sampled_from(["re", "im"])): value}
-        samples[k][i % r][j % c] = value
-    elif fault == "ragged" and r:
-        row = samples[k][i % r]
-        samples[k][i % r] = row[:-1] if j % 2 else row + [draw(entry)]
-    elif fault == "size":
-        samples[k] = samples[k][:-1] if j % 2 else samples[k] + [[draw(entry)] * c]
-    elif fault == "level":
-        if r:
-            samples[k][i % r] = draw(NOT_A_LIST)
-        else:
-            samples[k] = draw(NOT_A_LIST)
-    elif fault == "top":
-        return draw(NOT_A_LIST)
+    top = draw(st.sampled_from(["samples"] * 8 + ["empty", "not a list"]))
+    if top != "samples":
+        return [] if top == "empty" else draw(NOT_A_LIST)
+    k = draw(st.integers(0, n - 1))
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2, 2]))):
+        put_fault(draw, samples, k, entry, c)
+        k = draw(st.sampled_from([k, draw(st.integers(0, n - 1))]))
     return samples
 
 
@@ -352,7 +370,20 @@ def outcome(read, data):
     return stack.shape, stack.dtype, stack.tobytes()
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(sample_lists())
+# which fault wins: a type fault before an earlier number beyond a float,
+# an object beyond a float before a later row that is not a list, rows of
+# unequal length before a bad entry in a later matrix, and that bad entry
+# before matrices of unequal size; then samples that are not lists
+@example([[[10 ** 400, "1"]]])
+@example([[[{"re": 10 ** 400}], 5]])
+@example([[[1.0, 2.0], [1.0]], [[None]]])
+@example([[[1.0]], [[1.0], [2.0]], [[None]]])
+@example([[[1.0]], {}])
+@example([{}, ""])
 def test_samples_from_json_matches_the_per_entry_loop(data):
-    assert outcome(samples_from_json, data) == outcome(maslov_oracle.samples_from_json, data)
+    # the oracle does not refuse the empty list; the library does, first
+    expected = (("refused", "empty sample list") if data == []
+                else outcome(maslov_oracle.samples_from_json, data))
+    assert outcome(samples_from_json, data) == expected

@@ -60,19 +60,28 @@ def rand_support(rng, dim, npoints, span=4):
 
 class TestSupportData:
     def test_repeated_points_refused(self):
-        with pytest.raises(ValueError, match="^support points must be distinct$"):
-            SupportData(2, ((0, 0), (1, 0), (0, 0)))
+        with pytest.raises(ValueError) as exc:
+            SupportData.from_json({"dimension": 2, "points": [[0, 0], [1, 0], [0, 0]]})
+        assert str(exc.value) == "points[2] repeats an earlier point, got [0, 0]"
 
     def test_point_of_wrong_dimension_refused(self):
         with pytest.raises(BadDimension) as exc:
-            SupportData(2, ((0, 0), (1, 0, 0)))
-        assert exc.value.detail == "point (1, 0, 0) does not have dimension 2"
+            SupportData.from_json({"dimension": 2, "points": [[0, 0], [1, 0, 0]]})
+        assert exc.value.detail == "points[1] does not have dimension 2, got [1, 0, 0]"
+
+    def test_first_faulty_point_named(self):
+        # the points are checked in document order, each for both faults
+        with pytest.raises(ValueError, match=r"^points\[2\] repeats"):
+            SupportData.from_json({"dimension": 1, "points": [[0], [1], [0], [1, 1]]})
+        with pytest.raises(BadDimension, match=r"^points\[2\] does not"):
+            SupportData.from_json({"dimension": 1, "points": [[0], [1], [2, 2], [0]]})
 
     @pytest.mark.parametrize("mult", [0, -2])
     def test_non_positive_multiplicity_refused(self, mult):
-        with pytest.raises(ValueError, match="^multiplicities must be positive$"):
+        with pytest.raises(ValueError) as exc:
             SupportData.from_json({"dimension": 1, "points": [[0], [2]],
                                    "multiplicities": [1, mult]})
+        assert str(exc.value) == f"multiplicities[1] must be positive, got {mult}"
 
 
 class TestHull:

@@ -37,7 +37,7 @@ PUBLIC = {
     "fox": "FreeWord InclusionData Presentation abelianization is_geometrically_balanced "
            "load_presentation_json theta_matrix torsion",
     "maslov": "CROSSING_SHIFT ENDPOINT_TOL MAX_PHASE_STEP SYMMETRY_TOL SymmetricPath "
-              "UNITARY_TOL UnitaryLoop maslov_loop_index matrix_from_json samples_from_json "
+              "UNITARY_TOL UnitaryLoop maslov_loop_index samples_from_json "
               "spectral_flow symplectic_loop_index",
     "oracle": "MAX_RANK_BITS MAX_TABLE_BITS RankTable closed_manifold_rank connected_sum_rank "
               "solid_torus_sfh",
@@ -55,7 +55,7 @@ METHODS = {
     "diagram.SuturedDiagram": "arcs from_json is_balanced require_balanced require_valid "
                               "validate",
     "diagram.ValidationReport": "ok",
-    "fox.FreeWord": "exponents from_string",
+    "fox.FreeWord": "exponents",
     "fox.Presentation": "num_generators num_relators",
     "maslov.UnitaryLoop": "closes_in_group",
     "oracle.RankTable": "support to_json values_in_order",
