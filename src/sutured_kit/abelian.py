@@ -17,20 +17,16 @@ equalities of torsion polynomials up to units.
 A ``FinAbGroup`` comes from ``smith_cokernel``: its torsion, the Smith
 diagonal entries >= 2, is a divisibility chain, and is taken as given.
 A group element of ``FinAbGroup(free_rank=r, torsion=(d_1,..,d_k))`` is a
-named tuple of tuples ``(free, torsion)``, residues reduced mod d_i,
-ordered by (free, torsion) as a tuple and built from a coordinate vector
-by ``FinAbGroup.from_coords``; ``_key_codec`` packs one into an int,
-first coordinate most significant, for the sums of n elements that
-``det_group_ring`` and the Spin^c partition add, and reduced elements
-pack in their own order, so the normal form up to units works on ints.
-The routines that make one element per term (that constructor, the
-codec's decode, the normal form and the inversion) build it with
-``tuple.__new__``, which skips the Python-level ``__new__`` of the named
-tuple.  The group is written multiplicatively when it acts on group-ring
-elements, so "multiply by h" means "add h to every exponent".
+plain pair ``(free, torsion)`` of int tuples, the r free exponents and
+the k residues reduced mod d_i, ordered as a tuple and built from a
+coordinate vector by ``FinAbGroup.from_coords``; ``_key_codec`` packs one
+into an int, first coordinate most significant, for the sums of n
+elements that ``det_group_ring`` and the Spin^c partition add, and
+reduced elements pack in their own order, so the normal form up to units
+works on ints.  The group is written multiplicatively when it acts on
+group-ring elements, so "multiply by h" means "add h to every exponent".
 """
 
-from collections import namedtuple
 from itertools import accumulate, repeat
 from math import comb, prod
 from operator import mod, mul, neg
@@ -45,29 +41,9 @@ class IntMatrix:
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, entries, rows=None, cols=None):
-        entries = tuple(tuple(int(x) for x in row) for row in entries)
-        if rows is None:
-            rows = len(entries)
-        if cols is None:
-            cols = len(entries[0]) if entries else 0
-        if len(entries) != rows or any(len(r) != cols for r in entries):
-            raise ValueError("ragged or mis-sized matrix")
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
-
-    @classmethod
-    def _of(cls, entries, rows, cols):
+    def __init__(self, entries, rows, cols):
         """The matrix on ``entries``, a rows x cols tuple of int tuples."""
-        a = object.__new__(cls)
-        a.rows, a.cols, a.entries = rows, cols, entries
-        return a
-
-    def __matmul__(self, vec):
-        if self.cols != len(vec):
-            raise ValueError("dimension mismatch")
-        return tuple(sum(map(mul, row, vec)) for row in self.entries)
+        self.rows, self.cols, self.entries = rows, cols, entries
 
     def column(self, j):
         return tuple(row[j] for row in self.entries)
@@ -175,9 +151,9 @@ def smith_normal_form(a, with_v=True):
             t += 1
         else:
             row_sub(t, viol, -1)  # row_t += row_viol
-    return (IntMatrix._of(tuple(tuple(row[ncols:]) for row in w[:nrows]), nrows, nrows),
+    return (IntMatrix(tuple(tuple(row[ncols:]) for row in w[:nrows]), nrows, nrows),
             tuple(w[i][i] for i in range(min(nrows, ncols))),
-            IntMatrix._of(tuple(map(tuple, w[nrows:])), ncols, ncols) if with_v else None)
+            IntMatrix(tuple(map(tuple, w[nrows:])), ncols, ncols) if with_v else None)
 
 
 def cokernel(a):
@@ -197,17 +173,8 @@ def smith_cokernel(u, d):
     tors_idx = [i for i in range(rank) if d[i] >= 2]
     # free coordinates: the rows of u past the rank; torsion ones: those with d_i >= 2
     proj_rows = u.entries[rank:] + tuple(u.entries[i] for i in tors_idx)
-    projection = IntMatrix._of(proj_rows, len(proj_rows), n)
+    projection = IntMatrix(proj_rows, len(proj_rows), n)
     return FinAbGroup(n - rank, tuple(d[i] for i in tors_idx), projection=projection)
-
-
-class GroupElement(namedtuple("GroupElement", "free torsion")):
-    """Element of a FinAbGroup: free exponents plus reduced torsion residues."""
-
-    __slots__ = ()
-
-    def is_identity(self):
-        return not any(self.free) and not any(self.torsion)
 
 
 class FinAbGroup:
@@ -226,8 +193,7 @@ class FinAbGroup:
     def from_coords(self, coords):
         """The element with coordinates ``coords``: free exponents, then residues mod d_i."""
         r = self.free_rank
-        return tuple.__new__(GroupElement,
-                             (tuple(coords[:r]), tuple(map(mod, coords[r:], self.torsion))))
+        return tuple(coords[:r]), tuple(map(mod, coords[r:], self.torsion))
 
 
 class GroupRingElem:
@@ -256,8 +222,7 @@ def ring_invert_exponents(x, g):
     """Apply the automorphism h -> h^{-1} to every exponent."""
     tors = g.torsion
     return GroupRingElem({
-        tuple.__new__(GroupElement, (tuple(map(neg, free)),
-                                     tuple(map(mod, map(neg, res), tors)))): c
+        (tuple(map(neg, free)), tuple(map(mod, map(neg, res), tors))): c
         for (free, res), c in x._terms.items()})
 
 
@@ -389,9 +354,8 @@ def _key_codec(vectors, n, g):
         free = [[d + s for d in col] if s else col for col, s in zip(cols[:r], free_shifts)]
         res = cols[len(cols) - len(tors):]
         count = len(reduced)
-        return [tuple.__new__(GroupElement, fr) for fr in
-                zip(zip(*free) if free else repeat((), count),
-                    zip(*res) if res else repeat((), count))]
+        return list(zip(zip(*free) if free else repeat((), count),
+                        zip(*res) if res else repeat((), count)))
 
     def decode(keys):
         return elements(reduce(keys), shifts)
@@ -483,12 +447,12 @@ def det_group_ring(m, g):
     m = [m[i] for i in order]
 
     pack, _, normal_form = _key_codec(
-        [h.free + h.torsion for row in m for e in row.values() for h in e._terms], n, g)
+        [free + res for row in m for e in row.values() for free, res in e._terms], n, g)
 
     # memo: column mask -> [(key, coeff)] of the minor on the rows below
     memo = {0: [(0, 1)]}
     for r in range(n - 1, -1, -1):
-        row = [(1 << j, [(pack(h.free + h.torsion), c) for h, c in m[r][j]._terms.items()])
+        row = [(1 << j, [(pack(free + res), c) for (free, res), c in m[r][j]._terms.items()])
                for j in sorted(m[r])]
         above = {}
         for mask in levels[r]:
@@ -527,7 +491,7 @@ def doteq_normalize(x, g):
     codec's ``normal_form`` does the rest on ints; the result's terms are
     stored in ``items()`` order.
     """
-    vectors = [h.free + h.torsion for h in x._terms]
+    vectors = [free + res for free, res in x._terms]
     pack, _, normal_form = _key_codec(vectors, 1, g)
     return normal_form(list(map(pack, vectors)), list(x._terms.values()))
 

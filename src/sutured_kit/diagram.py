@@ -641,7 +641,7 @@ class _H1Data:
                 rel[j][c] = x
         self.phi = phi
         self.snf = u, s, _ = abelian.smith_normal_form(
-            IntMatrix._of(tuple(map(tuple, rel)), self.rank, len(sk.curve_edges)))
+            IntMatrix(tuple(map(tuple, rel)), self.rank, len(sk.curve_edges)))
         self.group = smith_cokernel(u, s)
         proj = self.group.projection.entries
         self.potential = {p: _apply(proj, v) for p, v in phi.items()}
@@ -756,7 +756,7 @@ class SpincPartition:
 
     def __init__(self, classes, values, group):
         self.classes = classes          # tuple of tuples of generator indices
-        self.values = values            # class index -> GroupElement, sum phi of a member
+        self.values = values            # class index -> (free, torsion), sum phi of a member
         self.group = group
 
 
@@ -843,15 +843,16 @@ def connecting_domains(d, x, y):
     _check_generator(d, x)
     _check_generator(d, y)
     data = _h1data(d)
-    if not data.difference(x, y).is_identity():
+    free, res = data.difference(x, y)
+    if any(free) or any(res):
         return None
-    # rel n = -image(chain); eps = 0 makes every division by s exact
+    # rel n = -image(path); eps = 0 makes every division by s exact
     u, s, v = data.snf
-    chain = {data.skeleton.arc_edge[arc]: c for arc, c in _eps_chain(d, x, y).items()}
+    path = {data.skeleton.arc_edge[arc]: c for arc, c in _eps_chain(d, x, y).items()}
     rank = data.rank - data.group.free_rank
-    image = _apply(u.entries[:rank], data.image(chain))
-    n = [-t // s[i] for i, t in enumerate(image)] + [0] * (v.rows - rank)
-    return data.lift(chain, v @ n), periodic_lattice(d)
+    image = _apply(u.entries[:rank], data.image(path))
+    n = {i: -t // s[i] for i, t in enumerate(image)}
+    return data.lift(path, _apply(v.entries, n)), periodic_lattice(d)
 
 
 # -- signs and the Euler polynomial -----------------------------------------------------

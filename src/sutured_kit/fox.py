@@ -29,7 +29,7 @@ as the definition that the tests hold ``theta_matrix`` to.
 
 from operator import add, mod, neg
 
-from .abelian import GroupElement, GroupRingElem, IntMatrix, cokernel, det_group_ring
+from .abelian import GroupRingElem, IntMatrix, cokernel, det_group_ring
 from .errors import InvalidGenerator, NotGeometricallyBalanced, expect, expect_items
 
 
@@ -135,8 +135,8 @@ def abelianization(p):
     """
     m = p.num_generators
     cols = [r.exponents(m) for r in p.relators]
-    return cokernel(IntMatrix._of(tuple(tuple(col[i] for col in cols) for i in range(m)),
-                                  m, len(cols)))
+    return cokernel(IntMatrix(tuple(tuple(col[i] for col in cols) for i in range(m)),
+                              m, len(cols)))
 
 
 def is_geometrically_balanced(p, k):
@@ -188,7 +188,7 @@ def theta_matrix(p, k):
             cell = {}
             for key, c in terms.items():
                 if c:
-                    cell[tuple.__new__(GroupElement, (key[:r], key[r:]))] = c
+                    cell[key[:r], key[r:]] = c
             if cell:
                 entries[i][col] = GroupRingElem(cell)
     return entries, g

@@ -284,7 +284,7 @@ def support_from_euler_polynomial(elem, group):
     Different representatives of the same +-h class give translates of the
     same point set.
     """
-    pts = sorted({tuple(2 * x for x in g.free) for g, _ in elem.items()})
+    pts = sorted({tuple(2 * x for x in free) for (free, _), _ in elem.items()})
     if not pts:
         raise EmptySupport("zero polynomial has empty support")
     return SupportData(group.free_rank, pts)

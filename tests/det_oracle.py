@@ -2,7 +2,7 @@
 
 The cofactor expansion the library ran before its packed keys, kept here
 as an independent check: the same bitmask pass and memo over column
-sets, but every product goes through ``ring_mul`` on ``GroupElement``
+sets, but every product goes through ``ring_mul`` on ``(free, torsion)``
 keys, with torsion residues reduced at each step.  ``oracle_det()``
 swaps it in for ``det_group_ring`` in every library module that binds
 that name, so whole CLI commands can be run on it; the library hands it

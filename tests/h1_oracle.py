@@ -28,8 +28,8 @@ the number of calls it makes.
 
 from operator import mul, neg
 
-from ring_oracle import (from_ambient, group_neg, group_sub, identity, ring_neg, ring_of,
-                         ring_translate)
+from ring_oracle import (from_ambient, group_neg, group_sub, identity, matvec, ring_neg,
+                         ring_of, ring_translate)
 from snf_oracle import smith_normal_form as oracle_smith_normal_form
 from sutured_kit.abelian import (GroupRingElem, IntMatrix, cokernel, echelon, smith_cokernel,
                                  smith_normal_form)
@@ -43,7 +43,7 @@ def matmul(a, b):
     if a.cols != b.rows:
         raise ValueError("dimension mismatch")
     cols = [b.column(j) for j in range(b.cols)]
-    return IntMatrix([[sum(map(mul, row, col)) for col in cols] for row in a.entries],
+    return IntMatrix(tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a.entries),
                      a.rows, b.cols)
 
 
@@ -72,7 +72,7 @@ def kernel_basis(a):
 def solve_integer(a, b):
     """One integer solution x of a*x = b, or None when there is none."""
     u, d, v = smith_normal_form(a)
-    c = u @ tuple(b)
+    c = matvec(u, tuple(b))
     y = [0] * a.cols
     for i in range(a.rows):
         di = d[i] if i < len(d) else 0
@@ -82,7 +82,7 @@ def solve_integer(a, b):
             y[i] = c[i] // di
         elif c[i] != 0:
             return None
-    return v @ y
+    return matvec(v, y)
 
 
 class SnfSkeleton:
@@ -150,7 +150,7 @@ class SnfSkeleton:
         for e, (t, h) in enumerate(self.edges):
             d1[h][e] += 1
             d1[t][e] -= 1
-        self.d1 = IntMatrix(d1, nv, ne)
+        self.d1 = IntMatrix(tuple(map(tuple, d1)), nv, ne)
         self.curve_chain = {}
         for fam, curves in (("a", d.alpha), ("b", d.beta)):
             for i, pts in enumerate(curves):
@@ -177,7 +177,7 @@ class SnfH1:
         self.group = cokernel(rel)
 
     def _coords(self, vec):
-        c = self.u @ tuple(vec)
+        c = matvec(self.u, tuple(vec))
         y = [0] * self.k
         for i in range(self.kmat.rows):
             di = self.diag[i] if i < len(self.diag) else 0
@@ -187,7 +187,7 @@ class SnfH1:
                 y[i] = c[i] // di
             elif c[i] != 0:
                 raise InvalidDiagram("chain is not a 1-cycle")
-        return self.v @ y
+        return matvec(self.v, y)
 
     def class_of_arcs(self, chain):
         """Class of a chain {arc: coefficient}."""
@@ -506,7 +506,7 @@ class LoopH1:
         self.snf = u, s, _ = oracle_smith_normal_form(self.rel)
         self.group = smith_cokernel(u, s)
         self.phi = phi
-        self.potential = {p: self.group.projection @ v for p, v in phi.items()}
+        self.potential = {p: matvec(self.group.projection, v) for p, v in phi.items()}
 
     def difference(self, x, y):
         """eps(x, y): the potentials summed over y minus those over x."""

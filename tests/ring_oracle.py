@@ -1,18 +1,20 @@
 """Test-side arithmetic in G and Z[G]: the library forms only +-h normal
 forms, of determinants among others, the oracles also the group law on
-single elements (``group_add``, ``group_neg``, ``group_sub``), the class
-of an ambient vector (``from_ambient``), sums, products, translates,
-equality up to units and the Leibniz expansion of a determinant.  Also
-kept here as references: the normal form on ``GroupElement`` tuples that
+single elements (``group_add``, ``group_neg``, ``group_sub``), the
+mat-vec ``matvec``, the class of an ambient vector (``from_ambient``),
+the shape of an element as the library hands one out (``is_element``),
+sums, products, translates, equality up to units and the Leibniz
+expansion of a determinant.  Also
+kept here as references: the normal form on ``(free, torsion)`` pairs that
 the library ran before it worked on packed ints, the normal form and the
 inversion written with one ``group_add``/``group_neg`` per term, and the
 JSON term list of a ring element, whose indented dump the CLI's writer
 must reproduce byte for byte."""
 
 from itertools import chain, permutations
-from operator import mod, sub
+from operator import mod, mul, sub
 
-from sutured_kit.abelian import GroupElement, GroupRingElem, doteq_normalize, ring_invert_exponents
+from sutured_kit.abelian import GroupRingElem, doteq_normalize, ring_invert_exponents
 
 
 def element(g, free=(), torsion=()):
@@ -23,23 +25,43 @@ def element(g, free=(), torsion=()):
     return g.from_coords(free + torsion)
 
 
+def matvec(a, vec):
+    """The IntMatrix a applied to a dense vector of length a.cols."""
+    if a.cols != len(vec):
+        raise ValueError("dimension mismatch")
+    return tuple(sum(map(mul, row, vec)) for row in a.entries)
+
+
+def is_element(g, h):
+    """h is an element of g as the library hands one out: a plain pair of
+    int tuples, the free exponents and the residues, each in [0, d)."""
+    if type(h) is not tuple or len(h) != 2:
+        return False
+    free, res = h
+    return (type(free) is tuple and type(res) is tuple and len(free) == g.free_rank
+            and len(res) == len(g.torsion) and all(type(x) is int for x in free + res)
+            and all(0 <= x < d for x, d in zip(res, g.torsion)))
+
+
 def from_ambient(g, vec):
     """The class in g of a vector in the coordinates g was presented in."""
     if g.projection is None:
         raise ValueError("group carries no ambient projection")
-    return g.from_coords(g.projection @ tuple(vec))
+    return g.from_coords(matvec(g.projection, tuple(vec)))
 
 
 def group_add(g, x, y):
-    free = tuple(a + b for a, b in zip(x.free, y.free))
-    tors = tuple((a + b) % d for a, b, d in zip(x.torsion, y.torsion, g.torsion))
-    return GroupElement(free, tors)
+    (xf, xt), (yf, yt) = x, y
+    free = tuple(a + b for a, b in zip(xf, yf))
+    tors = tuple((a + b) % d for a, b, d in zip(xt, yt, g.torsion))
+    return free, tors
 
 
 def group_neg(g, x):
-    free = tuple(-a for a in x.free)
-    tors = tuple((-a) % d for a, d in zip(x.torsion, g.torsion))
-    return GroupElement(free, tors)
+    xf, xt = x
+    free = tuple(-a for a in xf)
+    tors = tuple((-a) % d for a, d in zip(xt, g.torsion))
+    return free, tors
 
 
 def group_sub(g, x, y):
@@ -47,7 +69,7 @@ def group_sub(g, x, y):
 
 
 def identity(g):
-    return GroupElement((0,) * g.free_rank, (0,) * len(g.torsion))
+    return (0,) * g.free_rank, (0,) * len(g.torsion)
 
 
 def ring_one(g):
@@ -107,15 +129,14 @@ def tuple_doteq_normalize(x, g):
     if x.is_zero():
         return x
     terms = x._terms
-    low = min(terms).free
+    low = min(terms)[0]
     tors = g.torsion
     forms = []
     for (sf, st), c in terms.items():
         if sf == low:
             sign = 1 if c > 0 else -1
             forms.append(GroupRingElem({
-                tuple.__new__(GroupElement, (tuple(map(sub, free, sf)),
-                                             tuple(map(mod, map(sub, res, st), tors)))): sign * b
+                (tuple(map(sub, free, sf)), tuple(map(mod, map(sub, res, st), tors))): sign * b
                 for (free, res), b in terms.items()}))
     return forms[0] if len(forms) == 1 else min(forms, key=GroupRingElem.items)
 
@@ -124,10 +145,10 @@ def per_term_doteq_normalize(x, g):
     """``doteq_normalize`` with one ``group_add`` per term."""
     if x.is_zero():
         return x
-    low = min(x._terms).free
+    low = min(x._terms)[0]
     forms = []
     for s, c in x._terms.items():
-        if s.free == low:
+        if s[0] == low:
             inv, sign = group_neg(g, s), (1 if c > 0 else -1)
             forms.append(GroupRingElem({group_add(g, a, inv): sign * b
                                         for a, b in x._terms.items()}))
@@ -141,5 +162,5 @@ def per_term_invert_exponents(x, g):
 
 def ring_to_json(x):
     """The JSON term list of x, the value whose indented dump ``cli`` writes."""
-    return [{"exp_free": list(g.free), "exp_torsion": list(g.torsion), "coeff": c}
-            for g, c in x.items()]
+    return [{"exp_free": list(free), "exp_torsion": list(res), "coeff": c}
+            for (free, res), c in x.items()]

@@ -95,6 +95,6 @@ def smith_normal_form(a):
             continue
         t += 1
 
-    return (IntMatrix._of(tuple(map(tuple, u)), nrows, nrows),
+    return (IntMatrix(tuple(map(tuple, u)), nrows, nrows),
             tuple(m[i][i] for i in range(min(nrows, ncols))),
-            IntMatrix._of(tuple(map(tuple, v)), ncols, ncols))
+            IntMatrix(tuple(map(tuple, v)), ncols, ncols))

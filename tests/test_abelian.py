@@ -8,18 +8,18 @@ from hypothesis import given, settings, strategies as st
 from det_oracle import rows_of
 from h1_oracle import (det, diagonal, kernel_basis, matmul, quadratic_doteq_normalize,
                        solve_integer)
-from ring_oracle import (doteq_equal, element, from_ambient, group_add, identity, leibniz_det,
-                         per_term_doteq_normalize, per_term_invert_exponents, ring_add, ring_mul,
-                         ring_neg, ring_of, ring_one, ring_to_json, ring_translate,
-                         tuple_doteq_normalize)
-from sutured_kit.abelian import (FinAbGroup, GroupElement, GroupRingElem, IntMatrix, _perm_sign,
+from ring_oracle import (doteq_equal, element, from_ambient, group_add, identity, is_element,
+                         leibniz_det, matvec, per_term_doteq_normalize, per_term_invert_exponents,
+                         ring_add, ring_mul, ring_neg, ring_of, ring_one, ring_to_json,
+                         ring_translate, tuple_doteq_normalize)
+from sutured_kit.abelian import (FinAbGroup, GroupRingElem, IntMatrix, _perm_sign,
                                  cokernel, det_group_ring, doteq_normalize, group_to_json,
                                  ring_aug, ring_invert_exponents, smith_normal_form)
 from sutured_kit.errors import DeterminantTooLarge
 
 
 def rand_matrix(rng, rows, cols, lo=-9, hi=9):
-    return IntMatrix([[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)],
+    return IntMatrix(tuple(tuple(rng.randint(lo, hi) for _ in range(cols)) for _ in range(rows)),
                      rows, cols)
 
 
@@ -37,16 +37,16 @@ def check_smith_form(a):
 
 class TestSmithNormalForm:
     def test_identity_fixed_point(self):
-        _, d, _ = smith_normal_form(IntMatrix([[1, 0], [0, 1]]))
+        _, d, _ = smith_normal_form(IntMatrix(((1, 0), (0, 1)), 2, 2))
         assert d == (1, 1)
 
     def test_zero_matrix(self):
-        _, d, _ = smith_normal_form(IntMatrix([[0]]))
+        _, d, _ = smith_normal_form(IntMatrix(((0,),), 1, 1))
         assert d == (0,)
 
     def test_worked_example(self):
         # det = -8 forces d1*d2 = 8 with d1 = gcd of the entries = 2
-        assert check_smith_form(IntMatrix([[2, 4], [6, 8]])) == (2, 4)
+        assert check_smith_form(IntMatrix(((2, 4), (6, 8)), 2, 2)) == (2, 4)
 
     def test_randomized_contract(self):
         rng = random.Random(20240811)
@@ -69,36 +69,32 @@ class TestSmithNormalForm:
         a = IntMatrix([[1, 2, 3], [4, 5, 6]], 2, 3)
         assert (a.rows, a.cols) == (2, 3)
         assert smith_normal_form(a)[1] == (1, 3)
-        with pytest.raises(ValueError):
-            IntMatrix([[1, 2], [3]], 2, 2)
-        with pytest.raises(ValueError):
-            IntMatrix([[1, 2], [3, 4]], 2, 3)
 
     def test_kernel_and_solve(self):
         rng = random.Random(7)
         for _ in range(100):
             a = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), -4, 4)
             for col in kernel_basis(a):
-                assert all(x == 0 for x in a @ col)
+                assert all(x == 0 for x in matvec(a, col))
             x = [rng.randint(-3, 3) for _ in range(a.cols)]
-            b = a @ x
+            b = matvec(a, x)
             sol = solve_integer(a, b)
             assert sol is not None
-            assert list(a @ sol) == list(b)
+            assert matvec(a, sol) == b
 
 
 class TestCokernel:
     def test_no_relations(self):
-        g = cokernel(IntMatrix([[], []], rows=2, cols=0))
+        g = cokernel(IntMatrix(((), ()), 2, 0))
         assert g.free_rank == 2 and g.torsion == ()
 
     def test_single_torsion_relation(self):
-        g = cokernel(IntMatrix([[2]]))
+        g = cokernel(IntMatrix(((2,),), 1, 1))
         assert g.free_rank == 0 and g.torsion == (2,)
 
     def test_primitive_column(self):
         # SNF of (1,1)^T is (1,0)^T
-        g = cokernel(IntMatrix([[1], [1]]))
+        g = cokernel(IntMatrix(((1,), (1,)), 2, 1))
         assert g.free_rank == 1 and g.torsion == ()
 
     def test_projection_kills_relations(self):
@@ -109,7 +105,8 @@ class TestCokernel:
         for _ in range(60):
             a = rand_matrix(rng, rng.randint(1, 4), rng.randint(0, 4), -5, 5)
             scale = rng.choice((1, 2, 6))       # a common factor gives a longer chain
-            a = IntMatrix([[scale * x for x in row] for row in a.entries], a.rows, a.cols)
+            a = IntMatrix(tuple(tuple(scale * x for x in row) for row in a.entries),
+                          a.rows, a.cols)
             g = cokernel(a)
             for j in range(a.cols):
                 assert from_ambient(g, a.column(j)) == identity(g)
@@ -232,7 +229,7 @@ class TestDeterminant:
         diagonal = [[x_plus_xt if i == j else zero for j in range(3)] for i in range(3)]
         cube = det_group_ring(rows_of(diagonal), g)    # x^3 (1 + t)^3 = 4 x^3 + 4 x^3 t
         assert cube == GroupRingElem({identity(g): 4, element(g, (0,), (1,)): 4})
-        assert all(type(e) is GroupElement for e in cube._terms)
+        assert all(is_element(g, e) for e in cube._terms)
         one = ring_one(g)
         cancel = [[one, GroupRingElem({t: 1})], [GroupRingElem({t: 1}), one]]
         assert det_group_ring(rows_of(cancel), g).is_zero()    # 1 - t^2 = 0
@@ -348,7 +345,7 @@ def test_doteq_normal_form_is_the_quadratic_oracle(case):
 def test_tuple_arithmetic_is_the_per_term_oracle(case):
     """The normal form and the inversion, written with tuple arithmetic on
     the terms, equal the per-term ``g.add``/``g.neg`` versions: the same
-    ``GroupElement`` keys and coefficients, none of them zero, also where
+    plain ``(free, torsion)`` keys and coefficients, none of them zero, also where
     torsion translates tie as candidates."""
     x, g, h, sign = case
     y = GroupRingElem({group_add(g, e, h): sign * c for e, c in x.items()})
@@ -356,7 +353,7 @@ def test_tuple_arithmetic_is_the_per_term_oracle(case):
         for got, want in ((doteq_normalize(z, g), per_term_doteq_normalize(z, g)),
                           (ring_invert_exponents(z, g), per_term_invert_exponents(z, g))):
             assert got._terms == want._terms
-            assert all(type(e) is GroupElement for e in got._terms)
+            assert all(is_element(g, e) for e in got._terms)
             assert all(got._terms.values())
 
 

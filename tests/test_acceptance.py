@@ -121,8 +121,8 @@ def test_criterion_5_snf_suite():
     rng = random.Random(20240814)
     for _ in range(220):
         rows, cols = rng.randint(0, 6), rng.randint(0, 6)
-        a = IntMatrix([[rng.randint(-9, 9) for _ in range(cols)]
-                       for _ in range(rows)], rows, cols)
+        a = IntMatrix(tuple(tuple(rng.randint(-9, 9) for _ in range(cols))
+                            for _ in range(rows)), rows, cols)
         u, d, v = smith_normal_form(a)
         assert matmul(matmul(u, a), v).entries == diagonal(d, rows, cols)
         assert abs(det(u)) == 1 and abs(det(v)) == 1

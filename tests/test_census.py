@@ -44,13 +44,12 @@ from sutured_kit import cli, fixtures
 
 UNREACHED = {
     "paper maps that ROADMAP direction 4 gives a caller": """
-        abelian.GroupElement.is_identity abelian.IntMatrix.__matmul__
         diagram._H1Data.class_of diagram._H1Data.difference diagram._H1Data.image
         diagram._H1Data.potential_sum diagram._check_generator diagram._eps_chain
         diagram.connecting_domains diagram.epsilon diagram.h1_of_M
         polytope.depth_bound polytope.seifert_surface_bound""",
     "called by the benchmark, which keeps them until ROADMAP direction 1 moves it": """
-        abelian.GroupRingElem.support abelian.IntMatrix.__init__ abelian._perm_sign
+        abelian.GroupRingElem.support abelian._perm_sign
         abelian.ring_aug cli.build_parser diagram.generator_sign
         oracle.RankTable.values_in_order""",
     "reached by the CLI only where the census cannot go: a crosscheck that matches "

@@ -1,6 +1,6 @@
 """The packed-key determinant and the one-pass Fox matrix against their
 oracles: the tuple normal form of `det_oracle.det_group_ring` (the
-cofactor expansion on `GroupElement` keys, in the caller's row order)
+cofactor expansion on `(free, torsion)` keys, in the caller's row order)
 term for term, whatever order the library expands, with its refusals
 under a lowered memo-key bound; `phi` of each `fox_oracle.fox_derivative` entry
 by entry, and the CLI bytes with the oracle swapped in."""
@@ -173,8 +173,8 @@ def test_eighteen_generators_refused_in_the_callers_order_are_computed():
         det_oracle.det_group_ring(theta, g)
     tau, _ = torsion(p, k)
     words = list(k.sigma_images) + list(p.relators)
-    sums = IntMatrix([[sum(e for j, e in w.letters if j == i) for w in words]
-                      for i in range(m)])
+    sums = IntMatrix(tuple(tuple(sum(e for j, e in w.letters if j == i) for w in words)
+                           for i in range(m)), m, len(words))
     assert abs(ring_aug(tau)) == abs(det(sums)) == 120
 
 

@@ -63,14 +63,14 @@ def test_echelon_is_scaled_rref(m):
                        min_size=n, max_size=n)))
 def test_det_is_leibniz(m):
     # rows drawn from a small range: singular matrices come up often
-    assert det(IntMatrix(m, len(m), len(m))) == leibniz(m)
+    assert det(IntMatrix(tuple(map(tuple, m)), len(m), len(m))) == leibniz(m)
 
 
 def test_det_edge_cases():
     assert det(IntMatrix((), 0, 0)) == 1
-    assert det(IntMatrix([[0, 1], [1, 0]])) == -1
-    assert det(IntMatrix([[1, 2], [2, 4]])) == 0
-    assert det(IntMatrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]])) == -1
+    assert det(IntMatrix(((0, 1), (1, 0)), 2, 2)) == -1
+    assert det(IntMatrix(((1, 2), (2, 4)), 2, 2)) == 0
+    assert det(IntMatrix(((0, 0, 1), (0, 1, 0), (1, 0, 0)), 3, 3)) == -1
 
 
 @PROPERTY

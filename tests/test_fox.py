@@ -278,7 +278,6 @@ class TestTorsion:
         assert tau == GroupRingElem({one: 1, t: -1, t2: 1})
 
     def test_bundled_solid_torus_has_two_support_points(self):
-        from sutured_kit import fixtures
         p, k = load_presentation_json(fixture_json("t212_pres"))
         tau, g = torsion(p, k)
         assert len(tau.support()) == 2

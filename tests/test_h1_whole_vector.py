@@ -74,9 +74,9 @@ def test_generator_with_no_points_has_a_class_of_full_length(name, free_rank):
     part = spinc_partition(d)
     assert part.group.free_rank == free_rank
     assert part.classes == ((0,),)
-    assert part.values[0].free == (0,) * free_rank
-    assert partition_differences(part)[(0, 0)].free == (0,) * free_rank
-    assert epsilon(d, x, x).free == (0,) * free_rank
+    assert part.values[0][0] == (0,) * free_rank
+    assert partition_differences(part)[(0, 0)][0] == (0,) * free_rank
+    assert epsilon(d, x, x)[0] == (0,) * free_rank
 
 
 # -- class sizes without listing the generators ------------------------------------

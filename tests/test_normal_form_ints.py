@@ -4,8 +4,8 @@
 the codec's ``normal_form``: reduced residues, candidates picked by the
 free digit block, torsion digits translated, forms sorted and compared as
 (key, coefficient) int lists, and only the winner decoded.
-``ring_oracle.tuple_doteq_normalize``, the normal form on ``GroupElement``
-tuples that it replaced, must give the same terms in the same order, and
+``ring_oracle.tuple_doteq_normalize``, the normal form on ``(free, torsion)``
+pairs that it replaced, must give the same terms in the same order, and
 the result's terms must be stored in ``items()`` order.  The elements
 here have several terms tied on the lex-min free part, so that forms
 that differ only after the translation of their torsion digits compete.
@@ -41,9 +41,9 @@ def tied_elements(draw):
     g = draw_group(draw)
     terms = draw_terms(draw, g, st.integers(-2, 2), draw(st.integers(0, 6)))
     if terms:
-        low = min(h for h, _ in terms).free
-        terms += [(element(g, low, h.torsion), c)
-                  for h, c in draw_terms(draw, g, st.just(0), draw(st.integers(0, 4)))]
+        low = min(h for h, _ in terms)[0]
+        terms += [(element(g, low, res), c)
+                  for (_, res), c in draw_terms(draw, g, st.just(0), draw(st.integers(0, 4)))]
     return ring_of(terms), g
 
 

@@ -18,7 +18,7 @@ import fox_oracle
 import sutured_kit
 
 PUBLIC = {
-    "abelian": "FinAbGroup GroupElement GroupRingElem IntMatrix TOO_LARGE_DET cokernel "
+    "abelian": "FinAbGroup GroupRingElem IntMatrix TOO_LARGE_DET cokernel "
                "det_group_ring doteq_normalize echelon group_to_json ring_aug "
                "ring_invert_exponents smith_cokernel smith_normal_form",
     "cli": "UsageError build_parser cmd_check cmd_crosscheck cmd_euler cmd_fixtures "
@@ -49,7 +49,6 @@ PUBLIC = {
 # class; a public class that is not listed has none
 METHODS = {
     "abelian.FinAbGroup": "from_coords",
-    "abelian.GroupElement": "is_identity",
     "abelian.GroupRingElem": "is_zero items support",
     "abelian.IntMatrix": "column",
     "diagram.SuturedDiagram": "arcs from_json is_balanced require_balanced require_valid "

@@ -77,7 +77,7 @@ def matrices(draw):
             row[j] = 0
     if draw(st.booleans()):    # repeated columns from repeated rows
         m, rows, cols = [[row[j] for row in m] for j in range(cols)], cols, rows
-    return IntMatrix(m, rows, cols)
+    return IntMatrix(tuple(map(tuple, m)), rows, cols)
 
 
 @PROPERTY
@@ -90,8 +90,8 @@ def test_matches_three_array_oracle(a):
 def test_matches_oracle_on_dense_matrices(rows, cols):
     rng = random.Random(rows * 100 + cols)
     for lo in (1, 3, 50):
-        assert_same_form(IntMatrix([[rng.randint(-lo, lo) for _ in range(cols)]
-                                    for _ in range(rows)], rows, cols))
+        assert_same_form(IntMatrix(tuple(tuple(rng.randint(-lo, lo) for _ in range(cols))
+                                         for _ in range(rows)), rows, cols))
 
 
 def recorded_matrices(monkeypatch, compute):
@@ -146,13 +146,13 @@ PIVOT_TIES = {
 @pytest.mark.parametrize("name", list(PIVOT_TIES))
 def test_matches_oracle_on_pivot_ties(name):
     m = PIVOT_TIES[name]
-    for a in (m, [list(col) for col in zip(*m)]):
-        assert_same_form(IntMatrix(a))
+    for a in (tuple(map(tuple, m)), tuple(zip(*m))):
+        assert_same_form(IntMatrix(a, len(a), len(a[0])))
 
 
 @pytest.mark.parametrize("rows,cols", [(0, 0), (0, 3), (3, 0), (1, 0), (0, 1)])
 def test_matches_oracle_on_empty_shapes(rows, cols):
-    a = IntMatrix([[]] * rows, rows, cols) if not cols else IntMatrix([], rows, cols)
+    a = IntMatrix(((),) * rows if not cols else (), rows, cols)
     assert_same_form(a)
     u, d, v = smith_normal_form(a)
     assert (u.rows, d, v.cols) == (rows, (), cols)
@@ -162,8 +162,8 @@ def test_matches_oracle_on_empty_shapes(rows, cols):
 def test_a_row_with_a_unit_ends_the_search(monkeypatch, n):
     # lower unitriangular: at every step row t holds a 1, so each search
     # reads the nonzero entries of row t alone, one of them
-    a = IntMatrix([[(i - j) * 3 + 2 if j < i else int(i == j) for j in range(n)]
-                   for i in range(n)])
+    a = IntMatrix(tuple(tuple((i - j) * 3 + 2 if j < i else int(i == j) for j in range(n))
+                        for i in range(n)), n, n)
     calls = []
 
     def counting_abs(x):

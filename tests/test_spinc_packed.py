@@ -140,8 +140,8 @@ def old_payload(d):
             "classes": [list(c) for c in classes],
             "base_class": 0,
             "differences": [{"from": a, "to": b,
-                             "element": {"free": list(e.free), "torsion": list(e.torsion)}}
-                            for (a, b), e in sorted(difference.items())]}
+                             "element": {"free": list(free), "torsion": list(res)}}
+                            for (a, b), (free, res) in sorted(difference.items())]}
 
 
 def assert_spinc_bytes(capsys, tmp_path, data):
